@@ -10,7 +10,9 @@ normality is exact (Frobenius/lambda = sqrt(2)) and the ratio condition
 min_Omega s / max_(D_*) s = R is recorded per family. The ratio R must be
 finite and strictly greater than 1: at R = 1 the shaping is s = 1, i.e. the
 isotropic family, which carries no concentration claim. Both constructors
-raise RatioInfeasibleError for any other R before building a field.
+raise RatioInfeasibleError for any other R before building a field, and also
+when the shaping is too steep for the largest noise level
+(eps_max * max|grad s| on Omega must stay below 1).
 """
 
 from __future__ import annotations
@@ -271,6 +273,12 @@ def _build_designed(
     omega = _dilate(region_strong, 2)
     eps_max = max(eps_list)
     grad_cap = float(sgrad[omega].max() * eps_max) if omega.any() else 0.0
+    if grad_cap >= 1.0:
+        raise RatioInfeasibleError(
+            ratio,
+            message=f"ratio {ratio} shapes too steeply for eps_max = {eps_max:.4g}: "
+            f"eps_max * max|grad s| on Omega = {grad_cap:.4g} must stay below 1",
+        )
 
     members = tuple(
         DiffusionField(grid, e * s, np.zeros_like(s), e * s) for e in eps_list
@@ -281,7 +289,7 @@ def _build_designed(
         tuple(eps_list), members, invariance_mode,
         normal_bound=np.sqrt(2.0) * ratio * 1.0001,
     )
-    fam = DesignedFamily(
+    return DesignedFamily(
         schedule=schedule,
         shaping=s,
         ratio=float(ratio),
@@ -295,9 +303,6 @@ def _build_designed(
             "anisotropy_cap": 0.25,
         },
     )
-    if grad_cap >= 1.0:
-        raise RatioInfeasibleError(ratio, grad_cap, 1.0)
-    return fam
 
 
 def design_stabilizing_family(

@@ -8,6 +8,14 @@ nearest-neighbor transition rates non-negative. Mixed-derivative terms enter
 through centered 4-point corner stencils on the faces. The assembled matrix M
 acts on cell masses w (so M is generator-like: column sums vanish) and the
 stationary measure is the unit-mass null vector of M.
+
+The null vector comes from one sparse LU per operator: the bordered matrix
+(balance row n//2 replaced by the mass row of ones) is built directly in COO
+form and factorized once. The uniqueness check needs the system bordered at a
+second row; that matrix is a rank-2 update of the first, so its solve reuses
+the same LU through the Sherman-Morrison-Woodbury formula (Hager 1989). The
+check fails closed: SingularOperatorError is raised unless both solutions are
+finite and agree within the tolerance, and a NaN distance counts as disagreement.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    FplabError,
     NoConvergenceError,
     SingularOperatorError,
     StencilOverflowError,
@@ -245,14 +254,51 @@ def assemble(v: VectorField, a: DiffusionField, grid: Grid2D) -> DiscreteOperato
     return DiscreteOperator(grid, m, meta)
 
 
-def _bordered_solve(m: sp.csr_matrix, row: int) -> np.ndarray:
-    """Replace one balance row with the mass constraint and solve directly."""
+def _bordered_lu(m: sp.csr_matrix, row: int):
+    """LU of m with balance row `row` replaced by the mass constraint (a row of
+    ones), or None when the bordered matrix is exactly singular."""
     n = m.shape[0]
-    m2 = m.tolil(copy=True)
-    m2[row, :] = 1.0
-    b = np.zeros(n)
-    b[row] = 1.0
-    return spla.spsolve(m2.tocsc(), b)
+    coo = m.tocoo()
+    keep = coo.row != row
+    b = sp.csc_matrix(
+        (
+            np.concatenate([coo.data[keep], np.ones(n)]),
+            (np.concatenate([coo.row[keep], np.full(n, row)]),
+             np.concatenate([coo.col[keep], np.arange(n)])),
+        ),
+        shape=(n, n),
+    )
+    try:
+        return spla.splu(b)
+    except RuntimeError:
+        return None
+
+
+def _unit(n: int, row: int) -> np.ndarray:
+    e = np.zeros(n)
+    e[row] = 1.0
+    return e
+
+
+def _alternate_solve(m: sp.csr_matrix, lu, w: np.ndarray, r1: int, r2: int) -> np.ndarray:
+    """Solve of the system bordered at row r2 instead of r1, from the LU of B1.
+
+    B2 = B1 + U V^T with U = [e_r1, e_r2] and V^T rows (m_r1 - 1), (1 - m_r2),
+    so by Sherman-Morrison-Woodbury, with W = B1^{-1} U = [w, z2] and
+    K = I + V^T W:  B2^{-1} e_r2 = z2 - W K^{-1} V^T z2.
+    """
+    z2 = lu.solve(_unit(m.shape[0], r2))
+
+    def vt(x):
+        mx, total = m @ x, x.sum()
+        return np.array([mx[r1] - total, total - mx[r2]])
+
+    k = np.eye(2) + np.column_stack([vt(w), vt(z2)])
+    try:
+        y = np.linalg.solve(k, vt(z2))
+    except np.linalg.LinAlgError:
+        return np.full(m.shape[0], np.nan)  # det B2 = det B1 det K: B2 is singular
+    return z2 - np.column_stack([w, z2]) @ y
 
 
 def _inverse_power(m: sp.csr_matrix, tol: float, maxit: int = 60):
@@ -260,7 +306,10 @@ def _inverse_power(m: sp.csr_matrix, tol: float, maxit: int = 60):
     n = m.shape[0]
     scale = float(np.abs(m).sum(axis=1).max())
     shift = 1e-13 * scale
-    lu = spla.splu((m - shift * sp.identity(n, format="csr")).tocsc())
+    try:
+        lu = spla.splu((m - shift * sp.identity(n, format="csr")).tocsc())
+    except RuntimeError as exc:
+        raise SingularOperatorError(f"shifted operator is exactly singular: {exc}") from exc
     w = np.full(n, 1.0 / n)
     history = []
     for k in range(maxit):
@@ -280,21 +329,25 @@ def solve_stationary(
 ) -> tuple[DiscreteMeasure, SolveReport]:
     """Unit-mass non-negative null vector of the assembled operator.
 
-    Primary method: bordered direct factorization (one balance row replaced by
-    the mass constraint). Falls back to shifted inverse power iteration when
-    the factorization leaves a large residual. A second bordered solve with a
-    different replaced row guards against null spaces of dimension > 1.
+    Primary method: one sparse LU of the bordered matrix B1 (balance row n//2
+    replaced by the mass constraint). Falls back to shifted inverse power
+    iteration when B1 is exactly singular or its solve leaves a large residual.
+    The uniqueness check solves the system bordered at row n//4 instead, as a
+    rank-2 Woodbury update of the same LU, and raises SingularOperatorError
+    (null space dimension > 1) unless that solve is finite and agrees with the
+    first within `uniqueness_tol` in L1; a NaN distance counts as disagreement.
     """
     t0 = time.perf_counter()
     m = op.matrix
     n = m.shape[0]
     norm_m = op.norm_inf()
     tol = RESIDUAL_RTOL * norm_m
+    r1 = n // 2
 
     method = "bordered-lu"
     iterations = 1
-    with np.errstate(all="ignore"):
-        w = _bordered_solve(m, n // 2)
+    lu = _bordered_lu(m, r1)
+    w = w_lu = lu.solve(_unit(n, r1)) if lu is not None else np.full(n, np.nan)
     residual = float(np.abs(m @ w).max()) if np.all(np.isfinite(w)) else np.inf
 
     if not np.isfinite(residual) or residual > tol:
@@ -307,14 +360,15 @@ def solve_stationary(
         # ANY replaced row (rows sum to zero, Perron vector has positive mass),
         # so a non-finite alternate solve already implies null dimension > 1
         with np.errstate(all="ignore"):
-            w_alt = _bordered_solve(m, max(0, n // 4))
-        if not np.all(np.isfinite(w_alt)):
-            raise SingularOperatorError(
-                "bordered system singular for an alternate constraint row; "
-                "null space dimension > 1"
-            )
-        diff = float(np.abs(w / w.sum() - w_alt / w_alt.sum()).sum())
-        if diff > uniqueness_tol:
+            w_alt = (_alternate_solve(m, lu, w_lu, r1, max(0, n // 4)) if lu is not None
+                     else np.full(n, np.nan))
+            if not np.all(np.isfinite(w_alt)):
+                raise SingularOperatorError(
+                    "bordered system singular for an alternate constraint row; "
+                    "null space dimension > 1"
+                )
+            diff = float(np.abs(w / w.sum() - w_alt / w_alt.sum()).sum())
+        if not diff <= uniqueness_tol:
             raise SingularOperatorError(
                 f"two bordered solves disagree by L1 distance {diff:.3e}; "
                 "null space dimension > 1 suspected"
@@ -323,7 +377,11 @@ def solve_stationary(
     mass_defect = abs(float(w.sum()) - 1.0)
     min_weight = float(w.min() / max(w.sum(), 1e-300))
     shape = (op.grid.nx,) if isinstance(op.grid, Grid1D) else (op.grid.nx, op.grid.ny)
-    mu, clipped = normalized_measure(op.grid, w.reshape(shape))
+    w_cells = w.reshape(shape)
+    try:
+        mu, clipped = normalized_measure(op.grid, w_cells)
+    except ValueError as exc:
+        raise SingularOperatorError(f"null vector is not a measure: {exc}") from exc
     report = SolveReport(
         residual=residual,
         mass_defect=mass_defect,
@@ -339,14 +397,18 @@ def solve_stationary(
 
 def solve_family(
     v: VectorField, family: NullFamilySchedule, grid: Grid2D, check_unique: bool = True
-) -> list[tuple[float, DiscreteMeasure | None, SolveReport | Exception]]:
-    """Solve each family member in schedule order; failures are collected, not raised."""
+) -> list[tuple[float, DiscreteMeasure | None, SolveReport | FplabError]]:
+    """Solve each family member in schedule order.
+
+    Package errors (FplabError) are collected per member, not raised; any other
+    exception is a programming error and propagates.
+    """
     out = []
     for eps, a in family:
         try:
             op = assemble(v, a, grid)
             mu, report = solve_stationary(op, check_unique=check_unique)
             out.append((eps, mu, report))
-        except Exception as exc:  # noqa: BLE001 - sweep must outlive per-member failures
+        except FplabError as exc:
             out.append((eps, None, exc))
     return out

@@ -148,6 +148,22 @@ def test_inadmissible_ratio_rejected_before_any_field(target, ratio, dw_iso, hop
     assert "transition band" not in msg
 
 
+def test_steep_shaping_rejected_with_gradient_message(dw_iso, monkeypatch):
+    # ratio 1000 at eps 5 makes eps_max * max|grad s| on Omega about 30 > 1;
+    # the message names that product and its cap, not a band width
+    def no_field(*args, **kwargs):
+        raise AssertionError("a DiffusionField was built for an infeasible shaping")
+
+    monkeypatch.setattr(design, "DiffusionField", no_field)
+    with pytest.raises(RatioInfeasibleError) as exc:
+        design_stabilizing_family(dw_iso, (5.0,), ratio=1000.0)
+    assert exc.value.requested_ratio == 1000.0
+    msg = str(exc.value)
+    assert "eps_max * max|grad s| on Omega = 30.19" in msg
+    assert "must stay below 1" in msg
+    assert "transition band" not in msg
+
+
 def test_narrow_band_infeasible(dw_grid, dw_field):
     xx, yy = dw_grid.centers()
     u0 = (xx + 1.0) ** 2 + yy**2

@@ -22,6 +22,7 @@ from fplab.fpe import (
     solve_stationary,
 )
 from fplab.grid import Grid1D, Grid2D
+from fplab.scenarios import hopf_drift
 
 
 @given(st.floats(min_value=-600, max_value=600))
@@ -227,3 +228,67 @@ def test_ou_2d_oracle():
     ref = np.exp(-(xx**2 + yy**2) / eps)
     ref /= ref.sum()
     assert np.abs(mu.weights - ref).sum() < 2e-4
+
+
+def test_solve_stationary_factorizes_once(monkeypatch):
+    # one sparse LU per operator, uniqueness check included: the alternate
+    # bordered system is solved from the same factors
+    from fplab import fpe
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("splu", "spsolve", "factorized"):
+        monkeypatch.setattr(fpe.spla, name, counted(name, getattr(fpe.spla, name)))
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
+    v = sample_vector_field(hopf_drift(1.0), g)
+    mu, rep = solve_stationary(assemble(v, isotropic_diffusion(g, 0.2), g), check_unique=True)
+    assert calls == ["splu"]
+    assert rep.method == "bordered-lu"
+    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _isolated_cell_operator():
+    # an OU chain of 15 cells plus a 16th cell with no transitions at all:
+    # every bordered matrix has a zero row, so its LU is exactly singular
+    g = Grid1D(-1, 1, 15)
+    x = g.centers()
+    m = sp.block_diag([assemble_1d(-x, np.full(15, 0.1), g).matrix, sp.csr_matrix((1, 1))])
+    return DiscreteOperator(Grid1D(-1, 1, 16), m.tocsr())
+
+
+def test_exactly_singular_factor_fails_uniqueness_check():
+    with pytest.raises(SingularOperatorError):
+        solve_stationary(_isolated_cell_operator(), check_unique=True)
+
+
+def test_exactly_singular_factor_falls_back_to_inverse_power():
+    op = _isolated_cell_operator()
+    mu, rep = solve_stationary(op, check_unique=False)
+    assert rep.method == "inverse-power"
+    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert rep.residual <= 1e-10 * op.norm_inf()
+
+
+def test_zero_operator_is_singular_without_uniqueness_check():
+    # the shifted matrix of the inverse-power fallback is exactly singular too
+    op = DiscreteOperator(Grid1D(-1, 1, 8), sp.csr_matrix((8, 8)))
+    with pytest.raises(SingularOperatorError):
+        solve_stationary(op, check_unique=False)
+
+
+def test_solve_family_propagates_programming_errors():
+    # only package errors are per-member failures; a caller's bug must surface
+    g = Grid2D(-2, 2, -2, 2, 16, 16)
+    v = sample_vector_field(lambda x, y: (-x, -y), g)
+    fam = isotropic_schedule(g, (0.2, 0.1))
+    other = Grid2D(-2, 2, -2, 2, 12, 12)
+    with pytest.raises(ValueError, match="grids must match"):
+        solve_family(sample_vector_field(lambda x, y: (-x, -y), other), fam, other)
+    with pytest.raises(AttributeError):
+        solve_family(v, [(0.2, "not a DiffusionField")], g)
