@@ -10,7 +10,7 @@ with H an upper envelope of a^{ij} d_i U d_j U on level bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -282,24 +282,6 @@ class LyapunovBound:
     h_values: tuple = ()
 
 
-def _h_envelope(u_flat, g_flat, nodes):
-    """Upper envelope of the per-cell values g over U-level bands.
-
-    Returns interpolation points (u*, g*) where g* is the band max and u* the
-    U value where it is attained; linear interpolation through these points
-    approximates sup_{U=t} g conservatively for slowly varying envelopes.
-    """
-    pts_u, pts_g = [], []
-    for lo, hi in zip(nodes[:-1], nodes[1:]):
-        mask = (u_flat > lo) & (u_flat <= hi)
-        if not mask.any():
-            continue
-        k = np.argmax(g_flat[mask])
-        pts_u.append(u_flat[mask][k])
-        pts_g.append(g_flat[mask][k])
-    return np.asarray(pts_u), np.asarray(pts_g)
-
-
 def _grad_hypothesis_tol(u, grid, band):
     """Grid-aware threshold below which a band gradient counts as vanishing:
     near a critical point |grad U| ~ |D2 U| h."""
@@ -309,6 +291,48 @@ def _grad_hypothesis_tol(u, grid, band):
     c = np.abs(uxx) + 2 * np.abs(uxy) + np.abs(uyy)
     cmax = float(c[band].max()) if band.any() else float(c.max())
     return 0.5 * cmax * (grid.hx + grid.hy)
+
+
+def _level_set_bound(cert, a, lo, hi, rho_mesh, grad_tol):
+    """The shared part of both level-set bounds on the band {lo <= U <= hi},
+    returned as (band, |grad U|, bound) with bound.value left for the caller.
+
+    Integral form: int_lo^hi dt / H(t), with H interpolated through the band
+    envelope of g = a^{ij} d_i U d_j U, whose points are, per level band, the
+    band max of g and the U value where it is attained; this approximates
+    sup_{U=t} g conservatively for slowly varying envelopes. Constant form
+    (hypothesis_ok False) when the gradient hypothesis fails: the band is
+    empty, |grad U| drops to grad_tol on it, or fewer than two level bands
+    are hit.
+    """
+    gx, gy = grad_central(cert.u, cert.grid)
+    g = a.a11 * gx**2 + 2.0 * a.a12 * gx * gy + a.a22 * gy**2
+    gnorm = np.hypot(gx, gy)
+    band = (cert.u >= lo) & (cert.u <= hi)
+    nodes = np.linspace(lo, hi, rho_mesh)
+    failed = LyapunovBound(value=np.nan, form="constant", hypothesis_ok=False,
+                           gamma=cert.gamma, rho_m=cert.rho_m, rho=hi, integral=np.nan)
+    if grad_tol is None:
+        grad_tol = _grad_hypothesis_tol(cert.u, cert.grid, band)
+    if not (band.any() and float(gnorm[band].min()) > grad_tol):
+        return band, gnorm, failed
+    u_band, g_band = cert.u[band].ravel(), g[band].ravel()
+    pu, pg = [], []
+    for t_lo, t_hi in zip(nodes[:-1], nodes[1:]):
+        mask = (u_band > t_lo) & (u_band <= t_hi)
+        if mask.any():
+            k = np.argmax(g_band[mask])
+            pu.append(u_band[mask][k])
+            pg.append(g_band[mask][k])
+    if len(pu) < 2:
+        return band, gnorm, failed
+    order = np.argsort(pu)
+    h_nodes = np.interp(nodes, np.asarray(pu)[order], np.asarray(pg)[order])
+    return band, gnorm, LyapunovBound(
+        value=np.nan, form="integral", hypothesis_ok=True, gamma=cert.gamma,
+        rho_m=cert.rho_m, rho=hi, integral=float(np.trapezoid(1.0 / h_nodes, nodes)),
+        h_nodes=tuple(nodes.tolist()), h_values=tuple(h_nodes.tolist()),
+    )
 
 
 def lyapunov_upper_bound(
@@ -326,41 +350,15 @@ def lyapunov_upper_bound(
     gamma^{-1} C |A|_band |grad U|_band^2 (C = 1/(rho - rho_m), band mass <= 1)
     when the gradient hypothesis fails on some level band.
     """
-    grid = cert.grid
     if not (cert.rho_m < rho < cert.rho_M):
         raise ValueError("rho must lie in (rho_m, rho_M)")
-    gx, gy = grad_central(cert.u, grid)
-    g = a.a11 * gx**2 + 2.0 * a.a12 * gx * gy + a.a22 * gy**2
-    gnorm = np.hypot(gx, gy)
-    band = (cert.u >= cert.rho_m) & (cert.u <= rho)
-    nodes = np.linspace(cert.rho_m, rho, rho_mesh)
-
-    if grad_tol is None:
-        grad_tol = _grad_hypothesis_tol(cert.u, grid, band)
-    hypothesis_ok = bool(band.any()) and float(gnorm[band].min()) > grad_tol
-    if hypothesis_ok:
-        pu, pg = _h_envelope(cert.u[band].ravel(), g[band].ravel(), nodes)
-        hypothesis_ok = len(pu) >= 2
-    if not hypothesis_ok:
-        amax = float(a.frob[band].max()) if band.any() else float(a.frob.max())
-        gmax = float(gnorm[band].max()) if band.any() else float(gnorm.max())
-        c = 1.0 / (rho - cert.rho_m)
-        value = min(1.0, c * amax * gmax**2 / max(cert.gamma, 1e-300))
-        return LyapunovBound(
-            value=value, form="constant", hypothesis_ok=False, gamma=cert.gamma,
-            rho_m=cert.rho_m, rho=rho, integral=np.nan,
-        )
-
-    order = np.argsort(pu)
-    pu, pg = pu[order], pg[order]
-    h_nodes = np.interp(nodes, pu, pg)
-    integral = float(np.trapezoid(1.0 / h_nodes, nodes))
-    value = float(min(1.0, np.exp(-cert.gamma * integral)))
-    return LyapunovBound(
-        value=value, form="integral", hypothesis_ok=True, gamma=cert.gamma,
-        rho_m=cert.rho_m, rho=rho, integral=integral,
-        h_nodes=tuple(nodes.tolist()), h_values=tuple(h_nodes.tolist()),
-    )
+    band, gnorm, bound = _level_set_bound(cert, a, cert.rho_m, rho, rho_mesh, grad_tol)
+    if bound.hypothesis_ok:
+        return replace(bound, value=float(min(1.0, np.exp(-cert.gamma * bound.integral))))
+    amax = float(a.frob[band].max()) if band.any() else float(a.frob.max())
+    gmax = float(gnorm[band].max()) if band.any() else float(gnorm.max())
+    c = 1.0 / (rho - cert.rho_m)
+    return replace(bound, value=min(1.0, c * amax * gmax**2 / max(cert.gamma, 1e-300)))
 
 
 def anti_lyapunov_lower_bound(
@@ -376,9 +374,9 @@ def anti_lyapunov_lower_bound(
     mu(Omega_rho \\ Omega*_rho_m) >= mu(Omega_rho0 \\ Omega*_rho_m) * factor.
 
     H is over-estimated by the same band envelope, which keeps the factor
-    conservative (never larger than the continuum one).
+    conservative (never larger than the continuum one); the factor is 1 when
+    the gradient hypothesis fails.
     """
-    grid = cert.grid
     if not (cert.rho_m <= rho0 <= rho < cert.rho_M):
         raise ValueError("need rho_m <= rho0 <= rho < rho_M")
     if rho == rho0 or cert.gamma == 0.0:
@@ -386,30 +384,9 @@ def anti_lyapunov_lower_bound(
             value=1.0, form="integral", hypothesis_ok=True, gamma=cert.gamma,
             rho_m=cert.rho_m, rho=rho, integral=0.0,
         )
-    gx, gy = grad_central(cert.u, grid)
-    g = a.a11 * gx**2 + 2.0 * a.a12 * gx * gy + a.a22 * gy**2
-    gnorm = np.hypot(gx, gy)
-    band = (cert.u >= rho0) & (cert.u <= rho)
-    nodes = np.linspace(rho0, rho, rho_mesh)
-    if grad_tol is None:
-        grad_tol = _grad_hypothesis_tol(cert.u, grid, band)
-    hypothesis_ok = bool(band.any()) and float(gnorm[band].min()) > grad_tol
-    if hypothesis_ok:
-        pu, pg = _h_envelope(cert.u[band].ravel(), g[band].ravel(), nodes)
-        hypothesis_ok = len(pu) >= 2
-    if not hypothesis_ok:
-        return LyapunovBound(
-            value=1.0, form="constant", hypothesis_ok=False, gamma=cert.gamma,
-            rho_m=cert.rho_m, rho=rho, integral=np.nan,
-        )
-    order = np.argsort(pu)
-    h_nodes = np.interp(nodes, pu[order], pg[order])
-    integral = float(np.trapezoid(1.0 / h_nodes, nodes))
-    return LyapunovBound(
-        value=float(np.exp(cert.gamma * integral)), form="integral",
-        hypothesis_ok=True, gamma=cert.gamma, rho_m=cert.rho_m, rho=rho,
-        integral=integral, h_nodes=tuple(nodes.tolist()), h_values=tuple(h_nodes.tolist()),
-    )
+    bound = _level_set_bound(cert, a, rho0, rho, rho_mesh, grad_tol)[2]
+    return replace(bound, value=float(np.exp(cert.gamma * bound.integral))
+                   if bound.hypothesis_ok else 1.0)
 
 
 # ---------------------------------------------------------------------------

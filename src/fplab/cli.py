@@ -24,7 +24,6 @@ import numpy as np
 
 from . import io as fio
 from .analysis import angular_w1_to_uniform, bl_distance, invariance_residual
-from .design import design_destabilizing_family, design_stabilizing_family, isolation_from_certificate
 from .dynamics import approximate_attractor, verify_lyapunov
 from .errors import ConfigError, FplabError
 from .fields import isotropic_schedule, sample_vector_field
@@ -32,7 +31,9 @@ from .fpe import assemble, solve_family, solve_stationary
 from .grid import Grid2D
 from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
+    _DEFAULT_DICTIONARY,
     ScenarioResult,
+    _design,
     build_schedule,
     dictionary_for,
     make_scenario,
@@ -131,7 +132,7 @@ def _run_scenario(cfg: RunConfig) -> tuple[ScenarioResult, list]:
     if name == "hopf":
         sched = build_schedule(grid, eps_list, shape,
                                cfg.schedule.get("invariance_mode", "reflecting"))
-        dic = dictionary_for(cfg.analysis.get("dictionary", "hopf-offcycle-v1"), grid)
+        dic = dictionary_for(cfg.analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
         result = run_hopf_sweep(
             float(cfg.scenario.get("b", 1.0)), sched, grid, dic,
             thresholds=cfg.analysis.get("thresholds"),
@@ -191,7 +192,7 @@ def _cmd_hopf(args) -> int:
             "grid": {"x_min": -2.5, "x_max": 2.5, "y_min": -2.5, "y_max": 2.5,
                      "nx": args.grid_n, "ny": args.grid_n},
             "schedule": {"eps": eps, "shape": args.shape},
-            "analysis": {"dictionary": "hopf-offcycle-v1"},
+            "analysis": {"dictionary": _DEFAULT_DICTIONARY},
             "output_dir": str(Path(args.out) / f"b{b!r}"),
             "seed": args.seed,
         }
@@ -286,7 +287,7 @@ def _cmd_verify(args) -> int:
     else:
         scen = make_scenario(scen_name, grid)
     v = scen.vector_field(grid)
-    dic = dictionary_for(cfg.analysis.get("dictionary", "grid3x3-v1"), grid)
+    dic = dictionary_for(cfg.analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
     rows = []
     for eps in cfg.schedule["eps"]:
         path = run_dir / f"measure_eps{float(eps)!r}.json"
@@ -310,25 +311,13 @@ def _cmd_verify(args) -> int:
 def _cmd_design_noise(args) -> int:
     grid = Grid2D(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
     eps = tuple(float(e) for e in args.eps.split(","))
-    xx, yy = grid.centers()
-    if args.scenario == "double-well" and args.target == "attractor":
-        scen = make_scenario("double-well", grid)
-        u0 = (xx + 1.0) ** 2 + yy**2
-        iso = isolation_from_certificate(u0, scen.vector_field(grid), 0.16, 0.09, 0.45)
-        fam = design_stabilizing_family(iso, eps, args.ratio)
-    elif args.scenario == "hopf" and args.target == "repeller":
-        scen = make_scenario("hopf", grid, b=args.b)
-        u0 = xx**2 + yy**2
-        iso = isolation_from_certificate(u0, scen.vector_field(grid), 0.36, 0.04, 0.64)
-        fam = design_destabilizing_family(iso, eps, args.ratio)
-    elif args.target == "equilibrium":
+    if args.target == "equilibrium":
         print("equilibrium destabilization holds for any normal family; "
               "use `run`/`solve` with an isotropic schedule and the "
               "verify-repelling harness in the test suite", file=sys.stderr)
         return 2
-    else:
-        print(f"no design recipe for {args.scenario}/{args.target}", file=sys.stderr)
-        return 2
+    scen = _scenario_from_args(args, grid)
+    fam = _design(scen, args.target, scen.vector_field(grid), args.ratio, eps)[3]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fio.save_document(

@@ -176,9 +176,6 @@ class NullFamilySchedule:
     def grid(self):
         return self.members[0].grid
 
-    def normality_ratio_sup(self, region: np.ndarray | None = None) -> float:
-        return max(A.normality_ratio(region) for A in self.members)
-
 
 def isotropic_schedule(grid: Grid2D, eps_list, shape=(1.0, 0.0, 1.0),
                        invariance_mode="reflecting") -> NullFamilySchedule:

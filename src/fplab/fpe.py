@@ -5,9 +5,11 @@ The operator is assembled in divergence form with exponentially-fitted
 (Scharfetter-Gummel) face fluxes for the diagonal diffusion, which makes the
 scheme exact for 1D constant-coefficient drift-diffusion and keeps all
 nearest-neighbor transition rates non-negative. Mixed-derivative terms enter
-through centered 4-point corner stencils on the faces. The assembled matrix M
-acts on cell masses w (so M is generator-like: column sums vanish) and the
-stationary measure is the unit-mass null vector of M.
+through 4-point corner stencils on the faces: centered tangential differences
+inside, one-sided ones on the edge rows and columns. Both axes share one face
+routine; the y-faces are the x-faces of the transposed arrays. The assembled
+matrix M acts on cell masses w (so M is generator-like: column sums vanish)
+and the stationary measure is the unit-mass null vector of M.
 
 The null vector comes from one sparse LU per operator: the bordered matrix
 (balance row n//2 replaced by the mass row of ones) is built directly in COO
@@ -106,17 +108,43 @@ def _check_overflow(z, what):
         raise StencilOverflowError((what, idx), amax)
 
 
-def _sg_rates(a_f, v_f, h):
-    """Transition rates (into-left, into-right) across a face, per unit mass.
+def _faces(vn, ann, idx, h, a12=None, ht=None):
+    """Matrix entries of the fluxes across the faces normal to axis 0, the
+    faces between cells idx[i] and idx[i + 1]; the y-faces are the x-faces of
+    the transposed arrays.
 
-    Face flux F = a du/dx - v u discretized as (a/h)[B(z) u_R - B(-z) u_L]
-    with z = v h / a; in mass variables the pair of exchange rates is
-    rate(R->L) = a B(z)/h^2 and rate(L->R) = a B(-z)/h^2, both >= 0.
+    The SG flux F = d_n(a_nn u) - v_n u is (a/h)[B(z) u_hi - B(-z) u_lo] with
+    z = v h / a at the face (v corrected by the face gradient of a_nn); in mass
+    variables it exchanges a B(z)/h^2 (hi -> lo) and a B(-z)/h^2 (lo -> hi),
+    both >= 0. With a12, the mixed term d_t(a12 u) is taken at the face from
+    the cells on both sides, by a tangential difference between the clamped
+    neighbours jp = min(j+1, n-1) and jm = max(j-1, 0) with weight
+    1 / (2 h (jp - jm) ht): centred inside, one-sided on the edge rows. Each
+    face value enters the low cell with + and the high cell with -, so column
+    sums cancel exactly. Returns z and the (rows, cols, vals) triplets.
     """
+    lo, hi = idx[:-1], idx[1:]
+    a_f = 0.5 * (ann[:-1] + ann[1:])
+    v_f = 0.5 * (vn[:-1] + vn[1:]) - (ann[1:] - ann[:-1]) / h
     z = v_f * h / a_f
     rate_rl = a_f * bernoulli(z) / h**2
     rate_lr = a_f * bernoulli(-z) / h**2
-    return z, rate_rl, rate_lr
+    triplets = [(lo, hi, rate_rl), (lo, lo, -rate_lr), (hi, lo, rate_lr), (hi, hi, -rate_rl)]
+    if a12 is not None:
+        n = idx.shape[1]
+        j = np.arange(n)
+        jp, jm = np.minimum(j + 1, n - 1), np.maximum(j - 1, 0)
+        c = 1.0 / (2.0 * h * (jp - jm) * ht)
+        for jt, weight in ((jp, c), (jm, -c)):
+            for side in (slice(None, -1), slice(1, None)):
+                cells, coeff = idx[side][:, jt], weight * a12[side][:, jt]
+                triplets += [(lo, cells, coeff), (hi, cells, -coeff)]
+    return z, triplets
+
+
+def _csr(triplets, n: int) -> sp.csr_matrix:
+    rows, cols, vals = (np.concatenate([np.ravel(t[k]) for t in triplets]) for k in range(3))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_1d(v: np.ndarray, a: np.ndarray, grid: Grid1D) -> DiscreteOperator:
@@ -127,131 +155,28 @@ def assemble_1d(v: np.ndarray, a: np.ndarray, grid: Grid1D) -> DiscreteOperator:
         raise ValueError("v and a must be sampled per cell")
     if np.any(a <= 0):
         raise ValueError("diffusion must be positive")
-    h = grid.hx
-    a_f = 0.5 * (a[:-1] + a[1:])
-    v_f = 0.5 * (v[:-1] + v[1:]) - (a[1:] - a[:-1]) / h
-    z, rate_rl, rate_lr = _sg_rates(a_f, v_f, h)
+    z, triplets = _faces(v, a, np.arange(grid.nx), grid.hx)
     _check_overflow(z, "x-face")
-
-    n = grid.nx
-    left = np.arange(n - 1)
-    right = left + 1
-    rows = np.concatenate([left, left, right, right])
-    cols = np.concatenate([right, left, left, right])
-    vals = np.concatenate([rate_rl, -rate_lr, rate_lr, -rate_rl])
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return DiscreteOperator(grid, m, {"max_abs_z": float(np.abs(z).max())})
+    return DiscreteOperator(grid, _csr(triplets, grid.nx), {"max_abs_z": float(np.abs(z).max())})
 
 
 def assemble(v: VectorField, a: DiffusionField, grid: Grid2D) -> DiscreteOperator:
     """2D stationary operator; no-flux truncation boundary."""
     if v.grid != grid or a.grid != grid:
         raise ValueError("field grids must match the assembly grid")
-    nx, ny = grid.nx, grid.ny
-    hx, hy = grid.hx, grid.hy
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, val):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(val).ravel())
-
-    def add_pair(c_lo, c_hi, rate_hilo, rate_lohi):
-        # exchange across a shared face: mass conservation pairs the entries
-        add(c_lo, c_hi, rate_hilo)
-        add(c_lo, c_lo, -rate_lohi)
-        add(c_hi, c_lo, rate_lohi)
-        add(c_hi, c_hi, -rate_hilo)
-
-    # --- x-faces: SG flux for d_x(a11 u) - Vx u
-    aL, aR = a.a11[:-1, :], a.a11[1:, :]
-    a_f = 0.5 * (aL + aR)
-    v_f = 0.5 * (v.vx[:-1, :] + v.vx[1:, :]) - (aR - aL) / hx
-    zx, rate_rl, rate_lr = _sg_rates(a_f, v_f, hx)
+    idx = np.arange(grid.nx * grid.ny).reshape(grid.nx, grid.ny)
+    a12 = a.a12 if np.any(a.a12 != 0.0) else None
+    zx, tx = _faces(v.vx, a.a11, idx, grid.hx, a12, grid.hy)
     _check_overflow(zx, "x-face")
-    add_pair(idx[:-1, :], idx[1:, :], rate_rl, rate_lr)
-
-    # --- y-faces: SG flux for d_y(a22 u) - Vy u
-    aB, aT = a.a22[:, :-1], a.a22[:, 1:]
-    a_f = 0.5 * (aB + aT)
-    v_f = 0.5 * (v.vy[:, :-1] + v.vy[:, 1:]) - (aT - aB) / hy
-    zy, rate_tb, rate_bt = _sg_rates(a_f, v_f, hy)
-    _check_overflow(zy, "y-face")
-    add_pair(idx[:, :-1], idx[:, 1:], rate_tb, rate_bt)
-
-    # --- mixed term d_y(a12 u) on x-faces and d_x(a12 u) on y-faces
-    if np.any(a.a12 != 0.0):
-        s = a.a12
-        c = 1.0 / (4.0 * hx * hy)
-        cf = 1.0 / (2.0 * hx * hy)  # one-sided variant at boundary rows/cols
-
-        def add_mixed(face_lo, face_hi, stencil):
-            # stencil: list of (cell_index_array, coefficient_array); the face
-            # value enters cell_lo with + and cell_hi with - so column sums
-            # cancel exactly.
-            for cells, coeff in stencil:
-                add(face_lo, cells, coeff)
-                add(face_hi, cells, -coeff)
-
-        # x-faces between (i,j) and (i+1,j): d_y(s u) at the face
-        # centered rows 1..ny-2
-        fl, fh = idx[:-1, 1:-1], idx[1:, 1:-1]
-        add_mixed(fl, fh, [
-            (idx[:-1, 2:], c * s[:-1, 2:]),
-            (idx[1:, 2:], c * s[1:, 2:]),
-            (idx[:-1, :-2], -c * s[:-1, :-2]),
-            (idx[1:, :-2], -c * s[1:, :-2]),
-        ])
-        # one-sided at j = 0 (forward) and j = ny-1 (backward)
-        fl, fh = idx[:-1, 0], idx[1:, 0]
-        add_mixed(fl, fh, [
-            (idx[:-1, 1], cf * s[:-1, 1]),
-            (idx[1:, 1], cf * s[1:, 1]),
-            (idx[:-1, 0], -cf * s[:-1, 0]),
-            (idx[1:, 0], -cf * s[1:, 0]),
-        ])
-        fl, fh = idx[:-1, -1], idx[1:, -1]
-        add_mixed(fl, fh, [
-            (idx[:-1, -1], cf * s[:-1, -1]),
-            (idx[1:, -1], cf * s[1:, -1]),
-            (idx[:-1, -2], -cf * s[:-1, -2]),
-            (idx[1:, -2], -cf * s[1:, -2]),
-        ])
-
-        # y-faces between (i,j) and (i,j+1): d_x(s u) at the face
-        fl, fh = idx[1:-1, :-1], idx[1:-1, 1:]
-        add_mixed(fl, fh, [
-            (idx[2:, :-1], c * s[2:, :-1]),
-            (idx[2:, 1:], c * s[2:, 1:]),
-            (idx[:-2, :-1], -c * s[:-2, :-1]),
-            (idx[:-2, 1:], -c * s[:-2, 1:]),
-        ])
-        fl, fh = idx[0, :-1], idx[0, 1:]
-        add_mixed(fl, fh, [
-            (idx[1, :-1], cf * s[1, :-1]),
-            (idx[1, 1:], cf * s[1, 1:]),
-            (idx[0, :-1], -cf * s[0, :-1]),
-            (idx[0, 1:], -cf * s[0, 1:]),
-        ])
-        fl, fh = idx[-1, :-1], idx[-1, 1:]
-        add_mixed(fl, fh, [
-            (idx[-1, :-1], cf * s[-1, :-1]),
-            (idx[-1, 1:], cf * s[-1, 1:]),
-            (idx[-2, :-1], -cf * s[-2, :-1]),
-            (idx[-2, 1:], -cf * s[-2, 1:]),
-        ])
-
-    m = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * ny, nx * ny),
-    ).tocsr()
+    zy, ty = _faces(v.vy.T, a.a22.T, idx.T, grid.hy, None if a12 is None else a12.T, grid.hx)
+    _check_overflow(zy.T, "y-face")  # face index in grid (i, j) order
+    ty = [tuple(x.T for x in t) for t in ty]  # grid (i, j) order: faster CSR conversion
     meta = {
         "max_abs_z": float(max(np.abs(zx).max(), np.abs(zy).max())),
         "anisotropy_cap": 0.25,
         "min_lambda_over_frob": float((a.lam / a.frob).min()),
     }
-    return DiscreteOperator(grid, m, meta)
+    return DiscreteOperator(grid, _csr(tx + ty, grid.nx * grid.ny), meta)
 
 
 def _bordered_lu(m: sp.csr_matrix, row: int):

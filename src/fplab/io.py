@@ -100,7 +100,7 @@ def schedule_from_document(doc: dict) -> NullFamilySchedule:
 
 
 def save_document(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(doc) + "\n")
 
 
 def load_document(path) -> dict:

@@ -36,6 +36,8 @@ class SamplerConfig:
         burn = 0.2 * self.t_total if self.t_burn is None else self.t_burn
         if not burn < self.t_total:
             raise ValueError("t_burn must be below t_total")
+        if not 0 <= self.rng_seed < 2**64:
+            raise ValueError("rng_seed must lie in [0, 2**64)")
         if self.boundary_policy != "reflect":
             raise ValueError("only the reflecting boundary policy is supported")
         object.__setattr__(self, "t_burn", burn)
@@ -68,6 +70,12 @@ def _chol_2x2_batch(a11, a12, a22):
     if np.any(rem <= 0):
         raise NotSPDError("path", float(np.min(rem)) / 2.0)
     return g00, g10, np.sqrt(rem)
+
+
+def _path_rng(seed: int, p: int) -> np.random.Generator:
+    """Noise stream of path p: Philox keyed by the 128-bit pair (seed, p), so
+    no two (seed, path) pairs share a stream."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | p))
 
 
 def _reflect(x, lo, hi):
@@ -111,8 +119,7 @@ def occupation_measure(
     # per-path counter-based streams: parallel-safe determinism
     normals = np.empty((npaths, n_steps, 2))
     for p in range(npaths):
-        gen = np.random.Generator(np.random.Philox(key=(cfg.rng_seed << 16) + p))
-        normals[p] = gen.standard_normal((n_steps, 2))
+        normals[p] = _path_rng(cfg.rng_seed, p).standard_normal((n_steps, 2))
 
     sqdt = np.sqrt(cfg.dt)
     counts = np.zeros(grid.nx * grid.ny)
@@ -162,61 +169,3 @@ def occupation_measure(
     }
     return mu, diagnostics
 
-
-def block_bootstrap_se(
-    v_fn, a_fn, grid, cfg, metric, n_blocks: int = 8, n_boot: int = 64
-):
-    """Standard error of a measure metric by path-block bootstrap.
-
-    The post-burn-in samples of each path are split into ``n_blocks`` time
-    blocks; bootstrap replicates resample blocks (per path) with replacement
-    and the metric (a function DiscreteMeasure -> float) is re-evaluated.
-    """
-    n_steps = int(round(cfg.t_total / cfg.dt))
-    burn_steps = int(round(cfg.t_burn / cfg.dt))
-    npaths = cfg.n_paths
-    kept_steps = n_steps - burn_steps
-    block_len = kept_steps // n_blocks
-
-    # per-(path, block) histograms
-    hists = np.zeros((npaths, n_blocks, grid.nx * grid.ny))
-    k = int(np.ceil(np.sqrt(npaths)))
-    gxl = np.linspace(0.3, 0.7, k)
-    pts = np.stack(np.meshgrid(
-        grid.x_min + gxl * (grid.x_max - grid.x_min),
-        grid.y_min + gxl * (grid.y_max - grid.y_min),
-        indexing="ij",
-    ), axis=-1).reshape(-1, 2)[:npaths]
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
-    normals = np.empty((npaths, n_steps, 2))
-    for p in range(npaths):
-        gen = np.random.Generator(np.random.Philox(key=(cfg.rng_seed << 16) + p))
-        normals[p] = gen.standard_normal((n_steps, 2))
-    sqdt = np.sqrt(cfg.dt)
-    for step in range(n_steps):
-        vx, vy = v_fn(x, y)
-        a11, a12, a22 = a_fn(x, y)
-        a11 = np.broadcast_to(np.asarray(a11, dtype=float), x.shape)
-        a12 = np.broadcast_to(np.asarray(a12, dtype=float), x.shape)
-        a22 = np.broadcast_to(np.asarray(a22, dtype=float), x.shape)
-        g00, g10, g11 = _chol_2x2_batch(a11, a12, a22)
-        dwx = normals[:, step, 0] * sqdt
-        dwy = normals[:, step, 1] * sqdt
-        x = _reflect(x + vx * cfg.dt + g00 * dwx, grid.x_min, grid.x_max)
-        y = _reflect(y + vy * cfg.dt + g10 * dwx + g11 * dwy, grid.y_min, grid.y_max)
-        if step >= burn_steps:
-            blk = min((step - burn_steps) // block_len, n_blocks - 1)
-            i, j = grid.cell_index(np.stack([x, y], axis=-1))
-            flat = i * grid.ny + j
-            for p in range(npaths):
-                hists[p, blk, flat[p]] += 1.0
-
-    rng = np.random.Generator(np.random.Philox(key=(cfg.rng_seed << 16) + 7777777))
-    vals = []
-    for _ in range(n_boot):
-        pick = rng.integers(0, n_blocks, size=(npaths, n_blocks))
-        h = hists[np.arange(npaths)[:, None], pick].sum(axis=(0, 1))
-        mu, _ = normalized_measure(grid, h.reshape(grid.nx, grid.ny))
-        vals.append(metric(mu))
-    return float(np.std(vals))

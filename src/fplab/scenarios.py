@@ -200,6 +200,9 @@ def build_schedule(
                               normal_bound=ratio * 1.0001)
 
 
+_DEFAULT_DICTIONARY = "hopf-offcycle-v1"  # used wherever a run names no dictionary
+
+
 def dictionary_for(name: str, grid: Grid2D) -> TestFunctionDictionary:
     """Versioned test-function dictionaries."""
     if name == "grid3x3-v1":
@@ -285,7 +288,7 @@ def run_hopf_sweep(
     xx, yy = grid.centers()
     r = np.hypot(xx, yy)
     u_cert = scen.certificate_samples(grid)
-    dictionary = dictionary or dictionary_for("hopf-offcycle-v1", grid)
+    dictionary = dictionary or dictionary_for(_DEFAULT_DICTIONARY, grid)
     th = {
         "annulus_final": 0.85,
         "origin_final": 0.02,
@@ -441,6 +444,41 @@ def _neg_grad(phi_fn, x, y, h=1e-6):
     return -px, -py
 
 
+@dataclass(frozen=True)
+class _IsolationRecipe:
+    u0: object          # certificate (x, y) -> U0 samples
+    levels: tuple       # default (rho_tilde, rho_star_lo, rho_star_hi)
+    region: object      # (x, y) -> mask of the cells whose mass the designed
+    region_name: str    # noise raises (attractor) or drains (repeller)
+
+
+_ISOLATION_RECIPES = {
+    ("double-well", "attractor"): _IsolationRecipe(
+        lambda x, y: (x + 1.0) ** 2 + y**2, (0.16, 0.09, 0.45), lambda x, y: x < 0.0, "left_basin"),
+    ("hopf", "repeller"): _IsolationRecipe(
+        lambda x, y: x**2 + y**2, (0.36, 0.04, 0.64), lambda x, y: np.hypot(x, y) < 0.3,
+        "repeller_ball"),
+}
+
+
+def _design(scenario: Scenario, target: str, v: VectorField, ratio: float, eps_list,
+            iso_params: dict | None = None):
+    """(recipe, levels used, isolation, family) for a scenario/target pair of
+    _ISOLATION_RECIPES: a stabilizing family for 'attractor', a destabilizing
+    one for 'repeller'. Entries of ``iso_params`` override the recipe's levels."""
+    recipe = _ISOLATION_RECIPES.get((scenario.name, target))
+    if recipe is None:
+        raise ConfigError("scenario", f"no isolating data recipe for {scenario.name}/{target}")
+    p = dict(iso_params or {})
+    for key, level in zip(("rho_tilde", "rho_star_lo", "rho_star_hi"), recipe.levels):
+        p.setdefault(key, level)
+    iso = isolation_from_certificate(
+        recipe.u0(*v.grid.centers()), v, p["rho_tilde"], p["rho_star_lo"], p["rho_star_hi"]
+    )
+    design = design_stabilizing_family if target == "attractor" else design_destabilizing_family
+    return recipe, p, iso, design(iso, eps_list, ratio)
+
+
 def run_designed_comparison(
     scenario: Scenario,
     target: str,
@@ -455,35 +493,8 @@ def run_designed_comparison(
     isolating data. The isotropic schedule solved alongside is the
     no-shaping control; `ratio` must be finite and > 1."""
     v = scenario.vector_field(grid)
-    xx, yy = grid.centers()
-    p = dict(iso_params or {})
-
-    if scenario.name == "double-well" and target == "attractor":
-        u0 = (xx + 1.0) ** 2 + yy**2
-        p.setdefault("rho_tilde", 0.16)
-        p.setdefault("rho_star_lo", 0.09)
-        p.setdefault("rho_star_hi", 0.45)
-        region = xx < 0.0
-        region_name = "left_basin"
-        want_high = True
-    elif scenario.name == "hopf" and target == "repeller":
-        u0 = xx**2 + yy**2
-        p.setdefault("rho_tilde", 0.36)
-        p.setdefault("rho_star_lo", 0.04)
-        p.setdefault("rho_star_hi", 0.64)
-        region = np.hypot(xx, yy) < 0.3
-        region_name = "repeller_ball"
-        want_high = False
-    else:
-        raise ConfigError("scenario", f"no isolating data recipe for {scenario.name}/{target}")
-
-    iso = isolation_from_certificate(
-        u0, v, p["rho_tilde"], p["rho_star_lo"], p["rho_star_hi"]
-    )
-    if target == "attractor":
-        designed = design_stabilizing_family(iso, eps_list, ratio)
-    else:
-        designed = design_destabilizing_family(iso, eps_list, ratio)
+    recipe, p, iso, designed = _design(scenario, target, v, ratio, eps_list, iso_params)
+    region = recipe.region(*grid.centers())
 
     # every designed member must carry the global uniform certificate
     u_glob = scenario.certificate_samples(grid)
@@ -507,7 +518,7 @@ def run_designed_comparison(
             "ratio": ratio,
             "iso": {k: float(val) for k, val in p.items()},
             "gamma0": iso.gamma0,
-            "region": region_name,
+            "region": recipe.region_name,
             "rho_m": rho_m,
             "gamma": gamma_glob,
         },
@@ -527,12 +538,12 @@ def run_designed_comparison(
             continue
         md = float(mu_d.weights[region].sum())
         mu_ = float(mu_u.weights[region].sum())
-        dominance.append(md > mu_ if want_high else md < mu_)
+        dominance.append(md > mu_ if target == "attractor" else md < mu_)
         report.add(eps, designed_mass=md, uniform_mass=mu_)
     if dominance:
         final_d = report.series("designed_mass")[-1]
         final_u = report.series("uniform_mass")[-1]
-        if want_high:
+        if target == "attractor":
             out.record("designed_final_mass", final_d >= 0.9, final_d, 0.9)
             out.record("uniform_symmetric_split", abs(final_u - 0.5) <= 0.02, final_u, 0.5)
         else:

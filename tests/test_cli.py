@@ -99,6 +99,21 @@ def test_cli_solve_and_verify(tmp_path):
     assert all(r["residual"] < 1e-8 for r in summary["reports"])
 
 
+def test_cli_verify_uses_the_run_dictionary(tmp_path):
+    # a config without analysis.dictionary is verified against the dictionary
+    # it was run with, so verify reproduces the run's invariance residuals
+    out = tmp_path / "run"
+    cfg = _hopf_config(out, nx=48)
+    del cfg["analysis"]["dictionary"]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    main(["run", "--config", str(p)])
+    assert main(["verify", "--run", str(out)]) == 0
+    run_rows = json.loads((out / "summary.json").read_text())["metrics"]
+    verify_rows = json.loads((out / "verify.json").read_text())["rows"]
+    assert [r["residual_max"] for r in verify_rows] == [r["residual_max"] for r in run_rows]
+
+
 def test_cli_sample_runs(tmp_path):
     out = tmp_path / "mc"
     rc = main(["sample", "--scenario", "ou2d", "--eps", "0.2", "--shape", "iso",

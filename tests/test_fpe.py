@@ -184,6 +184,74 @@ def test_mixed_term_constant_anisotropic_consistency():
     assert rep.min_weight >= -1e-12
 
 
+def _random_spd_problem(rng, g):
+    shape = (g.nx, g.ny)
+    vx, vy = rng.normal(size=shape), rng.normal(size=shape)
+    a11 = 0.5 + rng.random(shape)
+    a22 = 0.5 + rng.random(shape)
+    a12 = 0.4 * (rng.random(shape) - 0.5)
+    v = sample_vector_field(lambda x, y: (vx, vy), g)
+    return v, DiffusionField(g, a11, a12, a22)
+
+
+def test_assembly_commutes_with_swapping_x_and_y():
+    # the problem with x and y swapped is the same operator under the cell
+    # permutation (i, j) -> (j, i); a mixed-term coefficient taken from the
+    # wrong side or axis breaks this while column sums still vanish
+    rng = np.random.default_rng(7)
+    g = Grid2D(-1.0, 1.0, -1.5, 2.0, 9, 13)
+    v, a = _random_spd_problem(rng, g)
+    gs = Grid2D(g.y_min, g.y_max, g.x_min, g.x_max, g.ny, g.nx)
+    vs = sample_vector_field(lambda x, y: (v.vy.T, v.vx.T), gs)
+    a_s = DiffusionField(gs, a.a22.T, a.a12.T, a.a11.T)
+    m = assemble(v, a, g).matrix.toarray()
+    ms = assemble(vs, a_s, gs).matrix.toarray()
+    perm = np.arange(g.nx * g.ny).reshape(g.ny, g.nx).T.ravel()
+    np.testing.assert_allclose(ms[np.ix_(perm, perm)], m, rtol=1e-14, atol=1e-14 * np.abs(m).max())
+
+
+def test_mixed_term_matches_cellwise_reference():
+    # entry-by-entry mixed stencil: d_t(a12 u) at each face from the cells on
+    # both sides, centred tangentially inside and one-sided on edge rows
+    rng = np.random.default_rng(3)
+    g = Grid2D(-1.0, 1.0, -1.0, 1.5, 8, 11)
+    v, a = _random_spd_problem(rng, g)
+    mixed = (assemble(v, a, g).matrix
+             - assemble(v, DiffusionField(g, a.a11, 0 * a.a12, a.a22), g).matrix).toarray()
+    ref = np.zeros_like(mixed)
+    cell = lambda i, j: i * g.ny + j
+    for i in range(g.nx):
+        for j in range(g.ny):
+            for di, dj, h, ht in ((1, 0, g.hx, g.hy), (0, 1, g.hy, g.hx)):
+                ii, jj = i + di, j + dj
+                if ii >= g.nx or jj >= g.ny:
+                    continue
+                # tangential neighbours of the face, clamped to the grid
+                n_t = g.ny if di else g.nx
+                t = j if di else i
+                tp, tm = min(t + 1, n_t - 1), max(t - 1, 0)
+                w = 1.0 / (2.0 * h * (tp - tm) * ht)
+                for side in ((i, j), (ii, jj)):
+                    for t_new, sign in ((tp, 1.0), (tm, -1.0)):
+                        src = (side[0], t_new) if di else (t_new, side[1])
+                        val = sign * w * a.a12[src]
+                        ref[cell(i, j), cell(*src)] += val
+                        ref[cell(ii, jj), cell(*src)] -= val
+    np.testing.assert_allclose(mixed, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_y_face_overflow_reports_grid_index():
+    # only the y-face between cells (2, 7) and (2, 8) overflows; its index is
+    # reported in grid (i, j) order
+    g = Grid2D(-2, 2, -2, 2, 10, 16)
+    vy = np.zeros((g.nx, g.ny))
+    vy[2, 7] = vy[2, 8] = 1e4
+    v = sample_vector_field(lambda x, y: (0 * x, vy), g)
+    with pytest.raises(StencilOverflowError) as exc:
+        assemble(v, isotropic_diffusion(g, 1.0), g)
+    assert exc.value.face == ("y-face", (2, 7))
+
+
 def test_stencil_overflow_raised():
     g = Grid2D(-2, 2, -2, 2, 16, 16)
     v = sample_vector_field(lambda x, y: (10.0 + 0 * x, 0 * y), g)

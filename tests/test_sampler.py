@@ -6,7 +6,7 @@ from fplab.errors import NotSPDError, UnderresolvedError
 from fplab.fields import isotropic_diffusion, rebin_measure, sample_vector_field
 from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
-from fplab.sampler import SamplerConfig, noise_factor, occupation_measure
+from fplab.sampler import SamplerConfig, _path_rng, noise_factor, occupation_measure
 from fplab.scenarios import hopf_drift
 
 
@@ -36,6 +36,19 @@ def test_config_validation():
         SamplerConfig(dt=0.1, t_total=1.0, t_burn=2.0)
     cfg = SamplerConfig(dt=0.1, t_total=10.0)
     assert cfg.t_burn == pytest.approx(2.0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SamplerConfig(dt=0.1, t_total=10.0, rng_seed=seed)
+    assert SamplerConfig(dt=0.1, t_total=10.0, rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+
+
+def test_path_streams_do_not_collide():
+    # with the key (seed << 16) + p, seed 3 path 65536 and seed 4 path 0 got
+    # one stream; the key must separate seed and path index
+    a = _path_rng(3, 65536).standard_normal(16)
+    b = _path_rng(4, 0).standard_normal(16)
+    assert not np.array_equal(a, b)
+    assert np.array_equal(a, _path_rng(3, 65536).standard_normal(16))
 
 
 OU = lambda x, y: (-x, -y)
