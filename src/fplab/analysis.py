@@ -2,10 +2,11 @@
 tightness profiles, and support checks for solved measure families.
 
 Weak* convergence is metrized by a bounded-Lipschitz dictionary (fixed,
-versioned) plus exact 1D Wasserstein-1 distances on radial and angular
-marginals. The exponential sublevel-set bounds follow the level-set estimates:
-mass outside {U < rho} is bounded by exp(-gamma * int_{rho_m}^{rho} dt/H(t))
-with H an upper envelope of a^{ij} d_i U d_j U on level bands.
+versioned), the exact 1D Wasserstein-1 distance on the radial marginal, and
+the angular marginal's W1 distance to uniform. The exponential sublevel-set
+bounds follow the level-set estimates: mass outside {U < rho} is bounded by
+exp(-gamma * int_{rho_m}^{rho} dt/H(t)) with H an upper envelope of
+a^{ij} d_i U d_j U on level bands.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import LyapunovCertificate, grad_central
+from .dynamics import LyapunovCertificate, grad_central, hessian_central
 from .errors import GridMismatchError
 from .fields import DiffusionField, DiscreteMeasure, VectorField
 from .grid import Grid2D
@@ -78,8 +79,8 @@ class TestFunctionDictionary:
 
     Each member is h(x,y) = psi((x-cx)/wx) psi((y-cy)/wy); supports must stay
     strictly inside the truncation box so every h vanishes on boundary-adjacent
-    cells. Sampled values, gradients, and Laplacians live on the grid; sup
-    norms of the gradient/Laplacian are evaluated on a fine local lattice.
+    cells. Sampled values and gradients live on the grid; sup norms of the
+    gradient/Laplacian are evaluated on a fine local lattice.
     """
 
     grid: Grid2D
@@ -88,20 +89,16 @@ class TestFunctionDictionary:
     h: np.ndarray = field(repr=False)        # (k, nx, ny)
     dxh: np.ndarray = field(repr=False)
     dyh: np.ndarray = field(repr=False)
-    lap: np.ndarray = field(repr=False)
     grad_inf: np.ndarray = field(repr=False)  # (k,)
     lap_inf: np.ndarray = field(repr=False)   # (k,)
 
     def __len__(self):
         return len(self.bumps)
 
-    def max_lap_inf(self) -> float:
-        return float(self.lap_inf.max())
-
 
 def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
     xx, yy = grid.centers()
-    hs, dxs, dys, laps, ginf, linf = [], [], [], [], [], []
+    hs, dxs, dys, ginf, linf = [], [], [], [], []
     fine = np.linspace(-1.0, 1.0, 2001)
     psi_f, d1_f, d2_f = bump_profile(fine), bump_d1(fine), bump_d2(fine)
     # sup |grad h| and sup |lap h| on the 2001^2 lattice depend only on (wx, wy)
@@ -121,7 +118,6 @@ def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
         hs.append(px * py)
         dxs.append(bump_d1(ux) * py / wx)
         dys.append(px * bump_d1(uy) / wy)
-        laps.append(bump_d2(ux) * py / wx**2 + px * bump_d2(uy) / wy**2)
         if (wx, wy) not in sup_norms:
             gx = np.abs(np.outer(d1_f, psi_f)) / wx
             gy = np.abs(np.outer(psi_f, d1_f)) / wy
@@ -137,21 +133,22 @@ def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
         h=np.asarray(hs),
         dxh=np.asarray(dxs),
         dyh=np.asarray(dys),
-        lap=np.asarray(laps),
         grad_inf=np.asarray(ginf),
         lap_inf=np.asarray(linf),
     )
 
 
-def grid_dictionary(grid: Grid2D, n: int = 3, margin: float = 0.15,
-                    name: str | None = None) -> TestFunctionDictionary:
+GRID_MARGIN = 0.15  # fraction of the box kept free of bumps on each side
+
+
+def grid_dictionary(grid: Grid2D, n: int = 3, name: str | None = None) -> TestFunctionDictionary:
     """n x n bumps tiling the interior; the generic default dictionary."""
     lx = grid.x_max - grid.x_min
     ly = grid.y_max - grid.y_min
-    cx = grid.x_min + lx * (margin + (1 - 2 * margin) * (np.arange(n) + 0.5) / n)
-    cy = grid.y_min + ly * (margin + (1 - 2 * margin) * (np.arange(n) + 0.5) / n)
-    wx0 = 0.98 * (1 - 2 * margin) * lx / n
-    wy0 = 0.98 * (1 - 2 * margin) * ly / n
+    cx = grid.x_min + lx * (GRID_MARGIN + (1 - 2 * GRID_MARGIN) * (np.arange(n) + 0.5) / n)
+    cy = grid.y_min + ly * (GRID_MARGIN + (1 - 2 * GRID_MARGIN) * (np.arange(n) + 0.5) / n)
+    wx0 = 0.98 * (1 - 2 * GRID_MARGIN) * lx / n
+    wy0 = 0.98 * (1 - 2 * GRID_MARGIN) * ly / n
     bumps = []
     for x in cx:
         wx = min(wx0, 0.98 * (x - grid.x_min - 1.5 * grid.hx),
@@ -181,8 +178,6 @@ def _bl_functions(grid: Grid2D):
 class BLResult:
     value: float
     radial_w1: float
-    angular_w1: float
-    per_function: tuple
 
 
 def bl_distance(
@@ -194,8 +189,8 @@ def bl_distance(
 
     The value is sup_f |int f dmu - int f dnu| over 1-Lipschitz, <=1-bounded
     probes (coordinate projections, radial clips, angular probes, and the
-    rescaled test dictionary when given); exact W1 on the radial and angular
-    marginals is reported alongside.
+    rescaled test dictionary when given); exact W1 on the radial marginal is
+    reported alongside.
     """
     if mu.grid != nu.grid:
         raise GridMismatchError("measures live on different grids")
@@ -208,12 +203,10 @@ def bl_distance(
             scale = max(1.0, dictionary.grad_inf[k])
             fs.append(dictionary.h[k] / scale)
     dmu = mu.weights - nu.weights
-    vals = tuple(float(abs((f * dmu).sum())) for f in fs)
+    value = max(float(abs((f * dmu).sum())) for f in fs)
     xx, yy = grid.centers()
     rw1 = marginal_w1(np.hypot(xx, yy).ravel(), mu.weights.ravel(), nu.weights.ravel())
-    th = np.arctan2(yy, xx).ravel() % (2 * np.pi)
-    aw1 = marginal_w1(th, mu.weights.ravel(), nu.weights.ravel())
-    return BLResult(value=max(vals), radial_w1=rw1, angular_w1=aw1, per_function=vals)
+    return BLResult(value=value, radial_w1=rw1)
 
 
 def marginal_w1(coords: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
@@ -226,16 +219,20 @@ def marginal_w1(coords: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
     return float(np.abs(cdf_diff * np.diff(c)).sum())
 
 
-def angular_w1_to_uniform(mu: DiscreteMeasure, nbins: int = 256) -> float:
-    """W1 between the angular marginal CDF and the uniform CDF on [0, 2pi)."""
+ANGULAR_BINS = 256
+
+
+def angular_w1_to_uniform(mu: DiscreteMeasure) -> float:
+    """W1 between the angular marginal CDF and the uniform CDF on [0, 2pi),
+    with the marginal binned into ANGULAR_BINS equal sectors."""
     grid = mu.grid
     xx, yy = grid.centers()
     th = np.arctan2(yy, xx).ravel() % (2 * np.pi)
-    bins = np.clip((th / (2 * np.pi) * nbins).astype(int), 0, nbins - 1)
-    hist = np.bincount(bins, weights=mu.weights.ravel(), minlength=nbins)
+    bins = np.clip((th / (2 * np.pi) * ANGULAR_BINS).astype(int), 0, ANGULAR_BINS - 1)
+    hist = np.bincount(bins, weights=mu.weights.ravel(), minlength=ANGULAR_BINS)
     cdf = np.cumsum(hist)
-    uniform = np.arange(1, nbins + 1) / nbins
-    return float(np.abs(cdf - uniform).sum() * (2 * np.pi / nbins))
+    uniform = np.arange(1, ANGULAR_BINS + 1) / ANGULAR_BINS
+    return float(np.abs(cdf - uniform).sum() * (2 * np.pi / ANGULAR_BINS))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +242,6 @@ def angular_w1_to_uniform(mu: DiscreteMeasure, nbins: int = 256) -> float:
 class ResidualReport:
     per_function: np.ndarray  # |int V.grad(h_k) dmu|
     max: float
-    weighted_mean: float      # residuals normalized by ||grad h_k||_inf
-
-    def __iter__(self):
-        return iter(self.per_function)
 
 
 def invariance_residual(
@@ -259,11 +252,7 @@ def invariance_residual(
         raise GridMismatchError("measure, field, and dictionary must share a grid")
     vg = dictionary.dxh * v.vx[None] + dictionary.dyh * v.vy[None]
     r = np.abs((vg * mu.weights[None]).sum(axis=(1, 2)))
-    return ResidualReport(
-        per_function=r,
-        max=float(r.max()),
-        weighted_mean=float((r / np.maximum(dictionary.grad_inf, 1e-300)).mean()),
-    )
+    return ResidualReport(per_function=r, max=float(r.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +274,13 @@ class LyapunovBound:
 def _grad_hypothesis_tol(u, grid, band):
     """Grid-aware threshold below which a band gradient counts as vanishing:
     near a critical point |grad U| ~ |D2 U| h."""
-    from .dynamics import hessian_central
-
     uxx, uxy, uyy = hessian_central(u, grid)
     c = np.abs(uxx) + 2 * np.abs(uxy) + np.abs(uyy)
     cmax = float(c[band].max()) if band.any() else float(c.max())
     return 0.5 * cmax * (grid.hx + grid.hy)
 
 
-def _level_set_bound(cert, a, lo, hi, rho_mesh, grad_tol):
+def _level_set_bound(cert, a, lo, hi, rho_mesh):
     """The shared part of both level-set bounds on the band {lo <= U <= hi},
     returned as (band, |grad U|, bound) with bound.value left for the caller.
 
@@ -302,8 +289,8 @@ def _level_set_bound(cert, a, lo, hi, rho_mesh, grad_tol):
     band max of g and the U value where it is attained; this approximates
     sup_{U=t} g conservatively for slowly varying envelopes. Constant form
     (hypothesis_ok False) when the gradient hypothesis fails: the band is
-    empty, |grad U| drops to grad_tol on it, or fewer than two level bands
-    are hit.
+    empty, |grad U| drops to the grid tolerance of _grad_hypothesis_tol on
+    it, or fewer than two level bands are hit.
     """
     gx, gy = grad_central(cert.u, cert.grid)
     g = a.a11 * gx**2 + 2.0 * a.a12 * gx * gy + a.a22 * gy**2
@@ -312,9 +299,8 @@ def _level_set_bound(cert, a, lo, hi, rho_mesh, grad_tol):
     nodes = np.linspace(lo, hi, rho_mesh)
     failed = LyapunovBound(value=np.nan, form="constant", hypothesis_ok=False,
                            gamma=cert.gamma, rho_m=cert.rho_m, rho=hi, integral=np.nan)
-    if grad_tol is None:
-        grad_tol = _grad_hypothesis_tol(cert.u, cert.grid, band)
-    if not (band.any() and float(gnorm[band].min()) > grad_tol):
+    if not (band.any()
+            and float(gnorm[band].min()) > _grad_hypothesis_tol(cert.u, cert.grid, band)):
         return band, gnorm, failed
     u_band, g_band = cert.u[band].ravel(), g[band].ravel()
     pu, pg = [], []
@@ -340,7 +326,6 @@ def lyapunov_upper_bound(
     a: DiffusionField,
     rho: float,
     rho_mesh: int = 64,
-    grad_tol: float | None = None,
 ) -> LyapunovBound:
     """Exponential bound on the mass outside the rho-sublevel set:
     exp(-gamma int_{rho_m}^{rho} dt / H(t)) with
@@ -352,7 +337,7 @@ def lyapunov_upper_bound(
     """
     if not (cert.rho_m < rho < cert.rho_M):
         raise ValueError("rho must lie in (rho_m, rho_M)")
-    band, gnorm, bound = _level_set_bound(cert, a, cert.rho_m, rho, rho_mesh, grad_tol)
+    band, gnorm, bound = _level_set_bound(cert, a, cert.rho_m, rho, rho_mesh)
     if bound.hypothesis_ok:
         return replace(bound, value=float(min(1.0, np.exp(-cert.gamma * bound.integral))))
     amax = float(a.frob[band].max()) if band.any() else float(a.frob.max())
@@ -367,7 +352,6 @@ def anti_lyapunov_lower_bound(
     rho0: float,
     rho: float,
     rho_mesh: int = 64,
-    grad_tol: float | None = None,
 ) -> LyapunovBound:
     """Multiplicative growth factor exp(gamma int_{rho0}^{rho} dt / H(t)) in the
     anti-Lyapunov mass estimate
@@ -384,7 +368,7 @@ def anti_lyapunov_lower_bound(
             value=1.0, form="integral", hypothesis_ok=True, gamma=cert.gamma,
             rho_m=cert.rho_m, rho=rho, integral=0.0,
         )
-    bound = _level_set_bound(cert, a, rho0, rho, rho_mesh, grad_tol)[2]
+    bound = _level_set_bound(cert, a, rho0, rho, rho_mesh)[2]
     return replace(bound, value=float(np.exp(cert.gamma * bound.integral))
                    if bound.hypothesis_ok else 1.0)
 

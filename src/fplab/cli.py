@@ -23,11 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .analysis import angular_w1_to_uniform, bl_distance, invariance_residual
+from .analysis import angular_w1_to_uniform, invariance_residual
 from .dynamics import approximate_attractor, verify_lyapunov
 from .errors import ConfigError, FplabError
-from .fields import isotropic_schedule, sample_vector_field
-from .fpe import assemble, solve_family, solve_stationary
+from .fpe import solve_family
 from .grid import Grid2D
 from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
@@ -249,8 +248,11 @@ def _cmd_sample(args) -> int:
     scen = _scenario_from_args(args, grid)
     eps = tuple(float(e) for e in args.eps.split(","))
     sched = build_schedule(grid, eps, args.shape)
-    cfg = SamplerConfig(dt=args.dt, t_total=args.t_total, n_paths=args.n_paths,
-                        rng_seed=args.seed)
+    try:
+        cfg = SamplerConfig(dt=args.dt, t_total=args.t_total, n_paths=args.n_paths,
+                            rng_seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError("sampler", str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     diags = []
@@ -317,7 +319,7 @@ def _cmd_design_noise(args) -> int:
               "verify-repelling harness in the test suite", file=sys.stderr)
         return 2
     scen = _scenario_from_args(args, grid)
-    fam = _design(scen, args.target, scen.vector_field(grid), args.ratio, eps)[3]
+    fam = _design(scen, args.target, scen.vector_field(grid), args.ratio, eps)[2]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fio.save_document(
@@ -341,12 +343,7 @@ def _cmd_find_attractor(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fio.save_document(
-        {"format": "fplab/attractor@1", "grid": grid.metadata(), "kind": approx.kind,
-         "mask": approx.mask.ravel().astype(int).tolist(),
-         "diagnostics": approx.diagnostics},
-        out / "attractor.json",
-    )
+    fio.save_document(fio.attractor_to_document(approx), out / "attractor.json")
     print(f"{approx.kind}: {int(approx.mask.sum())} cells flagged -> {out / 'attractor.json'}")
     return 0
 
@@ -359,14 +356,7 @@ def _cmd_verify_lyapunov(args) -> int:
     cert = verify_lyapunov(u, scen.vector_field(grid), args.rho_m, args.gamma, kind=args.kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fio.save_document(
-        {"format": "fplab/certificate@1", "grid": grid.metadata(),
-         "u": cert.u.ravel().tolist(), "rho_m": cert.rho_m, "rho_M": cert.rho_M,
-         "gamma": cert.gamma, "kind": cert.kind, "verified_for": cert.verified_for,
-         "passed": cert.passed, "worst_margin": cert.worst_margin, "slack": cert.slack,
-         "violations": [list(map(int, c)) for c in cert.violations[:100]]},
-        out / "certificate.json",
-    )
+    fio.save_document(fio.certificate_to_document(cert), out / "certificate.json")
     print(f"certificate {'PASS' if cert.passed else 'FAIL'} "
           f"(worst margin {cert.worst_margin:.4g}, slack {cert.slack:.4g})")
     return 0 if cert.passed else 1

@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .analysis import _grad_hypothesis_tol
 from .dynamics import grad_central
 from .errors import (
     CertificateFailError,
     DegenerateGradientError,
     RatioInfeasibleError,
 )
-from .fields import DiffusionField, DiscreteMeasure, NullFamilySchedule, VectorField
+from .fields import DiffusionField, NullFamilySchedule, VectorField
 from .grid import Grid2D
 
 __all__ = [
@@ -92,13 +93,13 @@ def isolation_from_certificate(
     rho_tilde: float,
     rho_star_lo: float,
     rho_star_hi: float,
-    grad_tol: float | None = None,
 ) -> IsolationData:
     """Validate and package isolating-neighborhood data from grid samples.
 
     Measures the boundary margin gamma0 = min over the level band of
     |V . grad U0| / |grad U0|, requires a consistent crossing sign, and
-    checks grad U0 != 0 on the bracketing band.
+    checks grad U0 != 0 on the bracketing band: near a critical point the
+    cell gradient is ~ |D2 U| h, so anything below that counts as vanishing.
     """
     grid = v.grid
     u0 = np.asarray(u0, dtype=float)
@@ -109,14 +110,8 @@ def isolation_from_certificate(
     band = _level_band_mask(u0, rho_tilde, grid)
     if not band.any():
         raise ValueError("rho_tilde level set does not intersect the grid")
-    if grad_tol is None:
-        # near a critical point the cell gradient is ~ |D2 U| h, so anything
-        # below that threshold counts as a vanishing gradient
-        from .analysis import _grad_hypothesis_tol
-
-        grad_tol = _grad_hypothesis_tol(u0, grid, (u0 >= rho_star_lo) & (u0 <= rho_star_hi))
     bracket = (u0 >= rho_star_lo) & (u0 <= rho_star_hi)
-    if float(gnorm[bracket].min()) <= grad_tol:
+    if float(gnorm[bracket].min()) <= _grad_hypothesis_tol(u0, grid, bracket):
         raise DegenerateGradientError(
             f"grad U0 vanishes on the band [{rho_star_lo}, {rho_star_hi}]"
         )
@@ -235,13 +230,12 @@ def _fit_ramp(iso: IsolationData, ratio: float, ramp_lo: float, ramp_hi: float,
     return ramp_hi - needed, ramp_hi
 
 
-def _check_ratio(ratio: float, ratio_min: float) -> None:
-    """Reject a shaping ratio that is not finite or not above max(ratio_min, 1)."""
-    floor = max(float(ratio_min), 1.0)
-    if not (math.isfinite(ratio) and ratio > floor):
+def _check_ratio(ratio: float) -> None:
+    """Reject a shaping ratio that is not finite or not above 1."""
+    if not (math.isfinite(ratio) and ratio > 1.0):
         raise RatioInfeasibleError(
             ratio,
-            message=f"shaping ratio {ratio} must be finite and > {floor:.4g} "
+            message=f"shaping ratio {ratio} must be finite and > 1 "
             "(the shaping lies in [1/ratio, 1])",
         )
 
@@ -254,7 +248,6 @@ def _build_designed(
     ramp_hi: float,
     low_inside: bool,
     regions_fn,
-    invariance_mode: str,
 ) -> DesignedFamily:
     grid = iso.grid
     ramp_lo, ramp_hi = _fit_ramp(iso, ratio, ramp_lo, ramp_hi, low_inside)
@@ -286,8 +279,7 @@ def _build_designed(
     # per-cell the shape is isotropic, so the region-wise Frobenius/lambda
     # ratio is bounded by sqrt(2) * (max s / min s) = sqrt(2) * ratio
     schedule = NullFamilySchedule(
-        tuple(eps_list), members, invariance_mode,
-        normal_bound=np.sqrt(2.0) * ratio * 1.0001,
+        tuple(eps_list), members, normal_bound=np.sqrt(2.0) * ratio * 1.0001
     )
     return DesignedFamily(
         schedule=schedule,
@@ -306,11 +298,7 @@ def _build_designed(
 
 
 def design_stabilizing_family(
-    iso: IsolationData,
-    eps_list,
-    ratio: float,
-    ratio_min: float = 1.0,
-    invariance_mode: str = "reflecting",
+    iso: IsolationData, eps_list, ratio: float
 ) -> DesignedFamily:
     """Weak noise on the guard band inside the attractor's isolating
     neighborhood, strong noise outside it; smoothstep transition in the collar.
@@ -320,12 +308,12 @@ def design_stabilizing_family(
     [rho_star_lo, rho_tilde].
 
     The shaping lies in [1/ratio, 1], so ratio must be finite and strictly
-    greater than max(ratio_min, 1); otherwise RatioInfeasibleError is raised
-    before any field is built.
+    greater than 1; otherwise RatioInfeasibleError is raised before any field
+    is built.
     """
     if iso.kind != "attractor":
         raise ValueError("isolating data must certify an attractor")
-    _check_ratio(ratio, ratio_min)
+    _check_ratio(ratio)
     ramp_lo = iso.rho_tilde
     ramp_hi = iso.rho_tilde + 0.8 * (iso.rho_star_hi - iso.rho_tilde)
 
@@ -337,29 +325,24 @@ def design_stabilizing_family(
         )
 
     return _build_designed(
-        iso, eps_list, ratio, ramp_lo, ramp_hi, low_inside=True,
-        regions_fn=regions_fn, invariance_mode=invariance_mode,
+        iso, eps_list, ratio, ramp_lo, ramp_hi, low_inside=True, regions_fn=regions_fn
     )
 
 
 def design_destabilizing_family(
-    iso: IsolationData,
-    eps_list,
-    ratio: float,
-    ratio_min: float = 1.0,
-    invariance_mode: str = "reflecting",
+    iso: IsolationData, eps_list, ratio: float
 ) -> DesignedFamily:
     """Strong noise on and near the repeller, weak noise on the guard band
     outside its isolating neighborhood; roles of the regions are swapped
     relative to the stabilizing construction.
 
     The shaping lies in [1/ratio, 1], so ratio must be finite and strictly
-    greater than max(ratio_min, 1); otherwise RatioInfeasibleError is raised
-    before any field is built.
+    greater than 1; otherwise RatioInfeasibleError is raised before any field
+    is built.
     """
     if iso.kind != "repeller":
         raise ValueError("isolating data must certify a repeller")
-    _check_ratio(ratio, ratio_min)
+    _check_ratio(ratio)
     ramp_hi = iso.rho_tilde
     ramp_lo = iso.rho_star_lo + 0.2 * (iso.rho_tilde - iso.rho_star_lo)
 
@@ -371,8 +354,7 @@ def design_destabilizing_family(
         )
 
     return _build_designed(
-        iso, eps_list, ratio, ramp_lo, ramp_hi, low_inside=False,
-        regions_fn=regions_fn, invariance_mode=invariance_mode,
+        iso, eps_list, ratio, ramp_lo, ramp_hi, low_inside=False, regions_fn=regions_fn
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteFieldError, NotSettledError
-from .fields import DiffusionField, NullFamilySchedule, VectorField
+from .fields import NullFamilySchedule, VectorField
 from .grid import Grid2D
 
 __all__ = [
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 CERT_KINDS = ("lyapunov", "anti-lyapunov", "weak", "entire-weak")
+ATTRACTOR_DT = 0.01          # RK4 step of the attractor ensemble
+SETTLE_RTOL = 0.10           # allowed late change of the ensemble diameter
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,6 @@ class AttractorApprox:
     grid: Grid2D
     mask: np.ndarray
     kind: str  # global-attractor | local-attractor | local-repeller
-    isolating: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -146,21 +147,19 @@ def approximate_attractor(
     grid: Grid2D,
     ensemble_size: int = 256,
     t_end: float = 40.0,
-    dt: float = 0.01,
     kind: str = "global-attractor",
     reverse_time: bool = False,
     seed_region=None,
-    diameter_rtol: float = 0.10,
 ) -> AttractorApprox:
     """Forward-ensemble approximation of the maximal attractor (or repeller
     via time reversal).
 
     The ensemble is seeded on a deterministic sub-lattice of interior cell
-    centers (optionally restricted by ``seed_region``), integrated with RK4,
-    and required to settle: the bounding-box diameter may change by at most
-    ``diameter_rtol`` (relative to the final diameter or one cell, whichever
-    is larger) over the last 20% of integration time. Terminal points are
-    binned to cells and dilated by one cell.
+    centers (optionally restricted by ``seed_region``), integrated with RK4
+    at step ATTRACTOR_DT, and required to settle: the bounding-box diameter
+    may change by at most SETTLE_RTOL (relative to the final diameter or one
+    cell, whichever is larger) over the last 20% of integration time.
+    Terminal points are binned to cells and dilated by one cell.
     """
     xx, yy = grid.centers()
     mask = grid.interior_mask()
@@ -173,15 +172,15 @@ def approximate_attractor(
     pts = cand[::stride]
 
     sign = -1.0 if reverse_time else 1.0
-    snaps = _integrate_ensemble(v_fn, pts, t_end, dt, sign, checkpoints=[0.8 * t_end])
+    snaps = _integrate_ensemble(v_fn, pts, t_end, ATTRACTOR_DT, sign, checkpoints=[0.8 * t_end])
     d_early = _diameter(snaps[0.8 * t_end])
     final = snaps[t_end]
     d_final = _diameter(final)
     scale = max(d_final, min(grid.hx, grid.hy))
-    if abs(d_final - d_early) > diameter_rtol * scale:
+    if abs(d_final - d_early) > SETTLE_RTOL * scale:
         raise NotSettledError(
             f"ensemble diameter moved {abs(d_final - d_early):.3g} over the last 20% "
-            f"of t_end={t_end} (allowed {diameter_rtol * scale:.3g}); increase t_end"
+            f"of t_end={t_end} (allowed {SETTLE_RTOL * scale:.3g}); increase t_end"
         )
 
     inside = grid.contains(final)
@@ -260,7 +259,7 @@ class LyapunovCertificate:
         self.u.setflags(write=False)
 
 
-def sublevel_set(cert_or_u, rho: float, grid: Grid2D | None = None) -> np.ndarray:
+def sublevel_set(cert_or_u, rho: float) -> np.ndarray:
     """Boolean mask of the open sublevel set {U < rho}."""
     if isinstance(cert_or_u, LyapunovCertificate):
         u = cert_or_u.u
@@ -350,12 +349,9 @@ def verify_uniform_lyapunov(
     family: NullFamilySchedule,
     rho_m: float,
     gamma: float,
-    kind: str = "lyapunov",
-    rho_M: float | None = None,
-    region: np.ndarray | None = None,
 ):
-    """Check L_A U = a^{ij} d2_ij U + V.grad(U) <= -gamma (resp >= gamma)
-    on the essential domain for every family member, with one shared
+    """Check L_A U = a^{ij} d2_ij U + V.grad(U) <= -gamma on the essential
+    domain {rho_m < U < max U + 1} for every family member, with one shared
     (rho_m, gamma).
 
     Returns (member_certs, uniform_pass, first_pass_index): the index of the
@@ -369,15 +365,13 @@ def verify_uniform_lyapunov(
     uxx, uxy, uyy = hessian_central(u, grid)
     vdotgrad = v.vx * gx + v.vy * gy
     slack = _default_slack(u, grid)
-    if rho_M is None:
-        rho_M = float(u.max()) + 1.0
-    mask = _essential_mask(u, rho_m, rho_M, region)
+    rho_M = float(u.max()) + 1.0
+    mask = _essential_mask(u, rho_m, rho_M, None)
 
     certs = []
     for eps, a in family:
         lau = a.a11 * uxx + 2.0 * a.a12 * uxy + a.a22 * uyy + vdotgrad
-        margins = (lau - gamma) if kind == "anti-lyapunov" else (-lau - gamma)
-        margins = np.where(mask, margins, np.inf)
+        margins = np.where(mask, -lau - gamma, np.inf)
         bad = mask & (margins < -slack)
         violations = tuple(map(tuple, np.argwhere(bad)))
         certs.append(
@@ -387,7 +381,7 @@ def verify_uniform_lyapunov(
                 rho_m=float(rho_m),
                 rho_M=float(rho_M),
                 gamma=float(gamma),
-                kind=kind,
+                kind="lyapunov",
                 verified_for="operator-family",
                 passed=len(violations) == 0,
                 worst_margin=float(margins[mask].min()) if mask.any() else np.inf,

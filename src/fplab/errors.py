@@ -88,14 +88,6 @@ class CertificateFailError(FplabError):
         super().__init__(f"certificate condition {condition} fails: {detail}")
 
 
-class ViolationError(FplabError):
-    """A Lyapunov-type inequality fails beyond the discretization slack."""
-
-    def __init__(self, cells, message):
-        self.cells = cells
-        super().__init__(message)
-
-
 class ConfigError(FplabError):
     """A run configuration is invalid; `field` names the offending entry."""
 

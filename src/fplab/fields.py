@@ -47,9 +47,6 @@ class VectorField:
         self.vx.setflags(write=False)
         self.vy.setflags(write=False)
 
-    def speed(self) -> np.ndarray:
-        return np.hypot(self.vx, self.vy)
-
     def negated(self) -> "VectorField":
         return VectorField(self.grid, -self.vx, -self.vy)
 
@@ -98,9 +95,6 @@ class DiffusionField:
         """max over cells of the Frobenius norm |A(x)| (the paper-style |A|)."""
         return float(self.frob.max())
 
-    def scaled(self, c: float) -> "DiffusionField":
-        return DiffusionField(self.grid, c * self.a11, c * self.a12, c * self.a22)
-
     def normality_ratio(self, region: np.ndarray | None = None) -> float:
         """sup_region Frobenius / inf_region lambda_min."""
         if region is None:
@@ -137,16 +131,16 @@ def isotropic_diffusion(grid: Grid2D, a: float) -> DiffusionField:
 class NullFamilySchedule:
     """Ordered noise family (eps_k, A_k) with eps strictly decreasing to 0.
 
-    ``is_bounded`` certifies that max-over-cells |A_k| decreases monotonically
-    along the schedule; ``is_normal`` that the per-member Frobenius/lambda
-    ratio stays below ``normal_bound`` on the verification region.
+    The constructor raises ValueError unless max-over-cells |A_k| decreases
+    strictly along the schedule; ``is_normal`` records whether the per-member
+    Frobenius/lambda ratio stays below ``normal_bound`` on the verification
+    region.
     """
 
     eps: tuple
     members: tuple
     invariance_mode: str = "reflecting"
     normal_bound: float = np.sqrt(2.0) * 1.0001
-    is_bounded: bool = field(init=False)
     is_normal: bool = field(init=False)
 
     def __post_init__(self):
@@ -158,12 +152,10 @@ class NullFamilySchedule:
         if self.invariance_mode not in ("reflecting", "vanishing-at-boundary"):
             raise ValueError(f"unknown invariance_mode {self.invariance_mode!r}")
         norms = [A.max_norm() for A in self.members]
-        bounded = all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))
-        if not bounded:
+        if not all(n2 < n1 for n1, n2 in zip(norms, norms[1:])):
             raise ValueError("max-cell |A_k| must decrease strictly along the schedule")
         normal = all(A.normality_ratio() <= self.normal_bound for A in self.members)
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "is_bounded", bounded)
         object.__setattr__(self, "is_normal", normal)
 
     def __len__(self):
@@ -177,8 +169,7 @@ class NullFamilySchedule:
         return self.members[0].grid
 
 
-def isotropic_schedule(grid: Grid2D, eps_list, shape=(1.0, 0.0, 1.0),
-                       invariance_mode="reflecting") -> NullFamilySchedule:
+def isotropic_schedule(grid: Grid2D, eps_list, shape=(1.0, 0.0, 1.0)) -> NullFamilySchedule:
     """Schedule A_k = eps_k * A_shape for a constant symmetric shape matrix."""
     s11, s12, s22 = shape
     members = tuple(
@@ -196,8 +187,7 @@ def isotropic_schedule(grid: Grid2D, eps_list, shape=(1.0, 0.0, 1.0),
         np.full((grid.nx, grid.ny), float(s12)),
         np.full((grid.nx, grid.ny), float(s22)),
     ).normality_ratio()
-    return NullFamilySchedule(tuple(eps_list), members, invariance_mode,
-                              normal_bound=ratio * 1.0001)
+    return NullFamilySchedule(tuple(eps_list), members, normal_bound=ratio * 1.0001)
 
 
 @dataclass(frozen=True)
@@ -223,15 +213,8 @@ class DiscreteMeasure:
             raise ValueError(f"total mass {mass!r} deviates from 1 by more than {MASS_TOL}")
         self.weights.setflags(write=False)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def density(self) -> np.ndarray:
         return self.weights / self.grid.cell_volume
-
-    def same_grid(self, other: "DiscreteMeasure") -> bool:
-        return self.grid == other.grid
 
 
 def measure_mass_on(mu: DiscreteMeasure, region) -> float:
@@ -268,7 +251,7 @@ def rebin_measure(mu: DiscreteMeasure, factor: int) -> DiscreteMeasure:
     return DiscreteMeasure(coarse, w)
 
 
-def normalized_measure(grid, raw: np.ndarray, clip_tol: float = 0.0) -> tuple[DiscreteMeasure, float]:
+def normalized_measure(grid, raw: np.ndarray) -> tuple[DiscreteMeasure, float]:
     """Clip tiny negatives to 0 and renormalize; returns (measure, clipped_mass)."""
     w = np.asarray(raw, dtype=float).copy()
     neg = w < 0.0

@@ -171,11 +171,7 @@ def assemble(v: VectorField, a: DiffusionField, grid: Grid2D) -> DiscreteOperato
     zy, ty = _faces(v.vy.T, a.a22.T, idx.T, grid.hy, None if a12 is None else a12.T, grid.hx)
     _check_overflow(zy.T, "y-face")  # face index in grid (i, j) order
     ty = [tuple(x.T for x in t) for t in ty]  # grid (i, j) order: faster CSR conversion
-    meta = {
-        "max_abs_z": float(max(np.abs(zx).max(), np.abs(zy).max())),
-        "anisotropy_cap": 0.25,
-        "min_lambda_over_frob": float((a.lam / a.frob).min()),
-    }
+    meta = {"max_abs_z": float(max(np.abs(zx).max(), np.abs(zy).max()))}
     return DiscreteOperator(grid, _csr(tx + ty, grid.nx * grid.ny), meta)
 
 
@@ -248,9 +244,7 @@ def _inverse_power(m: sp.csr_matrix, tol: float, maxit: int = 60):
 
 
 def solve_stationary(
-    op: DiscreteOperator,
-    check_unique: bool = True,
-    uniqueness_tol: float = UNIQUENESS_TOL,
+    op: DiscreteOperator, check_unique: bool = True
 ) -> tuple[DiscreteMeasure, SolveReport]:
     """Unit-mass non-negative null vector of the assembled operator.
 
@@ -260,7 +254,7 @@ def solve_stationary(
     The uniqueness check solves the system bordered at row n//4 instead, as a
     rank-2 Woodbury update of the same LU, and raises SingularOperatorError
     (null space dimension > 1) unless that solve is finite and agrees with the
-    first within `uniqueness_tol` in L1; a NaN distance counts as disagreement.
+    first within UNIQUENESS_TOL in L1; a NaN distance counts as disagreement.
     """
     t0 = time.perf_counter()
     m = op.matrix
@@ -293,7 +287,7 @@ def solve_stationary(
                     "null space dimension > 1"
                 )
             diff = float(np.abs(w / w.sum() - w_alt / w_alt.sum()).sum())
-        if not diff <= uniqueness_tol:
+        if not diff <= UNIQUENESS_TOL:
             raise SingularOperatorError(
                 f"two bordered solves disagree by L1 distance {diff:.3e}; "
                 "null space dimension > 1 suspected"
@@ -321,7 +315,7 @@ def solve_stationary(
 
 
 def solve_family(
-    v: VectorField, family: NullFamilySchedule, grid: Grid2D, check_unique: bool = True
+    v: VectorField, family: NullFamilySchedule, grid: Grid2D
 ) -> list[tuple[float, DiscreteMeasure | None, SolveReport | FplabError]]:
     """Solve each family member in schedule order.
 
@@ -332,7 +326,7 @@ def solve_family(
     for eps, a in family:
         try:
             op = assemble(v, a, grid)
-            mu, report = solve_stationary(op, check_unique=check_unique)
+            mu, report = solve_stationary(op)
             out.append((eps, mu, report))
         except FplabError as exc:
             out.append((eps, None, exc))

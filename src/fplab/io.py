@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import AttractorApprox, LyapunovCertificate
 from .fields import DiffusionField, DiscreteMeasure, NullFamilySchedule, VectorField
-from .grid import Grid1D, Grid2D, grid_from_metadata
+from .grid import Grid1D, grid_from_metadata
 
 FORMATS = {
     "measure": "fplab/measure@1",
@@ -97,6 +98,34 @@ def schedule_from_document(doc: dict) -> NullFamilySchedule:
     return NullFamilySchedule(
         tuple(doc["eps"]), members, doc["invariance_mode"], normal_bound=doc["normal_bound"]
     )
+
+
+def certificate_to_document(cert: LyapunovCertificate) -> dict:
+    """The certificate with its U samples and at most 100 violating cells."""
+    return {
+        "format": FORMATS["certificate"],
+        "grid": cert.grid.metadata(),
+        "u": _flat(cert.u),
+        "rho_m": cert.rho_m,
+        "rho_M": cert.rho_M,
+        "gamma": cert.gamma,
+        "kind": cert.kind,
+        "verified_for": cert.verified_for,
+        "passed": cert.passed,
+        "worst_margin": cert.worst_margin,
+        "slack": cert.slack,
+        "violations": [list(map(int, c)) for c in cert.violations[:100]],
+    }
+
+
+def attractor_to_document(approx: AttractorApprox) -> dict:
+    return {
+        "format": FORMATS["attractor"],
+        "grid": approx.grid.metadata(),
+        "kind": approx.kind,
+        "mask": approx.mask.ravel().astype(int).tolist(),
+        "diagnostics": approx.diagnostics,
+    }
 
 
 def save_document(doc: dict, path) -> None:

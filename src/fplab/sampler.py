@@ -26,7 +26,6 @@ class SamplerConfig:
     n_paths: int = 64
     rng_seed: int = 0
     t_burn: float | None = None  # default 0.2 * t_total
-    boundary_policy: str = "reflect"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -38,8 +37,6 @@ class SamplerConfig:
             raise ValueError("t_burn must be below t_total")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must lie in [0, 2**64)")
-        if self.boundary_policy != "reflect":
-            raise ValueError("only the reflecting boundary policy is supported")
         object.__setattr__(self, "t_burn", burn)
 
 
@@ -90,29 +87,25 @@ def occupation_measure(
     a_fn,
     grid: Grid2D,
     cfg: SamplerConfig,
-    x0=None,
 ) -> tuple[DiscreteMeasure, dict]:
     """Histogram of post-burn-in Euler-Maruyama positions over grid cells.
 
     ``v_fn(x, y) -> (vx, vy)`` and ``a_fn(x, y) -> (a11, a12, a22)`` are
-    evaluated pathwise at current positions. Paths start at ``x0`` (default:
-    deterministic lattice over the middle of the box) and reflect at the
-    truncation boundary, mirroring the PDE solver's no-flux choice.
+    evaluated pathwise at current positions. Paths start on a deterministic
+    lattice over the middle of the box and reflect at the truncation
+    boundary, mirroring the PDE solver's no-flux choice.
     """
     n_steps = int(round(cfg.t_total / cfg.dt))
     burn_steps = int(round(cfg.t_burn / cfg.dt))
     npaths = cfg.n_paths
 
-    if x0 is None:
-        k = int(np.ceil(np.sqrt(npaths)))
-        gx = np.linspace(0.3, 0.7, k)
-        pts = np.stack(np.meshgrid(
-            grid.x_min + gx * (grid.x_max - grid.x_min),
-            grid.y_min + gx * (grid.y_max - grid.y_min),
-            indexing="ij",
-        ), axis=-1).reshape(-1, 2)[:npaths]
-    else:
-        pts = np.broadcast_to(np.asarray(x0, dtype=float), (npaths, 2)).copy()
+    k = int(np.ceil(np.sqrt(npaths)))
+    gx = np.linspace(0.3, 0.7, k)
+    pts = np.stack(np.meshgrid(
+        grid.x_min + gx * (grid.x_max - grid.x_min),
+        grid.y_min + gx * (grid.y_max - grid.y_min),
+        indexing="ij",
+    ), axis=-1).reshape(-1, 2)[:npaths]
     x = pts[:, 0].copy()
     y = pts[:, 1].copy()
 

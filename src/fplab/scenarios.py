@@ -29,7 +29,7 @@ from .design import (
     design_stabilizing_family,
     isolation_from_certificate,
 )
-from .dynamics import verify_lyapunov, verify_uniform_lyapunov
+from .dynamics import verify_uniform_lyapunov
 from .errors import ConfigError
 from .fields import (
     DiffusionField,
@@ -38,10 +38,9 @@ from .fields import (
     VectorField,
     isotropic_schedule,
     normalized_measure,
-    sample_diffusion_field,
     sample_vector_field,
 )
-from .fpe import assemble, solve_family
+from .fpe import solve_family
 from .grid import Grid2D
 
 __all__ = [
@@ -204,20 +203,24 @@ _DEFAULT_DICTIONARY = "hopf-offcycle-v1"  # used wherever a run names no diction
 
 
 def dictionary_for(name: str, grid: Grid2D) -> TestFunctionDictionary:
-    """Versioned test-function dictionaries."""
-    if name == "grid3x3-v1":
-        return grid_dictionary(grid, 3, name=name)
-    if name == "grid4x4-v1":
-        return grid_dictionary(grid, 4, name=name)
-    if name == "hopf-offcycle-v1":
-        # bumps kept off the unit-cycle annulus: residuals of test functions
-        # supported on the limit set decay only linearly in eps, while
-        # off-support residuals collapse superlinearly as mass leaves
-        bumps = [(0.0, 0.0, 0.45, 0.45)]
-        bumps += [(sx * 1.75, sy * 1.75, 0.6, 0.6) for sx in (-1, 1) for sy in (-1, 1)]
-        bumps += [(s * 1.9, 0.0, 0.45, 0.45) for s in (-1, 1)]
-        bumps += [(0.0, s * 1.9, 0.45, 0.45) for s in (-1, 1)]
-        return make_dictionary(grid, bumps, name)
+    """Versioned test-function dictionaries. A grid that cannot hold the
+    dictionary's bumps is a configuration error, like an unknown name."""
+    try:
+        if name == "grid3x3-v1":
+            return grid_dictionary(grid, 3, name=name)
+        if name == "grid4x4-v1":
+            return grid_dictionary(grid, 4, name=name)
+        if name == "hopf-offcycle-v1":
+            # bumps kept off the unit-cycle annulus: residuals of test functions
+            # supported on the limit set decay only linearly in eps, while
+            # off-support residuals collapse superlinearly as mass leaves
+            bumps = [(0.0, 0.0, 0.45, 0.45)]
+            bumps += [(sx * 1.75, sy * 1.75, 0.6, 0.6) for sx in (-1, 1) for sy in (-1, 1)]
+            bumps += [(s * 1.9, 0.0, 0.45, 0.45) for s in (-1, 1)]
+            bumps += [(0.0, s * 1.9, 0.45, 0.45) for s in (-1, 1)]
+            return make_dictionary(grid, bumps, name)
+    except ValueError as exc:
+        raise ConfigError("analysis.dictionary", f"{name!r} does not fit the grid: {exc}") from exc
     raise ConfigError("analysis.dictionary", f"unknown dictionary {name!r}")
 
 
@@ -274,7 +277,6 @@ def run_hopf_sweep(
     dictionary: TestFunctionDictionary | None = None,
     thresholds: dict | None = None,
     rho_mesh: int = 64,
-    check_unique: bool = True,
 ) -> ScenarioResult:
     """Solve the Hopf family and evaluate the vanishing-noise metrics.
 
@@ -312,13 +314,10 @@ def run_hopf_sweep(
     # V.grad U = 2U(b - U))
     rho_m = max(1.5 * b, 1.0)
     amax = max(A.max_norm() for _, A in schedule)
-    # -L_A U = 2U(U-b) - tr(A D2U) >= 2 rho_m (rho_m - b) - 4|A| on {U > rho_m}
-    gamma = 2.0 * rho_m * (rho_m - b) - 4.0 * amax
-    certs, uniform_ok, _ = verify_uniform_lyapunov(
-        u_cert, v, schedule, rho_m, gamma, kind="lyapunov"
-    )
+    gamma = _global_gamma(scen, rho_m, amax)
+    certs, uniform_ok, _ = verify_uniform_lyapunov(u_cert, v, schedule, rho_m, gamma)
 
-    results = solve_family(v, schedule, grid, check_unique=check_unique)
+    results = solve_family(v, schedule, grid)
     report = ConvergenceReport()
     out = ScenarioResult(
         scenario="hopf",
@@ -404,7 +403,6 @@ def run_gibbs(
     phi_fn,
     schedule: NullFamilySchedule,
     grid: Grid2D,
-    check_unique: bool = True,
 ) -> ScenarioResult:
     """Gradient-drift oracle runs: V = -grad(Phi) with A = eps I has the exact
     stationary density exp(-Phi/eps); reports per-eps L1 errors."""
@@ -412,7 +410,7 @@ def run_gibbs(
     phi = phi_fn(xx, yy)
     v = sample_vector_field(lambda x, y: _neg_grad(phi_fn, x, y), grid)
 
-    results = solve_family(v, schedule, grid, check_unique=check_unique)
+    results = solve_family(v, schedule, grid)
     report = ConvergenceReport()
     out = ScenarioResult(
         scenario="gibbs",
@@ -461,22 +459,16 @@ _ISOLATION_RECIPES = {
 }
 
 
-def _design(scenario: Scenario, target: str, v: VectorField, ratio: float, eps_list,
-            iso_params: dict | None = None):
-    """(recipe, levels used, isolation, family) for a scenario/target pair of
+def _design(scenario: Scenario, target: str, v: VectorField, ratio: float, eps_list):
+    """(recipe, isolation, family) for a scenario/target pair of
     _ISOLATION_RECIPES: a stabilizing family for 'attractor', a destabilizing
-    one for 'repeller'. Entries of ``iso_params`` override the recipe's levels."""
+    one for 'repeller'."""
     recipe = _ISOLATION_RECIPES.get((scenario.name, target))
     if recipe is None:
         raise ConfigError("scenario", f"no isolating data recipe for {scenario.name}/{target}")
-    p = dict(iso_params or {})
-    for key, level in zip(("rho_tilde", "rho_star_lo", "rho_star_hi"), recipe.levels):
-        p.setdefault(key, level)
-    iso = isolation_from_certificate(
-        recipe.u0(*v.grid.centers()), v, p["rho_tilde"], p["rho_star_lo"], p["rho_star_hi"]
-    )
+    iso = isolation_from_certificate(recipe.u0(*v.grid.centers()), v, *recipe.levels)
     design = design_stabilizing_family if target == "attractor" else design_destabilizing_family
-    return recipe, p, iso, design(iso, eps_list, ratio)
+    return recipe, iso, design(iso, eps_list, ratio)
 
 
 def run_designed_comparison(
@@ -485,15 +477,13 @@ def run_designed_comparison(
     ratio: float,
     eps_list,
     grid: Grid2D,
-    iso_params: dict | None = None,
-    check_unique: bool = True,
 ) -> ScenarioResult:
     """Paired designed-vs-uniform solves for noise stabilization (target =
     'attractor') or destabilization ('repeller') on a scenario admitting
     isolating data. The isotropic schedule solved alongside is the
     no-shaping control; `ratio` must be finite and > 1."""
     v = scenario.vector_field(grid)
-    recipe, p, iso, designed = _design(scenario, target, v, ratio, eps_list, iso_params)
+    recipe, iso, designed = _design(scenario, target, v, ratio, eps_list)
     region = recipe.region(*grid.centers())
 
     # every designed member must carry the global uniform certificate
@@ -506,8 +496,8 @@ def run_designed_comparison(
     )
 
     uniform = isotropic_schedule(grid, eps_list)
-    res_designed = solve_family(v, designed.schedule, grid, check_unique=check_unique)
-    res_uniform = solve_family(v, uniform, grid, check_unique=check_unique)
+    res_designed = solve_family(v, designed.schedule, grid)
+    res_uniform = solve_family(v, uniform, grid)
 
     report = ConvergenceReport()
     out = ScenarioResult(
@@ -516,7 +506,8 @@ def run_designed_comparison(
             "grid": grid.metadata(),
             "eps": list(eps_list),
             "ratio": ratio,
-            "iso": {k: float(val) for k, val in p.items()},
+            "iso": {"rho_tilde": iso.rho_tilde, "rho_star_lo": iso.rho_star_lo,
+                    "rho_star_hi": iso.rho_star_hi},
             "gamma0": iso.gamma0,
             "region": recipe.region_name,
             "rho_m": rho_m,
@@ -556,6 +547,7 @@ def _global_gamma(scenario: Scenario, rho_m: float, amax: float) -> float:
     """Explicit uniform Lyapunov constants for the built-in scenarios with
     U = x^2 + y^2 (trace(A D2U) <= 2|A| |D2U|/2 ... bounded by 4 amax)."""
     if scenario.name == "hopf":
+        # -L_A U = 2U(U-b) - tr(A D2U) >= 2 rho_m (rho_m - b) - 4|A| on {U > rho_m}
         b = scenario.params["b"]
         return 2.0 * rho_m * (rho_m - b) - 4.0 * amax
     if scenario.name == "double-well":

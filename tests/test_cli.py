@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fplab import io as fio
 from fplab.cli import RunConfig, main
 from fplab.errors import ConfigError
 
@@ -46,6 +47,34 @@ def test_cli_exit_2_on_bad_config(tmp_path, capsys):
     rc = main(["run", "--config", str(p)])
     assert rc == 2
     assert "schedule.eps" in capsys.readouterr().err
+
+
+def test_cli_exit_2_when_grid_cannot_hold_dictionary(tmp_path, capsys):
+    # box +-2.2 at 32^2: the corner bumps of hopf-offcycle-v1 reach the
+    # boundary-adjacent cells
+    out = tmp_path / "out"
+    cfg = _hopf_config(out, nx=32)
+    cfg["grid"].update(x_min=-2.2, x_max=2.2, y_min=-2.2, y_max=2.2)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    rc = main(["run", "--config", str(p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "analysis.dictionary" in err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--dt", "0"), ("--n-paths", "0")])
+def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    rc = main(["sample", "--scenario", "ou2d", "--eps", "0.1", "--grid-n", "16",
+               "--t-total", "1", flag, value, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sampler" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_run_roundtrip_and_determinism(tmp_path):
@@ -171,6 +200,7 @@ def test_cli_find_attractor(tmp_path):
                "--grid-n", "48", "--t-end", "40", "--out", str(out)])
     assert rc == 0
     doc = json.loads((out / "attractor.json").read_text())
+    assert doc["format"] == fio.FORMATS["attractor"]
     assert doc["kind"] == "global-attractor"
     assert sum(doc["mask"]) > 0
 
@@ -180,6 +210,9 @@ def test_cli_verify_lyapunov(tmp_path):
     rc = main(["verify-lyapunov", "--scenario", "hopf", "--rho-m", "1.5",
                "--gamma", "1.5", "--grid-n", "64", "--out", str(out)])
     assert rc == 0
+    doc = json.loads((out / "certificate.json").read_text())
+    assert doc["format"] == fio.FORMATS["certificate"]
+    assert doc["passed"] is True
     rc2 = main(["verify-lyapunov", "--scenario", "hopf", "--rho-m", "0.2",
                 "--gamma", "5.0", "--grid-n", "64", "--out", str(out)])
     assert rc2 == 1

