@@ -31,6 +31,7 @@ from .grid import Grid2D
 from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
     _DEFAULT_DICTIONARY,
+    _ISOLATION_RECIPES,
     ScenarioResult,
     _design,
     build_schedule,
@@ -234,7 +235,7 @@ def _cmd_solve(args) -> int:
             "method": rep.method, "wall_time": rep.wall_time,
         })
     fio.save_document(
-        {"format": "fplab/solve-summary@1", "scenario": scen.name,
+        {"format": fio.FORMATS["solve_summary"], "scenario": scen.name,
          "params": scen.params, "schedule": {"eps": list(eps), "shape": args.shape},
          "reports": reports},
         out / "solve_summary.json",
@@ -268,7 +269,7 @@ def _cmd_sample(args) -> int:
         fio.save_document(fio.measure_to_document(mu), out / f"occupation_eps{eps_k!r}.json")
         diags.append({"eps": eps_k, **diag})
     fio.save_document(
-        {"format": "fplab/sample-summary@1", "scenario": scen.name, "params": scen.params,
+        {"format": fio.FORMATS["sample_summary"], "scenario": scen.name, "params": scen.params,
          "sampler": {"dt": cfg.dt, "t_total": cfg.t_total, "t_burn": cfg.t_burn,
                      "n_paths": cfg.n_paths, "rng_seed": cfg.rng_seed},
          "diagnostics": diags},
@@ -305,7 +306,7 @@ def _cmd_verify(args) -> int:
     lines = ["eps,residual_max,angular_w1"]
     lines += [f"{r['eps']!r},{r['residual_max']!r},{r['angular_w1']!r}" for r in rows]
     (run_dir / "verify.csv").write_text("\n".join(lines) + "\n")
-    fio.save_document({"format": "fplab/verify@1", "rows": rows}, run_dir / "verify.json")
+    fio.save_document({"format": fio.FORMATS["verify"], "rows": rows}, run_dir / "verify.json")
     print(f"verified {len(rows)} measures -> {run_dir / 'verify.json'}")
     return 0
 
@@ -323,7 +324,7 @@ def _cmd_design_noise(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fio.save_document(
-        {"format": "fplab/shaping@1", "grid": grid.metadata(),
+        {"format": fio.FORMATS["shaping"], "grid": grid.metadata(),
          "ratio": fam.ratio, "shaping": fam.shaping.ravel().tolist(),
          "meta": {k: (list(v) if isinstance(v, tuple) else v) for k, v in fam.meta.items()}},
         out / "shaping.json",
@@ -336,10 +337,14 @@ def _cmd_design_noise(args) -> int:
 def _cmd_find_attractor(args) -> int:
     grid = Grid2D(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
     scen = _scenario_from_args(args, grid)
+    # a repeller is sought from seeds in its isolating region where the
+    # scenario has one: seeds outside it may escape in reverse time
+    recipe = _ISOLATION_RECIPES.get((scen.name, "repeller")) if args.reverse else None
     approx = approximate_attractor(
         scen.drift_fn, grid, ensemble_size=args.ensemble, t_end=args.t_end,
         reverse_time=args.reverse,
         kind="local-repeller" if args.reverse else "global-attractor",
+        seed_region=None if recipe is None else recipe.region,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,17 +7,22 @@ scheme exact for 1D constant-coefficient drift-diffusion and keeps all
 nearest-neighbor transition rates non-negative. Mixed-derivative terms enter
 through 4-point corner stencils on the faces: centered tangential differences
 inside, one-sided ones on the edge rows and columns. Both axes share one face
-routine; the y-faces are the x-faces of the transposed arrays. The assembled
-matrix M acts on cell masses w (so M is generator-like: column sums vanish)
-and the stationary measure is the unit-mass null vector of M.
+routine; the y-faces are the x-faces of the transposed arrays. Face entries are
+summed into a (3, 3, nx, ny) stencil array, so the CSR matrix is built without
+duplicate entries. The assembled matrix M acts on cell masses w (so M is
+generator-like: column sums vanish) and the stationary measure is the
+unit-mass null vector of M.
 
-The null vector comes from one sparse LU per operator: the bordered matrix
-(balance row n//2 replaced by the mass row of ones) is built directly in COO
-form and factorized once. The uniqueness check needs the system bordered at a
-second row; that matrix is a rank-2 update of the first, so its solve reuses
-the same LU through the Sherman-Morrison-Woodbury formula (Hager 1989). The
-check fails closed: SingularOperatorError is raised unless both solutions are
-finite and agree within the tolerance, and a NaN distance counts as disagreement.
+The null vector comes from one sparse LU per operator. The balance row of the
+grid's centre cell is replaced by the unit row that pins that cell's weight
+to 1 (the "replace one equation" method for stationary Markov chains, Stewart
+1994, ch. 2); the pinned matrix keeps the stencil's sparsity, so it is ordered
+by minimum degree on B^T + B. Its solve is normalized to unit mass before the
+residual test. The uniqueness check needs the system pinned at a second cell;
+that matrix is a rank-2 update of the first, so its solve reuses the same LU
+through the Sherman-Morrison-Woodbury formula (Hager 1989). The check fails
+closed: SingularOperatorError is raised unless both solutions are finite and
+agree within the tolerance, and a NaN distance counts as disagreement.
 """
 
 from __future__ import annotations
@@ -108,43 +113,64 @@ def _check_overflow(z, what):
         raise StencilOverflowError((what, idx), amax)
 
 
-def _faces(vn, ann, idx, h, a12=None, ht=None):
-    """Matrix entries of the fluxes across the faces normal to axis 0, the
-    faces between cells idx[i] and idx[i + 1]; the y-faces are the x-faces of
-    the transposed arrays.
+def _faces(vn, ann, st, h, a12=None, ht=None):
+    """Add the fluxes across the faces normal to axis 0 to the stencil st and
+    return the face Peclet numbers z; the y-faces are the x-faces of the
+    transposed arrays and stencil.
 
-    The SG flux F = d_n(a_nn u) - v_n u is (a/h)[B(z) u_hi - B(-z) u_lo] with
-    z = v h / a at the face (v corrected by the face gradient of a_nn); in mass
-    variables it exchanges a B(z)/h^2 (hi -> lo) and a B(-z)/h^2 (lo -> hi),
-    both >= 0. With a12, the mixed term d_t(a12 u) is taken at the face from
-    the cells on both sides, by a tangential difference between the clamped
-    neighbours jp = min(j+1, n-1) and jm = max(j-1, 0) with weight
-    1 / (2 h (jp - jm) ht): centred inside, one-sided on the edge rows. Each
-    face value enters the low cell with + and the high cell with -, so column
-    sums cancel exactly. Returns z and the (rows, cols, vals) triplets.
+    st[1 + di, 1 + dj, i, j] is the matrix entry of row (i, j) and column
+    (i + di, j + dj), so each (row, column) pair is summed here and the CSR
+    step sees no duplicates. The SG flux F = d_n(a_nn u) - v_n u is
+    (a/h)[B(z) u_hi - B(-z) u_lo] with z = v h / a at the face (v corrected by
+    the face gradient of a_nn); in mass variables it exchanges a B(z)/h^2
+    (hi -> lo) and a B(-z)/h^2 (lo -> hi), both >= 0. With a12, the mixed
+    term d_t(a12 u) is taken at the face from the cells on both sides, by a
+    tangential difference between the clamped neighbours jp = min(j+1, n-1)
+    and jm = max(j-1, 0) with weight 1 / (2 h (jp - jm) ht): centred inside,
+    one-sided on the edge rows. Each face value enters the low cell with +
+    and the high cell with -, so column sums cancel exactly.
     """
-    lo, hi = idx[:-1], idx[1:]
     a_f = 0.5 * (ann[:-1] + ann[1:])
     v_f = 0.5 * (vn[:-1] + vn[1:]) - (ann[1:] - ann[:-1]) / h
     z = v_f * h / a_f
     rate_rl = a_f * bernoulli(z) / h**2
     rate_lr = a_f * bernoulli(-z) / h**2
-    triplets = [(lo, hi, rate_rl), (lo, lo, -rate_lr), (hi, lo, rate_lr), (hi, hi, -rate_rl)]
+    st[2, 1, :-1] += rate_rl
+    st[1, 1, :-1] -= rate_lr
+    st[0, 1, 1:] += rate_lr
+    st[1, 1, 1:] -= rate_rl
     if a12 is not None:
-        n = idx.shape[1]
+        n = st.shape[3]
         j = np.arange(n)
         jp, jm = np.minimum(j + 1, n - 1), np.maximum(j - 1, 0)
         c = 1.0 / (2.0 * h * (jp - jm) * ht)
+        lo = np.arange(st.shape[2] - 1)[:, None]
         for jt, weight in ((jp, c), (jm, -c)):
-            for side in (slice(None, -1), slice(1, None)):
-                cells, coeff = idx[side][:, jt], weight * a12[side][:, jt]
-                triplets += [(lo, cells, coeff), (hi, cells, -coeff)]
-    return z, triplets
+            dj = 1 + jt - j
+            for di, side in ((0, slice(None, -1)), (1, slice(1, None))):
+                coeff = weight * a12[side][:, jt]
+                st[1 + di, dj, lo, j] += coeff
+                st[di, dj, lo + 1, j] -= coeff
+    return z
 
 
-def _csr(triplets, n: int) -> sp.csr_matrix:
-    rows, cols, vals = (np.concatenate([np.ravel(t[k]) for t in triplets]) for k in range(3))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+# stencil offsets (di, dj) in column order within a row
+_FIVE_POINT = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+_NINE_POINT = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+
+def _csr(st, offsets) -> sp.csr_matrix:
+    """CSR matrix of the stencil entries at `offsets` that stay on the grid."""
+    _, _, nx, ny = st.shape
+    i, j = np.indices((nx, ny))
+    keep, cols = [], []
+    for di, dj in offsets:
+        keep.append((0 <= i + di) & (i + di < nx) & (0 <= j + dj) & (j + dj < ny))
+        cols.append((i + di) * ny + j + dj)
+    keep = np.stack(keep, axis=-1)
+    vals = np.stack([st[1 + di, 1 + dj] for di, dj in offsets], axis=-1)[keep]
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
+    return sp.csr_matrix((vals, np.stack(cols, axis=-1)[keep], indptr), shape=(nx * ny, nx * ny))
 
 
 def assemble_1d(v: np.ndarray, a: np.ndarray, grid: Grid1D) -> DiscreteOperator:
@@ -155,42 +181,53 @@ def assemble_1d(v: np.ndarray, a: np.ndarray, grid: Grid1D) -> DiscreteOperator:
         raise ValueError("v and a must be sampled per cell")
     if np.any(a <= 0):
         raise ValueError("diffusion must be positive")
-    z, triplets = _faces(v, a, np.arange(grid.nx), grid.hx)
+    st = np.zeros((3, 3, grid.nx, 1))
+    z = _faces(v[:, None], a[:, None], st, grid.hx)[:, 0]
     _check_overflow(z, "x-face")
-    return DiscreteOperator(grid, _csr(triplets, grid.nx), {"max_abs_z": float(np.abs(z).max())})
+    return DiscreteOperator(grid, _csr(st, _FIVE_POINT), {"max_abs_z": float(np.abs(z).max())})
 
 
 def assemble(v: VectorField, a: DiffusionField, grid: Grid2D) -> DiscreteOperator:
     """2D stationary operator; no-flux truncation boundary."""
     if v.grid != grid or a.grid != grid:
         raise ValueError("field grids must match the assembly grid")
-    idx = np.arange(grid.nx * grid.ny).reshape(grid.nx, grid.ny)
     a12 = a.a12 if np.any(a.a12 != 0.0) else None
-    zx, tx = _faces(v.vx, a.a11, idx, grid.hx, a12, grid.hy)
+    st = np.zeros((3, 3, grid.nx, grid.ny))
+    zx = _faces(v.vx, a.a11, st, grid.hx, a12, grid.hy)
     _check_overflow(zx, "x-face")
-    zy, ty = _faces(v.vy.T, a.a22.T, idx.T, grid.hy, None if a12 is None else a12.T, grid.hx)
+    zy = _faces(v.vy.T, a.a22.T, st.transpose(1, 0, 3, 2), grid.hy,
+                None if a12 is None else a12.T, grid.hx)
     _check_overflow(zy.T, "y-face")  # face index in grid (i, j) order
-    ty = [tuple(x.T for x in t) for t in ty]  # grid (i, j) order: faster CSR conversion
     meta = {"max_abs_z": float(max(np.abs(zx).max(), np.abs(zy).max()))}
-    return DiscreteOperator(grid, _csr(tx + ty, grid.nx * grid.ny), meta)
+    return DiscreteOperator(grid, _csr(st, _FIVE_POINT if a12 is None else _NINE_POINT), meta)
+
+
+def _pinned_cells(grid: Grid1D | Grid2D) -> tuple[int, int]:
+    """Flat indices of the cell the solve pins (the centre cell) and of the one
+    the uniqueness check pins instead (the centre of the low-x half)."""
+    if isinstance(grid, Grid1D):
+        return grid.nx // 2, grid.nx // 4
+    mid = grid.ny // 2
+    return (grid.nx // 2) * grid.ny + mid, (grid.nx // 4) * grid.ny + mid
 
 
 def _bordered_lu(m: sp.csr_matrix, row: int):
-    """LU of m with balance row `row` replaced by the mass constraint (a row of
-    ones), or None when the bordered matrix is exactly singular."""
-    n = m.shape[0]
+    """LU of B = m with balance row `row` replaced by the unit row e_row^T
+    (that cell's weight pinned to 1), or None when B is exactly singular.
+
+    B keeps the sparsity pattern of the stencil, so it is ordered by minimum
+    degree on B^T + B with the diagonal preferred as pivot (SymmetricMode).
+    """
     coo = m.tocoo()
     keep = coo.row != row
     b = sp.csc_matrix(
-        (
-            np.concatenate([coo.data[keep], np.ones(n)]),
-            (np.concatenate([coo.row[keep], np.full(n, row)]),
-             np.concatenate([coo.col[keep], np.arange(n)])),
-        ),
-        shape=(n, n),
+        (np.append(coo.data[keep], 1.0),
+         (np.append(coo.row[keep], row), np.append(coo.col[keep], row))),
+        shape=m.shape,
     )
     try:
-        return spla.splu(b)
+        return spla.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                         options=dict(SymmetricMode=True))
     except RuntimeError:
         return None
 
@@ -202,17 +239,18 @@ def _unit(n: int, row: int) -> np.ndarray:
 
 
 def _alternate_solve(m: sp.csr_matrix, lu, w: np.ndarray, r1: int, r2: int) -> np.ndarray:
-    """Solve of the system bordered at row r2 instead of r1, from the LU of B1.
+    """Solve of the system pinned at cell r2 instead of r1, from the LU of B1.
 
-    B2 = B1 + U V^T with U = [e_r1, e_r2] and V^T rows (m_r1 - 1), (1 - m_r2),
-    so by Sherman-Morrison-Woodbury, with W = B1^{-1} U = [w, z2] and
-    K = I + V^T W:  B2^{-1} e_r2 = z2 - W K^{-1} V^T z2.
+    B1 is m with row r1 replaced by e_r1^T, and w = B1^{-1} e_r1 is its raw
+    (unnormalized) solve. B2 = B1 + U V^T with U = [e_r1, e_r2] and V^T rows
+    (m_r1 - e_r1^T), (e_r2^T - m_r2), so by Sherman-Morrison-Woodbury, with
+    W = B1^{-1} U = [w, z2] and K = I + V^T W:  B2^{-1} e_r2 = z2 - W K^{-1} V^T z2.
     """
     z2 = lu.solve(_unit(m.shape[0], r2))
 
     def vt(x):
-        mx, total = m @ x, x.sum()
-        return np.array([mx[r1] - total, total - mx[r2]])
+        mx = m @ x
+        return np.array([mx[r1] - x[r1], x[r2] - mx[r2]])
 
     k = np.eye(2) + np.column_stack([vt(w), vt(z2)])
     try:
@@ -248,25 +286,30 @@ def solve_stationary(
 ) -> tuple[DiscreteMeasure, SolveReport]:
     """Unit-mass non-negative null vector of the assembled operator.
 
-    Primary method: one sparse LU of the bordered matrix B1 (balance row n//2
-    replaced by the mass constraint). Falls back to shifted inverse power
-    iteration when B1 is exactly singular or its solve leaves a large residual.
-    The uniqueness check solves the system bordered at row n//4 instead, as a
-    rank-2 Woodbury update of the same LU, and raises SingularOperatorError
-    (null space dimension > 1) unless that solve is finite and agrees with the
-    first within UNIQUENESS_TOL in L1; a NaN distance counts as disagreement.
+    Primary method: one sparse LU of B1, the operator with the balance row of
+    the centre cell replaced by the unit row that pins the cell's weight to 1;
+    its solve is normalized to unit mass before the residual test. Falls back
+    to shifted inverse power iteration when B1 is exactly singular or the
+    normalized solve leaves a large residual. The uniqueness check pins a
+    second cell instead, the centre of the low-x half, as a rank-2 Woodbury
+    update of the same LU, and raises SingularOperatorError (null space
+    dimension > 1) unless that solve is finite and agrees with the first
+    within UNIQUENESS_TOL in L1; a NaN distance counts as disagreement. The
+    report's meta adds the pinned cell and the nonzeros SuperLU stores for
+    L and U (None when B1 is exactly singular).
     """
     t0 = time.perf_counter()
     m = op.matrix
     n = m.shape[0]
-    norm_m = op.norm_inf()
-    tol = RESIDUAL_RTOL * norm_m
-    r1 = n // 2
+    tol = RESIDUAL_RTOL * op.norm_inf()
+    r1, r2 = _pinned_cells(op.grid)
 
     method = "bordered-lu"
     iterations = 1
     lu = _bordered_lu(m, r1)
-    w = w_lu = lu.solve(_unit(n, r1)) if lu is not None else np.full(n, np.nan)
+    with np.errstate(all="ignore"):
+        w_lu = lu.solve(_unit(n, r1)) if lu is not None else np.full(n, np.nan)
+        w = w_lu / w_lu.sum()
     residual = float(np.abs(m @ w).max()) if np.all(np.isfinite(w)) else np.inf
 
     if not np.isfinite(residual) or residual > tol:
@@ -275,21 +318,21 @@ def solve_stationary(
         residual = history[-1]
 
     if check_unique:
-        # for an irreducible generator the bordered system is nonsingular for
-        # ANY replaced row (rows sum to zero, Perron vector has positive mass),
+        # for an irreducible generator the pinned system is nonsingular for
+        # ANY pinned cell (rows sum to zero, the Perron vector is positive),
         # so a non-finite alternate solve already implies null dimension > 1
         with np.errstate(all="ignore"):
-            w_alt = (_alternate_solve(m, lu, w_lu, r1, max(0, n // 4)) if lu is not None
+            w_alt = (_alternate_solve(m, lu, w_lu, r1, r2) if lu is not None
                      else np.full(n, np.nan))
             if not np.all(np.isfinite(w_alt)):
                 raise SingularOperatorError(
-                    "bordered system singular for an alternate constraint row; "
+                    "pinned system singular for an alternate cell; "
                     "null space dimension > 1"
                 )
-            diff = float(np.abs(w / w.sum() - w_alt / w_alt.sum()).sum())
+            diff = float(np.abs(w - w_alt / w_alt.sum()).sum())
         if not diff <= UNIQUENESS_TOL:
             raise SingularOperatorError(
-                f"two bordered solves disagree by L1 distance {diff:.3e}; "
+                f"two pinned solves disagree by L1 distance {diff:.3e}; "
                 "null space dimension > 1 suspected"
             )
 
@@ -309,7 +352,7 @@ def solve_stationary(
         method=method,
         iterations=iterations,
         wall_time=time.perf_counter() - t0,
-        meta=dict(op.meta),
+        meta=dict(op.meta, pinned_cell=r1, lu_nnz=None if lu is None else int(lu.nnz)),
     )
     return mu, report
 

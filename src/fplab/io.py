@@ -1,9 +1,11 @@
 """Self-describing JSON documents for grids, fields, measures, and certificates.
 
-Every document carries a ``format`` tag, a ``grid`` header, and flat row-major
-value arrays. Floats are serialized with ``repr`` (via the json module), which
-round-trips bit-identically. The exact field names are part of the public
-interface and documented in the README.
+Every document carries a ``format`` tag, and field documents a ``grid`` header
+and flat row-major value arrays. Floats are serialized with ``repr`` (via the
+json module), which round-trips bit-identically. FORMATS holds every format tag
+the package writes: the field, measure and certificate documents are built
+here, the run summaries by ``cli`` and ``scenarios``. The field names are part
+of the public interface.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ FORMATS = {
     "schedule": "fplab/schedule@1",
     "certificate": "fplab/certificate@1",
     "attractor": "fplab/attractor@1",
+    "scenario_result": "fplab/scenario-result@1",
+    "solve_summary": "fplab/solve-summary@1",
+    "sample_summary": "fplab/sample-summary@1",
+    "verify": "fplab/verify@1",
+    "shaping": "fplab/shaping@1",
 }
 
 

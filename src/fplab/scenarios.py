@@ -42,6 +42,7 @@ from .fields import (
 )
 from .fpe import solve_family
 from .grid import Grid2D
+from .io import FORMATS
 
 __all__ = [
     "Scenario",
@@ -246,7 +247,7 @@ class ScenarioResult:
 
     def to_document(self) -> dict:
         return {
-            "format": "fplab/scenario-result@1",
+            "format": FORMATS["scenario_result"],
             "scenario": self.scenario,
             "config": self.config,
             "eps": list(self.report.eps),

@@ -7,6 +7,7 @@ import pytest
 from fplab import io as fio
 from fplab.cli import RunConfig, main
 from fplab.errors import ConfigError
+from fplab.grid import grid_from_metadata
 
 
 def _hopf_config(out_dir, nx=64, eps=(0.3, 0.15), thresholds=None):
@@ -203,6 +204,20 @@ def test_cli_find_attractor(tmp_path):
     assert doc["format"] == fio.FORMATS["attractor"]
     assert doc["kind"] == "global-attractor"
     assert sum(doc["mask"]) > 0
+
+
+def test_cli_find_attractor_reverse_finds_hopf_repeller(tmp_path):
+    # seeded over the whole interior, the points outside the unit cycle blow
+    # up in reverse time; the repeller recipe's ball keeps them near the origin
+    out = tmp_path / "rep"
+    rc = main(["find-attractor", "--reverse", "--scenario", "hopf", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "attractor.json").read_text())
+    assert doc["kind"] == "local-repeller"
+    grid = grid_from_metadata(doc["grid"])
+    mask = np.array(doc["mask"], dtype=bool).reshape(grid.nx, grid.ny)
+    assert mask[grid.cell_index(np.zeros(2))]
+    assert mask.sum() <= 16
 
 
 def test_cli_verify_lyapunov(tmp_path):

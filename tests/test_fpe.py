@@ -22,7 +22,7 @@ from fplab.fpe import (
     solve_stationary,
 )
 from fplab.grid import Grid1D, Grid2D
-from fplab.scenarios import hopf_drift
+from fplab.scenarios import build_schedule, hopf_drift
 
 
 @given(st.floats(min_value=-600, max_value=600))
@@ -240,6 +240,31 @@ def test_mixed_term_matches_cellwise_reference():
     np.testing.assert_allclose(mixed, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
+def test_five_point_assembly_equals_facewise_sum_bit_for_bit():
+    # with a12 = 0 each entry is summed face by face in a fixed order: x-faces
+    # (entries of the low cells, then of the high cells), then y-faces
+    rng = np.random.default_rng(5)
+    g = Grid2D(-1.0, 1.0, -1.0, 1.5, 9, 12)
+    v, a = _random_spd_problem(rng, g)
+    a = DiffusionField(g, a.a11, 0 * a.a12, a.a22)
+    ref = np.zeros((g.nx * g.ny, g.nx * g.ny))
+    idx = np.arange(g.nx * g.ny).reshape(g.nx, g.ny)
+    for vn, ann, h, ids in ((v.vx, a.a11, g.hx, idx), (v.vy.T, a.a22.T, g.hy, idx.T)):
+        a_f = 0.5 * (ann[:-1] + ann[1:])
+        z = (0.5 * (vn[:-1] + vn[1:]) - (ann[1:] - ann[:-1]) / h) * h / a_f
+        rl, lr = a_f * bernoulli(z) / h**2, a_f * bernoulli(-z) / h**2
+        faces = list(zip(ids[:-1].ravel(), ids[1:].ravel(), rl.ravel(), lr.ravel()))
+        for lo, hi, r_rl, r_lr in faces:
+            ref[lo, hi] += r_rl
+            ref[lo, lo] -= r_lr
+        for lo, hi, r_rl, r_lr in faces:
+            ref[hi, lo] += r_lr
+            ref[hi, hi] -= r_rl
+    m = assemble(v, a, g).matrix
+    assert m.has_canonical_format and m.nnz == np.count_nonzero(ref)
+    assert np.array_equal(m.toarray(), ref)
+
+
 def test_y_face_overflow_reports_grid_index():
     # only the y-face between cells (2, 7) and (2, 8) overflows; its index is
     # reported in grid (i, j) order
@@ -298,9 +323,7 @@ def test_ou_2d_oracle():
     assert np.abs(mu.weights - ref).sum() < 2e-4
 
 
-def test_solve_stationary_factorizes_once(monkeypatch):
-    # one sparse LU per operator, uniqueness check included: the alternate
-    # bordered system is solved from the same factors
+def _count_factorizations(monkeypatch):
     from fplab import fpe
 
     calls = []
@@ -313,6 +336,13 @@ def test_solve_stationary_factorizes_once(monkeypatch):
 
     for name in ("splu", "spsolve", "factorized"):
         monkeypatch.setattr(fpe.spla, name, counted(name, getattr(fpe.spla, name)))
+    return calls
+
+
+def test_solve_stationary_factorizes_once(monkeypatch):
+    # one sparse LU per operator, uniqueness check included: the alternate
+    # pinned system is solved from the same factors
+    calls = _count_factorizations(monkeypatch)
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
     v = sample_vector_field(hopf_drift(1.0), g)
     mu, rep = solve_stationary(assemble(v, isotropic_diffusion(g, 0.2), g), check_unique=True)
@@ -321,9 +351,45 @@ def test_solve_stationary_factorizes_once(monkeypatch):
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pinned_solve_passes_residual_test_without_fallback(monkeypatch):
+    # the pinned solve has w = 1 at the centre cell, where the Hopf measure is
+    # ~1e-6 of its peak at eps 0.02, so its entries sum to ~6e8: the residual
+    # test and the report must see the unit-mass vector (at 256² the raw one
+    # fails the test and every member falls back to inverse power, a second
+    # splu)
+    from fplab.fpe import RESIDUAL_RTOL
+
+    calls = _count_factorizations(monkeypatch)
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 128, 128)
+    v = sample_vector_field(hopf_drift(1.0), g)
+    (_, a), = build_schedule(g, (0.02,), "modulated")
+    op = assemble(v, a, g)
+    mu, rep = solve_stationary(op)
+    assert calls == ["splu"]
+    assert rep.method == "bordered-lu"
+    assert rep.meta["pinned_cell"] == 64 * 128 + 64
+    assert rep.meta["lu_nnz"] > op.matrix.nnz
+    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert rep.residual <= RESIDUAL_RTOL * op.norm_inf()
+    assert rep.residual == pytest.approx(np.abs(op.matrix @ mu.weights.ravel()).max(), rel=1e-6, abs=0)
+
+
+def test_pinned_solve_matches_inverse_power_on_double_well():
+    # the saddle cell pinned at the centre carries ~4e-6 of the peak mass
+    from fplab.fpe import RESIDUAL_RTOL, _inverse_power
+
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 200, 200)
+    v = sample_vector_field(lambda x, y: (x - x**3, -y), g)
+    op = assemble(v, isotropic_diffusion(g, 0.02), g)
+    mu, rep = solve_stationary(op)
+    assert rep.method == "bordered-lu"
+    w_ip, _, _ = _inverse_power(op.matrix, RESIDUAL_RTOL * op.norm_inf())
+    assert np.abs(mu.weights.ravel() - w_ip).sum() <= 1e-8
+
+
 def _isolated_cell_operator():
     # an OU chain of 15 cells plus a 16th cell with no transitions at all:
-    # every bordered matrix has a zero row, so its LU is exactly singular
+    # every pinned matrix has a zero row, so its LU is exactly singular
     g = Grid1D(-1, 1, 15)
     x = g.centers()
     m = sp.block_diag([assemble_1d(-x, np.full(15, 0.1), g).matrix, sp.csr_matrix((1, 1))])

@@ -43,3 +43,18 @@ def test_unused_import_is_detected():
         "    return os.path.join(p)\n"
     )
     assert _unused_imports(tree) == ["sys (line 2)", "a (line 3)"]
+
+
+def test_format_tags_live_in_io_formats():
+    # a document format tag written anywhere but io.FORMATS would let two
+    # modules disagree on a version
+    from fplab.io import FORMATS
+
+    tags = {}
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith("fplab/") and "@" in node.value):
+                tags.setdefault(node.value, []).append(path.name)
+    assert all(files == ["io.py"] for files in tags.values()), tags
+    assert set(tags) == set(FORMATS.values())
