@@ -254,22 +254,25 @@ def _cmd_sample(args) -> int:
                             rng_seed=args.seed)
     except ValueError as exc:
         raise ConfigError("sampler", str(exc)) from exc
+    # member m's diffusion at cell (i, j) is a11[m, i, j], ...: one sampler
+    # call advances every member's paths together
+    a11, a12, a22 = (np.stack([getattr(a, f) for _, a in sched]) for f in ("a11", "a12", "a22"))
+    member = np.arange(len(sched))[:, None]
+
+    def a_fn(x, y):
+        i, j = grid.cell_index(x, y)
+        return a11[member, i, j], a12[member, i, j], a22[member, i, j]
+
+    measures, diag = occupation_measure(scen.drift_fn, a_fn, grid, cfg, n_members=len(sched))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     diags = []
-    for eps_k, a in sched:
-        a11, a12, a22 = a.a11, a.a12, a.a22
-        g = grid
-
-        def a_fn(x, y, a11=a11, a12=a12, a22=a22, g=g):
-            i, j = g.cell_index(np.stack([x, y], axis=-1))
-            return a11[i, j], a12[i, j], a22[i, j]
-
-        mu, diag = occupation_measure(scen.drift_fn, a_fn, grid, cfg)
+    for (eps_k, _), mu, d in zip(sched, measures, diag["members"]):
         fio.save_document(fio.measure_to_document(mu), out / f"occupation_eps{eps_k!r}.json")
-        diags.append({"eps": eps_k, **diag})
+        diags.append({"eps": eps_k, **d})
     fio.save_document(
         {"format": fio.FORMATS["sample_summary"], "scenario": scen.name, "params": scen.params,
+         "shape": args.shape,
          "sampler": {"dt": cfg.dt, "t_total": cfg.t_total, "t_burn": cfg.t_burn,
                      "n_paths": cfg.n_paths, "rng_seed": cfg.rng_seed},
          "diagnostics": diags},
@@ -337,9 +340,14 @@ def _cmd_design_noise(args) -> int:
 def _cmd_find_attractor(args) -> int:
     grid = Grid2D(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
     scen = _scenario_from_args(args, grid)
-    # a repeller is sought from seeds in its isolating region where the
-    # scenario has one: seeds outside it may escape in reverse time
-    recipe = _ISOLATION_RECIPES.get((scen.name, "repeller")) if args.reverse else None
+    # a repeller is sought from seeds in its isolating region: seeds outside
+    # it may escape in reverse time, so without one there is nothing to seek
+    recipe = None
+    if args.reverse:
+        recipe = _ISOLATION_RECIPES.get((scen.name, "repeller"))
+        if recipe is None:
+            raise ConfigError("scenario", f"{scen.name} has no repeller recipe "
+                                          "to seed a time-reversed search from")
     approx = approximate_attractor(
         scen.drift_fn, grid, ensemble_size=args.ensemble, t_end=args.t_end,
         reverse_time=args.reverse,

@@ -185,7 +185,7 @@ def approximate_attractor(
 
     inside = grid.contains(final)
     cells = np.zeros((grid.nx, grid.ny), dtype=bool)
-    i, j = grid.cell_index(final[inside])
+    i, j = grid.cell_index(*final[inside].T)
     cells[i, j] = True
     # dilate by one cell (8-neighborhood)
     dil = cells.copy()

@@ -106,12 +106,13 @@ class Grid2D:
             & (p[..., 1] <= self.y_max)
         )
 
-    def cell_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) indices of containing cells, clipped to the grid."""
-        p = np.asarray(points)
-        i = np.clip(((p[..., 0] - self.x_min) / self.hx).astype(np.int64), 0, self.nx - 1)
-        j = np.clip(((p[..., 1] - self.y_min) / self.hy).astype(np.int64), 0, self.ny - 1)
-        return i, j
+    def cell_index(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) indices of the cells containing the points (x, y), clipped
+        to the grid."""
+        i = ((np.asarray(x) - self.x_min) / self.hx).astype(np.int64)
+        j = ((np.asarray(y) - self.y_min) / self.hy).astype(np.int64)
+        return (np.minimum(np.maximum(i, 0), self.nx - 1),
+                np.minimum(np.maximum(j, 0), self.ny - 1))
 
     def interior_mask(self) -> np.ndarray:
         """True on cells not adjacent to the truncation boundary."""

@@ -2,12 +2,19 @@
 dx = V dt + G dW with reflecting truncation, estimating the stationary
 measure as a pooled long-run occupation histogram.
 
-Per-path noise streams come from counter-based Philox generators keyed by
-(seed, path index), so results are bit-identical regardless of scheduling.
+One stepping loop advances the paths of all k members of a noise family
+together, on position arrays of shape (k, n_paths), so the interpreter's
+cost of a step is paid once for every member. Per-path noise streams come
+from counter-based Philox generators keyed by (seed, path index), and every
+member reuses them: a member's measure is bit-identical whether it is
+sampled alone or with others. Normals are drawn in chunks of
+``_CHUNK_STEPS`` steps from each stream rather than for the whole run, and
+the kept positions of a chunk are binned with one ``np.bincount``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +24,9 @@ from .fields import DiscreteMeasure, normalized_measure
 from .grid import Grid2D
 
 __all__ = ["SamplerConfig", "noise_factor", "occupation_measure"]
+
+# steps of normals drawn per path at a time: 64 paths take 1 MB per chunk
+_CHUNK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -28,16 +38,33 @@ class SamplerConfig:
     t_burn: float | None = None  # default 0.2 * t_total
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
+        if not (math.isfinite(self.t_total) and self.t_total > 0):
+            raise ValueError("t_total must be finite and positive")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         burn = 0.2 * self.t_total if self.t_burn is None else self.t_burn
+        if not (math.isfinite(burn) and burn >= 0):
+            raise ValueError("t_burn must be finite and >= 0")
         if not burn < self.t_total:
             raise ValueError("t_burn must be below t_total")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must lie in [0, 2**64)")
         object.__setattr__(self, "t_burn", burn)
+        if self.n_steps < 1:
+            raise ValueError(f"t_total/dt = {self.t_total / self.dt:.3g} rounds to no step")
+        if self.burn_steps >= self.n_steps:
+            raise ValueError(f"t_burn/dt rounds to {self.burn_steps} of {self.n_steps} steps: "
+                             "no step is kept after burn-in")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_total / self.dt))
+
+    @property
+    def burn_steps(self) -> int:
+        return int(round(self.t_burn / self.dt))
 
 
 def noise_factor(a_cell: np.ndarray) -> np.ndarray:
@@ -87,78 +114,101 @@ def occupation_measure(
     a_fn,
     grid: Grid2D,
     cfg: SamplerConfig,
-) -> tuple[DiscreteMeasure, dict]:
+    n_members: int | None = None,
+) -> tuple[DiscreteMeasure, dict] | tuple[tuple[DiscreteMeasure, ...], dict]:
     """Histogram of post-burn-in Euler-Maruyama positions over grid cells.
 
     ``v_fn(x, y) -> (vx, vy)`` and ``a_fn(x, y) -> (a11, a12, a22)`` are
     evaluated pathwise at current positions. Paths start on a deterministic
     lattice over the middle of the box and reflect at the truncation
     boundary, mirroring the PDE solver's no-flux choice.
-    """
-    n_steps = int(round(cfg.t_total / cfg.dt))
-    burn_steps = int(round(cfg.t_burn / cfg.dt))
-    npaths = cfg.n_paths
 
-    k = int(np.ceil(np.sqrt(npaths)))
-    gx = np.linspace(0.3, 0.7, k)
-    pts = np.stack(np.meshgrid(
+    With ``n_members=None`` the positions have shape (n_paths,) and the
+    result is ``(mu, diagnostics)`` for one diffusion. With ``n_members=k``
+    they have shape (k, n_paths), ``a_fn`` returns member m's diffusion in
+    row m, and the result is ``(measures, diagnostics)``: a tuple of k
+    measures and a dict with the shared ``n_steps`` and ``burn_steps`` and
+    the k per-member diagnostics under ``members``. Member m's measure and
+    diagnostics are bit-identical to a one-member call with its diffusion.
+    An ``UnderresolvedError`` names the first member, in order, that fails.
+    """
+    n_steps, burn_steps = cfg.n_steps, cfg.burn_steps
+    npaths = cfg.n_paths
+    k = 1 if n_members is None else n_members
+    shape = (npaths,) if n_members is None else (k, npaths)
+
+    side = int(np.ceil(np.sqrt(npaths)))
+    gx = np.linspace(0.3, 0.7, side)
+    x0, y0 = np.meshgrid(
         grid.x_min + gx * (grid.x_max - grid.x_min),
         grid.y_min + gx * (grid.y_max - grid.y_min),
         indexing="ij",
-    ), axis=-1).reshape(-1, 2)[:npaths]
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
+    )
+    x = np.broadcast_to(x0.ravel()[:npaths], shape).copy()
+    y = np.broadcast_to(y0.ravel()[:npaths], shape).copy()
 
-    # per-path counter-based streams: parallel-safe determinism
-    normals = np.empty((npaths, n_steps, 2))
-    for p in range(npaths):
-        normals[p] = _path_rng(cfg.rng_seed, p).standard_normal((n_steps, 2))
-
-    sqdt = np.sqrt(cfg.dt)
-    counts = np.zeros(grid.nx * grid.ny)
-    big_jumps = 0
-    slow_drift_steps = 0
-    kept = 0
+    rngs = [_path_rng(cfg.rng_seed, p) for p in range(npaths)]
+    dt = cfg.dt
+    sqdt = np.sqrt(dt)
     cell_diag = min(grid.hx, grid.hy)
+    big_jumps = np.zeros(shape, dtype=np.int64)
+    slow_drift = np.zeros(shape, dtype=np.int64)
+    # flat histogram index of member m's cell (i, j): m * n_cells + i * ny + j
+    member_offset = (np.arange(k) * grid.n_cells)[:, None]
+    counts = np.zeros(k * grid.n_cells, dtype=np.int64)
+    xs = np.empty((_CHUNK_STEPS,) + shape)
+    ys = np.empty((_CHUNK_STEPS,) + shape)
 
-    for step in range(n_steps):
-        vx, vy = v_fn(x, y)
-        a11, a12, a22 = a_fn(x, y)
-        a11 = np.broadcast_to(np.asarray(a11, dtype=float), x.shape)
-        a12 = np.broadcast_to(np.asarray(a12, dtype=float), x.shape)
-        a22 = np.broadcast_to(np.asarray(a22, dtype=float), x.shape)
-        g00, g10, g11 = _chol_2x2_batch(a11, a12, a22)
-        dwx = normals[:, step, 0] * sqdt
-        dwy = normals[:, step, 1] * sqdt
-        dx = vx * cfg.dt + g00 * dwx
-        dy = vy * cfg.dt + g10 * dwx + g11 * dwy
-        jump = np.hypot(dx, dy)
-        big_jumps += int(np.count_nonzero(jump > 2.0 * cell_diag))
-        slow_drift_steps += int(np.count_nonzero(np.hypot(vx, vy) * cfg.dt < cell_diag))
-        x = x + dx
-        y = y + dy
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise NonFiniteFieldError(("path", step), float("nan"))
-        x = _reflect(x, grid.x_min, grid.x_max)
-        y = _reflect(y, grid.y_min, grid.y_max)
-        if step >= burn_steps:
-            i, j = grid.cell_index(np.stack([x, y], axis=-1))
-            np.add.at(counts, i * grid.ny + j, 1.0)
-            kept += npaths
+    for start in range(0, n_steps, _CHUNK_STEPS):
+        n = min(_CHUNK_STEPS, n_steps - start)
+        # (n, 2, n_paths): row s holds step start+s of every path's stream
+        dw = np.stack([rng.standard_normal((n, 2)) for rng in rngs], axis=-1) * sqdt
+        for s in range(n):
+            vx, vy = v_fn(x, y)
+            g00, g10, g11 = _chol_2x2_batch(*a_fn(x, y))
+            dwx, dwy = dw[s]
+            dx = vx * dt + g00 * dwx
+            dy = vy * dt + g10 * dwx + g11 * dwy
+            big_jumps += np.hypot(dx, dy) > 2.0 * cell_diag
+            slow_drift += np.hypot(vx, vy) * dt < cell_diag
+            x = x + dx
+            y = y + dy
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                raise NonFiniteFieldError(("path", start + s), float("nan"))
+            x = _reflect(x, grid.x_min, grid.x_max)
+            y = _reflect(y, grid.y_min, grid.y_max)
+            xs[s] = x
+            ys[s] = y
+        first = max(burn_steps - start, 0)
+        if first < n:
+            i, j = grid.cell_index(xs[first:n], ys[first:n])
+            counts += np.bincount((member_offset + i * grid.ny + j).ravel(),
+                                  minlength=counts.size)
 
     total_steps = n_steps * npaths
-    frac_big = big_jumps / total_steps
-    if frac_big > 0.05:
-        raise UnderresolvedError(
-            f"{frac_big:.1%} of steps jump more than 2 cells; reduce dt or coarsen the grid"
-        )
-    mu, _ = normalized_measure(grid, counts.reshape(grid.nx, grid.ny))
-    diagnostics = {
-        "n_samples": kept,
-        "frac_jump_gt_2cells": frac_big,
-        "frac_drift_below_cell": slow_drift_steps / total_steps,
-        "n_steps": n_steps,
-        "burn_steps": burn_steps,
-    }
-    return mu, diagnostics
-
+    kept = (n_steps - burn_steps) * npaths
+    jumps = [int(c) for c in big_jumps.reshape(k, npaths).sum(axis=1)]
+    slow = [int(c) for c in slow_drift.reshape(k, npaths).sum(axis=1)]
+    for c in jumps:
+        if c / total_steps > 0.05:
+            raise UnderresolvedError(
+                f"{c / total_steps:.1%} of steps jump more than 2 cells; "
+                "reduce dt or coarsen the grid"
+            )
+    measures = tuple(
+        normalized_measure(grid, c.reshape(grid.nx, grid.ny).astype(float))[0]
+        for c in counts.reshape(k, grid.n_cells)
+    )
+    diagnostics = tuple(
+        {
+            "n_samples": kept,
+            "frac_jump_gt_2cells": jumps[m] / total_steps,
+            "frac_drift_below_cell": slow[m] / total_steps,
+            "n_steps": n_steps,
+            "burn_steps": burn_steps,
+        }
+        for m in range(k)
+    )
+    if n_members is None:
+        return measures[0], diagnostics[0]
+    return measures, {"n_steps": n_steps, "burn_steps": burn_steps, "members": diagnostics}

@@ -84,9 +84,8 @@ def ou_drift(x, y):
 def haar_on_circle(grid: Grid2D, radius: float, n_angles: int = 8192) -> DiscreteMeasure:
     """Uniform (Haar) measure on the circle of given radius, binned to cells."""
     th = (np.arange(n_angles) + 0.5) * (2 * np.pi / n_angles)
-    pts = np.stack([radius * np.cos(th), radius * np.sin(th)], axis=-1)
     w = np.zeros((grid.nx, grid.ny))
-    i, j = grid.cell_index(pts)
+    i, j = grid.cell_index(radius * np.cos(th), radius * np.sin(th))
     np.add.at(w, (i, j), 1.0)
     mu, _ = normalized_measure(grid, w)
     return mu
@@ -94,7 +93,7 @@ def haar_on_circle(grid: Grid2D, radius: float, n_angles: int = 8192) -> Discret
 
 def delta_at(grid: Grid2D, point) -> DiscreteMeasure:
     w = np.zeros((grid.nx, grid.ny))
-    i, j = grid.cell_index(np.asarray(point, dtype=float))
+    i, j = grid.cell_index(*point)
     w[int(i), int(j)] = 1.0
     return DiscreteMeasure(grid, w)
 

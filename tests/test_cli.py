@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fplab import cli
 from fplab import io as fio
 from fplab.cli import RunConfig, main
 from fplab.errors import ConfigError
-from fplab.grid import grid_from_metadata
+from fplab.grid import Grid2D, grid_from_metadata
+from fplab.sampler import SamplerConfig, occupation_measure
+from fplab.scenarios import build_schedule, make_scenario
 
 
 def _hopf_config(out_dir, nx=64, eps=(0.3, 0.15), thresholds=None):
@@ -66,7 +69,10 @@ def test_cli_exit_2_when_grid_cannot_hold_dictionary(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--dt", "0"), ("--n-paths", "0")])
+# --t-total 0.001 and --dt inf round to no step; --dt nan has no step count
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--dt", "0"), ("--n-paths", "0"),
+                                        ("--t-total", "0.001"), ("--dt", "inf"),
+                                        ("--dt", "nan")])
 def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     rc = main(["sample", "--scenario", "ou2d", "--eps", "0.1", "--grid-n", "16",
@@ -154,6 +160,39 @@ def test_cli_sample_runs(tmp_path):
     assert (out / "occupation_eps0.2.json").exists()
 
 
+def test_cli_sample_is_one_sampler_call_matching_one_member_calls(tmp_path, monkeypatch):
+    # the benchmark stamps its set-up time at the first call into
+    # occupation_measure and reads n_steps from the second element it returns
+    results = []
+
+    def counting(*args, **kwargs):
+        results.append(occupation_measure(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "occupation_measure", counting)
+    out = tmp_path / "mc"
+    rc = main(["sample", "--scenario", "hopf", "--eps", "0.2,0.1,0.05", "--shape", "modulated",
+               "--grid-n", "24", "--dt", "0.01", "--t-total", "10", "--n-paths", "6",
+               "--seed", "4", "--out", str(out)])
+    assert rc == 0
+    assert len(results) == 1
+    assert results[0][1]["n_steps"] == 1000
+    grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 24, 24)
+    sched = build_schedule(grid, (0.2, 0.1, 0.05), "modulated")
+    cfg = SamplerConfig(dt=0.01, t_total=10.0, n_paths=6, rng_seed=4)
+    summary = json.loads((out / "sample_summary.json").read_text())
+    assert summary["shape"] == "modulated"
+    for (eps, a), diag in zip(sched, summary["diagnostics"]):
+        def a_fn(x, y, a=a):
+            i, j = grid.cell_index(x, y)
+            return a.a11[i, j], a.a12[i, j], a.a22[i, j]
+
+        mu, one = occupation_measure(make_scenario("hopf", grid, b=1.0).drift_fn, a_fn, grid, cfg)
+        doc = fio.load_document(out / f"occupation_eps{eps!r}.json")
+        assert np.array_equal(fio.measure_from_document(doc).weights, mu.weights)
+        assert diag == {"eps": eps, **one}
+
+
 def test_cli_design_noise(tmp_path):
     out = tmp_path / "design"
     rc = main(["design-noise", "--target", "attractor", "--scenario", "double-well",
@@ -216,8 +255,20 @@ def test_cli_find_attractor_reverse_finds_hopf_repeller(tmp_path):
     assert doc["kind"] == "local-repeller"
     grid = grid_from_metadata(doc["grid"])
     mask = np.array(doc["mask"], dtype=bool).reshape(grid.nx, grid.ny)
-    assert mask[grid.cell_index(np.zeros(2))]
+    assert mask[grid.cell_index(0.0, 0.0)]
     assert mask.sum() <= 16
+
+
+@pytest.mark.parametrize("scenario", ["double-well", "ou2d"])
+def test_cli_find_attractor_reverse_without_repeller_recipe(tmp_path, capsys, scenario):
+    out = tmp_path / "rep"
+    rc = main(["find-attractor", "--reverse", "--scenario", scenario, "--grid-n", "48",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no repeller recipe" in err
+    assert "non-finite" not in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_verify_lyapunov(tmp_path):

@@ -40,7 +40,7 @@ def test_grid_rejects_tiny():
 def test_cell_index_roundtrip():
     g = Grid2D(-2, 2, -2, 2, 16, 16)
     xx, yy = g.centers()
-    i, j = g.cell_index(np.stack([xx.ravel(), yy.ravel()], axis=-1))
+    i, j = g.cell_index(xx.ravel(), yy.ravel())
     np.testing.assert_array_equal(i, np.repeat(np.arange(16), 16))
     np.testing.assert_array_equal(j, np.tile(np.arange(16), 16))
 

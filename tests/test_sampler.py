@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from fplab.analysis import bl_distance
-from fplab.errors import NotSPDError, UnderresolvedError
-from fplab.fields import isotropic_diffusion, rebin_measure, sample_vector_field
+from fplab.errors import NonFiniteFieldError, NotSPDError, UnderresolvedError
+from fplab.fields import isotropic_diffusion, normalized_measure, sample_vector_field
 from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
-from fplab.sampler import SamplerConfig, _path_rng, noise_factor, occupation_measure
-from fplab.scenarios import hopf_drift
+from fplab.sampler import (
+    _CHUNK_STEPS,
+    SamplerConfig,
+    _chol_2x2_batch,
+    _path_rng,
+    _reflect,
+    noise_factor,
+    occupation_measure,
+)
+from fplab.scenarios import double_well_drift, hopf_drift
 
 
 def test_noise_factor_isotropic():
@@ -40,6 +48,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match="rng_seed"):
             SamplerConfig(dt=0.1, t_total=10.0, rng_seed=seed)
     assert SamplerConfig(dt=0.1, t_total=10.0, rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+    for bad in ({"dt": float("nan")}, {"dt": float("inf")}, {"t_total": float("inf")},
+                {"t_total": 0.001}, {"t_burn": float("nan")}, {"t_burn": -1.0},
+                # 0.999 rounds up to all 10 steps: none would be kept
+                {"t_total": 1.0, "t_burn": 0.999}):
+        with pytest.raises(ValueError):
+            SamplerConfig(**{"dt": 0.1, "t_total": 10.0, **bad})
+    cfg = SamplerConfig(dt=0.1, t_total=1.0, t_burn=0.94)
+    assert (cfg.n_steps, cfg.burn_steps) == (10, 9)
 
 
 def test_path_streams_do_not_collide():
@@ -56,6 +72,137 @@ OU = lambda x, y: (-x, -y)
 
 def _const_a(a):
     return lambda x, y: (a + 0 * x, 0 * x, a + 0 * x)
+
+
+def _reference_occupation(v_fn, a_fn, grid, cfg):
+    """The straightforward per-step loop for one member: every normal drawn
+    up front, one np.add.at per kept step."""
+    n_steps = int(round(cfg.t_total / cfg.dt))
+    burn_steps = int(round(cfg.t_burn / cfg.dt))
+    npaths = cfg.n_paths
+
+    k = int(np.ceil(np.sqrt(npaths)))
+    gx = np.linspace(0.3, 0.7, k)
+    pts = np.stack(np.meshgrid(
+        grid.x_min + gx * (grid.x_max - grid.x_min),
+        grid.y_min + gx * (grid.y_max - grid.y_min),
+        indexing="ij",
+    ), axis=-1).reshape(-1, 2)[:npaths]
+    x = pts[:, 0].copy()
+    y = pts[:, 1].copy()
+
+    normals = np.empty((npaths, n_steps, 2))
+    for p in range(npaths):
+        normals[p] = _path_rng(cfg.rng_seed, p).standard_normal((n_steps, 2))
+
+    sqdt = np.sqrt(cfg.dt)
+    counts = np.zeros(grid.nx * grid.ny)
+    big_jumps = 0
+    slow_drift_steps = 0
+    kept = 0
+    cell_diag = min(grid.hx, grid.hy)
+
+    for step in range(n_steps):
+        vx, vy = v_fn(x, y)
+        a11, a12, a22 = a_fn(x, y)
+        a11 = np.broadcast_to(np.asarray(a11, dtype=float), x.shape)
+        a12 = np.broadcast_to(np.asarray(a12, dtype=float), x.shape)
+        a22 = np.broadcast_to(np.asarray(a22, dtype=float), x.shape)
+        g00, g10, g11 = _chol_2x2_batch(a11, a12, a22)
+        dwx = normals[:, step, 0] * sqdt
+        dwy = normals[:, step, 1] * sqdt
+        dx = vx * cfg.dt + g00 * dwx
+        dy = vy * cfg.dt + g10 * dwx + g11 * dwy
+        jump = np.hypot(dx, dy)
+        big_jumps += int(np.count_nonzero(jump > 2.0 * cell_diag))
+        slow_drift_steps += int(np.count_nonzero(np.hypot(vx, vy) * cfg.dt < cell_diag))
+        x = x + dx
+        y = y + dy
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise NonFiniteFieldError(("path", step), float("nan"))
+        x = _reflect(x, grid.x_min, grid.x_max)
+        y = _reflect(y, grid.y_min, grid.y_max)
+        if step >= burn_steps:
+            i = np.clip(((x - grid.x_min) / grid.hx).astype(np.int64), 0, grid.nx - 1)
+            j = np.clip(((y - grid.y_min) / grid.hy).astype(np.int64), 0, grid.ny - 1)
+            np.add.at(counts, i * grid.ny + j, 1.0)
+            kept += npaths
+
+    total_steps = n_steps * npaths
+    frac_big = big_jumps / total_steps
+    if frac_big > 0.05:
+        raise UnderresolvedError(
+            f"{frac_big:.1%} of steps jump more than 2 cells; reduce dt or coarsen the grid"
+        )
+    mu, _ = normalized_measure(grid, counts.reshape(grid.nx, grid.ny))
+    diagnostics = {
+        "n_samples": kept,
+        "frac_jump_gt_2cells": frac_big,
+        "frac_drift_below_cell": slow_drift_steps / total_steps,
+        "n_steps": n_steps,
+        "burn_steps": burn_steps,
+    }
+    return mu, diagnostics
+
+
+def _tables(grid, eps_list):
+    """Stacked (k, nx, ny) diffusion tables varying in space, with a12 != 0."""
+    xx, yy = grid.centers()
+    e = np.asarray(eps_list, dtype=float)[:, None, None]
+    return (e * (1.0 + 0.3 * np.cos(2 * xx)),
+            e * 0.2 * np.sin(xx * yy),
+            e * (1.0 + 0.3 * np.sin(3 * yy)))
+
+
+def _lookup(grid, tables, member):
+    """a_fn reading member's cell values from the stacked tables; member is
+    an index, or a (k, 1) column for positions of shape (k, n_paths)."""
+    def a_fn(x, y):
+        i, j = grid.cell_index(x, y)
+        return tuple(t[member, i, j] for t in tables)
+    return a_fn
+
+
+@pytest.mark.parametrize("n_members,t_total,t_burn", [
+    (None, 20.0, None),  # one member, the tests' and criterion 11's call
+    (3, 20.0, None),
+    # 2530 steps end 482 into the third chunk; burn-in ends inside the second
+    (2, 25.3, 15.0),
+])
+def test_kernel_matches_reference_loop(n_members, t_total, t_burn):
+    g = Grid2D(-2.0, 2.0, -2.0, 2.0, 24, 24)
+    cfg = SamplerConfig(dt=0.01, t_total=t_total, n_paths=8, rng_seed=9, t_burn=t_burn)
+    assert cfg.n_steps % _CHUNK_STEPS != 0
+    if t_burn is not None:
+        assert _CHUNK_STEPS < cfg.burn_steps < 2 * _CHUNK_STEPS
+    eps = (0.2, 0.1, 0.05)[:n_members or 1]
+    tables = _tables(g, eps)
+    if n_members is None:
+        got = [occupation_measure(double_well_drift, _lookup(g, tables, 0), g, cfg)]
+    else:
+        member = np.arange(n_members)[:, None]
+        measures, diag = occupation_measure(double_well_drift, _lookup(g, tables, member),
+                                            g, cfg, n_members=n_members)
+        assert (diag["n_steps"], diag["burn_steps"]) == (cfg.n_steps, cfg.burn_steps)
+        got = list(zip(measures, diag["members"]))
+    assert len(got) == len(eps)
+    for m, (mu, diag) in enumerate(got):
+        mu_ref, diag_ref = _reference_occupation(double_well_drift, _lookup(g, tables, m), g, cfg)
+        assert np.array_equal(mu.weights, mu_ref.weights)
+        assert diag == diag_ref
+
+
+def test_underresolved_names_first_offending_member():
+    # members 1 and 2 jump too far on 64^2 cells; the error is member 1's
+    g = Grid2D(-1, 1, -1, 1, 64, 64)
+    cfg = SamplerConfig(dt=0.05, t_total=5.0, n_paths=8, rng_seed=1)
+    tables = _tables(g, (0.002, 0.3, 0.6))
+    with pytest.raises(UnderresolvedError) as one:
+        occupation_measure(OU, _lookup(g, tables, 1), g, cfg)
+    with pytest.raises(UnderresolvedError) as batched:
+        occupation_measure(OU, _lookup(g, tables, np.arange(3)[:, None]), g, cfg, n_members=3)
+    assert str(batched.value) == str(one.value)
+    occupation_measure(OU, _lookup(g, tables, 0), g, cfg)  # member 0 alone passes
 
 
 def test_determinism_same_seed():
