@@ -6,7 +6,9 @@ select the file and override scalar fields); outputs go to a run directory
 holding the config echo, per-eps measure documents, metrics.csv, and a
 summary document with per-assertion pass/fail. Exit codes: 0 all assertions
 pass, 1 an assertion failed or another package error stopped the command
-(e.g. an infeasible noise design), 2 configuration error.
+(e.g. an infeasible noise design), 2 configuration error: a missing or
+invalid config field, a bad grid or eps value (flag or config), or an
+unreadable config or run directory.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import io as fio
 from .analysis import angular_w1_to_uniform, invariance_residual
@@ -32,18 +32,45 @@ from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
     _DEFAULT_DICTIONARY,
     _ISOLATION_RECIPES,
+    SCENARIOS,
     ScenarioResult,
     _design,
     build_schedule,
     dictionary_for,
     make_scenario,
-    run_designed_comparison,
-    run_gibbs,
-    run_hopf_sweep,
-    double_well_potential,
+    run_recipe,
 )
 
 DEFAULT_WORKERS_ENV = "FPLAB_WORKERS"
+_GRID_KEYS = ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
+
+
+def _grid(x_min, x_max, y_min, y_max, nx, ny) -> Grid2D:
+    """Grid2D of flag or config values; values it rejects are a config error."""
+    try:
+        return Grid2D(float(x_min), float(x_max), float(y_min), float(y_max), int(nx), int(ny))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("grid", str(exc)) from exc
+
+
+def _flag_scenario(args):
+    """The grid and the scenario named by the domain and scenario flags."""
+    grid = _grid(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
+    return grid, make_scenario(args.scenario, grid, b=args.b)
+
+
+def _eps_labels(values) -> tuple:
+    """Noise labels of a flag or config: a non-empty, strictly decreasing list
+    of positive finite numbers, else a config error."""
+    try:
+        eps = tuple(float(e) for e in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("schedule.eps", f"must be a list of numbers: {exc}") from exc
+    if not eps or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ConfigError("schedule.eps", "labels must be a non-empty, strictly decreasing list")
+    if not all(0.0 < e < float("inf") for e in eps):
+        raise ConfigError("schedule.eps", "labels must be positive and finite")
+    return eps
 
 
 @dataclass
@@ -53,7 +80,6 @@ class RunConfig:
     schedule: dict
     output_dir: str
     seed: int = 0
-    sampler: dict | None = None
     analysis: dict = field(default_factory=dict)
 
     @classmethod
@@ -63,49 +89,33 @@ class RunConfig:
                 raise ConfigError(key, "missing required field")
         if "name" not in raw["scenario"]:
             raise ConfigError("scenario.name", "missing scenario name")
-        eps = raw["schedule"].get("eps")
-        if not eps or len(eps) < 1:
-            raise ConfigError("schedule.eps", "must be a non-empty list")
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise ConfigError("schedule.eps", "labels must be strictly decreasing")
-        if any(e <= 0 for e in eps):
-            raise ConfigError("schedule.eps", "labels must be positive")
+        _eps_labels(raw["schedule"].get("eps"))
         thr = raw.get("analysis", {}).get("thresholds", {})
         for k, v in thr.items():
             if not (0.0 < float(v) < 1.0):
                 raise ConfigError(f"analysis.thresholds.{k}", "must lie in (0, 1)")
-        for k in ("x_min", "x_max", "y_min", "y_max", "nx", "ny"):
+        for k in _GRID_KEYS:
             if k not in raw["grid"]:
                 raise ConfigError(f"grid.{k}", "missing grid field")
-        return cls(
-            scenario=raw["scenario"],
-            grid=raw["grid"],
-            schedule=raw["schedule"],
-            output_dir=raw["output_dir"],
-            seed=int(raw.get("seed", 0)),
-            sampler=raw.get("sampler"),
-            analysis=raw.get("analysis", {}),
-        )
+        cfg = cls(raw["scenario"], raw["grid"], raw["schedule"], raw["output_dir"],
+                  int(raw.get("seed", 0)), raw.get("analysis", {}))
+        cfg.build_grid()  # fails here, before any work, on values Grid2D rejects
+        return cfg
 
     def to_dict(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "grid": self.grid,
-            "schedule": self.schedule,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "analysis": self.analysis,
-        }
-        if self.sampler is not None:
-            out["sampler"] = self.sampler
-        return out
+        return asdict(self)
 
     def build_grid(self) -> Grid2D:
-        g = self.grid
-        return Grid2D(
-            float(g["x_min"]), float(g["x_max"]), float(g["y_min"]), float(g["y_max"]),
-            int(g["nx"]), int(g["ny"]),
-        )
+        return _grid(*(self.grid[k] for k in _GRID_KEYS))
+
+
+def _load_config(path: Path) -> RunConfig:
+    """The run config at ``path``; an unreadable file is a config error."""
+    try:
+        raw = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError("config", f"cannot read config: {exc}") from exc
+    return RunConfig.from_dict(raw)
 
 
 def _workers() -> int:
@@ -115,63 +125,31 @@ def _workers() -> int:
         return 1
 
 
-def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult, measures):
+def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
     out_dir.mkdir(parents=True, exist_ok=True)
     fio.save_document(cfg.to_dict(), out_dir / "config.json")
-    for eps, mu in measures:
+    for eps, mu in result.measures:
         fio.save_document(fio.measure_to_document(mu), out_dir / f"measure_eps{eps!r}.json")
     (out_dir / "metrics.csv").write_text(result.report.to_csv())
     fio.save_document(result.to_document(), out_dir / "summary.json")
 
 
-def _run_scenario(cfg: RunConfig) -> tuple[ScenarioResult, list]:
-    grid = cfg.build_grid()
-    name = cfg.scenario["name"]
-    shape = cfg.schedule.get("shape", "modulated")
-    eps_list = tuple(float(e) for e in cfg.schedule["eps"])
-    if name == "hopf":
-        sched = build_schedule(grid, eps_list, shape,
-                               cfg.schedule.get("invariance_mode", "reflecting"))
-        dic = dictionary_for(cfg.analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
-        result = run_hopf_sweep(
-            float(cfg.scenario.get("b", 1.0)), sched, grid, dic,
-            thresholds=cfg.analysis.get("thresholds"),
-            rho_mesh=int(cfg.analysis.get("rho_mesh", 64)),
-        )
-        return result, result.measures
-    if name == "double-well":
-        sched = build_schedule(grid, eps_list, cfg.schedule.get("shape", "iso"),
-                               cfg.schedule.get("invariance_mode", "reflecting"))
-        result = run_gibbs(double_well_potential, sched, grid)
-        return result, result.measures
-    if name == "double-well-designed":
-        scen = make_scenario("double-well", grid)
-        result = run_designed_comparison(
-            scen, "attractor", float(cfg.scenario.get("ratio", 10.0)), eps_list, grid
-        )
-        return result, []
-    raise ConfigError("scenario.name", f"no run recipe for scenario {name!r}")
+def _run_scenario(cfg: RunConfig) -> ScenarioResult:
+    return run_recipe(cfg.scenario, cfg.build_grid(), _eps_labels(cfg.schedule["eps"]),
+                      cfg.schedule, cfg.analysis)
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
 def _cmd_run(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text())
-        cfg = RunConfig.from_dict(raw)
-        if args.out:
-            cfg.output_dir = args.out
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_config(Path(args.config))
+    if args.out:
+        cfg.output_dir = args.out
     t0 = time.perf_counter()
-    result, measures = _run_scenario(cfg)
+    result = _run_scenario(cfg)
     out_dir = Path(cfg.output_dir)
-    _write_run_dir(out_dir, cfg, result, measures)
+    _write_run_dir(out_dir, cfg, result)
     wall = time.perf_counter() - t0
     print(f"run directory: {out_dir}  ({wall:.1f}s)")
     for name, passed, value, threshold in result.assertions:
@@ -182,14 +160,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_hopf(args) -> int:
-    eps = [float(e) for e in args.eps.split(",")]
+    eps = list(_eps_labels(args.eps.split(",")))
     b_values = [float(b) for b in str(args.b).split(",")]
+    box = SCENARIOS["hopf"].box
     rc = 0
     jobs = []
     for b in b_values:
         raw = {
             "scenario": {"name": "hopf", "b": b},
-            "grid": {"x_min": -2.5, "x_max": 2.5, "y_min": -2.5, "y_max": 2.5,
+            "grid": {"x_min": -box, "x_max": box, "y_min": -box, "y_max": box,
                      "nx": args.grid_n, "ny": args.grid_n},
             "schedule": {"eps": eps, "shape": args.shape},
             "analysis": {"dictionary": _DEFAULT_DICTIONARY},
@@ -198,9 +177,9 @@ def _cmd_hopf(args) -> int:
         }
         jobs.append(RunConfig.from_dict(raw))
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        results = list(pool.map(lambda c: (_run_scenario(c), c), jobs))
-    for (result, measures), cfg in results:
-        _write_run_dir(Path(cfg.output_dir), cfg, result, measures)
+        results = list(pool.map(_run_scenario, jobs))
+    for result, cfg in zip(results, jobs):
+        _write_run_dir(Path(cfg.output_dir), cfg, result)
         print(f"b={cfg.scenario['b']}: "
               + ", ".join(f"{n}={'PASS' if p else 'FAIL'}" for n, p, _, _ in result.assertions))
         if not result.all_passed:
@@ -208,17 +187,9 @@ def _cmd_hopf(args) -> int:
     return rc
 
 
-def _scenario_from_args(args, grid):
-    params = {}
-    if args.scenario == "hopf":
-        params["b"] = args.b
-    return make_scenario(args.scenario, grid, **params)
-
-
 def _cmd_solve(args) -> int:
-    grid = Grid2D(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
-    scen = _scenario_from_args(args, grid)
-    eps = tuple(float(e) for e in args.eps.split(","))
+    grid, scen = _flag_scenario(args)
+    eps = _eps_labels(args.eps.split(","))
     sched = build_schedule(grid, eps, args.shape)
     v = scen.vector_field(grid)
     out = Path(args.out)
@@ -245,25 +216,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    grid = Grid2D(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
-    scen = _scenario_from_args(args, grid)
-    eps = tuple(float(e) for e in args.eps.split(","))
+    grid, scen = _flag_scenario(args)
+    eps = _eps_labels(args.eps.split(","))
     sched = build_schedule(grid, eps, args.shape)
     try:
         cfg = SamplerConfig(dt=args.dt, t_total=args.t_total, n_paths=args.n_paths,
                             rng_seed=args.seed)
     except ValueError as exc:
         raise ConfigError("sampler", str(exc)) from exc
-    # member m's diffusion at cell (i, j) is a11[m, i, j], ...: one sampler
-    # call advances every member's paths together
-    a11, a12, a22 = (np.stack([getattr(a, f) for _, a in sched]) for f in ("a11", "a12", "a22"))
-    member = np.arange(len(sched))[:, None]
-
-    def a_fn(x, y):
-        i, j = grid.cell_index(x, y)
-        return a11[member, i, j], a12[member, i, j], a22[member, i, j]
-
-    measures, diag = occupation_measure(scen.drift_fn, a_fn, grid, cfg, n_members=len(sched))
+    measures, diag = occupation_measure(scen.drift_fn, sched.members, grid, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     diags = []
@@ -284,15 +245,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
-    cfg_doc = json.loads((run_dir / "config.json").read_text())
-    cfg = RunConfig.from_dict(cfg_doc)
+    cfg = _load_config(run_dir / "config.json")
     grid = cfg.build_grid()
-    scen_name = cfg.scenario["name"]
-    if scen_name == "hopf":
-        scen = make_scenario("hopf", grid, b=float(cfg.scenario.get("b", 1.0)))
-    else:
-        scen = make_scenario(scen_name, grid)
-    v = scen.vector_field(grid)
+    v = make_scenario(cfg.scenario["name"], grid, **cfg.scenario).vector_field(grid)
     dic = dictionary_for(cfg.analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
     rows = []
     for eps in cfg.schedule["eps"]:
@@ -315,14 +270,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_design_noise(args) -> int:
-    grid = Grid2D(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
-    eps = tuple(float(e) for e in args.eps.split(","))
+    grid, scen = _flag_scenario(args)
+    eps = _eps_labels(args.eps.split(","))
     if args.target == "equilibrium":
         print("equilibrium destabilization holds for any normal family; "
               "use `run`/`solve` with an isotropic schedule and the "
               "verify-repelling harness in the test suite", file=sys.stderr)
         return 2
-    scen = _scenario_from_args(args, grid)
     fam = _design(scen, args.target, scen.vector_field(grid), args.ratio, eps)[2]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,8 +292,7 @@ def _cmd_design_noise(args) -> int:
 
 
 def _cmd_find_attractor(args) -> int:
-    grid = Grid2D(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
-    scen = _scenario_from_args(args, grid)
+    grid, scen = _flag_scenario(args)
     # a repeller is sought from seeds in its isolating region: seeds outside
     # it may escape in reverse time, so without one there is nothing to seek
     recipe = None
@@ -362,11 +315,9 @@ def _cmd_find_attractor(args) -> int:
 
 
 def _cmd_verify_lyapunov(args) -> int:
-    grid = Grid2D(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
-    scen = _scenario_from_args(args, grid)
-    xx, yy = grid.centers()
-    u = xx**2 + yy**2
-    cert = verify_lyapunov(u, scen.vector_field(grid), args.rho_m, args.gamma, kind=args.kind)
+    grid, scen = _flag_scenario(args)
+    cert = verify_lyapunov(scen.certificate_samples(grid), scen.vector_field(grid),
+                           args.rho_m, args.gamma, kind=args.kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fio.save_document(fio.certificate_to_document(cert), out / "certificate.json")
@@ -383,7 +334,8 @@ def _add_domain_args(p, default_n=200, box=2.5):
     p.add_argument("--grid-n", type=int, default=default_n)
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    scenarios = list(SCENARIOS)
     parser = argparse.ArgumentParser(
         prog="fplab",
         description="Stationary Fokker-Planck laboratory for vanishing-noise limit measures",
@@ -405,7 +357,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_hopf)
 
     p = sub.add_parser("solve", help="solve a schedule and write measures")
-    p.add_argument("--scenario", default="hopf", choices=["hopf", "ou2d", "double-well"])
+    p.add_argument("--scenario", default="hopf", choices=scenarios)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--eps", default="0.2,0.1,0.05,0.02")
     p.add_argument("--shape", default="iso", choices=["iso", "aniso", "modulated"])
@@ -414,7 +366,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("sample", help="Monte-Carlo occupation measures")
-    p.add_argument("--scenario", default="hopf", choices=["hopf", "ou2d", "double-well"])
+    p.add_argument("--scenario", default="hopf", choices=scenarios)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--eps", default="0.1,0.05")
     p.add_argument("--shape", default="iso", choices=["iso", "aniso", "modulated"])
@@ -432,7 +384,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("design-noise", help="construct a shaped null family")
     p.add_argument("--target", required=True, choices=["attractor", "repeller", "equilibrium"])
-    p.add_argument("--scenario", default="double-well", choices=["double-well", "hopf"])
+    p.add_argument("--scenario", default="double-well",
+                   choices=sorted({s for s, _ in _ISOLATION_RECIPES}))
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--ratio", type=float, default=10.0)
     p.add_argument("--eps", default="0.1,0.05,0.02")
@@ -441,7 +394,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_design_noise)
 
     p = sub.add_parser("find-attractor", help="ensemble attractor approximation")
-    p.add_argument("--scenario", default="hopf", choices=["hopf", "ou2d", "double-well"])
+    p.add_argument("--scenario", default="hopf", choices=scenarios)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--ensemble", type=int, default=256)
     p.add_argument("--t-end", type=float, default=40.0)
@@ -451,7 +404,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_find_attractor)
 
     p = sub.add_parser("verify-lyapunov", help="check U = x^2+y^2 against a scenario drift")
-    p.add_argument("--scenario", default="hopf", choices=["hopf", "ou2d", "double-well"])
+    p.add_argument("--scenario", default="hopf", choices=scenarios)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--rho-m", type=float, default=1.5)
     p.add_argument("--gamma", type=float, default=1.0)
@@ -460,8 +413,11 @@ def main(argv=None) -> int:
     _add_domain_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_verify_lyapunov)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

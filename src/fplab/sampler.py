@@ -4,7 +4,8 @@ measure as a pooled long-run occupation histogram.
 
 One stepping loop advances the paths of all k members of a noise family
 together, on position arrays of shape (k, n_paths), so the interpreter's
-cost of a step is paid once for every member. Per-path noise streams come
+cost of a step is paid once for every member; each member's noise factor is
+computed once per cell. Per-path noise streams come
 from counter-based Philox generators keyed by (seed, path index), and every
 member reuses them: a member's measure is bit-identical whether it is
 sampled alone or with others. Normals are drawn in chunks of
@@ -15,12 +16,13 @@ the kept positions of a chunk are binned with one ``np.bincount``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteFieldError, NotSPDError, UnderresolvedError
-from .fields import DiscreteMeasure, normalized_measure
+from .errors import GridMismatchError, NonFiniteFieldError, NotSPDError, UnderresolvedError
+from .fields import DiffusionField, DiscreteMeasure, normalized_measure
 from .grid import Grid2D
 
 __all__ = ["SamplerConfig", "noise_factor", "occupation_measure"]
@@ -72,19 +74,12 @@ def noise_factor(a_cell: np.ndarray) -> np.ndarray:
     a = np.asarray(a_cell, dtype=float)
     if a.shape != (2, 2) or abs(a[0, 1] - a[1, 0]) > 0:
         raise ValueError("A must be symmetric 2x2")
-    m = 2.0 * a
-    if m[0, 0] <= 0:
-        raise NotSPDError("noise_factor", float(a[0, 0]))
-    g00 = np.sqrt(m[0, 0])
-    g10 = m[1, 0] / g00
-    rem = m[1, 1] - g10**2
-    if rem <= 0:
-        raise NotSPDError("noise_factor", float(rem) / 2.0)
-    return np.array([[g00, 0.0], [g10, np.sqrt(rem)]])
+    g00, g10, g11 = _chol_2x2_batch(a[0, 0], a[1, 0], a[1, 1])
+    return np.array([[g00, 0.0], [g10, g11]])
 
 
 def _chol_2x2_batch(a11, a12, a22):
-    """Vectorized Cholesky of 2A for per-point diffusion samples."""
+    """Elementwise Cholesky factor (g00, g10, g11) of 2A."""
     m11, m12, m22 = 2.0 * a11, 2.0 * a12, 2.0 * a22
     if np.any(m11 <= 0):
         raise NotSPDError("path", float(np.min(m11)) / 2.0)
@@ -111,31 +106,34 @@ def _reflect(x, lo, hi):
 
 def occupation_measure(
     v_fn,
-    a_fn,
+    members: Sequence[DiffusionField],
     grid: Grid2D,
     cfg: SamplerConfig,
-    n_members: int | None = None,
-) -> tuple[DiscreteMeasure, dict] | tuple[tuple[DiscreteMeasure, ...], dict]:
-    """Histogram of post-burn-in Euler-Maruyama positions over grid cells.
+) -> tuple[tuple[DiscreteMeasure, ...], dict]:
+    """Histograms of post-burn-in Euler-Maruyama positions over grid cells,
+    one for each diffusion field of ``members``.
 
-    ``v_fn(x, y) -> (vx, vy)`` and ``a_fn(x, y) -> (a11, a12, a22)`` are
-    evaluated pathwise at current positions. Paths start on a deterministic
-    lattice over the middle of the box and reflect at the truncation
-    boundary, mirroring the PDE solver's no-flux choice.
+    ``v_fn(x, y) -> (vx, vy)`` is evaluated pathwise at current positions;
+    member m's diffusion at a position is that of its field (on ``grid``) at
+    the cell holding it. Paths start on a deterministic lattice over the
+    middle of the box and reflect at the truncation boundary, mirroring the
+    PDE solver's no-flux choice.
 
-    With ``n_members=None`` the positions have shape (n_paths,) and the
-    result is ``(mu, diagnostics)`` for one diffusion. With ``n_members=k``
-    they have shape (k, n_paths), ``a_fn`` returns member m's diffusion in
-    row m, and the result is ``(measures, diagnostics)``: a tuple of k
-    measures and a dict with the shared ``n_steps`` and ``burn_steps`` and
-    the k per-member diagnostics under ``members``. Member m's measure and
-    diagnostics are bit-identical to a one-member call with its diffusion.
-    An ``UnderresolvedError`` names the first member, in order, that fails.
+    Returns ``(measures, diagnostics)``: a tuple of k measures and a dict with
+    the shared ``n_steps`` and ``burn_steps`` and the k per-member diagnostics
+    under ``members``. An ``UnderresolvedError`` names the first member, in
+    order, that fails.
     """
+    if any(a.grid != grid for a in members):
+        raise GridMismatchError("every diffusion field must live on the sampler's grid")
     n_steps, burn_steps = cfg.n_steps, cfg.burn_steps
     npaths = cfg.n_paths
-    k = 1 if n_members is None else n_members
-    shape = (npaths,) if n_members is None else (k, npaths)
+    k = len(members)
+    shape = (k, npaths)
+    # member m's noise factor at cell (i, j) is g00[m, i, j], g10[m, i, j], ...
+    g00, g10, g11 = _chol_2x2_batch(*(np.stack([getattr(a, f) for a in members])
+                                      for f in ("a11", "a12", "a22")))
+    member = np.arange(k)[:, None]
 
     side = int(np.ceil(np.sqrt(npaths)))
     gx = np.linspace(0.3, 0.7, side)
@@ -154,7 +152,6 @@ def occupation_measure(
     big_jumps = np.zeros(shape, dtype=np.int64)
     slow_drift = np.zeros(shape, dtype=np.int64)
     # flat histogram index of member m's cell (i, j): m * n_cells + i * ny + j
-    member_offset = (np.arange(k) * grid.n_cells)[:, None]
     counts = np.zeros(k * grid.n_cells, dtype=np.int64)
     xs = np.empty((_CHUNK_STEPS,) + shape)
     ys = np.empty((_CHUNK_STEPS,) + shape)
@@ -165,10 +162,10 @@ def occupation_measure(
         dw = np.stack([rng.standard_normal((n, 2)) for rng in rngs], axis=-1) * sqdt
         for s in range(n):
             vx, vy = v_fn(x, y)
-            g00, g10, g11 = _chol_2x2_batch(*a_fn(x, y))
+            i, j = grid.cell_index(x, y)
             dwx, dwy = dw[s]
-            dx = vx * dt + g00 * dwx
-            dy = vy * dt + g10 * dwx + g11 * dwy
+            dx = vx * dt + g00[member, i, j] * dwx
+            dy = vy * dt + g10[member, i, j] * dwx + g11[member, i, j] * dwy
             big_jumps += np.hypot(dx, dy) > 2.0 * cell_diag
             slow_drift += np.hypot(vx, vy) * dt < cell_diag
             x = x + dx
@@ -182,7 +179,7 @@ def occupation_measure(
         first = max(burn_steps - start, 0)
         if first < n:
             i, j = grid.cell_index(xs[first:n], ys[first:n])
-            counts += np.bincount((member_offset + i * grid.ny + j).ravel(),
+            counts += np.bincount((member * grid.n_cells + i * grid.ny + j).ravel(),
                                   minlength=counts.size)
 
     total_steps = n_steps * npaths
@@ -209,6 +206,4 @@ def occupation_measure(
         }
         for m in range(k)
     )
-    if n_members is None:
-        return measures[0], diagnostics[0]
     return measures, {"n_steps": n_steps, "burn_steps": burn_steps, "members": diagnostics}

@@ -1,6 +1,7 @@
 """Scenario library: OU, Gibbs gradient systems, symmetric double well, and
 the stochastic Hopf bifurcation sweep, with per-scenario metrics and
-assertion harnesses.
+assertion harnesses. The table SCENARIOS holds what is known about each
+scenario; _RUN_RECIPES holds what ``fplab run`` does for each run config.
 
 Each runner returns a ScenarioResult embedding the full configuration
 (grid, schedule, seeds, shaping ratio, dictionary version), per-eps metric
@@ -45,6 +46,7 @@ from .grid import Grid2D
 from .io import FORMATS
 
 __all__ = [
+    "SCENARIOS",
     "Scenario",
     "ScenarioResult",
     "make_scenario",
@@ -53,6 +55,7 @@ __all__ = [
     "run_hopf_sweep",
     "run_gibbs",
     "run_designed_comparison",
+    "run_recipe",
     "haar_on_circle",
     "delta_at",
     "dictionary_for",
@@ -101,52 +104,73 @@ def delta_at(grid: Grid2D, point) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 # scenario definitions
 
+def _hopf_limit(p, grid):
+    """Haar measure on the cycle r = sqrt(b) for b > 0, else the point mass at the origin."""
+    if p["b"] > 0:
+        return haar_on_circle(grid, float(np.sqrt(p["b"])))
+    return delta_at(grid, (0.0, 0.0))
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One row of the scenario table. Every scenario is certified with U = x^2 + y^2:
+    L_A U <= -gamma on {U > rho_m} for every diffusion with |A| <= amax."""
+
+    drift: object        # params -> drift (x, y) -> (vx, vy)
+    defaults: dict       # parameter name -> default value
+    box: float           # default domain [-box, box]^2 ...
+    n: int               # ... with n x n cells
+    limit: object        # (params, grid) -> vanishing-noise limit, None if noise-dependent
+    gamma: object        # (params, rho_m, amax) -> gamma
+
+
+SCENARIOS = {
+    # -L_A U = 2U(U-b) - tr(A D2U) >= 2 rho_m (rho_m - b) - 4|A| on {U > rho_m}
+    "hopf": ScenarioSpec(
+        lambda p: hopf_drift(p["b"]), {"b": 1.0}, 2.5, 256, _hopf_limit,
+        lambda p, rho_m, amax: 2.0 * rho_m * (rho_m - p["b"]) - 4.0 * amax),
+    "ou2d": ScenarioSpec(
+        lambda p: ou_drift, {}, 4.0, 128, lambda p, grid: delta_at(grid, (0.0, 0.0)),
+        lambda p, rho_m, amax: 2.0 * rho_m - 4.0 * amax),
+    "double-well": ScenarioSpec(
+        lambda p: double_well_drift, {}, 2.5, 200, lambda p, grid: None,
+        lambda p, rho_m, amax: 2.0 * (rho_m - 1.0) - 4.0 * amax if rho_m > 1 else 0.1),
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A named drift with reference data and a default certificate function."""
+    """A scenario of the table with its parameters filled in."""
 
     name: str
     drift_fn: object
     params: dict
     default_grid: Grid2D
-    certificate_u: object            # callback (x, y) -> U samples
-    reference: dict = field(default_factory=dict)
 
     def vector_field(self, grid: Grid2D | None = None) -> VectorField:
         return sample_vector_field(self.drift_fn, grid or self.default_grid)
 
     def certificate_samples(self, grid: Grid2D | None = None) -> np.ndarray:
+        """U = x^2 + y^2 at the cell centres."""
         xx, yy = (grid or self.default_grid).centers()
-        return self.certificate_u(xx, yy)
+        return xx**2 + yy**2
+
+    def limit_measure(self, grid: Grid2D) -> DiscreteMeasure:
+        return SCENARIOS[self.name].limit(self.params, grid)
+
+    def uniform_gamma(self, rho_m: float, amax: float) -> float:
+        return SCENARIOS[self.name].gamma(self.params, rho_m, amax)
 
 
-def make_scenario(name: str, grid: Grid2D | None = None, **params) -> Scenario:
-    if name == "hopf":
-        b = float(params.get("b", 1.0))
-        g = grid or Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
-        ref = {"kind": "circle-haar" if b > 0 else "point-mass"}
-        if b > 0:
-            ref["radius"] = float(np.sqrt(b))
-        return Scenario(
-            name="hopf", drift_fn=hopf_drift(b), params={"b": b}, default_grid=g,
-            certificate_u=lambda x, y: x**2 + y**2, reference=ref,
-        )
-    if name == "ou2d":
-        g = grid or Grid2D(-4.0, 4.0, -4.0, 4.0, 128, 128)
-        return Scenario(
-            name="ou2d", drift_fn=ou_drift, params={}, default_grid=g,
-            certificate_u=lambda x, y: x**2 + y**2,
-            reference={"kind": "analytic", "density": "exp(-(x^2+y^2)/eps) for A=(eps/2)I"},
-        )
-    if name == "double-well":
-        g = grid or Grid2D(-2.5, 2.5, -2.5, 2.5, 200, 200)
-        return Scenario(
-            name="double-well", drift_fn=double_well_drift, params={}, default_grid=g,
-            certificate_u=lambda x, y: x**2 + y**2,
-            reference={"kind": "analytic", "density": "exp(-Phi/eps) for A=eps I",
-                       "wells": [[-1.0, 0.0], [1.0, 0.0]]},
-        )
-    raise ConfigError("scenario.name", f"unknown scenario {name!r}")
+def make_scenario(name: str, grid: Grid2D | None = None, /, **params) -> Scenario:
+    """Scenario ``name`` of SCENARIOS; keyword values override the table's
+    parameter defaults, and keys it has no parameter for are ignored."""
+    spec = SCENARIOS.get(name)
+    if spec is None:
+        raise ConfigError("scenario.name", f"unknown scenario {name!r}")
+    p = {k: float(params.get(k, v)) for k, v in spec.defaults.items()}
+    g = grid or Grid2D(-spec.box, spec.box, -spec.box, spec.box, spec.n, spec.n)
+    return Scenario(name, spec.drift(p), p, g)
 
 
 def boundary_taper(grid: Grid2D, floor: float = 0.05, margin_frac: float = 0.1) -> np.ndarray:
@@ -304,17 +328,14 @@ def run_hopf_sweep(
     annulus = np.abs(r - sqrt_b) < 0.15
     origin_ball = r < 0.3 * max(sqrt_b, 1.0)
     center_ball = r < 0.2
-    if b > 0:
-        reference = haar_on_circle(grid, sqrt_b)
-    else:
-        reference = delta_at(grid, (0.0, 0.0))
+    reference = scen.limit_measure(grid)
 
     # operator-family certificate for the exterior bound: L_A U <= -gamma
     # outside rho_m; gamma from the largest member (see Hopf drift identity
     # V.grad U = 2U(b - U))
     rho_m = max(1.5 * b, 1.0)
     amax = max(A.max_norm() for _, A in schedule)
-    gamma = _global_gamma(scen, rho_m, amax)
+    gamma = scen.uniform_gamma(rho_m, amax)
     certs, uniform_ok, _ = verify_uniform_lyapunov(u_cert, v, schedule, rho_m, gamma)
 
     results = solve_family(v, schedule, grid)
@@ -490,7 +511,7 @@ def run_designed_comparison(
     u_glob = scenario.certificate_samples(grid)
     amax = max(A.max_norm() for _, A in designed.schedule)
     rho_m = 1.5
-    gamma_glob = _global_gamma(scenario, rho_m, amax)
+    gamma_glob = scenario.uniform_gamma(rho_m, amax)
     certs, uniform_ok, _ = verify_uniform_lyapunov(
         u_glob, v, designed.schedule, rho_m, gamma_glob
     )
@@ -543,15 +564,41 @@ def run_designed_comparison(
     return out
 
 
-def _global_gamma(scenario: Scenario, rho_m: float, amax: float) -> float:
-    """Explicit uniform Lyapunov constants for the built-in scenarios with
-    U = x^2 + y^2 (trace(A D2U) <= 2|A| |D2U|/2 ... bounded by 4 amax)."""
-    if scenario.name == "hopf":
-        # -L_A U = 2U(U-b) - tr(A D2U) >= 2 rho_m (rho_m - b) - 4|A| on {U > rho_m}
-        b = scenario.params["b"]
-        return 2.0 * rho_m * (rho_m - b) - 4.0 * amax
-    if scenario.name == "double-well":
-        return 2.0 * (rho_m - 1.0) - 4.0 * amax if rho_m > 1 else 0.1
-    if scenario.name == "ou2d":
-        return 2.0 * rho_m - 4.0 * amax
-    raise ConfigError("scenario", f"no global certificate recipe for {scenario.name}")
+# ---------------------------------------------------------------------------
+# run recipes: what `fplab run` does for each scenario name of a run config
+
+def _run_hopf(scenario, grid, eps, schedule, analysis):
+    sched = build_schedule(grid, eps, schedule.get("shape", "modulated"),
+                           schedule.get("invariance_mode", "reflecting"))
+    dic = dictionary_for(analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
+    b = make_scenario("hopf", grid, **scenario).params["b"]
+    return run_hopf_sweep(b, sched, grid, dic, thresholds=analysis.get("thresholds"),
+                          rho_mesh=int(analysis.get("rho_mesh", 64)))
+
+
+def _run_double_well(scenario, grid, eps, schedule, analysis):
+    sched = build_schedule(grid, eps, schedule.get("shape", "iso"),
+                           schedule.get("invariance_mode", "reflecting"))
+    return run_gibbs(double_well_potential, sched, grid)
+
+
+def _run_double_well_designed(scenario, grid, eps, schedule, analysis):
+    return run_designed_comparison(make_scenario("double-well", grid), "attractor",
+                                   float(scenario.get("ratio", 10.0)), eps, grid)
+
+
+# runners look build_schedule, dictionary_for and run_hopf_sweep up by module-level
+# name at each call, so wrappers rebound to those names (tracing) see every call
+_RUN_RECIPES = {
+    "hopf": _run_hopf,
+    "double-well": _run_double_well,
+    "double-well-designed": _run_double_well_designed,
+}
+
+
+def run_recipe(scenario: dict, grid: Grid2D, eps, schedule: dict, analysis: dict) -> ScenarioResult:
+    """Run the recipe a run config's scenario section names, on its grid and eps."""
+    recipe = _RUN_RECIPES.get(scenario["name"])
+    if recipe is None:
+        raise ConfigError("scenario.name", f"no run recipe for scenario {scenario['name']!r}")
+    return recipe(scenario, grid, eps, schedule, analysis)

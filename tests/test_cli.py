@@ -84,6 +84,51 @@ def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+# (argv, field named on stderr); after "run" a dict of config sections to update
+_BAD_VALUES = [
+    (["solve", "--grid-n", "4"], "grid"),
+    (["solve", "--x-min", "1", "--x-max", "0"], "grid"),
+    (["sample", "--grid-n", "4"], "grid"),
+    (["hopf", "--grid-n", "4"], "grid"),
+    (["design-noise", "--target", "attractor", "--x-min", "1", "--x-max", "0"], "grid"),
+    (["find-attractor", "--grid-n", "4"], "grid"),
+    (["verify-lyapunov", "--y-min", "1", "--y-max", "0"], "grid"),
+    (["solve", "--eps", "abc"], "schedule.eps"),
+    (["sample", "--eps", "0.1,0.2"], "schedule.eps"),
+    (["hopf", "--eps", "abc"], "schedule.eps"),
+    (["hopf", "--eps", "0.1,0.2"], "schedule.eps"),
+    (["design-noise", "--target", "attractor", "--eps", "0.1,nan"], "schedule.eps"),
+    (["run", {"grid": {"nx": 4}}], "grid"),
+    (["run", {"grid": {"x_min": 1.0, "x_max": 0.0}}], "grid"),
+    (["run", {"schedule": {"eps": ["a"]}}], "schedule.eps"),
+    (["verify"], "config"),
+]
+
+
+@pytest.mark.parametrize("argv,field", _BAD_VALUES,
+                         ids=[" ".join(map(str, argv)) for argv, _ in _BAD_VALUES])
+def test_cli_exit_2_on_bad_value_from_outside(tmp_path, capsys, argv, field):
+    out = tmp_path / "out"
+    cmd, *rest = argv
+    if cmd == "run":
+        cfg = _hopf_config(out)
+        for section, values in rest.pop().items():
+            cfg[section].update(values)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        rest = ["--config", str(p)]
+    elif cmd == "verify":
+        rest = ["--run", str(out)]  # a directory with no config.json
+    else:
+        rest += ["--out", str(out)]
+    rc = main([cmd, *rest])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config field '{field}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_run_roundtrip_and_determinism(tmp_path):
     # small but real end-to-end run; trend thresholds loosened so that the
     # coarse schedule passes and the exit code is 0
@@ -135,11 +180,14 @@ def test_cli_solve_and_verify(tmp_path):
     assert all(r["residual"] < 1e-8 for r in summary["reports"])
 
 
-def test_cli_verify_uses_the_run_dictionary(tmp_path):
+@pytest.mark.parametrize("b", [1.0, 0.5])
+def test_cli_verify_uses_the_run_dictionary(tmp_path, b):
     # a config without analysis.dictionary is verified against the dictionary
-    # it was run with, so verify reproduces the run's invariance residuals
+    # and drift it was run with, so verify reproduces the run's invariance
+    # residuals
     out = tmp_path / "run"
     cfg = _hopf_config(out, nx=48)
+    cfg["scenario"]["b"] = b
     del cfg["analysis"]["dictionary"]
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -183,14 +231,10 @@ def test_cli_sample_is_one_sampler_call_matching_one_member_calls(tmp_path, monk
     summary = json.loads((out / "sample_summary.json").read_text())
     assert summary["shape"] == "modulated"
     for (eps, a), diag in zip(sched, summary["diagnostics"]):
-        def a_fn(x, y, a=a):
-            i, j = grid.cell_index(x, y)
-            return a.a11[i, j], a.a12[i, j], a.a22[i, j]
-
-        mu, one = occupation_measure(make_scenario("hopf", grid, b=1.0).drift_fn, a_fn, grid, cfg)
+        (mu,), one = occupation_measure(make_scenario("hopf", grid, b=1.0).drift_fn, [a], grid, cfg)
         doc = fio.load_document(out / f"occupation_eps{eps!r}.json")
         assert np.array_equal(fio.measure_from_document(doc).weights, mu.weights)
-        assert diag == {"eps": eps, **one}
+        assert diag == {"eps": eps, **one["members"][0]}
 
 
 def test_cli_design_noise(tmp_path):

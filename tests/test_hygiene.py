@@ -58,3 +58,18 @@ def test_format_tags_live_in_io_formats():
                 tags.setdefault(node.value, []).append(path.name)
     assert all(files == ["io.py"] for files in tags.values()), tags
     assert set(tags) == set(FORMATS.values())
+
+
+def test_scenario_choices_come_from_the_tables():
+    # the CLI keeps no list of scenario names of its own
+    import argparse
+
+    from fplab.cli import _parser
+    from fplab.scenarios import _ISOLATION_RECIPES, SCENARIOS
+
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {cmd: a.choices for cmd, p in sub.choices.items()
+               for a in p._actions if a.dest == "scenario"}
+    assert choices.pop("design-noise") == sorted({s for s, _ in _ISOLATION_RECIPES})
+    assert choices == {cmd: list(SCENARIOS)
+                       for cmd in ("solve", "sample", "find-attractor", "verify-lyapunov")}

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from fplab.analysis import bl_distance
-from fplab.errors import NonFiniteFieldError, NotSPDError, UnderresolvedError
-from fplab.fields import isotropic_diffusion, normalized_measure, sample_vector_field
+from fplab.errors import GridMismatchError, NonFiniteFieldError, NotSPDError, UnderresolvedError
+from fplab.fields import (
+    DiffusionField,
+    isotropic_diffusion,
+    normalized_measure,
+    sample_vector_field,
+)
 from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
 from fplab.sampler import (
@@ -70,8 +75,10 @@ def test_path_streams_do_not_collide():
 OU = lambda x, y: (-x, -y)
 
 
-def _const_a(a):
-    return lambda x, y: (a + 0 * x, 0 * x, a + 0 * x)
+def _sample_one(v_fn, a, grid, cfg):
+    """occupation_measure for the single diffusion field a."""
+    (mu,), diag = occupation_measure(v_fn, [a], grid, cfg)
+    return mu, diag["members"][0]
 
 
 def _reference_occupation(v_fn, a_fn, grid, cfg):
@@ -155,16 +162,21 @@ def _tables(grid, eps_list):
 
 
 def _lookup(grid, tables, member):
-    """a_fn reading member's cell values from the stacked tables; member is
-    an index, or a (k, 1) column for positions of shape (k, n_paths)."""
+    """a_fn of the reference loop reading member's cell values from the
+    stacked tables."""
     def a_fn(x, y):
         i, j = grid.cell_index(x, y)
         return tuple(t[member, i, j] for t in tables)
     return a_fn
 
 
+def _fields(grid, tables):
+    """The stacked tables as one DiffusionField per member."""
+    return [DiffusionField(grid, *(t[m] for t in tables)) for m in range(len(tables[0]))]
+
+
 @pytest.mark.parametrize("n_members,t_total,t_burn", [
-    (None, 20.0, None),  # one member, the tests' and criterion 11's call
+    (1, 20.0, None),  # one member, the tests' call
     (3, 20.0, None),
     # 2530 steps end 482 into the third chunk; burn-in ends inside the second
     (2, 25.3, 15.0),
@@ -175,16 +187,11 @@ def test_kernel_matches_reference_loop(n_members, t_total, t_burn):
     assert cfg.n_steps % _CHUNK_STEPS != 0
     if t_burn is not None:
         assert _CHUNK_STEPS < cfg.burn_steps < 2 * _CHUNK_STEPS
-    eps = (0.2, 0.1, 0.05)[:n_members or 1]
+    eps = (0.2, 0.1, 0.05)[:n_members]
     tables = _tables(g, eps)
-    if n_members is None:
-        got = [occupation_measure(double_well_drift, _lookup(g, tables, 0), g, cfg)]
-    else:
-        member = np.arange(n_members)[:, None]
-        measures, diag = occupation_measure(double_well_drift, _lookup(g, tables, member),
-                                            g, cfg, n_members=n_members)
-        assert (diag["n_steps"], diag["burn_steps"]) == (cfg.n_steps, cfg.burn_steps)
-        got = list(zip(measures, diag["members"]))
+    measures, diag = occupation_measure(double_well_drift, _fields(g, tables), g, cfg)
+    assert (diag["n_steps"], diag["burn_steps"]) == (cfg.n_steps, cfg.burn_steps)
+    got = list(zip(measures, diag["members"]))
     assert len(got) == len(eps)
     for m, (mu, diag) in enumerate(got):
         mu_ref, diag_ref = _reference_occupation(double_well_drift, _lookup(g, tables, m), g, cfg)
@@ -196,30 +203,37 @@ def test_underresolved_names_first_offending_member():
     # members 1 and 2 jump too far on 64^2 cells; the error is member 1's
     g = Grid2D(-1, 1, -1, 1, 64, 64)
     cfg = SamplerConfig(dt=0.05, t_total=5.0, n_paths=8, rng_seed=1)
-    tables = _tables(g, (0.002, 0.3, 0.6))
+    fields = _fields(g, _tables(g, (0.002, 0.3, 0.6)))
     with pytest.raises(UnderresolvedError) as one:
-        occupation_measure(OU, _lookup(g, tables, 1), g, cfg)
+        occupation_measure(OU, fields[1:2], g, cfg)
     with pytest.raises(UnderresolvedError) as batched:
-        occupation_measure(OU, _lookup(g, tables, np.arange(3)[:, None]), g, cfg, n_members=3)
+        occupation_measure(OU, fields, g, cfg)
     assert str(batched.value) == str(one.value)
-    occupation_measure(OU, _lookup(g, tables, 0), g, cfg)  # member 0 alone passes
+    occupation_measure(OU, fields[:1], g, cfg)  # member 0 alone passes
+
+
+def test_fields_must_live_on_the_sampler_grid():
+    g = Grid2D(-1, 1, -1, 1, 16, 16)
+    cfg = SamplerConfig(dt=0.01, t_total=1.0, n_paths=4)
+    with pytest.raises(GridMismatchError):
+        occupation_measure(OU, [isotropic_diffusion(Grid2D(-1, 1, -1, 1, 32, 32), 0.1)], g, cfg)
 
 
 def test_determinism_same_seed():
     g = Grid2D(-3, 3, -3, 3, 32, 32)
     cfg = SamplerConfig(dt=0.01, t_total=20.0, n_paths=8, rng_seed=123)
-    mu1, _ = occupation_measure(OU, _const_a(0.05), g, cfg)
-    mu2, _ = occupation_measure(OU, _const_a(0.05), g, cfg)
+    a = isotropic_diffusion(g, 0.05)
+    mu1, _ = _sample_one(OU, a, g, cfg)
+    mu2, _ = _sample_one(OU, a, g, cfg)
     assert np.array_equal(mu1.weights, mu2.weights)
-    mu3, _ = occupation_measure(OU, _const_a(0.05), g,
-                                SamplerConfig(dt=0.01, t_total=20.0, n_paths=8, rng_seed=124))
+    mu3, _ = _sample_one(OU, a, g, SamplerConfig(dt=0.01, t_total=20.0, n_paths=8, rng_seed=124))
     assert not np.array_equal(mu1.weights, mu3.weights)
 
 
 def test_zero_drift_uniform_occupation():
     g = Grid2D(-1, 1, -1, 1, 8, 8)
     cfg = SamplerConfig(dt=0.02, t_total=400.0, n_paths=16, rng_seed=5)
-    mu, diag = occupation_measure(lambda x, y: (0 * x, 0 * y), _const_a(0.3), g, cfg)
+    mu, diag = _sample_one(lambda x, y: (0 * x, 0 * y), isotropic_diffusion(g, 0.3), g, cfg)
     per_cell = diag["n_samples"] / 64
     assert np.abs(mu.weights - 1 / 64).max() < 3.0 / np.sqrt(per_cell)
 
@@ -230,7 +244,7 @@ def test_ou_cross_oracle_bl():
     v = sample_vector_field(OU, g)
     mu_pde, _ = solve_stationary(assemble(v, isotropic_diffusion(g, eps / 2), g))
     cfg = SamplerConfig(dt=0.01, t_total=150.0, n_paths=32, rng_seed=7)
-    mu_mc, diag = occupation_measure(OU, _const_a(eps / 2), g, cfg)
+    mu_mc, diag = _sample_one(OU, isotropic_diffusion(g, eps / 2), g, cfg)
     res = bl_distance(mu_pde, mu_mc)
     assert res.value < 0.02
     assert diag["frac_jump_gt_2cells"] <= 0.05
@@ -240,7 +254,7 @@ def test_ou_cross_oracle_bl():
 def test_hopf_radial_mode():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 50, 50)
     cfg = SamplerConfig(dt=0.005, t_total=100.0, n_paths=32, rng_seed=11)
-    mu, _ = occupation_measure(hopf_drift(1.0), _const_a(0.1), g, cfg)
+    mu, _ = _sample_one(hopf_drift(1.0), isotropic_diffusion(g, 0.1), g, cfg)
     xx, yy = g.centers()
     r = np.hypot(xx, yy)
     bins = np.linspace(0, 2.5, 26)
@@ -255,7 +269,7 @@ def test_underresolved_raises():
     g = Grid2D(-1, 1, -1, 1, 64, 64)  # tiny cells
     cfg = SamplerConfig(dt=0.05, t_total=5.0, n_paths=8, rng_seed=1)
     with pytest.raises(UnderresolvedError):
-        occupation_measure(lambda x, y: (0 * x, 0 * y), _const_a(0.3), g, cfg)
+        _sample_one(lambda x, y: (0 * x, 0 * y), isotropic_diffusion(g, 0.3), g, cfg)
 
 
 def test_dt_robustness_within_mc_error():
@@ -267,7 +281,7 @@ def test_dt_robustness_within_mc_error():
     vals = []
     for dt in (0.02, 0.01):
         cfg = SamplerConfig(dt=dt, t_total=200.0, n_paths=16, rng_seed=3)
-        mu, _ = occupation_measure(OU, _const_a(0.05), g, cfg)
+        mu, _ = _sample_one(OU, isotropic_diffusion(g, 0.05), g, cfg)
         vals.append(float(mu.weights[ball].sum()))
     # MC standard error of the ball mass: relaxation time ~ 1, so roughly
     # independent samples every unit time across paths

@@ -20,10 +20,12 @@ from fplab.scenarios import (
 
 def test_make_scenario_reference_consistency():
     s = make_scenario("hopf", b=2.25)
-    assert s.reference["kind"] == "circle-haar"
-    assert s.reference["radius"] == pytest.approx(1.5)  # radius^2 = b
-    s2 = make_scenario("hopf", b=-1.0)
-    assert s2.reference["kind"] == "point-mass"
+    g = s.default_grid
+    xx, yy = g.centers()
+    haar = s.limit_measure(g)  # Haar on the cycle of radius^2 = b
+    assert measure_mass_on(haar, np.abs(np.hypot(xx, yy) - 1.5) < 0.05) == pytest.approx(1.0)
+    point = make_scenario("hopf", b=-1.0).limit_measure(g)
+    assert point.weights[g.cell_index(0.0, 0.0)] == 1.0
     with pytest.raises(ConfigError):
         make_scenario("unknown")
 
