@@ -5,12 +5,12 @@ measure as a pooled long-run occupation histogram.
 One stepping loop advances the paths of all k members of a noise family
 together, on position arrays of shape (k, n_paths), so the interpreter's
 cost of a step is paid once for every member; each member's noise factor is
-computed once per cell. Per-path noise streams come
-from counter-based Philox generators keyed by (seed, path index), and every
-member reuses them: a member's measure is bit-identical whether it is
-sampled alone or with others. Normals are drawn in chunks of
-``_CHUNK_STEPS`` steps from each stream rather than for the whole run, and
-the kept positions of a chunk are binned with one ``np.bincount``.
+computed once per cell. Per-path noise streams come from counter-based
+Philox generators keyed by (seed, path index), and every member reuses
+them: a member's measure is bit-identical whether it is sampled alone or
+with others. Normals are drawn in chunks of ``_CHUNK_STEPS`` steps from each
+stream rather than for the whole run, and the kept positions of a chunk are
+binned with one ``np.bincount``.
 """
 
 from __future__ import annotations
