@@ -11,6 +11,7 @@ a^{ij} d_i U d_j U on level bands.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,6 +74,36 @@ def bump_d2(t):
     return out
 
 
+_SUP_ROWS = 64  # fine-lattice rows per block: a block holds 64 x 2001, never 2001^2
+
+
+@functools.cache
+def _fine_profiles():
+    """psi, psi', psi'' on the 2001-point fine lattice of [-1, 1]."""
+    fine = np.linspace(-1.0, 1.0, 2001)
+    return bump_profile(fine), bump_d1(fine), bump_d2(fine)
+
+
+@functools.lru_cache(maxsize=None)  # two floats per distinct (wx, wy); dictionaries use few
+def _sup_norms(wx: float, wy: float) -> tuple:
+    """(sup |grad h|, sup |lap h|) of a (wx, wy) bump on the 2001^2 fine lattice.
+
+    Block rows of np.outer(a, b) are np.outer(a[rows], b) element by element
+    and the max of block maxima is the max, so the values equal those of the
+    whole lattice exactly.
+    """
+    psi, d1, d2 = _fine_profiles()
+    g_sup, l_sup = [], []
+    for r in range(0, psi.size, _SUP_ROWS):
+        rows = slice(r, r + _SUP_ROWS)
+        gx = np.abs(np.outer(d1[rows], psi)) / wx
+        gy = np.abs(np.outer(psi[rows], d1)) / wy
+        lf = np.outer(d2[rows], psi) / wx**2 + np.outer(psi[rows], d2) / wy**2
+        g_sup.append(np.sqrt(gx**2 + gy**2).max())
+        l_sup.append(np.abs(lf).max())
+    return float(np.max(g_sup)), float(np.max(l_sup))
+
+
 @dataclass(frozen=True)
 class TestFunctionDictionary:
     """Finite dictionary of tensor-product smooth bumps with analytic derivatives.
@@ -80,7 +111,8 @@ class TestFunctionDictionary:
     Each member is h(x,y) = psi((x-cx)/wx) psi((y-cy)/wy); supports must stay
     strictly inside the truncation box so every h vanishes on boundary-adjacent
     cells. Sampled values and gradients live on the grid; sup norms of the
-    gradient/Laplacian are evaluated on a fine local lattice.
+    gradient/Laplacian are evaluated on a 2001^2 fine lattice, once per
+    (wx, wy) per process and in row blocks of that lattice.
     """
 
     grid: Grid2D
@@ -99,10 +131,6 @@ class TestFunctionDictionary:
 def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
     xx, yy = grid.centers()
     hs, dxs, dys, ginf, linf = [], [], [], [], []
-    fine = np.linspace(-1.0, 1.0, 2001)
-    psi_f, d1_f, d2_f = bump_profile(fine), bump_d1(fine), bump_d2(fine)
-    # sup |grad h| and sup |lap h| on the 2001^2 lattice depend only on (wx, wy)
-    sup_norms = {}
     for cx, cy, wx, wy in bumps:
         if not (
             grid.x_min + grid.hx < cx - wx
@@ -118,12 +146,7 @@ def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
         hs.append(px * py)
         dxs.append(bump_d1(ux) * py / wx)
         dys.append(px * bump_d1(uy) / wy)
-        if (wx, wy) not in sup_norms:
-            gx = np.abs(np.outer(d1_f, psi_f)) / wx
-            gy = np.abs(np.outer(psi_f, d1_f)) / wy
-            lf = np.outer(d2_f, psi_f) / wx**2 + np.outer(psi_f, d2_f) / wy**2
-            sup_norms[wx, wy] = (float(np.sqrt(gx**2 + gy**2).max()), float(np.abs(lf).max()))
-        g_sup, l_sup = sup_norms[wx, wy]
+        g_sup, l_sup = _sup_norms(wx, wy)
         ginf.append(g_sup)
         linf.append(l_sup)
     return TestFunctionDictionary(

@@ -92,8 +92,8 @@ class RunConfig:
         _eps_labels(raw["schedule"].get("eps"))
         thr = raw.get("analysis", {}).get("thresholds", {})
         for k, v in thr.items():
-            if not (0.0 < float(v) < 1.0):
-                raise ConfigError(f"analysis.thresholds.{k}", "must lie in (0, 1)")
+            if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
+                raise ConfigError(f"analysis.thresholds.{k}", "must be a number in (0, 1)")
         for k in _GRID_KEYS:
             if k not in raw["grid"]:
                 raise ConfigError(f"grid.{k}", "missing grid field")
@@ -161,7 +161,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_hopf(args) -> int:
     eps = list(_eps_labels(args.eps.split(",")))
-    b_values = [float(b) for b in str(args.b).split(",")]
+    b_values = [make_scenario("hopf", b=b).params["b"] for b in args.b.split(",")]
     box = SCENARIOS["hopf"].box
     rc = 0
     jobs = []

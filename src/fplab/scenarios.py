@@ -162,13 +162,22 @@ class Scenario:
         return SCENARIOS[self.name].gamma(self.params, rho_m, amax)
 
 
+def _config_float(field: str, value) -> float:
+    """float(value); a value float() rejects is a config error naming ``field``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field, f"must be a number, got {value!r}") from exc
+
+
 def make_scenario(name: str, grid: Grid2D | None = None, /, **params) -> Scenario:
     """Scenario ``name`` of SCENARIOS; keyword values override the table's
-    parameter defaults, and keys it has no parameter for are ignored."""
+    parameter defaults, and keys it has no parameter for are ignored. A
+    non-numeric parameter value is a config error naming ``scenario.<param>``."""
     spec = SCENARIOS.get(name)
     if spec is None:
         raise ConfigError("scenario.name", f"unknown scenario {name!r}")
-    p = {k: float(params.get(k, v)) for k, v in spec.defaults.items()}
+    p = {k: _config_float(f"scenario.{k}", params.get(k, v)) for k, v in spec.defaults.items()}
     g = grid or Grid2D(-spec.box, spec.box, -spec.box, spec.box, spec.n, spec.n)
     return Scenario(name, spec.drift(p), p, g)
 
@@ -568,10 +577,10 @@ def run_designed_comparison(
 # run recipes: what `fplab run` does for each scenario name of a run config
 
 def _run_hopf(scenario, grid, eps, schedule, analysis):
+    b = make_scenario("hopf", grid, **scenario).params["b"]
     sched = build_schedule(grid, eps, schedule.get("shape", "modulated"),
                            schedule.get("invariance_mode", "reflecting"))
     dic = dictionary_for(analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
-    b = make_scenario("hopf", grid, **scenario).params["b"]
     return run_hopf_sweep(b, sched, grid, dic, thresholds=analysis.get("thresholds"),
                           rho_mesh=int(analysis.get("rho_mesh", 64)))
 
@@ -584,7 +593,8 @@ def _run_double_well(scenario, grid, eps, schedule, analysis):
 
 def _run_double_well_designed(scenario, grid, eps, schedule, analysis):
     return run_designed_comparison(make_scenario("double-well", grid), "attractor",
-                                   float(scenario.get("ratio", 10.0)), eps, grid)
+                                   _config_float("scenario.ratio", scenario.get("ratio", 10.0)),
+                                   eps, grid)
 
 
 # runners look build_schedule, dictionary_for and run_hopf_sweep up by module-level

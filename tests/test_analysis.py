@@ -1,3 +1,8 @@
+import functools
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +33,7 @@ from fplab.fields import (
 )
 from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
-from fplab.scenarios import delta_at, haar_on_circle, hopf_drift
+from fplab.scenarios import delta_at, dictionary_for, haar_on_circle, hopf_drift
 
 
 def test_bump_derivatives_match_finite_differences():
@@ -54,6 +59,62 @@ def test_dictionary_vanishes_near_boundary(small_grid):
 def test_dictionary_rejects_boundary_touching(small_grid):
     with pytest.raises(ValueError):
         make_dictionary(small_grid, [(0.0, 0.0, 2.1, 1.0)], "bad")
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_sup_norms(wx, wy):
+    """sup |grad h| and sup |lap h| from the whole 2001^2 fine lattice at once."""
+    fine = np.linspace(-1.0, 1.0, 2001)
+    psi_f, d1_f, d2_f = bump_profile(fine), bump_d1(fine), bump_d2(fine)
+    gx = np.abs(np.outer(d1_f, psi_f)) / wx
+    gy = np.abs(np.outer(psi_f, d1_f)) / wy
+    lf = np.outer(d2_f, psi_f) / wx**2 + np.outer(psi_f, d2_f) / wy**2
+    return float(np.sqrt(gx**2 + gy**2).max()), float(np.abs(lf).max())
+
+
+@pytest.mark.parametrize("n", [96, 256])
+@pytest.mark.parametrize("name", ["grid3x3-v1", "grid4x4-v1", "hopf-offcycle-v1"])
+def test_dictionary_sup_norms_equal_the_whole_lattice(n, name):
+    d = dictionary_for(name, Grid2D(-2.5, 2.5, -2.5, 2.5, n, n))
+    ref = [_reference_sup_norms(wx, wy) for _, _, wx, wy in d.bumps]
+    assert d.grad_inf.tolist() == [g for g, _ in ref]
+    assert d.lap_inf.tolist() == [lap for _, lap in ref]
+
+
+def test_dictionary_sup_norms_of_an_anisotropic_bump():
+    d = make_dictionary(Grid2D(-2.5, 2.5, -2.5, 2.5, 96, 96), [(0.3, -0.2, 0.7, 0.35)], "aniso")
+    g, lap = _reference_sup_norms(0.7, 0.35)
+    assert d.grad_inf.tolist() == [g] and d.lap_inf.tolist() == [lap]
+
+
+def test_dictionary_never_holds_the_whole_fine_lattice():
+    # a width no other test uses, so the sup norms are computed inside the
+    # traced region; one 2001^2 float64 array is 32 MB
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 32, 32)
+    tracemalloc.start()
+    try:
+        make_dictionary(grid, [(0.0, 0.0, 0.3137, 0.2719)], "cold")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2001**2 * 8
+
+
+def test_dictionary_sup_norms_under_concurrent_cold_calls():
+    # more threads than cores share the sup-norm cache on a width no other test
+    # uses, with a short switch interval; every thread gets the lattice values
+    grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 48, 48)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(make_dictionary, grid, [(0.0, 0.0, 0.5123, 0.4567)], "race")
+                       for _ in range(8)]
+            dicts = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    ref = _reference_sup_norms(0.5123, 0.4567)
+    assert [(d.grad_inf[0], d.lap_inf[0]) for d in dicts] == [ref] * 8
 
 
 def test_bl_point_masses():

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,12 @@ def test_config_validation_errors():
                              "schedule": {"eps": [0.2, 0.1]}, "output_dir": "x",
                              "analysis": {"thresholds": {"annulus_final": 1.5}}})
     assert exc.value.field == "analysis.thresholds.annulus_final"
+    # a value that is not a JSON number is rejected here, not at float() or at
+    # the first comparison of the run
+    for value in ("high", "0.5", None):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(_hopf_config("x", thresholds={"annulus_final": value}))
+        assert exc.value.field == "analysis.thresholds.annulus_final"
 
 
 def test_cli_exit_2_on_bad_config(tmp_path, capsys):
@@ -101,6 +108,10 @@ _BAD_VALUES = [
     (["run", {"grid": {"nx": 4}}], "grid"),
     (["run", {"grid": {"x_min": 1.0, "x_max": 0.0}}], "grid"),
     (["run", {"schedule": {"eps": ["a"]}}], "schedule.eps"),
+    (["hopf", "--b=abc"], "scenario.b"),
+    (["hopf", "--b=0.5,x"], "scenario.b"),
+    (["run", {"scenario": {"b": "x"}}], "scenario.b"),
+    (["run", {"scenario": {"name": "double-well-designed", "ratio": "big"}}], "scenario.ratio"),
     (["verify"], "config"),
 ]
 
@@ -166,6 +177,23 @@ def test_cli_exit_1_on_impossible_threshold(tmp_path, capsys):
     assert rc == 1
     text = capsys.readouterr().out
     assert "FAIL" in text and "annulus_mass_final" in text
+
+
+def test_cli_hopf_thread_pool_matches_one_worker(tmp_path, monkeypatch):
+    # the workers share the dictionary's cached sup norms; the run directories
+    # must not depend on how many there are. Both runs write to the same path,
+    # which config.json echoes.
+    out = tmp_path / "out"
+    trees = {}
+    for workers in ("2", "1"):
+        monkeypatch.setenv(cli.DEFAULT_WORKERS_ENV, workers)
+        assert main(["hopf", "--b=-0.5,1.0", "--grid-n", "48", "--eps", "0.3,0.15",
+                     "--out", str(out)]) in (0, 1)
+        trees[workers] = {p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()}
+        shutil.rmtree(out)
+    assert len(trees["2"]) == 2 * 5  # per b: config, 2 measures, metrics.csv, summary
+    assert trees["2"] == trees["1"]
 
 
 def test_cli_solve_and_verify(tmp_path):
