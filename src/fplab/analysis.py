@@ -1,5 +1,5 @@
-"""Weak*-convergence diagnostics, invariance residuals, sublevel-set bounds,
-tightness profiles, and support checks for solved measure families.
+"""Weak*-convergence diagnostics, invariance residuals and sublevel-set bounds
+for solved measure families.
 
 Weak* convergence is metrized by a bounded-Lipschitz dictionary (fixed,
 versioned), the exact 1D Wasserstein-1 distance on the radial marginal, and
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import LyapunovCertificate, grad_central, hessian_central
+from .dynamics import LyapunovCertificate, grad_hypothesis_tol
 from .errors import GridMismatchError
 from .fields import DiffusionField, DiscreteMeasure, VectorField
 from .grid import Grid2D
@@ -34,8 +34,6 @@ __all__ = [
     "lyapunov_upper_bound",
     "anti_lyapunov_lower_bound",
     "LyapunovBound",
-    "tightness_profile",
-    "support_in_zero_set",
     "ConvergenceReport",
 ]
 
@@ -294,37 +292,28 @@ class LyapunovBound:
     h_values: tuple = ()
 
 
-def _grad_hypothesis_tol(u, grid, band):
-    """Grid-aware threshold below which a band gradient counts as vanishing:
-    near a critical point |grad U| ~ |D2 U| h."""
-    uxx, uxy, uyy = hessian_central(u, grid)
-    c = np.abs(uxx) + 2 * np.abs(uxy) + np.abs(uyy)
-    cmax = float(c[band].max()) if band.any() else float(c.max())
-    return 0.5 * cmax * (grid.hx + grid.hy)
-
-
 def _level_set_bound(cert, a, lo, hi, rho_mesh):
     """The shared part of both level-set bounds on the band {lo <= U <= hi},
-    returned as (band, |grad U|, bound) with bound.value left for the caller.
+    returned as (band, bound) with bound.value left for the caller.
 
     Integral form: int_lo^hi dt / H(t), with H interpolated through the band
     envelope of g = a^{ij} d_i U d_j U, whose points are, per level band, the
     band max of g and the U value where it is attained; this approximates
     sup_{U=t} g conservatively for slowly varying envelopes. Constant form
     (hypothesis_ok False) when the gradient hypothesis fails: the band is
-    empty, |grad U| drops to the grid tolerance of _grad_hypothesis_tol on
-    it, or fewer than two level bands are hit.
+    empty, |grad U| drops to the grid tolerance of grad_hypothesis_tol on
+    it, or fewer than two level bands are hit. U's derivatives come from the
+    certificate's cache; g depends on a and is formed per call.
     """
-    gx, gy = grad_central(cert.u, cert.grid)
-    g = a.a11 * gx**2 + 2.0 * a.a12 * gx * gy + a.a22 * gy**2
-    gnorm = np.hypot(gx, gy)
     band = (cert.u >= lo) & (cert.u <= hi)
     nodes = np.linspace(lo, hi, rho_mesh)
     failed = LyapunovBound(value=np.nan, form="constant", hypothesis_ok=False,
                            gamma=cert.gamma, rho_m=cert.rho_m, rho=hi, integral=np.nan)
-    if not (band.any()
-            and float(gnorm[band].min()) > _grad_hypothesis_tol(cert.u, cert.grid, band)):
-        return band, gnorm, failed
+    if not (band.any() and float(cert.grad_norm[band].min())
+            > grad_hypothesis_tol(cert.curvature, band, cert.grid)):
+        return band, failed
+    gx, gy = cert.grad
+    g = a.a11 * gx**2 + 2.0 * a.a12 * gx * gy + a.a22 * gy**2
     u_band, g_band = cert.u[band].ravel(), g[band].ravel()
     pu, pg = [], []
     for t_lo, t_hi in zip(nodes[:-1], nodes[1:]):
@@ -334,10 +323,10 @@ def _level_set_bound(cert, a, lo, hi, rho_mesh):
             pu.append(u_band[mask][k])
             pg.append(g_band[mask][k])
     if len(pu) < 2:
-        return band, gnorm, failed
+        return band, failed
     order = np.argsort(pu)
     h_nodes = np.interp(nodes, np.asarray(pu)[order], np.asarray(pg)[order])
-    return band, gnorm, LyapunovBound(
+    return band, LyapunovBound(
         value=np.nan, form="integral", hypothesis_ok=True, gamma=cert.gamma,
         rho_m=cert.rho_m, rho=hi, integral=float(np.trapezoid(1.0 / h_nodes, nodes)),
         h_nodes=tuple(nodes.tolist()), h_values=tuple(h_nodes.tolist()),
@@ -360,9 +349,10 @@ def lyapunov_upper_bound(
     """
     if not (cert.rho_m < rho < cert.rho_M):
         raise ValueError("rho must lie in (rho_m, rho_M)")
-    band, gnorm, bound = _level_set_bound(cert, a, cert.rho_m, rho, rho_mesh)
+    band, bound = _level_set_bound(cert, a, cert.rho_m, rho, rho_mesh)
     if bound.hypothesis_ok:
         return replace(bound, value=float(min(1.0, np.exp(-cert.gamma * bound.integral))))
+    gnorm = cert.grad_norm
     amax = float(a.frob[band].max()) if band.any() else float(a.frob.max())
     gmax = float(gnorm[band].max()) if band.any() else float(gnorm.max())
     c = 1.0 / (rho - cert.rho_m)
@@ -391,55 +381,9 @@ def anti_lyapunov_lower_bound(
             value=1.0, form="integral", hypothesis_ok=True, gamma=cert.gamma,
             rho_m=cert.rho_m, rho=rho, integral=0.0,
         )
-    bound = _level_set_bound(cert, a, rho0, rho, rho_mesh)[2]
+    bound = _level_set_bound(cert, a, rho0, rho, rho_mesh)[1]
     return replace(bound, value=float(np.exp(cert.gamma * bound.integral))
                    if bound.hypothesis_ok else 1.0)
-
-
-# ---------------------------------------------------------------------------
-# tightness and support checks
-
-def tightness_profile(measures, cert: LyapunovCertificate, rhos):
-    """Matrix profile[k][j] = mass of measure k outside {U < rho_j}, plus the
-    tightness verdict: for every delta there is a rho column entirely below it."""
-    rhos = np.asarray(rhos, dtype=float)
-    prof = np.empty((len(measures), len(rhos)))
-    for k, mu in enumerate(measures):
-        for j, rho in enumerate(rhos):
-            prof[k, j] = 1.0 - float(mu.weights[cert.u < rho].sum())
-
-    def is_tight(delta: float) -> bool:
-        return bool((prof.max(axis=0) < delta).any())
-
-    return prof, is_tight
-
-
-@dataclass(frozen=True)
-class SupportCheck:
-    offending_mass: float
-    tol: float
-    passed: bool
-    zero_set_mask: np.ndarray
-
-
-def support_in_zero_set(
-    mu: DiscreteMeasure,
-    v: VectorField,
-    cert: LyapunovCertificate,
-    threshold: float = 0.02,
-) -> SupportCheck:
-    """Mass of mu off the set S = {V . grad U = 0}, up to grid tolerance
-    tol = ||grad(V.grad U)||_inf (hx + hy)."""
-    grid = v.grid
-    gx, gy = grad_central(cert.u, grid)
-    g = v.vx * gx + v.vy * gy
-    ggx, ggy = grad_central(g, grid)
-    tol = float(np.hypot(ggx, ggy).max()) * (grid.hx + grid.hy)
-    on_s = np.abs(g) <= tol
-    off_mass = float(mu.weights[~on_s].sum())
-    return SupportCheck(
-        offending_mass=off_mass, tol=tol, passed=off_mass < threshold, zero_set_mask=on_s
-    )
 
 
 # ---------------------------------------------------------------------------

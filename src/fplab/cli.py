@@ -73,6 +73,15 @@ def _eps_labels(values) -> tuple:
     return eps
 
 
+def _config_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """A config value that must be a JSON integer (not a bool) in [lo, hi)."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or (hi is not None and value >= hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ConfigError(name, f"must be an integer {bounds}, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     scenario: dict
@@ -94,11 +103,12 @@ class RunConfig:
         for k, v in thr.items():
             if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
                 raise ConfigError(f"analysis.thresholds.{k}", "must be a number in (0, 1)")
+        _config_int("analysis.rho_mesh", raw.get("analysis", {}).get("rho_mesh", 64), 2)
         for k in _GRID_KEYS:
             if k not in raw["grid"]:
                 raise ConfigError(f"grid.{k}", "missing grid field")
         cfg = cls(raw["scenario"], raw["grid"], raw["schedule"], raw["output_dir"],
-                  int(raw.get("seed", 0)), raw.get("analysis", {}))
+                  _config_int("seed", raw.get("seed", 0), 0, 2**64), raw.get("analysis", {}))
         cfg.build_grid()  # fails here, before any work, on values Grid2D rejects
         return cfg
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .analysis import _grad_hypothesis_tol
-from .dynamics import grad_central
+from .dynamics import curvature_bound, grad_central, grad_hypothesis_tol, hessian_from_grad
 from .errors import (
     CertificateFailError,
     DegenerateGradientError,
@@ -111,7 +110,8 @@ def isolation_from_certificate(
     if not band.any():
         raise ValueError("rho_tilde level set does not intersect the grid")
     bracket = (u0 >= rho_star_lo) & (u0 <= rho_star_hi)
-    if float(gnorm[bracket].min()) <= _grad_hypothesis_tol(u0, grid, bracket):
+    curvature = curvature_bound(*hessian_from_grad(gx, gy, grid))
+    if float(gnorm[bracket].min()) <= grad_hypothesis_tol(curvature, bracket, grid):
         raise DegenerateGradientError(
             f"grad U0 vanishes on the band [{rho_star_lo}, {rho_star_hi}]"
         )

@@ -1,15 +1,19 @@
 """Deterministic side: flow integration, attractor/repeller approximation, and
 Lyapunov-certificate verification on the grid.
 
+Trajectories and the attractor ensemble share one RK4 step generator.
 Certificates check the drift inequality V . grad(U) <= -gamma (or its
 anti/weak variants) outside the rho_m sublevel set, with gradients by central
-differences and a discretization slack proportional to hx + hy. The family
-variant adds the second-order term a^{ij} d2_ij U of the noise operator and
-demands one shared (rho_m, gamma) across all members.
+differences and a discretization slack proportional to hx + hy; that slack and
+the level-set bounds' vanishing-gradient tolerance both read the curvature
+bound |uxx| + 2|uxy| + |uyy|. The family variant adds the second-order term
+a^{ij} d2_ij U of the noise operator and demands one shared (rho_m, gamma)
+across all members.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +28,11 @@ __all__ = [
     "integrate_flow",
     "approximate_attractor",
     "grad_central",
-    "hessian_central",
+    "hessian_from_grad",
+    "curvature_bound",
+    "grad_hypothesis_tol",
     "verify_lyapunov",
     "verify_uniform_lyapunov",
-    "sublevel_set",
 ]
 
 CERT_KINDS = ("lyapunov", "anti-lyapunov", "weak", "entire-weak")
@@ -37,6 +42,31 @@ SETTLE_RTOL = 0.10           # allowed late change of the ensemble diameter
 
 # ---------------------------------------------------------------------------
 # flow integration
+
+def _rk4_steps(v_fn, p, total: float, dt: float, sign: float):
+    """Classical RK4 for dx/dt = sign V(x) from p, a point or an (n, 2)
+    ensemble: ceil(total / dt) steps of dt, the last one shortened to end at
+    total. Yields (t, p) after each step; stops early if rounding brings t to
+    total before the last step.
+    """
+
+    def f(q):
+        vx, vy = v_fn(q[..., 0], q[..., 1])
+        return sign * np.stack([vx, vy], axis=-1)
+
+    t = 0.0
+    for _ in range(int(np.ceil(total / dt))):
+        h = min(dt, total - t)
+        if h <= 0:
+            return
+        k1 = f(p)
+        k2 = f(p + 0.5 * h * k1)
+        k3 = f(p + 0.5 * h * k2)
+        k4 = f(p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        yield t, p
+
 
 def integrate_flow(v_fn, x0, t_end: float, dt: float, box=None):
     """Classical RK4 trajectory of dx/dt = V(x) from x0.
@@ -53,69 +83,24 @@ def integrate_flow(v_fn, x0, t_end: float, dt: float, box=None):
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
     sign = 1.0 if t_end > 0 else -1.0
-    total = abs(t_end)
-
-    def f(p):
-        vx, vy = v_fn(p[..., 0], p[..., 1])
-        return sign * np.stack([vx, vy], axis=-1)
-
     if box is not None and isinstance(box, Grid2D):
         box = (box.x_min, box.x_max, box.y_min, box.y_max)
 
-    n_steps = int(np.ceil(total / dt))
-    p = np.asarray(x0, dtype=float).copy()
-    points = [p.copy()]
-    t = 0.0
-    times = [0.0]
+    p0 = np.asarray(x0, dtype=float)
+    t_start, times, points = 0.0, [0.0], [p0]
     escaped = False
-    for _ in range(n_steps):
-        h = min(dt, total - t)
-        k1 = f(p)
-        k2 = f(p + 0.5 * h * k1)
-        k3 = f(p + 0.5 * h * k2)
-        k4 = f(p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for t, p in _rk4_steps(v_fn, p0, abs(t_end), dt, sign):
         if not np.all(np.isfinite(p)):
-            raise NonFiniteFieldError(("trajectory", t), float("nan"))
-        t += h
+            raise NonFiniteFieldError(("trajectory", t_start), float("nan"))
+        t_start = t
         times.append(sign * t)
-        points.append(p.copy())
+        points.append(p)
         if box is not None and not (
             box[0] <= p[..., 0] <= box[1] and box[2] <= p[..., 1] <= box[3]
         ):
             escaped = True
             break
     return np.asarray(times), np.asarray(points), escaped
-
-
-def _integrate_ensemble(v_fn, pts, t_total, dt, sign, checkpoints):
-    """RK4 on an (n, 2) ensemble; returns snapshots at requested times."""
-
-    def f(p):
-        vx, vy = v_fn(p[:, 0], p[:, 1])
-        return sign * np.stack([vx, vy], axis=-1)
-
-    p = pts.copy()
-    snaps = {}
-    t = 0.0
-    n_steps = int(np.ceil(t_total / dt))
-    ck = sorted(checkpoints)
-    for _ in range(n_steps):
-        h = min(dt, t_total - t)
-        if h <= 0:
-            break
-        k1 = f(p)
-        k2 = f(p + 0.5 * h * k1)
-        k3 = f(p + 0.5 * h * k2)
-        k4 = f(p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        while ck and t >= ck[0] - 1e-12:
-            snaps[ck.pop(0)] = p.copy()
-        if not np.all(np.isfinite(p)):
-            raise NonFiniteFieldError(("ensemble", t), float("nan"))
-    snaps[t_total] = p.copy()
-    return snaps
 
 
 def _diameter(pts):
@@ -161,6 +146,8 @@ def approximate_attractor(
     cell, whichever is larger) over the last 20% of integration time.
     Terminal points are binned to cells and dilated by one cell.
     """
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
     xx, yy = grid.centers()
     mask = grid.interior_mask()
     if seed_region is not None:
@@ -171,10 +158,13 @@ def approximate_attractor(
     stride = max(1, len(cand) // ensemble_size)
     pts = cand[::stride]
 
-    sign = -1.0 if reverse_time else 1.0
-    snaps = _integrate_ensemble(v_fn, pts, t_end, ATTRACTOR_DT, sign, checkpoints=[0.8 * t_end])
-    d_early = _diameter(snaps[0.8 * t_end])
-    final = snaps[t_end]
+    early = None
+    for t, final in _rk4_steps(v_fn, pts, t_end, ATTRACTOR_DT, -1.0 if reverse_time else 1.0):
+        if early is None and t >= 0.8 * t_end - 1e-12:
+            early = final
+        if not np.all(np.isfinite(final)):
+            raise NonFiniteFieldError(("ensemble", t), float("nan"))
+    d_early = _diameter(early)
     d_final = _diameter(final)
     scale = max(d_final, min(grid.hx, grid.hy))
     if abs(d_final - d_early) > SETTLE_RTOL * scale:
@@ -219,13 +209,30 @@ def grad_central(u: np.ndarray, grid: Grid2D):
     return gx, gy
 
 
-def hessian_central(u: np.ndarray, grid: Grid2D):
-    """Finite-difference Hessian entries (uxx, uxy, uyy)."""
-    gx, gy = grad_central(u, grid)
+def hessian_from_grad(gx, gy, grid: Grid2D):
+    """Finite-difference Hessian entries (uxx, uxy, uyy) from the central
+    gradient (gx, gy) of U."""
     uxx = np.gradient(gx, grid.hx, axis=0)
     uxy = np.gradient(gx, grid.hy, axis=1)
     uyy = np.gradient(gy, grid.hy, axis=1)
     return uxx, uxy, uyy
+
+
+def curvature_bound(uxx, uxy, uyy):
+    """|uxx| + 2|uxy| + |uyy| per cell, the bound on |D2 U| behind both grid
+    tolerances: the certificate slack and grad_hypothesis_tol."""
+    return np.abs(uxx) + 2 * np.abs(uxy) + np.abs(uyy)
+
+
+def grad_hypothesis_tol(curvature, band, grid: Grid2D) -> float:
+    """Grid-aware threshold below which a band gradient counts as vanishing:
+    near a critical point |grad U| ~ |D2 U| h."""
+    cmax = float(curvature[band].max()) if band.any() else float(curvature.max())
+    return 0.5 * cmax * (grid.hx + grid.hy)
+
+
+def _default_slack(curvature, grid: Grid2D) -> float:
+    return 2.0 * float(np.max(curvature)) * (grid.hx + grid.hy)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +244,10 @@ class LyapunovCertificate:
 
     ``margins`` holds the per-cell slack of the checked inequality on the
     essential domain (positive = satisfied with room); ``slack`` is the
-    discretization allowance C (hx + hy) it was checked against.
+    discretization allowance C (hx + hy) it was checked against. The
+    derivatives of U that the level-set bounds read (gradient, its norm,
+    curvature_bound) are computed on first use and cached, which is sound
+    because ``u`` is read-only once the certificate holds it.
     """
 
     grid: Grid2D
@@ -258,14 +268,19 @@ class LyapunovCertificate:
             raise ValueError(f"kind must be one of {CERT_KINDS}")
         self.u.setflags(write=False)
 
+    @functools.cached_property
+    def grad(self):
+        """Central-difference gradient (gx, gy) of U."""
+        return grad_central(self.u, self.grid)
 
-def sublevel_set(cert_or_u, rho: float) -> np.ndarray:
-    """Boolean mask of the open sublevel set {U < rho}."""
-    if isinstance(cert_or_u, LyapunovCertificate):
-        u = cert_or_u.u
-    else:
-        u = np.asarray(cert_or_u)
-    return u < rho
+    @functools.cached_property
+    def grad_norm(self) -> np.ndarray:
+        return np.hypot(*self.grad)
+
+    @functools.cached_property
+    def curvature(self) -> np.ndarray:
+        """curvature_bound of the finite-difference Hessian of U."""
+        return curvature_bound(*hessian_from_grad(*self.grad, self.grid))
 
 
 def _essential_mask(u, rho_m, rho_M, region):
@@ -273,12 +288,6 @@ def _essential_mask(u, rho_m, rho_M, region):
     if region is not None:
         mask &= region
     return mask
-
-
-def _default_slack(u, grid):
-    uxx, uxy, uyy = hessian_central(u, grid)
-    c = 2.0 * float(np.max(np.abs(uxx) + 2 * np.abs(uxy) + np.abs(uyy)))
-    return c * (grid.hx + grid.hy)
 
 
 def verify_lyapunov(
@@ -308,7 +317,7 @@ def verify_lyapunov(
     gx, gy = grad_central(u, grid)
     vdotgrad = v.vx * gx + v.vy * gy
     if slack is None:
-        slack = _default_slack(u, grid)
+        slack = _default_slack(curvature_bound(*hessian_from_grad(gx, gy, grid)), grid)
 
     if kind == "entire-weak":
         mask = np.ones_like(u, dtype=bool) if region is None else region.copy()
@@ -362,9 +371,9 @@ def verify_uniform_lyapunov(
     grid = v.grid
     u = np.asarray(u, dtype=float)
     gx, gy = grad_central(u, grid)
-    uxx, uxy, uyy = hessian_central(u, grid)
+    uxx, uxy, uyy = hessian_from_grad(gx, gy, grid)
     vdotgrad = v.vx * gx + v.vy * gy
-    slack = _default_slack(u, grid)
+    slack = _default_slack(curvature_bound(uxx, uxy, uyy), grid)
     rho_M = float(u.max()) + 1.0
     mask = _essential_mask(u, rho_m, rho_M, None)
 

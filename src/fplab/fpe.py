@@ -22,7 +22,10 @@ residual test. The uniqueness check needs the system pinned at a second cell;
 that matrix is a rank-2 update of the first, so its solve reuses the same LU
 through the Sherman-Morrison-Woodbury formula (Hager 1989). The check fails
 closed: SingularOperatorError is raised unless both solutions are finite and
-agree within the tolerance, and a NaN distance counts as disagreement.
+agree within the tolerance, and a NaN distance counts as disagreement. A
+reducible operator (more than one strongly connected component in its
+nonzero pattern) is refused before it is factorized, because rounding alone
+can make the two pinned solves of such an operator agree.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -281,6 +285,20 @@ def _inverse_power(m: sp.csr_matrix, tol: float, maxit: int = 60):
     raise NoConvergenceError(history)
 
 
+def _require_irreducible(m: sp.csr_matrix):
+    """Raise SingularOperatorError if the nonzero pattern of m has more than
+    one strongly connected component. Stored zeros are dropped first: csgraph
+    counts them as edges, so a coupling stored as 0.0 would hide the split."""
+    pattern = m.copy()
+    pattern.eliminate_zeros()
+    k, _ = csgraph.connected_components(pattern, directed=True, connection="strong")
+    if k > 1:
+        raise SingularOperatorError(
+            f"operator is reducible: {k} strongly connected components; "
+            "null space dimension > 1 or a transient class"
+        )
+
+
 def solve_stationary(
     op: DiscreteOperator, check_unique: bool = True
 ) -> tuple[DiscreteMeasure, SolveReport]:
@@ -294,7 +312,11 @@ def solve_stationary(
     second cell instead, the centre of the low-x half, as a rank-2 Woodbury
     update of the same LU, and raises SingularOperatorError (null space
     dimension > 1) unless that solve is finite and agrees with the first
-    within UNIQUENESS_TOL in L1; a NaN distance counts as disagreement. The
+    within UNIQUENESS_TOL in L1; a NaN distance counts as disagreement.
+    Before any factorization the check also refuses, with
+    SingularOperatorError, an operator whose nonzero pattern has more than
+    one strongly connected component (a reducible generator): its null
+    vector is not unique, or it is zero on a transient block. The
     report's meta adds the pinned cell and the nonzeros SuperLU stores for
     L and U (None when B1 is exactly singular).
     """
@@ -304,6 +326,8 @@ def solve_stationary(
     tol = RESIDUAL_RTOL * op.norm_inf()
     r1, r2 = _pinned_cells(op.grid)
 
+    if check_unique:
+        _require_irreducible(m)
     method = "bordered-lu"
     iterations = 1
     lu = _bordered_lu(m, r1)

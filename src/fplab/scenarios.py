@@ -582,7 +582,7 @@ def _run_hopf(scenario, grid, eps, schedule, analysis):
                            schedule.get("invariance_mode", "reflecting"))
     dic = dictionary_for(analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
     return run_hopf_sweep(b, sched, grid, dic, thresholds=analysis.get("thresholds"),
-                          rho_mesh=int(analysis.get("rho_mesh", 64)))
+                          rho_mesh=analysis.get("rho_mesh", 64))
 
 
 def _run_double_well(scenario, grid, eps, schedule, analysis):

@@ -48,6 +48,11 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError) as exc:
             RunConfig.from_dict(_hopf_config("x", thresholds={"annulus_final": value}))
         assert exc.value.field == "analysis.thresholds.annulus_final"
+    # the largest seed and the smallest level mesh are accepted
+    cfg = _hopf_config("x")
+    cfg["seed"] = 2**64 - 1
+    cfg["analysis"]["rho_mesh"] = 2
+    assert RunConfig.from_dict(cfg).seed == 2**64 - 1
 
 
 def test_cli_exit_2_on_bad_config(tmp_path, capsys):
@@ -91,7 +96,8 @@ def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-# (argv, field named on stderr); after "run" a dict of config sections to update
+# (argv, field named on stderr); after "run" a dict of config sections to
+# update, or of top-level values to replace
 _BAD_VALUES = [
     (["solve", "--grid-n", "4"], "grid"),
     (["solve", "--x-min", "1", "--x-max", "0"], "grid"),
@@ -112,6 +118,14 @@ _BAD_VALUES = [
     (["hopf", "--b=0.5,x"], "scenario.b"),
     (["run", {"scenario": {"b": "x"}}], "scenario.b"),
     (["run", {"scenario": {"name": "double-well-designed", "ratio": "big"}}], "scenario.ratio"),
+    (["run", {"seed": "x"}], "seed"),
+    (["run", {"seed": -1}], "seed"),
+    (["run", {"seed": True}], "seed"),
+    (["run", {"seed": 2**64}], "seed"),
+    (["run", {"analysis": {"rho_mesh": "x"}}], "analysis.rho_mesh"),
+    (["run", {"analysis": {"rho_mesh": -3}}], "analysis.rho_mesh"),
+    (["run", {"analysis": {"rho_mesh": 1}}], "analysis.rho_mesh"),
+    (["run", {"analysis": {"rho_mesh": 64.0}}], "analysis.rho_mesh"),
     (["verify"], "config"),
 ]
 
@@ -124,7 +138,10 @@ def test_cli_exit_2_on_bad_value_from_outside(tmp_path, capsys, argv, field):
     if cmd == "run":
         cfg = _hopf_config(out)
         for section, values in rest.pop().items():
-            cfg[section].update(values)
+            if isinstance(values, dict):
+                cfg[section].update(values)
+            else:
+                cfg[section] = values
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         rest = ["--config", str(p)]

@@ -4,12 +4,12 @@ import pytest
 from fplab.dynamics import (
     approximate_attractor,
     integrate_flow,
-    sublevel_set,
     verify_lyapunov,
     verify_uniform_lyapunov,
 )
 from fplab.errors import NotSettledError
-from fplab.fields import isotropic_schedule, sample_vector_field
+from fplab.fields import isotropic_diffusion, isotropic_schedule, sample_vector_field
+from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
 from fplab.scenarios import hopf_drift
 
@@ -167,16 +167,13 @@ def test_uniform_fails_for_large_member(hopf_grid, hopf_field, radial_u):
     assert first == 1  # passes from the second member on
 
 
-def test_sublevel_set(radial_u, hopf_grid):
-    mask = sublevel_set(radial_u, 1.0)
-    xx, yy = hopf_grid.centers()
-    assert np.array_equal(mask, xx**2 + yy**2 < 1.0)
-    assert not sublevel_set(radial_u, 0.0).any()
-
-
-def test_lasalle_consistency():
+def test_lasalle_consistency(hopf_grid, hopf_field, radial_u):
     # omega-limit points of the b=1 flow land in {V.grad U = 0} = {U=0}+{U=1}
     for x0 in ((0.3, 0.1), (1.4, -0.2), (0.05, 0.0)):
         _, pts, _ = integrate_flow(hopf_drift(1.0), x0, 60.0, 0.005)
         u_end = pts[-1, 0] ** 2 + pts[-1, 1] ** 2
         assert min(abs(u_end - 1.0), abs(u_end)) < 0.05
+    # and the solved measure at small eps concentrates near that set: little
+    # mass where |V.grad U| = |2U(1-U)| > 1.5
+    mu, _ = solve_stationary(assemble(hopf_field, isotropic_diffusion(hopf_grid, 0.02), hopf_grid))
+    assert float(mu.weights[np.abs(2 * radial_u * (1 - radial_u)) > 1.5].sum()) < 0.02

@@ -67,7 +67,7 @@ def test_zero_drift_reduces_to_laplacian():
 
 
 def test_column_sums_vanish_random_spd_fields():
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(0)
     g = Grid2D(-1, 1, -1, 1, 12, 12)
     for _ in range(5):
         vx = rng.normal(size=(12, 12))
@@ -310,6 +310,57 @@ def test_singular_null_space_detected():
     big = DiscreteOperator(Grid1D(-1, 1, 16), sp.block_diag([op_a.matrix, op_b.matrix]).tocsr())
     with pytest.raises(SingularOperatorError):
         solve_stationary(big)
+
+
+def _chain(rng, n):
+    # birth-death generator on n cells, rates uniform in [0.1, 1.1]; entry
+    # (j, i) is the rate i -> j, so columns sum to zero
+    up, down = rng.uniform(0.1, 1.1, (2, n - 1))
+    m = sp.diags([up, down], [-1, 1], shape=(n, n)).tolil()
+    m.setdiag(-np.asarray(m.sum(axis=0)).ravel())
+    return m.tocsr()
+
+
+def _on_16_cells(m):
+    # Grid1D with 16 cells: the solve pins cell 8, the uniqueness check cell 4
+    return DiscreteOperator(Grid1D(-1, 1, 16), sp.csr_matrix(m))
+
+
+def test_reducible_two_block_batch_refused():
+    # with both pinned cells in one closed block the other block has exact
+    # zeros and the two pinned solves agree up to rounding, so only the
+    # pattern of the operator shows that it splits
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        k = int(rng.choice([3, 5, 8, 11, 13]))
+        op = _on_16_cells(sp.block_diag([_chain(rng, k), _chain(rng, 16 - k)]))
+        with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
+            solve_stationary(op, check_unique=True)
+
+
+def test_one_way_coupled_pair_refused():
+    # block A (cells 12-15) feeds block B (cells 0-11), which never returns
+    # mass: A is transient and the null vector vanishes on it
+    rng = np.random.default_rng(7)
+    m = sp.block_diag([_chain(rng, 12), _chain(rng, 4)]).tolil()
+    m[11, 12] += 0.5
+    m[12, 12] -= 0.5
+    with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
+        solve_stationary(_on_16_cells(m), check_unique=True)
+
+
+def test_coupling_stored_as_zero_does_not_hide_reducibility():
+    # explicit 0.0 entries between the blocks are edges to csgraph; the check
+    # must read the pattern of the nonzero entries
+    rng = np.random.default_rng(0)
+    m = sp.block_diag([_chain(rng, 12), _chain(rng, 4)]).tocoo()
+    rows = np.concatenate([m.row, [11, 12]])
+    cols = np.concatenate([m.col, [12, 11]])
+    data = np.concatenate([m.data, [0.0, 0.0]])
+    op = _on_16_cells(sp.csr_matrix((data, (rows, cols)), shape=(16, 16)))
+    assert op.matrix.nnz == m.nnz + 2
+    with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
+        solve_stationary(op, check_unique=True)
 
 
 def test_ou_2d_oracle():

@@ -45,6 +45,41 @@ def test_unused_import_is_detected():
     assert _unused_imports(tree) == ["sys (line 2)", "a (line 3)"]
 
 
+def _stale_exports(tree: ast.Module) -> list[str]:
+    """Names in ``__all__`` that nothing at the module's top level binds."""
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        else:
+            bound |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_all_names_are_bound(path):
+    assert _stale_exports(ast.parse(path.read_text())) == []
+
+
+def test_stale_export_is_detected():
+    tree = ast.parse(
+        "from .x import a, b as c\n"
+        "import os.path\n"
+        "K = 1\n"
+        "def f(): g = 2\n"
+        "class C: pass\n"
+        "__all__ = ['a', 'c', 'os', 'K', 'f', 'C', 'b', 'g', 'gone']\n"
+    )
+    assert _stale_exports(tree) == ["b", "g", "gone"]
+
+
 def test_format_tags_live_in_io_formats():
     # a document format tag written anywhere but io.FORMATS would let two
     # modules disagree on a version
