@@ -31,6 +31,7 @@ from .grid import Grid2D
 from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
     _DEFAULT_DICTIONARY,
+    _HOPF_THRESHOLDS,
     _ISOLATION_RECIPES,
     SCENARIOS,
     ScenarioResult,
@@ -101,6 +102,9 @@ class RunConfig:
         _eps_labels(raw["schedule"].get("eps"))
         thr = raw.get("analysis", {}).get("thresholds", {})
         for k, v in thr.items():
+            if k not in _HOPF_THRESHOLDS:
+                raise ConfigError(f"analysis.thresholds.{k}",
+                                  f"unknown threshold; known: {', '.join(_HOPF_THRESHOLDS)}")
             if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
                 raise ConfigError(f"analysis.thresholds.{k}", "must be a number in (0, 1)")
         _config_int("analysis.rho_mesh", raw.get("analysis", {}).get("rho_mesh", 64), 2)
@@ -302,6 +306,10 @@ def _cmd_design_noise(args) -> int:
 
 
 def _cmd_find_attractor(args) -> int:
+    if not 0.0 < args.t_end < float("inf"):
+        raise ConfigError("t_end", f"must be positive and finite, got {args.t_end!r}")
+    if args.ensemble < 1:
+        raise ConfigError("ensemble", f"must be >= 1, got {args.ensemble}")
     grid, scen = _flag_scenario(args)
     # a repeller is sought from seeds in its isolating region: seeds outside
     # it may escape in reverse time, so without one there is nothing to seek

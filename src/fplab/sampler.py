@@ -2,15 +2,18 @@
 dx = V dt + G dW with reflecting truncation, estimating the stationary
 measure as a pooled long-run occupation histogram.
 
-One stepping loop advances the paths of all k members of a noise family
-together, on position arrays of shape (k, n_paths), so the interpreter's
-cost of a step is paid once for every member; each member's noise factor is
-computed once per cell. Per-path noise streams come from counter-based
-Philox generators keyed by (seed, path index), and every member reuses
-them: a member's measure is bit-identical whether it is sampled alone or
-with others. Normals are drawn in chunks of ``_CHUNK_STEPS`` steps from each
-stream rather than for the whole run, and the kept positions of a chunk are
-binned with one ``np.bincount``.
+One fused step advances the paths of all k members of a noise family on one
+(2, k, n_paths) position array, so the drift is called once per step for
+every member. Each path's flat cell index (member, i, j) is computed once per
+step: the next step gathers the member's noise factor (computed once per
+cell) at it, and one ``np.bincount`` per chunk of ``_CHUNK_STEPS`` steps bins
+it. A step that leaves every position inside the box returns lo + (x - lo)
+without calling ``_reflect``; that is exactly ``_reflect``'s value, because
+its ``mod`` is exact there. Otherwise the step checks that all positions are
+finite and reflects the whole array. Per-path noise streams come from
+counter-based Philox generators keyed by (seed, path index), drawn a chunk at
+a time, and every member reuses them: a member's measure is bit-identical
+whether it is sampled alone or with others.
 """
 
 from __future__ import annotations
@@ -127,13 +130,11 @@ def occupation_measure(
     if any(a.grid != grid for a in members):
         raise GridMismatchError("every diffusion field must live on the sampler's grid")
     n_steps, burn_steps = cfg.n_steps, cfg.burn_steps
-    npaths = cfg.n_paths
-    k = len(members)
-    shape = (k, npaths)
-    # member m's noise factor at cell (i, j) is g00[m, i, j], g10[m, i, j], ...
-    g00, g10, g11 = _chol_2x2_batch(*(np.stack([getattr(a, f) for a in members])
-                                      for f in ("a11", "a12", "a22")))
-    member = np.arange(k)[:, None]
+    npaths, k = cfg.n_paths, len(members)
+    # rows g00, g10, g11 of member m's noise factor in cell (i, j), at the
+    # flat index m * n_cells + i * ny + j that also bins the histogram
+    g = np.stack(_chol_2x2_batch(*(np.stack([getattr(a, f) for a in members])
+                                   for f in ("a11", "a12", "a22")))).reshape(3, -1)
 
     side = int(np.ceil(np.sqrt(npaths)))
     gx = np.linspace(0.3, 0.7, side)
@@ -142,50 +143,64 @@ def occupation_measure(
         grid.y_min + gx * (grid.y_max - grid.y_min),
         indexing="ij",
     )
-    x = np.broadcast_to(x0.ravel()[:npaths], shape).copy()
-    y = np.broadcast_to(y0.ravel()[:npaths], shape).copy()
+    p = np.empty((2, k, npaths))  # x and y of every member's paths
+    p[0], p[1] = x0.ravel()[:npaths], y0.ravel()[:npaths]
+    lo, hi, h = (np.array(c, dtype=float)[:, None, None] for c in (
+        (grid.x_min, grid.y_min), (grid.x_max, grid.y_max), (grid.hx, grid.hy)))
+    span = hi - lo
+    u = np.empty_like(p)
+    mij = np.empty((3, k, npaths), dtype=np.intp)  # member, i, j of every path
+    mij[0] = np.arange(k)[:, None]
 
-    rngs = [_path_rng(cfg.rng_seed, p) for p in range(npaths)]
+    def cell_index(out):
+        """Flat cell index of p, truncated and clipped as in Grid2D.cell_index."""
+        np.divide(np.subtract(p, lo, out=u), h, out=u)
+        np.copyto(mij[1:], u, casting="unsafe")
+        out[...] = np.ravel_multi_index(mij, (k, grid.nx, grid.ny), mode="clip")
+
+    rngs = [_path_rng(cfg.rng_seed, q) for q in range(npaths)]
     dt = cfg.dt
-    sqdt = np.sqrt(dt)
     cell_diag = min(grid.hx, grid.hy)
-    big_jumps = np.zeros(shape, dtype=np.int64)
-    slow_drift = np.zeros(shape, dtype=np.int64)
-    # flat histogram index of member m's cell (i, j): m * n_cells + i * ny + j
+    big_jumps, slow_drift = np.zeros((2, k), dtype=np.int64)
     counts = np.zeros(k * grid.n_cells, dtype=np.int64)
-    xs = np.empty((_CHUNK_STEPS,) + shape)
-    ys = np.empty((_CHUNK_STEPS,) + shape)
+    # per chunk: each step's drift, displacement and flat cell after the move
+    vxy = np.empty((_CHUNK_STEPS, 2, k, npaths))
+    dxy = np.empty_like(vxy)
+    cells = np.empty((_CHUNK_STEPS, k, npaths), dtype=np.intp)
+    # step s starts in cells[s - 1]: for s = 0 the last row, which holds the
+    # start positions, then the last step of the previous (whole) chunk
+    cell_index(cells[-1])
 
     for start in range(0, n_steps, _CHUNK_STEPS):
         n = min(_CHUNK_STEPS, n_steps - start)
         # (n, 2, n_paths): row s holds step start+s of every path's stream
-        dw = np.stack([rng.standard_normal((n, 2)) for rng in rngs], axis=-1) * sqdt
+        dw = np.stack([rng.standard_normal((n, 2)) for rng in rngs], axis=-1) * np.sqrt(dt)
         for s in range(n):
-            vx, vy = v_fn(x, y)
-            i, j = grid.cell_index(x, y)
-            dwx, dwy = dw[s]
-            dx = vx * dt + g00[member, i, j] * dwx
-            dy = vy * dt + g10[member, i, j] * dwx + g11[member, i, j] * dwy
-            big_jumps += np.hypot(dx, dy) > 2.0 * cell_diag
-            slow_drift += np.hypot(vx, vy) * dt < cell_diag
-            x = x + dx
-            y = y + dy
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
-                raise NonFiniteFieldError(("path", start + s), float("nan"))
-            x = _reflect(x, grid.x_min, grid.x_max)
-            y = _reflect(y, grid.y_min, grid.y_max)
-            xs[s] = x
-            ys[s] = y
+            vxy[s] = v_fn(p[0], p[1])
+            gs = g.take(cells[s - 1], axis=1)
+            d = np.multiply(vxy[s], dt, out=dxy[s])
+            d += gs[:2] * dw[s, 0]  # vx dt + g00 dwx, vy dt + g10 dwx
+            d[1] += gs[2] * dw[s, 1]
+            p += d
+            np.subtract(p, lo, out=u)
+            if u.min() >= 0.0 and (u <= span).all():
+                np.add(lo, u, out=p)  # _reflect's value: its mod is exact here
+            else:
+                if not np.isfinite(p).all():
+                    raise NonFiniteFieldError(("path", start + s), float("nan"))
+                p[...] = _reflect(p, lo, hi)
+            cell_index(cells[s])
+        big_jumps += np.count_nonzero(np.hypot(dxy[:n, 0], dxy[:n, 1]) > 2.0 * cell_diag,
+                                      axis=(0, 2))
+        slow_drift += np.count_nonzero(np.hypot(vxy[:n, 0], vxy[:n, 1]) * dt < cell_diag,
+                                       axis=(0, 2))
         first = max(burn_steps - start, 0)
         if first < n:
-            i, j = grid.cell_index(xs[first:n], ys[first:n])
-            counts += np.bincount((member * grid.n_cells + i * grid.ny + j).ravel(),
-                                  minlength=counts.size)
+            counts += np.bincount(cells[first:n].ravel(), minlength=counts.size)
 
     total_steps = n_steps * npaths
     kept = (n_steps - burn_steps) * npaths
-    jumps = [int(c) for c in big_jumps.reshape(k, npaths).sum(axis=1)]
-    slow = [int(c) for c in slow_drift.reshape(k, npaths).sum(axis=1)]
+    jumps, slow = big_jumps.tolist(), slow_drift.tolist()
     for c in jumps:
         if c / total_steps > 0.05:
             raise UnderresolvedError(

@@ -234,6 +234,16 @@ def build_schedule(
 
 _DEFAULT_DICTIONARY = "hopf-offcycle-v1"  # used wherever a run names no dictionary
 
+# the Hopf sweep's final-eps thresholds: a run config's analysis.thresholds may
+# override these and may name no other key
+_HOPF_THRESHOLDS = {
+    "annulus_final": 0.85,
+    "origin_final": 0.02,
+    "angular_w1_final": 0.05,
+    "residual_ratio_final": 0.05,
+    "center_final": 0.95,
+}
+
 
 def dictionary_for(name: str, grid: Grid2D) -> TestFunctionDictionary:
     """Versioned test-function dictionaries. A grid that cannot hold the
@@ -324,14 +334,7 @@ def run_hopf_sweep(
     r = np.hypot(xx, yy)
     u_cert = scen.certificate_samples(grid)
     dictionary = dictionary or dictionary_for(_DEFAULT_DICTIONARY, grid)
-    th = {
-        "annulus_final": 0.85,
-        "origin_final": 0.02,
-        "angular_w1_final": 0.05,
-        "residual_ratio_final": 0.05,
-        "center_final": 0.95,
-    }
-    th.update(thresholds or {})
+    th = {**_HOPF_THRESHOLDS, **(thresholds or {})}
 
     sqrt_b = float(np.sqrt(b)) if b > 0 else 0.0
     annulus = np.abs(r - sqrt_b) < 0.15

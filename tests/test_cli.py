@@ -105,6 +105,11 @@ _BAD_VALUES = [
     (["hopf", "--grid-n", "4"], "grid"),
     (["design-noise", "--target", "attractor", "--x-min", "1", "--x-max", "0"], "grid"),
     (["find-attractor", "--grid-n", "4"], "grid"),
+    (["find-attractor", "--t-end", "0"], "t_end"),
+    (["find-attractor", "--t-end", "-1"], "t_end"),
+    (["find-attractor", "--t-end", "nan"], "t_end"),
+    (["find-attractor", "--t-end", "inf"], "t_end"),
+    (["find-attractor", "--ensemble", "0"], "ensemble"),
     (["verify-lyapunov", "--y-min", "1", "--y-max", "0"], "grid"),
     (["solve", "--eps", "abc"], "schedule.eps"),
     (["sample", "--eps", "0.1,0.2"], "schedule.eps"),
@@ -126,6 +131,7 @@ _BAD_VALUES = [
     (["run", {"analysis": {"rho_mesh": -3}}], "analysis.rho_mesh"),
     (["run", {"analysis": {"rho_mesh": 1}}], "analysis.rho_mesh"),
     (["run", {"analysis": {"rho_mesh": 64.0}}], "analysis.rho_mesh"),
+    (["run", {"analysis": {"thresholds": {"annulus_finl": 0.5}}}], "analysis.thresholds.annulus_finl"),
     (["verify"], "config"),
 ]
 

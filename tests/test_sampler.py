@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fplab import sampler
 from fplab.analysis import bl_distance
 from fplab.errors import GridMismatchError, NonFiniteFieldError, NotSPDError, UnderresolvedError
 from fplab.fields import (
@@ -175,20 +176,32 @@ def _fields(grid, tables):
     return [DiffusionField(grid, *(t[m] for t in tables)) for m in range(len(tables[0]))]
 
 
-@pytest.mark.parametrize("n_members,t_total,t_burn", [
-    (1, 20.0, None),  # one member, the tests' call
-    (3, 20.0, None),
+_WIDE = Grid2D(-2.0, 2.0, -2.0, 2.0, 24, 24)
+# paths cross this box in a few hundred steps, so most steps reflect
+_SMALL = Grid2D(-0.6, 0.6, -0.4, 0.4, 12, 8)
+
+
+@pytest.mark.parametrize("n_members,t_total,t_burn,g,scale", [
+    pytest.param(1, 20.0, None, _WIDE, 1.0, id="1-20.0-None"),  # one member, the tests' call
+    pytest.param(3, 20.0, None, _WIDE, 1.0, id="3-20.0-None"),
     # 2530 steps end 482 into the third chunk; burn-in ends inside the second
-    (2, 25.3, 15.0),
+    pytest.param(2, 25.3, 15.0, _WIDE, 1.0, id="2-25.3-15.0"),
+    pytest.param(2, 25.3, 15.0, _SMALL, 0.25, id="reflecting"),
 ])
-def test_kernel_matches_reference_loop(n_members, t_total, t_burn):
-    g = Grid2D(-2.0, 2.0, -2.0, 2.0, 24, 24)
+def test_kernel_matches_reference_loop(monkeypatch, n_members, t_total, t_burn, g, scale):
+    reflecting_steps = []
+
+    def counted_reflect(x, lo, hi):
+        reflecting_steps.append(x.shape)
+        return _reflect(x, lo, hi)
+
+    monkeypatch.setattr(sampler, "_reflect", counted_reflect)
     cfg = SamplerConfig(dt=0.01, t_total=t_total, n_paths=8, rng_seed=9, t_burn=t_burn)
     assert cfg.n_steps % _CHUNK_STEPS != 0
     if t_burn is not None:
         assert _CHUNK_STEPS < cfg.burn_steps < 2 * _CHUNK_STEPS
     eps = (0.2, 0.1, 0.05)[:n_members]
-    tables = _tables(g, eps)
+    tables = tuple(scale * t for t in _tables(g, eps))
     measures, diag = occupation_measure(double_well_drift, _fields(g, tables), g, cfg)
     assert (diag["n_steps"], diag["burn_steps"]) == (cfg.n_steps, cfg.burn_steps)
     got = list(zip(measures, diag["members"]))
@@ -197,6 +210,52 @@ def test_kernel_matches_reference_loop(n_members, t_total, t_burn):
         mu_ref, diag_ref = _reference_occupation(double_well_drift, _lookup(g, tables, m), g, cfg)
         assert np.array_equal(mu.weights, mu_ref.weights)
         assert diag == diag_ref
+    if g is _SMALL:
+        # the kernel calls _reflect only on steps where some path left the box
+        assert len(reflecting_steps) > cfg.n_steps // 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_path_raises_at_the_reference_step(bad):
+    g = Grid2D(-2.0, 2.0, -2.0, 2.0, 24, 24)
+    cfg = SamplerConfig(dt=0.01, t_total=20.0, n_paths=8, rng_seed=9)
+    tables = _tables(g, (0.2, 0.1))
+    blow_up = _CHUNK_STEPS + 100  # in the second chunk
+
+    def drift():
+        """double_well_drift, but path 3's drift is ``bad`` on call blow_up."""
+        calls = []
+
+        def v(x, y):
+            vx, vy = double_well_drift(x, y)
+            calls.append(None)
+            if len(calls) == blow_up + 1:
+                vx = vx.copy()
+                vx[..., 3] = bad
+            return vx, vy
+        return v
+
+    with pytest.raises(NonFiniteFieldError) as ref:
+        _reference_occupation(drift(), _lookup(g, tables, 1), g, cfg)
+    with pytest.raises(NonFiniteFieldError) as got:
+        occupation_measure(drift(), _fields(g, tables), g, cfg)
+    assert ref.value.where == ("path", blow_up)
+    assert str(got.value) == str(ref.value)
+    assert got.value.where == ref.value.where
+
+
+@pytest.mark.parametrize("n_members", [1, 3])
+def test_drift_is_called_once_per_step_for_all_members(n_members):
+    g = Grid2D(-2.0, 2.0, -2.0, 2.0, 24, 24)
+    cfg = SamplerConfig(dt=0.01, t_total=12.0, n_paths=8, rng_seed=9)
+    shapes = []
+
+    def drift(x, y):
+        shapes.append(x.shape)
+        return double_well_drift(x, y)
+
+    occupation_measure(drift, _fields(g, _tables(g, (0.2, 0.1, 0.05)[:n_members])), g, cfg)
+    assert shapes == [(n_members, cfg.n_paths)] * cfg.n_steps
 
 
 def test_underresolved_names_first_offending_member():
