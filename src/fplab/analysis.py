@@ -279,6 +279,8 @@ def invariance_residual(
 # ---------------------------------------------------------------------------
 # sublevel-set bounds (level-set method)
 
+RHO_MESH = 64  # level nodes of the band envelope H in both level-set bounds
+
 @dataclass(frozen=True)
 class LyapunovBound:
     value: float
@@ -288,8 +290,6 @@ class LyapunovBound:
     rho_m: float
     rho: float
     integral: float
-    h_nodes: tuple = ()
-    h_values: tuple = ()
 
 
 def _level_set_bound(cert, a, lo, hi, rho_mesh):
@@ -329,7 +329,6 @@ def _level_set_bound(cert, a, lo, hi, rho_mesh):
     return band, LyapunovBound(
         value=np.nan, form="integral", hypothesis_ok=True, gamma=cert.gamma,
         rho_m=cert.rho_m, rho=hi, integral=float(np.trapezoid(1.0 / h_nodes, nodes)),
-        h_nodes=tuple(nodes.tolist()), h_values=tuple(h_nodes.tolist()),
     )
 
 
@@ -337,7 +336,7 @@ def lyapunov_upper_bound(
     cert: LyapunovCertificate,
     a: DiffusionField,
     rho: float,
-    rho_mesh: int = 64,
+    rho_mesh: int = RHO_MESH,
 ) -> LyapunovBound:
     """Exponential bound on the mass outside the rho-sublevel set:
     exp(-gamma int_{rho_m}^{rho} dt / H(t)) with
@@ -364,7 +363,6 @@ def anti_lyapunov_lower_bound(
     a: DiffusionField,
     rho0: float,
     rho: float,
-    rho_mesh: int = 64,
 ) -> LyapunovBound:
     """Multiplicative growth factor exp(gamma int_{rho0}^{rho} dt / H(t)) in the
     anti-Lyapunov mass estimate
@@ -381,7 +379,7 @@ def anti_lyapunov_lower_bound(
             value=1.0, form="integral", hypothesis_ok=True, gamma=cert.gamma,
             rho_m=cert.rho_m, rho=rho, integral=0.0,
         )
-    bound = _level_set_bound(cert, a, rho0, rho, rho_mesh)[1]
+    bound = _level_set_bound(cert, a, rho0, rho, RHO_MESH)[1]
     return replace(bound, value=float(np.exp(cert.gamma * bound.integral))
                    if bound.hypothesis_ok else 1.0)
 

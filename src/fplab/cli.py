@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import io as fio
-from .analysis import angular_w1_to_uniform, invariance_residual
+from .analysis import RHO_MESH, angular_w1_to_uniform, invariance_residual
 from .dynamics import approximate_attractor, verify_lyapunov
 from .errors import ConfigError, FplabError
 from .fpe import solve_family
@@ -31,11 +31,11 @@ from .grid import Grid2D
 from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
     _DEFAULT_DICTIONARY,
-    _HOPF_THRESHOLDS,
     _ISOLATION_RECIPES,
     SCENARIOS,
     ScenarioResult,
     _design,
+    _hopf_thresholds,
     build_schedule,
     dictionary_for,
     make_scenario,
@@ -100,14 +100,8 @@ class RunConfig:
         if "name" not in raw["scenario"]:
             raise ConfigError("scenario.name", "missing scenario name")
         _eps_labels(raw["schedule"].get("eps"))
-        thr = raw.get("analysis", {}).get("thresholds", {})
-        for k, v in thr.items():
-            if k not in _HOPF_THRESHOLDS:
-                raise ConfigError(f"analysis.thresholds.{k}",
-                                  f"unknown threshold; known: {', '.join(_HOPF_THRESHOLDS)}")
-            if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
-                raise ConfigError(f"analysis.thresholds.{k}", "must be a number in (0, 1)")
-        _config_int("analysis.rho_mesh", raw.get("analysis", {}).get("rho_mesh", 64), 2)
+        _hopf_thresholds(raw.get("analysis", {}).get("thresholds"))
+        _config_int("analysis.rho_mesh", raw.get("analysis", {}).get("rho_mesh", RHO_MESH), 2)
         for k in _GRID_KEYS:
             if k not in raw["grid"]:
                 raise ConfigError(f"grid.{k}", "missing grid field")
@@ -321,9 +315,7 @@ def _cmd_find_attractor(args) -> int:
                                           "to seed a time-reversed search from")
     approx = approximate_attractor(
         scen.drift_fn, grid, ensemble_size=args.ensemble, t_end=args.t_end,
-        reverse_time=args.reverse,
-        kind="local-repeller" if args.reverse else "global-attractor",
-        seed_region=None if recipe is None else recipe.region,
+        reverse_time=args.reverse, seed_region=None if recipe is None else recipe.region,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,11 +336,11 @@ def _cmd_verify_lyapunov(args) -> int:
     return 0 if cert.passed else 1
 
 
-def _add_domain_args(p, default_n=200, box=2.5):
-    p.add_argument("--x-min", type=float, default=-box)
-    p.add_argument("--x-max", type=float, default=box)
-    p.add_argument("--y-min", type=float, default=-box)
-    p.add_argument("--y-max", type=float, default=box)
+def _add_domain_args(p, default_n=200):
+    p.add_argument("--x-min", type=float, default=-2.5)
+    p.add_argument("--x-max", type=float, default=2.5)
+    p.add_argument("--y-min", type=float, default=-2.5)
+    p.add_argument("--y-max", type=float, default=2.5)
     p.add_argument("--grid-n", type=int, default=default_n)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     RatioInfeasibleError,
 )
 from .fields import DiffusionField, NullFamilySchedule, VectorField
-from .grid import Grid2D
+from .grid import Grid2D, dilate
 
 __all__ = [
     "IsolationData",
@@ -172,13 +172,14 @@ def _smoothstep(t):
 
 @dataclass(frozen=True)
 class DesignedFamily:
-    """Shaped schedule A_k = eps_k s(x) I with regions and ratio bookkeeping."""
+    """Shaped schedule A_k = eps_k s(x) I with ratio bookkeeping on two
+    regions: D, where the noise is strong, and D_*, the guard band where it
+    is weak. ratio_condition compares the shaping on the two."""
 
     schedule: NullFamilySchedule
     shaping: np.ndarray
     ratio: float
     region_strong: np.ndarray   # D: strong-noise region
-    region_collar: np.ndarray   # D*: collar carrying the local mass bound
     region_guard: np.ndarray    # D_*: weak-noise guard band
     meta: dict = field(default_factory=dict)
 
@@ -191,18 +192,6 @@ class DesignedFamily:
         return float(
             self.shaping[self.region_strong].min() / self.shaping[self.region_guard].max()
         )
-
-
-def _dilate(mask, n=1):
-    out = mask.copy()
-    for _ in range(n):
-        grown = out.copy()
-        grown[1:, :] |= out[:-1, :]
-        grown[:-1, :] |= out[1:, :]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        out = grown
-    return out
 
 
 def _fit_ramp(iso: IsolationData, ratio: float, ramp_lo: float, ramp_hi: float,
@@ -260,10 +249,10 @@ def _build_designed(
     else:
         s = 1.0 - (1.0 - lo) * step         # strong noise below the ramp
 
-    region_strong, region_collar, region_guard = regions_fn(ramp_lo, ramp_hi)
+    region_strong, region_guard = regions_fn(ramp_lo, ramp_hi)
     sgx, sgy = grad_central(s, grid)
     sgrad = np.hypot(sgx, sgy)
-    omega = _dilate(region_strong, 2)
+    omega = dilate(region_strong, 2, diagonal=False)
     eps_max = max(eps_list)
     grad_cap = float(sgrad[omega].max() * eps_max) if omega.any() else 0.0
     if grad_cap >= 1.0:
@@ -286,7 +275,6 @@ def _build_designed(
         shaping=s,
         ratio=float(ratio),
         region_strong=region_strong,
-        region_collar=region_collar,
         region_guard=region_guard,
         meta={
             "ramp": (float(ramp_lo), float(ramp_hi)),
@@ -304,8 +292,7 @@ def design_stabilizing_family(
     neighborhood, strong noise outside it; smoothstep transition in the collar.
 
     Regions follow the stabilization construction: D is everything outside
-    {U0 < ramp_hi}, D* the collar [rho_tilde, rho_star_hi], D_* the guard band
-    [rho_star_lo, rho_tilde].
+    {U0 < ramp_hi}, D_* the guard band [rho_star_lo, rho_tilde].
 
     The shaping lies in [1/ratio, 1], so ratio must be finite and strictly
     greater than 1; otherwise RatioInfeasibleError is raised before any field
@@ -318,11 +305,7 @@ def design_stabilizing_family(
     ramp_hi = iso.rho_tilde + 0.8 * (iso.rho_star_hi - iso.rho_tilde)
 
     def regions_fn(lo, hi):
-        return (
-            iso.u0 >= hi,
-            (iso.u0 >= iso.rho_tilde) & (iso.u0 <= iso.rho_star_hi),
-            (iso.u0 >= iso.rho_star_lo) & (iso.u0 <= iso.rho_tilde),
-        )
+        return iso.u0 >= hi, (iso.u0 >= iso.rho_star_lo) & (iso.u0 <= iso.rho_tilde)
 
     return _build_designed(
         iso, eps_list, ratio, ramp_lo, ramp_hi, low_inside=True, regions_fn=regions_fn
@@ -347,11 +330,7 @@ def design_destabilizing_family(
     ramp_lo = iso.rho_star_lo + 0.2 * (iso.rho_tilde - iso.rho_star_lo)
 
     def regions_fn(lo, hi):
-        return (
-            iso.u0 <= lo,
-            (iso.u0 >= iso.rho_star_lo) & (iso.u0 <= iso.rho_tilde),
-            (iso.u0 >= iso.rho_tilde) & (iso.u0 <= iso.rho_star_hi),
-        )
+        return iso.u0 <= lo, (iso.u0 >= iso.rho_tilde) & (iso.u0 <= iso.rho_star_hi)
 
     return _build_designed(
         iso, eps_list, ratio, ramp_lo, ramp_hi, low_inside=False, regions_fn=regions_fn

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonFiniteFieldError, NotSettledError
 from .fields import NullFamilySchedule, VectorField
-from .grid import Grid2D
+from .grid import Grid2D, dilate
 
 __all__ = [
     "LyapunovCertificate",
@@ -68,13 +68,13 @@ def _rk4_steps(v_fn, p, total: float, dt: float, sign: float):
         yield t, p
 
 
-def integrate_flow(v_fn, x0, t_end: float, dt: float, box=None):
+def integrate_flow(v_fn, x0, t_end: float, dt: float, box: Grid2D | None = None):
     """Classical RK4 trajectory of dx/dt = V(x) from x0.
 
     ``v_fn`` maps an (..., 2) array of points to drift vectors of the same
     shape. Negative t_end integrates the time-reversed field (repeller
-    detection). If ``box`` (a Grid2D or (x_min,x_max,y_min,y_max) tuple) is
-    given, trajectories terminate with an escape flag on leaving it.
+    detection). If a grid ``box`` is given, trajectories terminate with an
+    escape flag on leaving its closed box.
 
     Returns (times, points, escaped) with points of shape (n_steps+1, 2).
     """
@@ -83,8 +83,6 @@ def integrate_flow(v_fn, x0, t_end: float, dt: float, box=None):
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
     sign = 1.0 if t_end > 0 else -1.0
-    if box is not None and isinstance(box, Grid2D):
-        box = (box.x_min, box.x_max, box.y_min, box.y_max)
 
     p0 = np.asarray(x0, dtype=float)
     t_start, times, points = 0.0, [0.0], [p0]
@@ -95,9 +93,7 @@ def integrate_flow(v_fn, x0, t_end: float, dt: float, box=None):
         t_start = t
         times.append(sign * t)
         points.append(p)
-        if box is not None and not (
-            box[0] <= p[..., 0] <= box[1] and box[2] <= p[..., 1] <= box[3]
-        ):
+        if box is not None and not box.contains(p):
             escaped = True
             break
     return np.asarray(times), np.asarray(points), escaped
@@ -115,7 +111,7 @@ class AttractorApprox:
 
     grid: Grid2D
     mask: np.ndarray
-    kind: str  # global-attractor | local-attractor | local-repeller
+    kind: str  # global-attractor | local-repeller (time-reversed search)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -132,19 +128,20 @@ def approximate_attractor(
     grid: Grid2D,
     ensemble_size: int = 256,
     t_end: float = 40.0,
-    kind: str = "global-attractor",
     reverse_time: bool = False,
     seed_region=None,
 ) -> AttractorApprox:
-    """Forward-ensemble approximation of the maximal attractor (or repeller
-    via time reversal).
+    """Forward-ensemble approximation of the maximal attractor, kind
+    "global-attractor", or with ``reverse_time`` of a repeller, kind
+    "local-repeller".
 
     The ensemble is seeded on a deterministic sub-lattice of interior cell
     centers (optionally restricted by ``seed_region``), integrated with RK4
     at step ATTRACTOR_DT, and required to settle: the bounding-box diameter
     may change by at most SETTLE_RTOL (relative to the final diameter or one
     cell, whichever is larger) over the last 20% of integration time.
-    Terminal points are binned to cells and dilated by one cell.
+    Terminal points are binned to cells and dilated by one cell through the
+    8-neighbourhood.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -177,18 +174,6 @@ def approximate_attractor(
     cells = np.zeros((grid.nx, grid.ny), dtype=bool)
     i, j = grid.cell_index(*final[inside].T)
     cells[i, j] = True
-    # dilate by one cell (8-neighborhood)
-    dil = cells.copy()
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            shifted = np.zeros_like(cells)
-            src = cells[
-                max(0, -di) : grid.nx - max(0, di), max(0, -dj) : grid.ny - max(0, dj)
-            ]
-            shifted[
-                max(0, di) : grid.nx - max(0, -di), max(0, dj) : grid.ny - max(0, -dj)
-            ] = src
-            dil |= shifted
     diag = {
         "diameter_early": d_early,
         "diameter_final": d_final,
@@ -196,7 +181,8 @@ def approximate_attractor(
         "t_end": float(t_end),
         "reversed": bool(reverse_time),
     }
-    return AttractorApprox(grid, dil, kind, diagnostics=diag)
+    kind = "local-repeller" if reverse_time else "global-attractor"
+    return AttractorApprox(grid, dilate(cells, 1, diagonal=True), kind, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +269,26 @@ class LyapunovCertificate:
         return curvature_bound(*hessian_from_grad(*self.grad, self.grid))
 
 
-def _essential_mask(u, rho_m, rho_M, region):
-    mask = (u > rho_m) & (u < rho_M)
-    if region is not None:
-        mask &= region
-    return mask
+def _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma, kind, verified_for,
+                 meta) -> LyapunovCertificate:
+    """Certificate of the per-cell ``margins`` on ``mask``, where a cell fails below
+    -slack. It holds ``u`` as given: callers pass a copy that may become read-only."""
+    margins = np.where(mask, margins, np.inf)
+    violations = tuple(map(tuple, np.argwhere(mask & (margins < -slack))))
+    return LyapunovCertificate(
+        grid=grid,
+        u=u,
+        rho_m=float(rho_m),
+        rho_M=float(rho_M),
+        gamma=float(gamma),
+        kind=kind,
+        verified_for=verified_for,
+        passed=len(violations) == 0,
+        worst_margin=float(margins[mask].min()) if mask.any() else np.inf,
+        slack=float(slack),
+        violations=violations,
+        meta=meta,
+    )
 
 
 def verify_lyapunov(
@@ -297,19 +298,18 @@ def verify_lyapunov(
     gamma: float,
     kind: str = "lyapunov",
     rho_M: float | None = None,
-    region: np.ndarray | None = None,
     slack: float | None = None,
 ) -> LyapunovCertificate:
     """Check the drift inequality for U against the ODE field.
 
     kind = "lyapunov": V.grad(U) <= -gamma on {rho_m < U < rho_M};
     "anti-lyapunov": >= +gamma there; "weak": the same with gamma = 0;
-    "entire-weak": sign condition everywhere in the region, gamma = 0.
+    "entire-weak": the weak sign condition on every cell.
     The inequality is enforced up to an additive discretization slack
     C (hx+hy) with C = 2 max|D^2 U| (finite-difference Hessian).
     """
     grid = v.grid
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)
     if np.any(u < 0) or not np.all(np.isfinite(u)):
         raise ValueError("U must be finite and non-negative")
     if rho_M is None:
@@ -320,36 +320,18 @@ def verify_lyapunov(
         slack = _default_slack(curvature_bound(*hessian_from_grad(gx, gy, grid)), grid)
 
     if kind == "entire-weak":
-        mask = np.ones_like(u, dtype=bool) if region is None else region.copy()
-        gamma_eff = 0.0
+        mask = np.ones_like(u, dtype=bool)
     else:
-        mask = _essential_mask(u, rho_m, rho_M, region)
-        gamma_eff = 0.0 if kind == "weak" else float(gamma)
+        mask = (u > rho_m) & (u < rho_M)
+    gamma_eff = float(gamma) if kind in ("lyapunov", "anti-lyapunov") else 0.0
     if kind == "anti-lyapunov":
         margins = vdotgrad - gamma_eff
     else:
         # "weak" and "entire-weak" check the Lyapunov direction V.grad U <= 0;
         # the anti directions follow by passing v.negated() (time reversal)
         margins = -vdotgrad - gamma_eff
-
-    margins = np.where(mask, margins, np.inf)
-    bad = mask & (margins < -slack)
-    violations = tuple(map(tuple, np.argwhere(bad)))
-    worst = float(margins[mask].min()) if mask.any() else np.inf
-    return LyapunovCertificate(
-        grid=grid,
-        u=u.copy(),
-        rho_m=float(rho_m),
-        rho_M=float(rho_M),
-        gamma=float(gamma) if kind in ("lyapunov", "anti-lyapunov") else 0.0,
-        kind=kind,
-        verified_for="ode",
-        passed=len(violations) == 0,
-        worst_margin=worst,
-        slack=float(slack),
-        violations=violations,
-        meta={"n_checked": int(mask.sum())},
-    )
+    return _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma_eff, kind, "ode",
+                        {"n_checked": int(mask.sum())})
 
 
 def verify_uniform_lyapunov(
@@ -369,36 +351,19 @@ def verify_uniform_lyapunov(
     if len(family) == 0:
         raise ValueError("family must be non-empty")
     grid = v.grid
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)  # one copy, shared read-only by every member's certificate
     gx, gy = grad_central(u, grid)
     uxx, uxy, uyy = hessian_from_grad(gx, gy, grid)
     vdotgrad = v.vx * gx + v.vy * gy
     slack = _default_slack(curvature_bound(uxx, uxy, uyy), grid)
     rho_M = float(u.max()) + 1.0
-    mask = _essential_mask(u, rho_m, rho_M, None)
+    mask = (u > rho_m) & (u < rho_M)
 
     certs = []
     for eps, a in family:
         lau = a.a11 * uxx + 2.0 * a.a12 * uxy + a.a22 * uyy + vdotgrad
-        margins = np.where(mask, -lau - gamma, np.inf)
-        bad = mask & (margins < -slack)
-        violations = tuple(map(tuple, np.argwhere(bad)))
-        certs.append(
-            LyapunovCertificate(
-                grid=grid,
-                u=u.copy(),
-                rho_m=float(rho_m),
-                rho_M=float(rho_M),
-                gamma=float(gamma),
-                kind="lyapunov",
-                verified_for="operator-family",
-                passed=len(violations) == 0,
-                worst_margin=float(margins[mask].min()) if mask.any() else np.inf,
-                slack=float(slack),
-                violations=violations,
-                meta={"eps": eps},
-            )
-        )
+        certs.append(_certificate(u, grid, -lau - gamma, mask, slack, rho_m, rho_M, gamma,
+                                  "lyapunov", "operator-family", {"eps": eps}))
     flags = [c.passed for c in certs]
     uniform = all(flags)
     first_pass = None

@@ -95,11 +95,9 @@ class DiffusionField:
         """max over cells of the Frobenius norm |A(x)| (the paper-style |A|)."""
         return float(self.frob.max())
 
-    def normality_ratio(self, region: np.ndarray | None = None) -> float:
-        """sup_region Frobenius / inf_region lambda_min."""
-        if region is None:
-            region = np.ones((self.grid.nx, self.grid.ny), dtype=bool)
-        return float(self.frob[region].max() / self.lam[region].min())
+    def normality_ratio(self) -> float:
+        """sup over cells of the Frobenius norm / inf over cells of lambda_min."""
+        return float(self.frob.max() / self.lam.min())
 
 
 def sample_vector_field(fn, grid: Grid2D) -> VectorField:
@@ -169,25 +167,20 @@ class NullFamilySchedule:
         return self.members[0].grid
 
 
+def _scaled_schedule(grid: Grid2D, eps_list, base, invariance_mode: str) -> NullFamilySchedule:
+    """Schedule of members A_k = eps_k * base for base = (b11, b12, b22) cell
+    arrays, with normal_bound just above the largest member ratio."""
+    eps_list = tuple(float(e) for e in eps_list)
+    members = tuple(DiffusionField(grid, e * base[0], e * base[1], e * base[2])
+                    for e in eps_list)
+    ratio = max(m.normality_ratio() for m in members)
+    return NullFamilySchedule(eps_list, members, invariance_mode, normal_bound=ratio * 1.0001)
+
+
 def isotropic_schedule(grid: Grid2D, eps_list, shape=(1.0, 0.0, 1.0)) -> NullFamilySchedule:
     """Schedule A_k = eps_k * A_shape for a constant symmetric shape matrix."""
-    s11, s12, s22 = shape
-    members = tuple(
-        DiffusionField(
-            grid,
-            np.full((grid.nx, grid.ny), e * s11),
-            np.full((grid.nx, grid.ny), e * s12),
-            np.full((grid.nx, grid.ny), e * s22),
-        )
-        for e in eps_list
-    )
-    ratio = DiffusionField(
-        grid,
-        np.full((grid.nx, grid.ny), float(s11)),
-        np.full((grid.nx, grid.ny), float(s12)),
-        np.full((grid.nx, grid.ny), float(s22)),
-    ).normality_ratio()
-    return NullFamilySchedule(tuple(eps_list), members, normal_bound=ratio * 1.0001)
+    base = tuple(np.full((grid.nx, grid.ny), float(s)) for s in shape)
+    return _scaled_schedule(grid, eps_list, base, "reflecting")
 
 
 @dataclass(frozen=True)

@@ -264,7 +264,7 @@ def _alternate_solve(m: sp.csr_matrix, lu, w: np.ndarray, r1: int, r2: int) -> n
     return z2 - np.column_stack([w, z2]) @ y
 
 
-def _inverse_power(m: sp.csr_matrix, tol: float, maxit: int = 60):
+def _inverse_power(m: sp.csr_matrix, tol: float):
     """Shifted inverse power iteration fallback for the null vector."""
     n = m.shape[0]
     scale = float(np.abs(m).sum(axis=1).max())
@@ -275,7 +275,7 @@ def _inverse_power(m: sp.csr_matrix, tol: float, maxit: int = 60):
         raise SingularOperatorError(f"shifted operator is exactly singular: {exc}") from exc
     w = np.full(n, 1.0 / n)
     history = []
-    for k in range(maxit):
+    for k in range(60):  # at most 60 iterations
         w = lu.solve(w)
         w = w / np.abs(w).sum()
         res = float(np.abs(m @ w).max())

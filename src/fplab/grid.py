@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid1D", "Grid2D"]
+__all__ = ["Grid1D", "Grid2D", "dilate"]
 
 MIN_CELLS = 8
 
@@ -130,6 +130,22 @@ class Grid2D:
             "nx": self.nx,
             "ny": self.ny,
         }
+
+
+def dilate(mask: np.ndarray, n: int, diagonal: bool) -> np.ndarray:
+    """A cell mask grown by n cells through the 4-neighbourhood, or through
+    the 8-neighbourhood when ``diagonal``; nothing wraps around the edges."""
+    out = mask.copy()
+    for _ in range(n):
+        grown = out.copy()
+        grown[1:, :] |= out[:-1, :]
+        grown[:-1, :] |= out[1:, :]
+        # the row-grown mask spreads along columns too for the 8-neighbourhood
+        src = grown.copy() if diagonal else out
+        grown[:, 1:] |= src[:, :-1]
+        grown[:, :-1] |= src[:, 1:]
+        out = grown
+    return out
 
 
 def grid_from_metadata(meta: dict):

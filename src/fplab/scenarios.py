@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
+    RHO_MESH,
     ConvergenceReport,
     TestFunctionDictionary,
     angular_w1_to_uniform,
@@ -33,10 +34,10 @@ from .design import (
 from .dynamics import verify_uniform_lyapunov
 from .errors import ConfigError
 from .fields import (
-    DiffusionField,
     DiscreteMeasure,
     NullFamilySchedule,
     VectorField,
+    _scaled_schedule,
     isotropic_schedule,
     normalized_measure,
     sample_vector_field,
@@ -84,9 +85,10 @@ def ou_drift(x, y):
     return -x, -y
 
 
-def haar_on_circle(grid: Grid2D, radius: float, n_angles: int = 8192) -> DiscreteMeasure:
-    """Uniform (Haar) measure on the circle of given radius, binned to cells."""
-    th = (np.arange(n_angles) + 0.5) * (2 * np.pi / n_angles)
+def haar_on_circle(grid: Grid2D, radius: float) -> DiscreteMeasure:
+    """Uniform (Haar) measure on the circle of given radius: 8192 equally
+    spaced angles binned to cells."""
+    th = (np.arange(8192) + 0.5) * (2 * np.pi / 8192)
     w = np.zeros((grid.nx, grid.ny))
     i, j = grid.cell_index(radius * np.cos(th), radius * np.sin(th))
     np.add.at(w, (i, j), 1.0)
@@ -147,12 +149,12 @@ class Scenario:
     params: dict
     default_grid: Grid2D
 
-    def vector_field(self, grid: Grid2D | None = None) -> VectorField:
-        return sample_vector_field(self.drift_fn, grid or self.default_grid)
+    def vector_field(self, grid: Grid2D) -> VectorField:
+        return sample_vector_field(self.drift_fn, grid)
 
-    def certificate_samples(self, grid: Grid2D | None = None) -> np.ndarray:
+    def certificate_samples(self, grid: Grid2D) -> np.ndarray:
         """U = x^2 + y^2 at the cell centres."""
-        xx, yy = (grid or self.default_grid).centers()
+        xx, yy = grid.centers()
         return xx**2 + yy**2
 
     def limit_measure(self, grid: Grid2D) -> DiscreteMeasure:
@@ -182,15 +184,17 @@ def make_scenario(name: str, grid: Grid2D | None = None, /, **params) -> Scenari
     return Scenario(name, spec.drift(p), p, g)
 
 
-def boundary_taper(grid: Grid2D, floor: float = 0.05, margin_frac: float = 0.1) -> np.ndarray:
-    """Smoothstep profile dropping from 1 in the interior to ``floor`` at the
-    truncation boundary; stands in for families with A(x) -> 0 at the domain
-    edge (invariance by degeneration rather than reflection)."""
+def boundary_taper(grid: Grid2D) -> np.ndarray:
+    """Smoothstep profile dropping from 1 in the interior to a floor of 0.05 at
+    the truncation boundary, over a tenth of the box half-width; stands in for
+    families with A(x) -> 0 at the domain edge (invariance by degeneration
+    rather than reflection)."""
+    floor = 0.05
     xx, yy = grid.centers()
     dx = np.minimum(xx - grid.x_min, grid.x_max - xx)
     dy = np.minimum(yy - grid.y_min, grid.y_max - yy)
     d = np.minimum(dx, dy)
-    m = margin_frac * 0.5 * min(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
+    m = 0.1 * 0.5 * min(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
     t = np.clip(d / m, 0.0, 1.0)
     t = t * t * (3.0 - 2.0 * t)
     return floor + (1.0 - floor) * t
@@ -207,7 +211,6 @@ def build_schedule(
     With invariance_mode = "vanishing-at-boundary" every member is tapered to
     a small floor at the truncation boundary.
     """
-    eps_list = tuple(float(e) for e in eps_list)
     if invariance_mode == "vanishing-at-boundary":
         taper = boundary_taper(grid)
     else:
@@ -223,19 +226,12 @@ def build_schedule(
         base = (s, 0.0 * s, 0.5 * s)
     else:
         raise ConfigError("schedule.shape", f"unknown shape {shape!r}")
-
-    members = tuple(
-        DiffusionField(grid, e * base[0], e * base[1], e * base[2]) for e in eps_list
-    )
-    ratio = max(m.normality_ratio() for m in members)
-    return NullFamilySchedule(eps_list, tuple(members), invariance_mode,
-                              normal_bound=ratio * 1.0001)
+    return _scaled_schedule(grid, eps_list, base, invariance_mode)
 
 
 _DEFAULT_DICTIONARY = "hopf-offcycle-v1"  # used wherever a run names no dictionary
 
-# the Hopf sweep's final-eps thresholds: a run config's analysis.thresholds may
-# override these and may name no other key
+# the Hopf sweep's final-eps thresholds, which _hopf_thresholds lets a run config override
 _HOPF_THRESHOLDS = {
     "annulus_final": 0.85,
     "origin_final": 0.02,
@@ -243,6 +239,19 @@ _HOPF_THRESHOLDS = {
     "residual_ratio_final": 0.05,
     "center_final": 0.95,
 }
+
+
+def _hopf_thresholds(overrides: dict | None) -> dict:
+    """The Hopf sweep's thresholds with ``overrides`` applied. An unknown key,
+    or a value that is not a number in (0, 1), is a config error naming
+    ``analysis.thresholds.<key>``."""
+    for k, v in (overrides or {}).items():
+        if k not in _HOPF_THRESHOLDS:
+            raise ConfigError(f"analysis.thresholds.{k}",
+                              f"unknown threshold; known: {', '.join(_HOPF_THRESHOLDS)}")
+        if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
+            raise ConfigError(f"analysis.thresholds.{k}", "must be a number in (0, 1)")
+    return {**_HOPF_THRESHOLDS, **(overrides or {})}
 
 
 def dictionary_for(name: str, grid: Grid2D) -> TestFunctionDictionary:
@@ -319,7 +328,7 @@ def run_hopf_sweep(
     grid: Grid2D,
     dictionary: TestFunctionDictionary | None = None,
     thresholds: dict | None = None,
-    rho_mesh: int = 64,
+    rho_mesh: int = RHO_MESH,
 ) -> ScenarioResult:
     """Solve the Hopf family and evaluate the vanishing-noise metrics.
 
@@ -328,13 +337,13 @@ def run_hopf_sweep(
     for b > 0, point mass at the origin otherwise), invariance residual, and
     the exponential exterior-mass bound check with U = x^2 + y^2.
     """
+    th = _hopf_thresholds(thresholds)
     scen = make_scenario("hopf", grid, b=b)
     v = scen.vector_field(grid)
     xx, yy = grid.centers()
     r = np.hypot(xx, yy)
     u_cert = scen.certificate_samples(grid)
     dictionary = dictionary or dictionary_for(_DEFAULT_DICTIONARY, grid)
-    th = {**_HOPF_THRESHOLDS, **(thresholds or {})}
 
     sqrt_b = float(np.sqrt(b)) if b > 0 else 0.0
     annulus = np.abs(r - sqrt_b) < 0.15
@@ -469,7 +478,8 @@ def run_gibbs(
     return out
 
 
-def _neg_grad(phi_fn, x, y, h=1e-6):
+def _neg_grad(phi_fn, x, y):
+    h = 1e-6
     px = (phi_fn(x + h, y) - phi_fn(x - h, y)) / (2 * h)
     py = (phi_fn(x, y + h) - phi_fn(x, y - h)) / (2 * h)
     return -px, -py
@@ -585,7 +595,7 @@ def _run_hopf(scenario, grid, eps, schedule, analysis):
                            schedule.get("invariance_mode", "reflecting"))
     dic = dictionary_for(analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
     return run_hopf_sweep(b, sched, grid, dic, thresholds=analysis.get("thresholds"),
-                          rho_mesh=analysis.get("rho_mesh", 64))
+                          rho_mesh=analysis.get("rho_mesh", RHO_MESH))
 
 
 def _run_double_well(scenario, grid, eps, schedule, analysis):

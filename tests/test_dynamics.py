@@ -58,6 +58,7 @@ def test_negative_time_reverses_field():
 def test_attractor_origin():
     g = Grid2D(-2, 2, -2, 2, 32, 32)
     ap = approximate_attractor(LINEAR, g, ensemble_size=64, t_end=20.0)
+    assert ap.kind == "global-attractor"
     cells = ap.cells()
     centers_x = g.x_centers()[cells[:, 0]]
     centers_y = g.y_centers()[cells[:, 1]]
@@ -81,8 +82,9 @@ def test_repeller_via_time_reversal():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 64, 64)
     ap = approximate_attractor(
         hopf_drift(1.0), g, ensemble_size=64, t_end=30.0, reverse_time=True,
-        kind="local-repeller", seed_region=lambda x, y: x**2 + y**2 < 0.25,
+        seed_region=lambda x, y: x**2 + y**2 < 0.25,
     )
+    assert ap.kind == "local-repeller"
     cells = ap.cells()
     r = np.hypot(g.x_centers()[cells[:, 0]], g.y_centers()[cells[:, 1]])
     assert r.max() < 3 * max(g.hx, g.hy)

@@ -16,7 +16,7 @@ from fplab.fields import (
     sample_diffusion_field,
     sample_vector_field,
 )
-from fplab.grid import Grid1D, Grid2D
+from fplab.grid import Grid1D, Grid2D, dilate
 
 
 def test_grid_geometry():
@@ -184,3 +184,61 @@ def test_point_mass_region_property(i, j):
     region[i, j] = True
     assert measure_mass_on(mu, region) == 1.0
     assert measure_mass_on(mu, ~region) == 0.0
+
+
+def _dilate_box_reference(cells):
+    """One-cell 8-neighbourhood dilation by nine shifted copies."""
+    nx, ny = cells.shape
+    dil = cells.copy()
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            shifted = np.zeros_like(cells)
+            src = cells[max(0, -di): nx - max(0, di), max(0, -dj): ny - max(0, dj)]
+            shifted[max(0, di): nx - max(0, -di), max(0, dj): ny - max(0, -dj)] = src
+            dil |= shifted
+    return dil
+
+
+def _dilate_cross_reference(mask, n):
+    """n-cell 4-neighbourhood dilation, one cross step at a time."""
+    out = mask.copy()
+    for _ in range(n):
+        grown = out.copy()
+        grown[1:, :] |= out[:-1, :]
+        grown[:-1, :] |= out[1:, :]
+        grown[:, 1:] |= out[:, :-1]
+        grown[:, :-1] |= out[:, 1:]
+        out = grown
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dilate_matches_reference_loops(n):
+    rng = np.random.default_rng(7)
+    masks = [rng.random((12, 9)) < p for p in (0.02, 0.1, 0.3)]
+    for i, j in [(0, 0), (0, 8), (11, 0), (11, 8), (0, 4), (11, 4), (6, 0), (6, 8)]:
+        m = np.zeros((12, 9), dtype=bool)
+        m[i, j] = True  # a corner or edge cell alone
+        masks.append(m)
+    edges = np.zeros((12, 9), dtype=bool)
+    edges[[0, -1], :] = edges[:, [0, -1]] = True
+    masks += [edges, np.zeros((12, 9), dtype=bool), np.ones((12, 9), dtype=bool)]
+    for m in masks:
+        before = m.copy()
+        box = m
+        for _ in range(n):
+            box = _dilate_box_reference(box)
+        np.testing.assert_array_equal(dilate(m, n, diagonal=True), box)
+        np.testing.assert_array_equal(dilate(m, n, diagonal=False), _dilate_cross_reference(m, n))
+        np.testing.assert_array_equal(m, before)  # the input mask is left as it was
+
+
+def test_isotropic_schedule_members_are_scaled_shape():
+    # the sheared constant shape of the ou-sheared-oracle benchmark inputs
+    g = Grid2D(-3.0, 3.0, -3.0, 3.0, 16, 16)
+    shape = (0.5, 0.15, 0.3)
+    fam = isotropic_schedule(g, (0.4, 0.2, 0.1, 0.05), shape=shape)
+    assert fam.is_normal
+    for e, a in fam:
+        for got, s in zip((a.a11, a.a12, a.a22), shape):
+            assert got.tobytes() == np.full((16, 16), e * s).tobytes()

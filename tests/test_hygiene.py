@@ -1,11 +1,13 @@
 """Static checks on the package source (standard library only)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "fplab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "fplab").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -108,3 +110,83 @@ def test_scenario_choices_come_from_the_tables():
     assert choices.pop("design-noise") == sorted({s for s, _ in _ISOLATION_RECIPES})
     assert choices == {cmd: list(SCENARIOS)
                        for cmd in ("solve", "sample", "find-attractor", "verify-lyapunov")}
+
+
+def _fplab_names(tree: ast.Module) -> set[str]:
+    """Dotted names a source reads from fplab: every name a ``from fplab...
+    import`` binds and, in the function holding that import, every ``name.attr``
+    and ``(name, "attr", ...)`` tuple on a name it bound."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        bound = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fplab":
+                bound |= {a.asname or a.name: f"{node.module}.{a.name}" for a in node.names}
+        found |= set(bound.values())
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                base, attr = node.value.id, node.attr
+            elif (isinstance(node, ast.Tuple) and len(node.elts) > 1
+                  and isinstance(node.elts[0], ast.Name) and isinstance(node.elts[1], ast.Constant)):
+                base, attr = node.elts[0].id, node.elts[1].value
+            else:
+                continue
+            if base in bound:
+                found.add(f"{bound[base]}.{attr}")
+    return found
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether the longest importable module prefix of ``dotted`` has the rest
+    as a chain of attributes."""
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[k:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_fplab_names_are_collected():
+    tree = ast.parse(
+        "def f():\n"
+        "    from fplab import fpe, Grid2D\n"
+        "    from fplab.cli import main as m\n"
+        "    other.attr\n"
+        "    return [(fpe, 'solve', 'label'), fpe.assemble, (other, 'x')]\n"
+        "def g():\n"
+        "    fpe.ignored\n"
+    )
+    assert _fplab_names(tree) == {"fplab.fpe", "fplab.Grid2D", "fplab.cli.main",
+                                  "fplab.fpe.solve", "fplab.fpe.assemble"}
+    assert _resolves("fplab.fpe.assemble") and _resolves("fplab.Grid2D")
+    assert not _resolves("fplab.fpe.no_such_name") and not _resolves("fplab.no_such_module")
+
+
+HARNESS = ("child.py", "workloads.py")
+
+
+@pytest.mark.parametrize("name", HARNESS)
+def test_benchmark_harness_names_resolve(name):
+    # the harness imports, wraps and traces fplab names; one that is gone
+    # would show up only as a crashed traced or check run
+    names = _fplab_names(ast.parse((ROOT / "perfbench" / name).read_text()))
+    assert names
+    assert [n for n in sorted(names) if not _resolves(n)] == []
+
+
+def test_benchmark_harness_targets_are_collected():
+    names = set().union(*(_fplab_names(ast.parse((ROOT / "perfbench" / n).read_text()))
+                          for n in HARNESS))
+    assert {"fplab.fpe.assemble", "fplab.sampler.occupation_measure",
+            "fplab.dynamics.verify_uniform_lyapunov", "fplab.scenarios.build_schedule",
+            "fplab.fields.isotropic_schedule", "fplab.io.save_document",
+            "fplab.cli.main", "fplab.isotropic_schedule"} <= names

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fplab import scenarios
 from fplab.errors import ConfigError
-from fplab.fields import measure_mass_on
+from fplab.fields import isotropic_schedule, measure_mass_on
 from fplab.grid import Grid2D
 from fplab.scenarios import (
     build_schedule,
@@ -56,6 +57,25 @@ def test_schedule_shapes():
         build_schedule(g, (0.2, 0.1), "bogus")
 
 
+def test_iso_schedule_matches_isotropic_schedule():
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
+    eps = (0.2, 0.1, 0.05)
+    named, plain = build_schedule(g, eps, "iso"), isotropic_schedule(g, eps)
+    assert named.eps == plain.eps
+    for (_, a), (_, b) in zip(named, plain):
+        for name in ("a11", "a12", "a22"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["reflecting", "vanishing-at-boundary"])
+@pytest.mark.parametrize("shape", ["iso", "aniso", "modulated"])
+def test_every_schedule_shape_is_normal(shape, mode):
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
+    sched = build_schedule(g, (0.2, 0.1), shape, mode)
+    assert sched.invariance_mode == mode
+    assert sched.is_normal
+
+
 def test_dictionary_registry():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 64, 64)
     d = dictionary_for("hopf-offcycle-v1", g)
@@ -101,6 +121,18 @@ def test_run_hopf_sweep_small():
     doc = res.to_document()
     assert doc["format"] == "fplab/scenario-result@1"
     assert len(doc["metrics"]) == 3
+
+
+@pytest.mark.parametrize("override", [{"annulus_finl": 0.5}, {"annulus_final": 1.5}])
+def test_run_hopf_sweep_checks_thresholds_before_solving(monkeypatch, override):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_family called")
+
+    monkeypatch.setattr(scenarios, "solve_family", no_solve)
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
+    with pytest.raises(ConfigError) as exc:
+        run_hopf_sweep(1.0, build_schedule(g, (0.2, 0.1), "iso"), g, thresholds=override)
+    assert exc.value.field == f"analysis.thresholds.{next(iter(override))}"
 
 
 def test_run_designed_comparison_small():
