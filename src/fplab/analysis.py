@@ -72,7 +72,7 @@ def bump_d2(t):
     return out
 
 
-_SUP_ROWS = 64  # fine-lattice rows per block: a block holds 64 x 2001, never 2001^2
+_SUP_ROWS = 8  # fine-lattice rows evaluated at a time, in descending order of their bound
 
 
 @functools.cache
@@ -82,24 +82,44 @@ def _fine_profiles():
     return bump_profile(fine), bump_d1(fine), bump_d2(fine)
 
 
+def _pruned_max(bound: np.ndarray, row_max) -> float:
+    """max over the rows r of row_max(rows), visiting rows in descending order
+    of bound[r] >= every value of row r and stopping once the next bound falls
+    below the best value found: exactly the max over all rows."""
+    order = np.argsort(-bound, kind="stable")
+    best = -np.inf
+    for s in range(0, order.size, _SUP_ROWS):
+        rows = order[s:s + _SUP_ROWS]
+        if bound[rows[0]] < best:
+            break
+        best = max(best, float(row_max(rows)))
+    return best
+
+
 @functools.lru_cache(maxsize=None)  # two floats per distinct (wx, wy); dictionaries use few
 def _sup_norms(wx: float, wy: float) -> tuple:
     """(sup |grad h|, sup |lap h|) of a (wx, wy) bump on the 2001^2 fine lattice.
 
-    Block rows of np.outer(a, b) are np.outer(a[rows], b) element by element
-    and the max of block maxima is the max, so the values equal those of the
-    whole lattice exactly.
+    A row of the lattice takes the same elementwise expressions as the whole
+    outer products. Each row's bound is that expression with every column
+    factor replaced by its largest magnitude on the lattice; IEEE rounding is
+    monotone, so no computed value of the row exceeds its bound, and the
+    pruned maximum equals the whole lattice's exactly.
     """
     psi, d1, d2 = _fine_profiles()
-    g_sup, l_sup = [], []
-    for r in range(0, psi.size, _SUP_ROWS):
-        rows = slice(r, r + _SUP_ROWS)
+    p_max, d1_max, d2_max = np.abs(psi).max(), np.abs(d1).max(), np.abs(d2).max()
+
+    def grad_row(rows):
         gx = np.abs(np.outer(d1[rows], psi)) / wx
         gy = np.abs(np.outer(psi[rows], d1)) / wy
-        lf = np.outer(d2[rows], psi) / wx**2 + np.outer(psi[rows], d2) / wy**2
-        g_sup.append(np.sqrt(gx**2 + gy**2).max())
-        l_sup.append(np.abs(lf).max())
-    return float(np.max(g_sup)), float(np.max(l_sup))
+        return np.sqrt(gx**2 + gy**2).max()
+
+    def lap_row(rows):
+        return np.abs(np.outer(d2[rows], psi) / wx**2 + np.outer(psi[rows], d2) / wy**2).max()
+
+    g_bound = np.sqrt((np.abs(d1 * p_max) / wx) ** 2 + (np.abs(psi * d1_max) / wy) ** 2)
+    l_bound = np.abs(d2) * p_max / wx**2 + np.abs(psi) * d2_max / wy**2
+    return _pruned_max(g_bound, grad_row), _pruned_max(l_bound, lap_row)
 
 
 @dataclass(frozen=True)
@@ -108,27 +128,44 @@ class TestFunctionDictionary:
 
     Each member is h(x,y) = psi((x-cx)/wx) psi((y-cy)/wy); supports must stay
     strictly inside the truncation box so every h vanishes on boundary-adjacent
-    cells. Sampled values and gradients live on the grid; sup norms of the
+    cells. Each bump is stored as four 1D profiles on the cell centres: psi
+    and psi' along x, psi and psi' along y. The (k, nx, ny) arrays h, dxh and
+    dyh are their outer products, built on first read and kept; an element of
+    np.outer(px, py) is the same product of the same two numbers as in the
+    dense construction, so the values are exact. Sup norms of the
     gradient/Laplacian are evaluated on a 2001^2 fine lattice, once per
-    (wx, wy) per process and in row blocks of that lattice.
+    (wx, wy) per process, pruned row by row with exact bounds.
     """
 
     grid: Grid2D
     name: str
     bumps: tuple  # of (cx, cy, wx, wy)
-    h: np.ndarray = field(repr=False)        # (k, nx, ny)
-    dxh: np.ndarray = field(repr=False)
-    dyh: np.ndarray = field(repr=False)
+    profiles: tuple = field(repr=False)  # per bump (psi_x, psi'_x, psi_y, psi'_y)
     grad_inf: np.ndarray = field(repr=False)  # (k,)
     lap_inf: np.ndarray = field(repr=False)   # (k,)
 
     def __len__(self):
         return len(self.bumps)
 
+    @functools.cached_property
+    def h(self) -> np.ndarray:
+        """(k, nx, ny) bump values at the cell centres."""
+        return np.asarray([np.outer(px, py) for px, _, py, _ in self.profiles])
+
+    @functools.cached_property
+    def dxh(self) -> np.ndarray:
+        return np.asarray([np.outer(dpx, py) / wx
+                           for (_, dpx, py, _), (_, _, wx, _) in zip(self.profiles, self.bumps)])
+
+    @functools.cached_property
+    def dyh(self) -> np.ndarray:
+        return np.asarray([np.outer(px, dpy) / wy
+                           for (px, _, _, dpy), (_, _, _, wy) in zip(self.profiles, self.bumps)])
+
 
 def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
-    xx, yy = grid.centers()
-    hs, dxs, dys, ginf, linf = [], [], [], [], []
+    x, y = grid.x_centers(), grid.y_centers()
+    profiles, ginf, linf = [], [], []
     for cx, cy, wx, wy in bumps:
         if not (
             grid.x_min + grid.hx < cx - wx
@@ -139,11 +176,8 @@ def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
             raise ValueError(
                 f"bump ({cx},{cy},{wx},{wy}) support reaches boundary-adjacent cells"
             )
-        ux, uy = (xx - cx) / wx, (yy - cy) / wy
-        px, py = bump_profile(ux), bump_profile(uy)
-        hs.append(px * py)
-        dxs.append(bump_d1(ux) * py / wx)
-        dys.append(px * bump_d1(uy) / wy)
+        ux, uy = (x - cx) / wx, (y - cy) / wy
+        profiles.append((bump_profile(ux), bump_d1(ux), bump_profile(uy), bump_d1(uy)))
         g_sup, l_sup = _sup_norms(wx, wy)
         ginf.append(g_sup)
         linf.append(l_sup)
@@ -151,9 +185,7 @@ def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
         grid=grid,
         name=name,
         bumps=tuple(tuple(map(float, b)) for b in bumps),
-        h=np.asarray(hs),
-        dxh=np.asarray(dxs),
-        dyh=np.asarray(dys),
+        profiles=tuple(profiles),
         grad_inf=np.asarray(ginf),
         lap_inf=np.asarray(linf),
     )

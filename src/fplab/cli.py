@@ -34,6 +34,7 @@ from .scenarios import (
     _ISOLATION_RECIPES,
     SCENARIOS,
     ScenarioResult,
+    _config_scenario,
     _design,
     _hopf_thresholds,
     build_schedule,
@@ -57,7 +58,8 @@ def _grid(x_min, x_max, y_min, y_max, nx, ny) -> Grid2D:
 def _flag_scenario(args):
     """The grid and the scenario named by the domain and scenario flags."""
     grid = _grid(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
-    return grid, make_scenario(args.scenario, grid, b=args.b)
+    params = {"b": args.b} if "b" in SCENARIOS[args.scenario].defaults else {}
+    return grid, make_scenario(args.scenario, grid, **params)
 
 
 def _eps_labels(values) -> tuple:
@@ -97,6 +99,9 @@ class RunConfig:
         for key in ("scenario", "grid", "schedule", "output_dir"):
             if key not in raw:
                 raise ConfigError(key, "missing required field")
+        for key in ("scenario", "grid", "schedule", "analysis"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(key, f"must be a JSON object, got {raw[key]!r}")
         if "name" not in raw["scenario"]:
             raise ConfigError("scenario.name", "missing scenario name")
         _eps_labels(raw["schedule"].get("eps"))
@@ -255,7 +260,7 @@ def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_config(run_dir / "config.json")
     grid = cfg.build_grid()
-    v = make_scenario(cfg.scenario["name"], grid, **cfg.scenario).vector_field(grid)
+    v = _config_scenario(cfg.scenario, grid).vector_field(grid)
     dic = dictionary_for(cfg.analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
     rows = []
     for eps in cfg.schedule["eps"]:

@@ -16,13 +16,20 @@ unit-mass null vector of M.
 The null vector comes from one sparse LU per operator. The balance row of the
 grid's centre cell is replaced by the unit row that pins that cell's weight
 to 1 (the "replace one equation" method for stationary Markov chains, Stewart
-1994, ch. 2); the pinned matrix keeps the stencil's sparsity, so it is ordered
-by minimum degree on B^T + B. Its solve is normalized to unit mass before the
+1994, ch. 2); the pinned matrix B keeps the stencil's sparsity, so it is
+ordered by minimum degree on B^T + B. A 5-point operator couples each cell
+only to cells of the other colour of the (i + j) parity checkerboard, so the
+block of B on one colour is diagonal: one step of red-black (cyclic)
+reduction (Saad, Iterative Methods for Sparse Linear Systems, sec. 3.3)
+eliminates that colour, and the LU is taken of the Schur complement on the
+half of the cells that keeps the pinned one, with its diagonal set from its
+column sums (no cancellation). 9-point, 1D and hand-built operators factor B
+itself. The solve is normalized to unit mass before the
 residual test. The uniqueness check needs the system pinned at a second cell;
-that matrix is a rank-2 update of the first, so its solve reuses the same LU
-through the Sherman-Morrison-Woodbury formula (Hager 1989). The check fails
-closed: SingularOperatorError is raised unless both solutions are finite and
-agree within the tolerance, and a NaN distance counts as disagreement. A
+that matrix is a rank-2 update of the first, so its solve reuses the same
+factors through the Sherman-Morrison-Woodbury formula (Hager 1989). The check
+fails closed: SingularOperatorError is raised unless both solutions are finite
+and agree within the tolerance, and a NaN distance counts as disagreement. A
 reducible operator (more than one strongly connected component in its
 nonzero pattern) is refused before it is factorized, because rounding alone
 can make the two pinned solves of such an operator agree.
@@ -188,7 +195,8 @@ def assemble_1d(v: np.ndarray, a: np.ndarray, grid: Grid1D) -> DiscreteOperator:
     st = np.zeros((3, 3, grid.nx, 1))
     z = _faces(v[:, None], a[:, None], st, grid.hx)[:, 0]
     _check_overflow(z, "x-face")
-    return DiscreteOperator(grid, _csr(st, _FIVE_POINT), {"max_abs_z": float(np.abs(z).max())})
+    meta = {"max_abs_z": float(np.abs(z).max()), "stencil": "3-point"}
+    return DiscreteOperator(grid, _csr(st, _FIVE_POINT), meta)
 
 
 def assemble(v: VectorField, a: DiffusionField, grid: Grid2D) -> DiscreteOperator:
@@ -202,7 +210,8 @@ def assemble(v: VectorField, a: DiffusionField, grid: Grid2D) -> DiscreteOperato
     zy = _faces(v.vy.T, a.a22.T, st.transpose(1, 0, 3, 2), grid.hy,
                 None if a12 is None else a12.T, grid.hx)
     _check_overflow(zy.T, "y-face")  # face index in grid (i, j) order
-    meta = {"max_abs_z": float(max(np.abs(zx).max(), np.abs(zy).max()))}
+    meta = {"max_abs_z": float(max(np.abs(zx).max(), np.abs(zy).max())),
+            "stencil": "5-point" if a12 is None else "9-point"}
     return DiscreteOperator(grid, _csr(st, _FIVE_POINT if a12 is None else _NINE_POINT), meta)
 
 
@@ -215,25 +224,83 @@ def _pinned_cells(grid: Grid1D | Grid2D) -> tuple[int, int]:
     return (grid.nx // 2) * grid.ny + mid, (grid.nx // 4) * grid.ny + mid
 
 
-def _bordered_lu(m: sp.csr_matrix, row: int):
-    """LU of B = m with balance row `row` replaced by the unit row e_row^T
-    (that cell's weight pinned to 1), or None when B is exactly singular.
-
-    B keeps the sparsity pattern of the stencil, so it is ordered by minimum
-    degree on B^T + B with the diagonal preferred as pivot (SymmetricMode).
-    """
-    coo = m.tocoo()
-    keep = coo.row != row
-    b = sp.csc_matrix(
-        (np.append(coo.data[keep], 1.0),
-         (np.append(coo.row[keep], row), np.append(coo.col[keep], row))),
+def _pinned(m: sp.csr_matrix, row: int) -> sp.csr_matrix:
+    """B = m with balance row `row` replaced by the unit row e_row^T (that
+    cell's weight pinned to 1), spliced out of m's CSR arrays."""
+    lo, hi = m.indptr[row], m.indptr[row + 1]
+    indptr = m.indptr.copy()
+    indptr[row + 1:] -= hi - lo - 1
+    return sp.csr_matrix(
+        (np.concatenate([m.data[:lo], [1.0], m.data[hi:]]),
+         np.concatenate([m.indices[:lo], np.array([row], m.indices.dtype), m.indices[hi:]]),
+         indptr),
         shape=m.shape,
     )
+
+
+def _splu(a: sp.csc_matrix):
+    """LU of a, ordered by minimum degree on a^T + a with the diagonal preferred
+    as pivot (SymmetricMode), or None when a is exactly singular."""
     try:
-        return spla.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+        return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                          options=dict(SymmetricMode=True))
     except RuntimeError:
         return None
+
+
+def _censored(m_ke: sp.csr_matrix, m_ek: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
+    """Schur complement M_KK - M_KE D^{-1} M_EK of a 5-point generator on the
+    colour K, where M_KK is diagonal. It generates the chain watched only on
+    K: its off-diagonal entries are the rates of the paths j -> e -> i, sums
+    of non-negative products, and its diagonal is minus their column sums,
+    as in exact arithmetic. Setting the diagonal that way instead of by the
+    subtraction avoids its cancellation (Grassmann, Taksar and Heyman 1985),
+    which costs a metastable operator digits of its measure."""
+    p = m_ke @ sp.diags(-1.0 / d) @ m_ek
+    off = (p - sp.diags(p.diagonal())).tocsr()
+    return (off - sp.diags(np.asarray(off.sum(axis=0)).ravel())).tocsr()
+
+
+def _checkerboard_solver(m: sp.csr_matrix, ny: int, row: int):
+    """Red-black reduction of a 5-point operator m on an (nx, ny) grid, pinned
+    at cell `row`: (solve, lu_nnz), or None when the pinned matrix B is
+    exactly singular. K is the colour of the pinned cell, E the other one.
+    No two cells of one colour are coupled, so B_EE = diag(D) and the Schur
+    complement of B on K is that of m with its row `row` pinned; only that
+    complement is factored. A zero in D is a cell with no transitions."""
+    i, j = np.divmod(np.arange(m.shape[0]), ny)
+    kept = (i + j) % 2 == sum(divmod(row, ny)) % 2
+    k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
+    d = m.diagonal()[e]
+    if not np.all(d != 0.0):
+        return None
+    m_ke, m_ek = m[k][:, e], m[e][:, k]
+    r = int(np.searchsorted(k, row))  # the pinned cell's index within K
+    lu = _splu(_pinned(_censored(m_ke, m_ek, d), r).tocsc())
+    if lu is None:
+        return None
+
+    def solve(f):
+        # B differs from m only in row `row`, whose B_KE row is zero
+        g = f[k] - m_ke @ (f[e] / d)
+        g[r] = f[row]
+        x = np.empty(m.shape[0])
+        x[k] = lu.solve(g)
+        x[e] = (f[e] - m_ek @ x[k]) / d
+        return x
+
+    return solve, int(lu.nnz)
+
+
+def _pinned_solver(op: DiscreteOperator, row: int):
+    """(solve, lu_nnz) for B, the operator pinned at cell `row`, or None when B
+    is exactly singular. solve(f) returns B^{-1} f, and lu_nnz counts the
+    nonzeros of the one stored LU: that of the checkerboard Schur complement
+    for 5-point operators, that of B otherwise."""
+    if op.meta.get("stencil") == "5-point":
+        return _checkerboard_solver(op.matrix, op.grid.ny, row)
+    lu = _splu(_pinned(op.matrix, row).tocsc())
+    return None if lu is None else (lu.solve, int(lu.nnz))
 
 
 def _unit(n: int, row: int) -> np.ndarray:
@@ -242,15 +309,16 @@ def _unit(n: int, row: int) -> np.ndarray:
     return e
 
 
-def _alternate_solve(m: sp.csr_matrix, lu, w: np.ndarray, r1: int, r2: int) -> np.ndarray:
-    """Solve of the system pinned at cell r2 instead of r1, from the LU of B1.
+def _alternate_solve(m: sp.csr_matrix, solve, w: np.ndarray, r1: int, r2: int) -> np.ndarray:
+    """Solve of the system pinned at cell r2 instead of r1, from solve(f) =
+    B1^{-1} f, exact for any pinned cells.
 
     B1 is m with row r1 replaced by e_r1^T, and w = B1^{-1} e_r1 is its raw
     (unnormalized) solve. B2 = B1 + U V^T with U = [e_r1, e_r2] and V^T rows
     (m_r1 - e_r1^T), (e_r2^T - m_r2), so by Sherman-Morrison-Woodbury, with
     W = B1^{-1} U = [w, z2] and K = I + V^T W:  B2^{-1} e_r2 = z2 - W K^{-1} V^T z2.
     """
-    z2 = lu.solve(_unit(m.shape[0], r2))
+    z2 = solve(_unit(m.shape[0], r2))
 
     def vt(x):
         mx = m @ x
@@ -304,21 +372,27 @@ def solve_stationary(
 ) -> tuple[DiscreteMeasure, SolveReport]:
     """Unit-mass non-negative null vector of the assembled operator.
 
-    Primary method: one sparse LU of B1, the operator with the balance row of
-    the centre cell replaced by the unit row that pins the cell's weight to 1;
-    its solve is normalized to unit mass before the residual test. Falls back
-    to shifted inverse power iteration when B1 is exactly singular or the
-    normalized solve leaves a large residual. The uniqueness check pins a
-    second cell instead, the centre of the low-x half, as a rank-2 Woodbury
-    update of the same LU, and raises SingularOperatorError (null space
+    Primary method: one sparse LU for B1, the operator with the balance row of
+    the centre cell replaced by the unit row that pins the cell's weight to 1.
+    For a 5-point operator (op.meta["stencil"], set by assemble) the LU is of
+    the checkerboard Schur complement of B1 on the pinned cell's colour, and
+    the other colour is recovered from its diagonal block; every other
+    operator factors B1 itself. The solve is normalized to unit mass before
+    the residual test. Falls back to shifted inverse power iteration when B1
+    is exactly singular (SuperLU fails, or the eliminated colour has a cell
+    with a zero diagonal) or the normalized solve leaves a large residual.
+    The uniqueness check pins a second cell instead, the centre of the low-x
+    half, as a rank-2 Woodbury update of the same factors, exact for any pair
+    of pinned cells, and raises SingularOperatorError (null space
     dimension > 1) unless that solve is finite and agrees with the first
     within UNIQUENESS_TOL in L1; a NaN distance counts as disagreement.
     Before any factorization the check also refuses, with
     SingularOperatorError, an operator whose nonzero pattern has more than
     one strongly connected component (a reducible generator): its null
     vector is not unique, or it is zero on a transient block. The
-    report's meta adds the pinned cell and the nonzeros SuperLU stores for
-    L and U (None when B1 is exactly singular).
+    report's meta adds the pinned cell and lu_nnz, the nonzeros SuperLU
+    stores for L and U of the one matrix it factors (S for the checkerboard
+    path, B1 otherwise; None when B1 is exactly singular).
     """
     t0 = time.perf_counter()
     m = op.matrix
@@ -330,9 +404,9 @@ def solve_stationary(
         _require_irreducible(m)
     method = "bordered-lu"
     iterations = 1
-    lu = _bordered_lu(m, r1)
+    solve, lu_nnz = _pinned_solver(op, r1) or (None, None)
     with np.errstate(all="ignore"):
-        w_lu = lu.solve(_unit(n, r1)) if lu is not None else np.full(n, np.nan)
+        w_lu = solve(_unit(n, r1)) if solve is not None else np.full(n, np.nan)
         w = w_lu / w_lu.sum()
     residual = float(np.abs(m @ w).max()) if np.all(np.isfinite(w)) else np.inf
 
@@ -346,7 +420,7 @@ def solve_stationary(
         # ANY pinned cell (rows sum to zero, the Perron vector is positive),
         # so a non-finite alternate solve already implies null dimension > 1
         with np.errstate(all="ignore"):
-            w_alt = (_alternate_solve(m, lu, w_lu, r1, r2) if lu is not None
+            w_alt = (_alternate_solve(m, solve, w_lu, r1, r2) if solve is not None
                      else np.full(n, np.nan))
             if not np.all(np.isfinite(w_alt)):
                 raise SingularOperatorError(
@@ -376,7 +450,7 @@ def solve_stationary(
         method=method,
         iterations=iterations,
         wall_time=time.perf_counter() - t0,
-        meta=dict(op.meta, pinned_cell=r1, lu_nnz=None if lu is None else int(lu.nnz)),
+        meta=dict(op.meta, pinned_cell=r1, lu_nnz=lu_nnz),
     )
     return mu, report
 

@@ -174,14 +174,25 @@ def _config_float(field: str, value) -> float:
 
 def make_scenario(name: str, grid: Grid2D | None = None, /, **params) -> Scenario:
     """Scenario ``name`` of SCENARIOS; keyword values override the table's
-    parameter defaults, and keys it has no parameter for are ignored. A
-    non-numeric parameter value is a config error naming ``scenario.<param>``."""
+    parameter defaults. A key the table has no parameter for, or a
+    non-numeric parameter value, is a config error naming ``scenario.<param>``."""
     spec = SCENARIOS.get(name)
     if spec is None:
         raise ConfigError("scenario.name", f"unknown scenario {name!r}")
+    for k in params:
+        if k not in spec.defaults:
+            raise ConfigError(f"scenario.{k}", "unknown parameter; known: "
+                              + (", ".join(spec.defaults) or "none"))
     p = {k: _config_float(f"scenario.{k}", params.get(k, v)) for k, v in spec.defaults.items()}
     g = grid or Grid2D(-spec.box, spec.box, -spec.box, spec.box, spec.n, spec.n)
     return Scenario(name, spec.drift(p), p, g)
+
+
+def _config_scenario(section: dict, grid: Grid2D) -> Scenario:
+    """The scenario a run config's scenario section names, with the section's
+    other keys as its parameters."""
+    params = dict(section)
+    return make_scenario(params.pop("name"), grid, **params)
 
 
 def boundary_taper(grid: Grid2D) -> np.ndarray:
@@ -244,14 +255,18 @@ _HOPF_THRESHOLDS = {
 def _hopf_thresholds(overrides: dict | None) -> dict:
     """The Hopf sweep's thresholds with ``overrides`` applied. An unknown key,
     or a value that is not a number in (0, 1), is a config error naming
-    ``analysis.thresholds.<key>``."""
-    for k, v in (overrides or {}).items():
+    ``analysis.thresholds.<key>``; overrides that are not a dict (a JSON
+    object) are one naming ``analysis.thresholds``."""
+    overrides = overrides or {}
+    if not isinstance(overrides, dict):
+        raise ConfigError("analysis.thresholds", f"must be a JSON object, got {overrides!r}")
+    for k, v in overrides.items():
         if k not in _HOPF_THRESHOLDS:
             raise ConfigError(f"analysis.thresholds.{k}",
                               f"unknown threshold; known: {', '.join(_HOPF_THRESHOLDS)}")
         if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
             raise ConfigError(f"analysis.thresholds.{k}", "must be a number in (0, 1)")
-    return {**_HOPF_THRESHOLDS, **(overrides or {})}
+    return {**_HOPF_THRESHOLDS, **overrides}
 
 
 def dictionary_for(name: str, grid: Grid2D) -> TestFunctionDictionary:
@@ -590,7 +605,7 @@ def run_designed_comparison(
 # run recipes: what `fplab run` does for each scenario name of a run config
 
 def _run_hopf(scenario, grid, eps, schedule, analysis):
-    b = make_scenario("hopf", grid, **scenario).params["b"]
+    b = _config_scenario(scenario, grid).params["b"]
     sched = build_schedule(grid, eps, schedule.get("shape", "modulated"),
                            schedule.get("invariance_mode", "reflecting"))
     dic = dictionary_for(analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)

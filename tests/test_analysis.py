@@ -85,6 +85,50 @@ def test_dictionary_sup_norms_of_an_anisotropic_bump():
     assert d.grad_inf.tolist() == [g] and d.lap_inf.tolist() == [lap]
 
 
+@pytest.mark.parametrize("wx,wy", [(0.45, 0.45), (0.6, 0.6), (0.3, 0.7), (1.1, 0.9)])
+def test_pruned_sup_norms_equal_the_whole_lattice(wx, wy):
+    d = make_dictionary(Grid2D(-2.5, 2.5, -2.5, 2.5, 96, 96), [(0.0, 0.0, wx, wy)], "pruned")
+    assert (d.grad_inf[0], d.lap_inf[0]) == _reference_sup_norms(wx, wy)
+
+
+def _dense_reference(grid, bumps):
+    """h, dxh and dyh built as 2D arrays per bump, as first written."""
+    xx, yy = grid.centers()
+    hs, dxs, dys = [], [], []
+    for cx, cy, wx, wy in bumps:
+        ux, uy = (xx - cx) / wx, (yy - cy) / wy
+        px, py = bump_profile(ux), bump_profile(uy)
+        hs.append(px * py)
+        dxs.append(bump_d1(ux) * py / wx)
+        dys.append(px * bump_d1(uy) / wy)
+    return np.asarray(hs), np.asarray(dxs), np.asarray(dys)
+
+
+@pytest.mark.parametrize("n", [96, 256])
+@pytest.mark.parametrize("name", ["grid3x3-v1", "grid4x4-v1", "hopf-offcycle-v1"])
+def test_factored_dictionary_equals_dense_construction(n, name):
+    grid = Grid2D(-2.5, 2.5, -2.5, 2.5, n, n)
+    d = dictionary_for(name, grid)
+    h, dxh, dyh = _dense_reference(grid, d.bumps)
+    assert np.array_equal(d.h, h) and np.array_equal(d.dxh, dxh) and np.array_equal(d.dyh, dyh)
+    assert d.h.shape == (len(d), n, n)
+
+
+def test_dictionary_holds_only_profiles_until_read():
+    # the nine 256^2 bumps of hopf-offcycle-v1 take 14 MB as h, dxh and dyh;
+    # until one of them is read the dictionary holds 1D profiles only
+    grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
+    tracemalloc.start()
+    try:
+        d = dictionary_for("hopf-offcycle-v1", grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not {"h", "dxh", "dyh"} & set(vars(d))
+    assert d.h is d.h  # built once, then kept
+
+
 def test_dictionary_never_holds_the_whole_fine_lattice():
     # a width no other test uses, so the sup norms are computed inside the
     # traced region; one 2001^2 float64 array is 32 MB

@@ -132,6 +132,10 @@ _BAD_VALUES = [
     (["run", {"analysis": {"rho_mesh": 1}}], "analysis.rho_mesh"),
     (["run", {"analysis": {"rho_mesh": 64.0}}], "analysis.rho_mesh"),
     (["run", {"analysis": {"thresholds": {"annulus_finl": 0.5}}}], "analysis.thresholds.annulus_finl"),
+    (["run", {"analysis": None}], "analysis"),
+    (["run", {"analysis": {"thresholds": ["annulus_final"]}}], "analysis.thresholds"),
+    (["run", {"schedule": "x"}], "schedule"),
+    (["run", {"scenario": {"name": "hopf", "bb": 2.0}}], "scenario.bb"),
     (["verify"], "config"),
 ]
 

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +13,7 @@ from fplab.fields import (
     NullFamilySchedule,
     isotropic_diffusion,
     isotropic_schedule,
+    normalized_measure,
     sample_diffusion_field,
     sample_vector_field,
 )
@@ -477,3 +481,134 @@ def test_solve_family_propagates_programming_errors():
         solve_family(sample_vector_field(lambda x, y: (-x, -y), other), fam, other)
     with pytest.raises(AttributeError):
         solve_family(v, [(0.2, "not a DiffusionField")], g)
+
+
+def _direct(op):
+    # the same operator without the stencil label, so the solve factors the
+    # whole pinned matrix instead of its checkerboard Schur complement
+    return DiscreteOperator(op.grid, op.matrix, {k: v for k, v in op.meta.items() if k != "stencil"})
+
+
+def _five_point_operator(kind, n):
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, n, n)
+    if kind == "hopf":
+        v = sample_vector_field(hopf_drift(1.0), g)
+        (_, a), = build_schedule(g, (0.1,), "modulated")
+    else:
+        v = sample_vector_field(lambda x, y: (-x, -y), g)
+        a = isotropic_diffusion(g, 0.1)
+    return assemble(v, a, g)
+
+
+def _sheared_ou_operator(n):
+    g = Grid2D(-3, 3, -3, 3, n, n)
+    v = sample_vector_field(lambda x, y: (-x, -y), g)
+    a = DiffusionField(g, np.full((n, n), 0.1), np.full((n, n), 0.03), np.full((n, n), 0.08))
+    return assemble(v, a, g)
+
+
+@pytest.mark.parametrize("n", [12, 48, 100])
+@pytest.mark.parametrize("kind", ["hopf", "ou-iso"])
+def test_checkerboard_solve_matches_direct_solve(kind, n):
+    op = _five_point_operator(kind, n)
+    assert op.meta["stencil"] == "5-point"
+    mu, rep = solve_stationary(op)
+    mu_direct, rep_direct = solve_stationary(_direct(op))
+    assert rep.method == rep_direct.method == "bordered-lu"
+    assert np.abs(mu.weights - mu_direct.weights).sum() <= 1e-13
+    assert rep.residual <= 1e-10 * op.norm_inf()
+    # the stored LU is that of the half-size system
+    assert rep.meta["lu_nnz"] < rep_direct.meta["lu_nnz"]
+
+
+def test_checkerboard_solve_keeps_metastable_accuracy():
+    # at eps 0.03 the two wells of x - x^3 are metastable: a Schur diagonal
+    # formed by subtraction put the measure 4e-12 in L1 from the reference,
+    # and the LU of the whole pinned matrix 2e-13. Reference: that LU's solve
+    # refined with residuals in long double
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
+    v = sample_vector_field(lambda x, y: (x - x**3, -y), g)
+    op = assemble(v, isotropic_diffusion(g, 0.03), g)
+    mu, _ = solve_stationary(op)
+    r1 = 50 * 100 + 50
+    b = op.matrix.tolil()
+    b[r1, :] = 0.0
+    b[r1, r1] = 1.0
+    b = b.tocsc()
+    lu = spla.splu(b)
+    coo = b.tocoo()
+    e = np.zeros(op.n)
+    e[r1] = 1.0
+    x = lu.solve(e)
+    for _ in range(3):
+        r = np.zeros(op.n, dtype=np.longdouble)
+        np.add.at(r, coo.row, coo.data.astype(np.longdouble) * x.astype(np.longdouble)[coo.col])
+        x = x - lu.solve((r - e).astype(float))
+    assert np.abs(mu.weights.ravel() - x / x.sum()).sum() <= 5e-14
+
+
+def _reference_direct_solve(op):
+    """The direct path as first written: the pinned matrix from COO copies, one
+    MMD LU of it, and the unit-mass solve with its residual."""
+    m = op.matrix
+    r1 = (op.grid.nx // 2) * op.grid.ny + op.grid.ny // 2
+    coo = m.tocoo()
+    keep = coo.row != r1
+    b = sp.csc_matrix(
+        (np.append(coo.data[keep], 1.0),
+         (np.append(coo.row[keep], r1), np.append(coo.col[keep], r1))),
+        shape=m.shape,
+    )
+    lu = spla.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                   options=dict(SymmetricMode=True))
+    e = np.zeros(m.shape[0])
+    e[r1] = 1.0
+    w = lu.solve(e)
+    w = w / w.sum()
+    return w, float(np.abs(m @ w).max()), int(lu.nnz)
+
+
+def test_nine_point_solve_is_bit_identical_to_direct_reference():
+    op = _sheared_ou_operator(48)
+    assert op.meta["stencil"] == "9-point"
+    mu, rep = solve_stationary(op)
+    w, residual, lu_nnz = _reference_direct_solve(op)
+    mu_ref, clipped = normalized_measure(op.grid, w.reshape(48, 48))
+    assert np.array_equal(mu.weights, mu_ref.weights)
+    assert (rep.method, rep.residual, rep.meta["lu_nnz"], rep.clipped_mass) == (
+        "bordered-lu", residual, lu_nnz, clipped)
+    assert (rep.min_weight, rep.mass_defect) == (
+        float(w.min() / max(w.sum(), 1e-300)), abs(float(w.sum()) - 1.0))
+
+
+def test_zero_eliminated_diagonal_falls_back_without_warning(monkeypatch):
+    # cell (3, 4) has the other colour than the pinned centre (6, 6); cutting
+    # all its transitions leaves a zero on the eliminated diagonal, so the
+    # pinned matrix is exactly singular and no LU of it is attempted
+    op = _five_point_operator("ou-iso", 12)
+    keep = np.ones(op.n)
+    keep[3 * 12 + 4] = 0.0
+    off = op.matrix - sp.diags(op.matrix.diagonal())
+    off = sp.diags(keep) @ off @ sp.diags(keep)
+    m = (off - sp.diags(np.asarray(off.sum(axis=0)).ravel())).tocsr()
+    calls = _count_factorizations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu, rep = solve_stationary(DiscreteOperator(op.grid, m, op.meta), check_unique=False)
+    assert rep.method == "inverse-power"
+    assert calls == ["splu"]  # the shifted operator of the fallback only
+    assert rep.meta["lu_nnz"] is None
+    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _five_point_operator("hopf", 24),
+    lambda: _sheared_ou_operator(24),
+    lambda: assemble_1d(-Grid1D(-1, 1, 40).centers(), np.full(40, 0.1), Grid1D(-1, 1, 40)),
+], ids=["5-point", "9-point", "1d"])
+def test_every_stencil_factorizes_once(monkeypatch, make):
+    op = make()
+    calls = _count_factorizations(monkeypatch)
+    _, rep = solve_stationary(op, check_unique=True)
+    assert calls == ["splu"]
+    assert rep.method == "bordered-lu"

@@ -31,6 +31,15 @@ def test_make_scenario_reference_consistency():
         make_scenario("unknown")
 
 
+def test_make_scenario_rejects_unknown_parameters():
+    with pytest.raises(ConfigError, match="known: b") as exc:
+        make_scenario("hopf", None, bb=2.0)
+    assert exc.value.field == "scenario.bb"
+    with pytest.raises(ConfigError, match="known: none") as exc:
+        make_scenario("ou2d", None, b=1.0)
+    assert exc.value.field == "scenario.b"
+
+
 def test_haar_reference_is_angularly_uniform():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 128, 128)
     haar = haar_on_circle(g, 1.0)
