@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import io as fio
@@ -58,8 +58,7 @@ def _grid(x_min, x_max, y_min, y_max, nx, ny) -> Grid2D:
 def _flag_scenario(args):
     """The grid and the scenario named by the domain and scenario flags."""
     grid = _grid(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
-    params = {"b": args.b} if "b" in SCENARIOS[args.scenario].defaults else {}
-    return grid, make_scenario(args.scenario, grid, **params)
+    return grid, make_scenario(args.scenario, grid, **({} if args.b is None else {"b": args.b}))
 
 
 def _eps_labels(values) -> tuple:
@@ -102,6 +101,13 @@ class RunConfig:
         for key in ("scenario", "grid", "schedule", "analysis"):
             if not isinstance(raw.get(key, {}), dict):
                 raise ConfigError(key, f"must be a JSON object, got {raw[key]!r}")
+        known = [f.name for f in fields(cls)]
+        for key in raw:
+            if key not in known:
+                raise ConfigError(key, "unknown key; known: " + ", ".join(known))
+        for key in raw["grid"]:
+            if key not in _GRID_KEYS:
+                raise ConfigError(f"grid.{key}", "unknown key; known: " + ", ".join(_GRID_KEYS))
         if "name" not in raw["scenario"]:
             raise ConfigError("scenario.name", "missing scenario name")
         _eps_labels(raw["schedule"].get("eps"))
@@ -132,10 +138,11 @@ def _load_config(path: Path) -> RunConfig:
 
 
 def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get(DEFAULT_WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+    """The pool size FPLAB_WORKERS: a positive integer, 1 when unset."""
+    raw = os.environ.get(DEFAULT_WORKERS_ENV, "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(DEFAULT_WORKERS_ENV, f"must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
@@ -173,6 +180,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_hopf(args) -> int:
+    workers = _workers()
     eps = list(_eps_labels(args.eps.split(",")))
     b_values = [make_scenario("hopf", b=b).params["b"] for b in args.b.split(",")]
     box = SCENARIOS["hopf"].box
@@ -189,7 +197,7 @@ def _cmd_hopf(args) -> int:
             "seed": args.seed,
         }
         jobs.append(RunConfig.from_dict(raw))
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_run_scenario, jobs))
     for result, cfg in zip(results, jobs):
         _write_run_dir(Path(cfg.output_dir), cfg, result)
@@ -373,7 +381,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a schedule and write measures")
     p.add_argument("--scenario", default="hopf", choices=scenarios)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=None)
     p.add_argument("--eps", default="0.2,0.1,0.05,0.02")
     p.add_argument("--shape", default="iso", choices=["iso", "aniso", "modulated"])
     _add_domain_args(p)
@@ -382,7 +390,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Monte-Carlo occupation measures")
     p.add_argument("--scenario", default="hopf", choices=scenarios)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=None)
     p.add_argument("--eps", default="0.1,0.05")
     p.add_argument("--shape", default="iso", choices=["iso", "aniso", "modulated"])
     p.add_argument("--dt", type=float, default=0.005)
@@ -401,7 +409,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, choices=["attractor", "repeller", "equilibrium"])
     p.add_argument("--scenario", default="double-well",
                    choices=sorted({s for s, _ in _ISOLATION_RECIPES}))
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=None)
     p.add_argument("--ratio", type=float, default=10.0)
     p.add_argument("--eps", default="0.1,0.05,0.02")
     _add_domain_args(p)
@@ -410,7 +418,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-attractor", help="ensemble attractor approximation")
     p.add_argument("--scenario", default="hopf", choices=scenarios)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=None)
     p.add_argument("--ensemble", type=int, default=256)
     p.add_argument("--t-end", type=float, default=40.0)
     p.add_argument("--reverse", action="store_true", help="time-reversed (repeller)")
@@ -420,7 +428,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lyapunov", help="check U = x^2+y^2 against a scenario drift")
     p.add_argument("--scenario", default="hopf", choices=scenarios)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=None)
     p.add_argument("--rho-m", type=float, default=1.5)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--kind", default="lyapunov",

@@ -40,15 +40,14 @@ class StencilOverflowError(FplabError):
 
 
 class SingularOperatorError(FplabError):
-    """The discrete operator has a null space of dimension > 1."""
+    """The stationary solve has no unique unit-mass null vector to return: the
+    operator is reducible, its pinned matrix is exactly singular, the solve
+    leaves a large residual, or the two pinned solves disagree."""
 
 
-class NoConvergenceError(FplabError):
-    """Iterative fallback solve failed to converge."""
-
-    def __init__(self, history):
-        self.history = list(history)
-        super().__init__(f"no convergence; residual history = {self.history}")
+class IllConditionedError(SingularOperatorError):
+    """The null vector is unique (an irreducible operator with non-negative
+    off-diagonal rates), but rounding moves the two pinned solves apart."""
 
 
 class NotSettledError(FplabError):

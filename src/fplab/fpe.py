@@ -24,15 +24,18 @@ reduction (Saad, Iterative Methods for Sparse Linear Systems, sec. 3.3)
 eliminates that colour, and the LU is taken of the Schur complement on the
 half of the cells that keeps the pinned one, with its diagonal set from its
 column sums (no cancellation). 9-point, 1D and hand-built operators factor B
-itself. The solve is normalized to unit mass before the
-residual test. The uniqueness check needs the system pinned at a second cell;
-that matrix is a rank-2 update of the first, so its solve reuses the same
-factors through the Sherman-Morrison-Woodbury formula (Hager 1989). The check
-fails closed: SingularOperatorError is raised unless both solutions are finite
-and agree within the tolerance, and a NaN distance counts as disagreement. A
-reducible operator (more than one strongly connected component in its
-nonzero pattern) is refused before it is factorized, because rounding alone
-can make the two pinned solves of such an operator agree.
+itself. There is no second method: the solve fails closed with
+SingularOperatorError when the operator is reducible (more than one strongly
+connected component in its nonzero pattern, refused before it is factorized),
+when SuperLU finds the pinned matrix exactly singular, or when the solve,
+normalized to unit mass, leaves a residual above the tolerance. An irreducible
+generator has a one-dimensional null space (Perron-Frobenius for irreducible
+Metzler matrices), so the system pinned at a second cell has the same
+solution; it is a rank-2 update of the first, solved from the same factors
+through the Sherman-Morrison-Woodbury formula (Hager 1989). The L1 distance of
+the two normalized solves, reported as pinned_pair_l1, indicates the rounding
+error of the measure; above the tolerance it raises IllConditionedError when
+every off-diagonal rate is non-negative, and SingularOperatorError otherwise.
 """
 
 from __future__ import annotations
@@ -45,12 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    FplabError,
-    NoConvergenceError,
-    SingularOperatorError,
-    StencilOverflowError,
-)
+from .errors import FplabError, IllConditionedError, SingularOperatorError, StencilOverflowError
 from .fields import DiffusionField, DiscreteMeasure, NullFamilySchedule, VectorField, normalized_measure
 from .grid import Grid1D, Grid2D
 
@@ -98,9 +96,6 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def column_sum_defect(self) -> float:
-        return float(np.abs(np.asarray(self.matrix.sum(axis=0)).ravel()).max())
-
     def norm_inf(self) -> float:
         return float(np.abs(self.matrix).sum(axis=1).max())
 
@@ -112,7 +107,6 @@ class SolveReport:
     min_weight: float
     clipped_mass: float
     method: str
-    iterations: int
     wall_time: float
     meta: dict = field(default_factory=dict)
 
@@ -240,12 +234,12 @@ def _pinned(m: sp.csr_matrix, row: int) -> sp.csr_matrix:
 
 def _splu(a: sp.csc_matrix):
     """LU of a, ordered by minimum degree on a^T + a with the diagonal preferred
-    as pivot (SymmetricMode), or None when a is exactly singular."""
+    as pivot (SymmetricMode); SingularOperatorError when a is exactly singular."""
     try:
         return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                          options=dict(SymmetricMode=True))
-    except RuntimeError:
-        return None
+    except RuntimeError as exc:
+        raise SingularOperatorError(f"pinned matrix is exactly singular: {exc}") from exc
 
 
 def _censored(m_ke: sp.csr_matrix, m_ek: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
@@ -263,22 +257,22 @@ def _censored(m_ke: sp.csr_matrix, m_ek: sp.csr_matrix, d: np.ndarray) -> sp.csr
 
 def _checkerboard_solver(m: sp.csr_matrix, ny: int, row: int):
     """Red-black reduction of a 5-point operator m on an (nx, ny) grid, pinned
-    at cell `row`: (solve, lu_nnz), or None when the pinned matrix B is
-    exactly singular. K is the colour of the pinned cell, E the other one.
-    No two cells of one colour are coupled, so B_EE = diag(D) and the Schur
-    complement of B on K is that of m with its row `row` pinned; only that
-    complement is factored. A zero in D is a cell with no transitions."""
+    at cell `row`: (solve, lu_nnz). K is the colour of the pinned cell, E the
+    other one. No two cells of one colour are coupled, so B_EE = diag(D) and
+    the Schur complement of B on K is that of m with its row `row` pinned;
+    only that complement is factored. A zero in D makes B exactly singular:
+    a generator cell with no transitions is refused earlier as reducible, but
+    a hand-built operator whose columns do not sum to zero can reach here."""
     i, j = np.divmod(np.arange(m.shape[0]), ny)
     kept = (i + j) % 2 == sum(divmod(row, ny)) % 2
     k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
     d = m.diagonal()[e]
     if not np.all(d != 0.0):
-        return None
+        raise SingularOperatorError(
+            f"pinned matrix is exactly singular: zero diagonal at cell {int(e[d == 0.0][0])}")
     m_ke, m_ek = m[k][:, e], m[e][:, k]
     r = int(np.searchsorted(k, row))  # the pinned cell's index within K
     lu = _splu(_pinned(_censored(m_ke, m_ek, d), r).tocsc())
-    if lu is None:
-        return None
 
     def solve(f):
         # B differs from m only in row `row`, whose B_KE row is zero
@@ -293,14 +287,14 @@ def _checkerboard_solver(m: sp.csr_matrix, ny: int, row: int):
 
 
 def _pinned_solver(op: DiscreteOperator, row: int):
-    """(solve, lu_nnz) for B, the operator pinned at cell `row`, or None when B
-    is exactly singular. solve(f) returns B^{-1} f, and lu_nnz counts the
-    nonzeros of the one stored LU: that of the checkerboard Schur complement
-    for 5-point operators, that of B otherwise."""
+    """(solve, lu_nnz) for B, the operator pinned at cell `row`. solve(f)
+    returns B^{-1} f, and lu_nnz counts the nonzeros of the one stored LU:
+    that of the checkerboard Schur complement for 5-point operators, that of
+    B otherwise."""
     if op.meta.get("stencil") == "5-point":
         return _checkerboard_solver(op.matrix, op.grid.ny, row)
     lu = _splu(_pinned(op.matrix, row).tocsc())
-    return None if lu is None else (lu.solve, int(lu.nnz))
+    return lu.solve, int(lu.nnz)
 
 
 def _unit(n: int, row: int) -> np.ndarray:
@@ -332,27 +326,6 @@ def _alternate_solve(m: sp.csr_matrix, solve, w: np.ndarray, r1: int, r2: int) -
     return z2 - np.column_stack([w, z2]) @ y
 
 
-def _inverse_power(m: sp.csr_matrix, tol: float):
-    """Shifted inverse power iteration fallback for the null vector."""
-    n = m.shape[0]
-    scale = float(np.abs(m).sum(axis=1).max())
-    shift = 1e-13 * scale
-    try:
-        lu = spla.splu((m - shift * sp.identity(n, format="csr")).tocsc())
-    except RuntimeError as exc:
-        raise SingularOperatorError(f"shifted operator is exactly singular: {exc}") from exc
-    w = np.full(n, 1.0 / n)
-    history = []
-    for k in range(60):  # at most 60 iterations
-        w = lu.solve(w)
-        w = w / np.abs(w).sum()
-        res = float(np.abs(m @ w).max())
-        history.append(res)
-        if res <= tol:
-            return w / w.sum(), k + 1, history
-    raise NoConvergenceError(history)
-
-
 def _require_irreducible(m: sp.csr_matrix):
     """Raise SingularOperatorError if the nonzero pattern of m has more than
     one strongly connected component. Stored zeros are dropped first: csgraph
@@ -367,32 +340,34 @@ def _require_irreducible(m: sp.csr_matrix):
         )
 
 
-def solve_stationary(
-    op: DiscreteOperator, check_unique: bool = True
-) -> tuple[DiscreteMeasure, SolveReport]:
+def _nonnegative_rates(m: sp.csr_matrix) -> bool:
+    """Whether every stored off-diagonal entry of m is >= 0 (m is Metzler)."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return bool(np.all(m.data[m.indices != rows] >= 0.0))
+
+
+def solve_stationary(op: DiscreteOperator) -> tuple[DiscreteMeasure, SolveReport]:
     """Unit-mass non-negative null vector of the assembled operator.
 
-    Primary method: one sparse LU for B1, the operator with the balance row of
-    the centre cell replaced by the unit row that pins the cell's weight to 1.
-    For a 5-point operator (op.meta["stencil"], set by assemble) the LU is of
-    the checkerboard Schur complement of B1 on the pinned cell's colour, and
-    the other colour is recovered from its diagonal block; every other
-    operator factors B1 itself. The solve is normalized to unit mass before
-    the residual test. Falls back to shifted inverse power iteration when B1
-    is exactly singular (SuperLU fails, or the eliminated colour has a cell
-    with a zero diagonal) or the normalized solve leaves a large residual.
-    The uniqueness check pins a second cell instead, the centre of the low-x
-    half, as a rank-2 Woodbury update of the same factors, exact for any pair
-    of pinned cells, and raises SingularOperatorError (null space
-    dimension > 1) unless that solve is finite and agrees with the first
-    within UNIQUENESS_TOL in L1; a NaN distance counts as disagreement.
-    Before any factorization the check also refuses, with
-    SingularOperatorError, an operator whose nonzero pattern has more than
-    one strongly connected component (a reducible generator): its null
-    vector is not unique, or it is zero on a transient block. The
-    report's meta adds the pinned cell and lu_nnz, the nonzeros SuperLU
-    stores for L and U of the one matrix it factors (S for the checkerboard
-    path, B1 otherwise; None when B1 is exactly singular).
+    One path; each step fails closed with SingularOperatorError:
+    1. the operator's nonzero pattern must be one strongly connected
+       component (irreducible), checked before any factorization;
+    2. one sparse LU of B1, the operator with the centre cell's balance row
+       replaced by the unit row that pins its weight to 1, must exist
+       (SuperLU must not find B1 exactly singular). A 5-point operator
+       (op.meta["stencil"], set by assemble) factors the checkerboard Schur
+       complement of B1 instead;
+    3. the solve, normalized to unit mass, must leave a finite residual
+       max |M w| <= RESIDUAL_RTOL * ||M||_inf;
+    4. the system pinned at the centre of the low-x half, solved from the
+       same factors by a rank-2 Woodbury update, must agree with it within
+       UNIQUENESS_TOL in L1 (a NaN distance disagrees). When every
+       off-diagonal rate is >= 0 the null vector is unique, so a disagreement
+       is rounding and raises IllConditionedError.
+    A solve with no mass left after its negative entries are clipped is
+    refused too. The report's meta adds pinned_cell, lu_nnz (the nonzeros of
+    the one stored LU) and pinned_pair_l1, the distance of step 4: an
+    indicator of the measure's rounding error, not a bound on it.
     """
     t0 = time.perf_counter()
     m = op.matrix
@@ -400,39 +375,32 @@ def solve_stationary(
     tol = RESIDUAL_RTOL * op.norm_inf()
     r1, r2 = _pinned_cells(op.grid)
 
-    if check_unique:
-        _require_irreducible(m)
-    method = "bordered-lu"
-    iterations = 1
-    solve, lu_nnz = _pinned_solver(op, r1) or (None, None)
+    _require_irreducible(m)
+    solve, lu_nnz = _pinned_solver(op, r1)
     with np.errstate(all="ignore"):
-        w_lu = solve(_unit(n, r1)) if solve is not None else np.full(n, np.nan)
+        w_lu = solve(_unit(n, r1))
         w = w_lu / w_lu.sum()
     residual = float(np.abs(m @ w).max()) if np.all(np.isfinite(w)) else np.inf
+    if not residual <= tol:
+        raise SingularOperatorError(
+            f"normalized solve leaves residual {residual:.3e} above the tolerance "
+            f"{tol:.3e} (RESIDUAL_RTOL * ||M||_inf)"
+        )
 
-    if not np.isfinite(residual) or residual > tol:
-        method = "inverse-power"
-        w, iterations, history = _inverse_power(m, tol)
-        residual = history[-1]
-
-    if check_unique:
-        # for an irreducible generator the pinned system is nonsingular for
-        # ANY pinned cell (rows sum to zero, the Perron vector is positive),
-        # so a non-finite alternate solve already implies null dimension > 1
-        with np.errstate(all="ignore"):
-            w_alt = (_alternate_solve(m, solve, w_lu, r1, r2) if solve is not None
-                     else np.full(n, np.nan))
-            if not np.all(np.isfinite(w_alt)):
-                raise SingularOperatorError(
-                    "pinned system singular for an alternate cell; "
-                    "null space dimension > 1"
-                )
-            diff = float(np.abs(w - w_alt / w_alt.sum()).sum())
-        if not diff <= UNIQUENESS_TOL:
-            raise SingularOperatorError(
-                f"two pinned solves disagree by L1 distance {diff:.3e}; "
-                "null space dimension > 1 suspected"
+    with np.errstate(all="ignore"):
+        w_alt = _alternate_solve(m, solve, w_lu, r1, r2)
+        pair_l1 = float(np.abs(w - w_alt / w_alt.sum()).sum())
+    if not pair_l1 <= UNIQUENESS_TOL:
+        if _nonnegative_rates(m):
+            raise IllConditionedError(
+                f"two pinned solves disagree by L1 distance {pair_l1:.3e}: the null "
+                "vector of this irreducible operator is unique but not resolved "
+                "in double precision"
             )
+        raise SingularOperatorError(
+            f"two pinned solves disagree by L1 distance {pair_l1:.3e}; "
+            "null space dimension > 1 suspected"
+        )
 
     mass_defect = abs(float(w.sum()) - 1.0)
     min_weight = float(w.min() / max(w.sum(), 1e-300))
@@ -447,10 +415,9 @@ def solve_stationary(
         mass_defect=mass_defect,
         min_weight=min_weight,
         clipped_mass=clipped,
-        method=method,
-        iterations=iterations,
+        method="bordered-lu",
         wall_time=time.perf_counter() - t0,
-        meta=dict(op.meta, pinned_cell=r1, lu_nnz=lu_nnz),
+        meta=dict(op.meta, pinned_cell=r1, lu_nnz=lu_nnz, pinned_pair_l1=pair_l1),
     )
     return mu, report
 

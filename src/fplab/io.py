@@ -3,9 +3,9 @@
 Every document carries a ``format`` tag, and field documents a ``grid`` header
 and flat row-major value arrays. Floats are serialized with ``repr`` (via the
 json module), which round-trips bit-identically. FORMATS holds every format tag
-the package writes: the field, measure and certificate documents are built
-here, the run summaries by ``cli`` and ``scenarios``. The field names are part
-of the public interface.
+the package writes: the measure, diffusion, schedule, certificate and attractor
+documents are built here, the run summaries by ``cli`` and ``scenarios``. The
+field names are part of the public interface.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import AttractorApprox, LyapunovCertificate
-from .fields import DiffusionField, DiscreteMeasure, NullFamilySchedule, VectorField
+from .fields import DiffusionField, DiscreteMeasure, NullFamilySchedule
 from .grid import Grid1D, grid_from_metadata
 
 FORMATS = {
     "measure": "fplab/measure@1",
-    "vector_field": "fplab/vector-field@1",
     "diffusion_field": "fplab/diffusion-field@1",
     "schedule": "fplab/schedule@1",
     "certificate": "fplab/certificate@1",
@@ -56,20 +55,6 @@ def measure_to_document(mu: DiscreteMeasure) -> dict:
 def measure_from_document(doc: dict) -> DiscreteMeasure:
     grid = grid_from_metadata(doc["grid"])
     return DiscreteMeasure(grid, _unflat(doc["weights"], grid))
-
-
-def vector_field_to_document(v: VectorField) -> dict:
-    return {
-        "format": FORMATS["vector_field"],
-        "grid": v.grid.metadata(),
-        "vx": _flat(v.vx),
-        "vy": _flat(v.vy),
-    }
-
-
-def vector_field_from_document(doc: dict) -> VectorField:
-    grid = grid_from_metadata(doc["grid"])
-    return VectorField(grid, _unflat(doc["vx"], grid), _unflat(doc["vy"], grid))
 
 
 def diffusion_to_document(a: DiffusionField) -> dict:

@@ -136,6 +136,9 @@ _BAD_VALUES = [
     (["run", {"analysis": {"thresholds": ["annulus_final"]}}], "analysis.thresholds"),
     (["run", {"schedule": "x"}], "schedule"),
     (["run", {"scenario": {"name": "hopf", "bb": 2.0}}], "scenario.bb"),
+    (["run", {"sed": 3}], "sed"),
+    (["run", {"grid": {"nz": 3}}], "grid.nz"),
+    (["solve", "--scenario", "ou2d", "--b", "5", "--grid-n", "24", "--eps", "0.2"], "scenario.b"),
     (["verify"], "config"),
 ]
 
@@ -221,6 +224,34 @@ def test_cli_hopf_thread_pool_matches_one_worker(tmp_path, monkeypatch):
         shutil.rmtree(out)
     assert len(trees["2"]) == 2 * 5  # per b: config, 2 measures, metrics.csv, summary
     assert trees["2"] == trees["1"]
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-3"])
+def test_cli_hopf_exit_2_on_bad_workers(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv(cli.DEFAULT_WORKERS_ENV, workers)
+    out = tmp_path / "out"
+    rc = main(["hopf", "--grid-n", "16", "--eps", "0.3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config field '{cli.DEFAULT_WORKERS_ENV}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_solve_default_b_is_the_scenario_default(tmp_path):
+    # without --b the table's b = 1.0 is used; only the wall time differs
+    docs = {}
+    for name, flags in (("unset", []), ("set", ["--b", "1.0"])):
+        out = tmp_path / name
+        assert main(["solve", "--scenario", "hopf", "--eps", "0.2", "--grid-n", "24",
+                     *flags, "--out", str(out)]) == 0
+        docs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        summary = json.loads(docs[name].pop("solve_summary.json"))
+        for r in summary["reports"]:
+            r.pop("wall_time")
+        docs[name]["solve_summary.json"] = summary
+    assert docs["unset"] == docs["set"]
+    assert docs["set"]["solve_summary.json"]["params"] == {"b": 1.0}
 
 
 def test_cli_solve_and_verify(tmp_path):

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fplab.errors import SingularOperatorError, StencilOverflowError
+from fplab.errors import IllConditionedError, SingularOperatorError, StencilOverflowError
 from fplab.fields import (
     DiffusionField,
     NullFamilySchedule,
@@ -18,6 +18,7 @@ from fplab.fields import (
     sample_vector_field,
 )
 from fplab.fpe import (
+    UNIQUENESS_TOL,
     DiscreteOperator,
     assemble,
     assemble_1d,
@@ -82,7 +83,7 @@ def test_column_sums_vanish_random_spd_fields():
         v = sample_vector_field(lambda x, y: (vx, vy), g)
         a = DiffusionField(g, a11, a12, a22)
         op = assemble(v, a, g)
-        assert op.column_sum_defect() < 1e-10 * op.norm_inf()
+        assert np.abs(op.matrix.sum(axis=0)).max() < 1e-10 * op.norm_inf()
 
 
 def test_sg_off_diagonal_rates_nonnegative():
@@ -179,7 +180,7 @@ def test_mixed_term_constant_anisotropic_consistency():
     )
     a = sample_diffusion_field(lambda x, y: (a11 + 0 * x, a12 + 0 * x, a22 + 0 * x), g)
     op = assemble(v, a, g)
-    assert op.column_sum_defect() < 1e-10 * op.norm_inf()
+    assert np.abs(op.matrix.sum(axis=0)).max() < 1e-10 * op.norm_inf()
     mu, rep = solve_stationary(op)
     xx, yy = g.centers()
     ref = np.exp(-(xx**2 + yy**2))
@@ -339,7 +340,7 @@ def test_reducible_two_block_batch_refused():
         k = int(rng.choice([3, 5, 8, 11, 13]))
         op = _on_16_cells(sp.block_diag([_chain(rng, k), _chain(rng, 16 - k)]))
         with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
-            solve_stationary(op, check_unique=True)
+            solve_stationary(op)
 
 
 def test_one_way_coupled_pair_refused():
@@ -350,7 +351,7 @@ def test_one_way_coupled_pair_refused():
     m[11, 12] += 0.5
     m[12, 12] -= 0.5
     with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
-        solve_stationary(_on_16_cells(m), check_unique=True)
+        solve_stationary(_on_16_cells(m))
 
 
 def test_coupling_stored_as_zero_does_not_hide_reducibility():
@@ -364,7 +365,7 @@ def test_coupling_stored_as_zero_does_not_hide_reducibility():
     op = _on_16_cells(sp.csr_matrix((data, (rows, cols)), shape=(16, 16)))
     assert op.matrix.nnz == m.nnz + 2
     with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
-        solve_stationary(op, check_unique=True)
+        solve_stationary(op)
 
 
 def test_ou_2d_oracle():
@@ -400,7 +401,7 @@ def test_solve_stationary_factorizes_once(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
     v = sample_vector_field(hopf_drift(1.0), g)
-    mu, rep = solve_stationary(assemble(v, isotropic_diffusion(g, 0.2), g), check_unique=True)
+    mu, rep = solve_stationary(assemble(v, isotropic_diffusion(g, 0.2), g))
     assert calls == ["splu"]
     assert rep.method == "bordered-lu"
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -410,8 +411,7 @@ def test_pinned_solve_passes_residual_test_without_fallback(monkeypatch):
     # the pinned solve has w = 1 at the centre cell, where the Hopf measure is
     # ~1e-6 of its peak at eps 0.02, so its entries sum to ~6e8: the residual
     # test and the report must see the unit-mass vector (at 256² the raw one
-    # fails the test and every member falls back to inverse power, a second
-    # splu)
+    # fails the test, and the solve would be refused)
     from fplab.fpe import RESIDUAL_RTOL
 
     calls = _count_factorizations(monkeypatch)
@@ -429,19 +429,6 @@ def test_pinned_solve_passes_residual_test_without_fallback(monkeypatch):
     assert rep.residual == pytest.approx(np.abs(op.matrix @ mu.weights.ravel()).max(), rel=1e-6, abs=0)
 
 
-def test_pinned_solve_matches_inverse_power_on_double_well():
-    # the saddle cell pinned at the centre carries ~4e-6 of the peak mass
-    from fplab.fpe import RESIDUAL_RTOL, _inverse_power
-
-    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 200, 200)
-    v = sample_vector_field(lambda x, y: (x - x**3, -y), g)
-    op = assemble(v, isotropic_diffusion(g, 0.02), g)
-    mu, rep = solve_stationary(op)
-    assert rep.method == "bordered-lu"
-    w_ip, _, _ = _inverse_power(op.matrix, RESIDUAL_RTOL * op.norm_inf())
-    assert np.abs(mu.weights.ravel() - w_ip).sum() <= 1e-8
-
-
 def _isolated_cell_operator():
     # an OU chain of 15 cells plus a 16th cell with no transitions at all:
     # every pinned matrix has a zero row, so its LU is exactly singular
@@ -453,22 +440,34 @@ def _isolated_cell_operator():
 
 def test_exactly_singular_factor_fails_uniqueness_check():
     with pytest.raises(SingularOperatorError):
-        solve_stationary(_isolated_cell_operator(), check_unique=True)
+        solve_stationary(_isolated_cell_operator())
 
 
-def test_exactly_singular_factor_falls_back_to_inverse_power():
-    op = _isolated_cell_operator()
-    mu, rep = solve_stationary(op, check_unique=False)
-    assert rep.method == "inverse-power"
-    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert rep.residual <= 1e-10 * op.norm_inf()
-
-
-def test_zero_operator_is_singular_without_uniqueness_check():
-    # the shifted matrix of the inverse-power fallback is exactly singular too
+def test_zero_operator_is_singular_without_uniqueness_check(monkeypatch):
+    # no cell reaches another: refused as reducible before any factorization,
+    # so the pinned-pair (uniqueness) check never runs
+    calls = _count_factorizations(monkeypatch)
     op = DiscreteOperator(Grid1D(-1, 1, 8), sp.csr_matrix((8, 8)))
-    with pytest.raises(SingularOperatorError):
-        solve_stationary(op, check_unique=False)
+    with pytest.raises(SingularOperatorError, match="reducible: 8 strongly"):
+        solve_stationary(op)
+    assert calls == []
+
+
+def test_exactly_singular_pinned_matrix_refused():
+    # every cell reaches every other, but the rows other than the pinned one
+    # are equal, so SuperLU meets an exact zero pivot
+    op = DiscreteOperator(Grid1D(-1, 1, 16), sp.csr_matrix(np.ones((16, 16))))
+    with pytest.raises(SingularOperatorError, match="exactly singular"):
+        solve_stationary(op)
+
+
+def test_operator_without_null_vector_fails_residual_test():
+    # a generator shifted by I is irreducible and nonsingular: the pinned
+    # solve exists but leaves the pinned cell's balance row unsatisfied
+    g = Grid1D(-1, 1, 16)
+    m = assemble_1d(-g.centers(), np.full(16, 0.1), g).matrix + sp.identity(16, format="csr")
+    with pytest.raises(SingularOperatorError, match="residual .* above the tolerance"):
+        solve_stationary(DiscreteOperator(g, m.tocsr()))
 
 
 def test_solve_family_propagates_programming_errors():
@@ -521,16 +520,19 @@ def test_checkerboard_solve_matches_direct_solve(kind, n):
     assert rep.meta["lu_nnz"] < rep_direct.meta["lu_nnz"]
 
 
-def test_checkerboard_solve_keeps_metastable_accuracy():
-    # at eps 0.03 the two wells of x - x^3 are metastable: a Schur diagonal
-    # formed by subtraction put the measure 4e-12 in L1 from the reference,
-    # and the LU of the whole pinned matrix 2e-13. Reference: that LU's solve
-    # refined with residuals in long double
-    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
+@pytest.mark.parametrize("n,eps,bound", [(100, 0.03, 5e-14), (200, 0.02, 1e-9)],
+                         ids=["100-eps0.03", "200-eps0.02"])
+def test_checkerboard_solve_keeps_metastable_accuracy(n, eps, bound):
+    # the two wells of x - x^3 are metastable. At 100², eps 0.03 a Schur
+    # diagonal formed by subtraction put the measure 4e-12 in L1 from the
+    # reference, and the LU of the whole pinned matrix 2e-13; at 200², eps
+    # 0.02 the solve is 1.5e-10 away. Reference: that LU's solve refined with
+    # residuals in long double
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, n, n)
     v = sample_vector_field(lambda x, y: (x - x**3, -y), g)
-    op = assemble(v, isotropic_diffusion(g, 0.03), g)
+    op = assemble(v, isotropic_diffusion(g, eps), g)
     mu, _ = solve_stationary(op)
-    r1 = 50 * 100 + 50
+    r1 = (n // 2) * n + n // 2
     b = op.matrix.tolil()
     b[r1, :] = 0.0
     b[r1, r1] = 1.0
@@ -544,7 +546,24 @@ def test_checkerboard_solve_keeps_metastable_accuracy():
         r = np.zeros(op.n, dtype=np.longdouble)
         np.add.at(r, coo.row, coo.data.astype(np.longdouble) * x.astype(np.longdouble)[coo.col])
         x = x - lu.solve((r - e).astype(float))
-    assert np.abs(mu.weights.ravel() - x / x.sum()).sum() <= 5e-14
+    assert np.abs(mu.weights.ravel() - x / x.sum()).sum() <= bound
+
+
+def test_double_well_ladder_fails_as_ill_conditioned():
+    # drift x - x^3, -y on 200²: the pinned pair agrees to 2.6e-10 and 4.2e-9
+    # at eps 0.02 and 0.015, and is 3.9e-5 and 11.8 apart at eps 0.01 and
+    # 0.007. The operator is irreducible with non-negative rates, so its null
+    # vector is unique: the disagreement is rounding, a per-member failure
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 200, 200)
+    v = sample_vector_field(lambda x, y: (x - x**3, -y), g)
+    out = solve_family(v, isotropic_schedule(g, (0.02, 0.015, 0.01, 0.007)), g)
+    for _, mu, rep in out[:2]:
+        assert mu is not None
+        assert rep.meta["pinned_pair_l1"] <= UNIQUENESS_TOL
+    for _, mu, exc in out[2:]:
+        assert mu is None
+        assert isinstance(exc, IllConditionedError) and isinstance(exc, SingularOperatorError)
+        assert "not resolved" in str(exc)
 
 
 def _reference_direct_solve(op):
@@ -581,10 +600,11 @@ def test_nine_point_solve_is_bit_identical_to_direct_reference():
         float(w.min() / max(w.sum(), 1e-300)), abs(float(w.sum()) - 1.0))
 
 
-def test_zero_eliminated_diagonal_falls_back_without_warning(monkeypatch):
+def test_zero_eliminated_diagonal_refused_as_reducible_without_warning(monkeypatch):
     # cell (3, 4) has the other colour than the pinned centre (6, 6); cutting
-    # all its transitions leaves a zero on the eliminated diagonal, so the
-    # pinned matrix is exactly singular and no LU of it is attempted
+    # all its transitions leaves a zero on the eliminated diagonal. That cell
+    # is its own strongly connected component, so the operator is refused
+    # before any LU
     op = _five_point_operator("ou-iso", 12)
     keep = np.ones(op.n)
     keep[3 * 12 + 4] = 0.0
@@ -594,11 +614,24 @@ def test_zero_eliminated_diagonal_falls_back_without_warning(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mu, rep = solve_stationary(DiscreteOperator(op.grid, m, op.meta), check_unique=False)
-    assert rep.method == "inverse-power"
-    assert calls == ["splu"]  # the shifted operator of the fallback only
-    assert rep.meta["lu_nnz"] is None
-    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
+            solve_stationary(DiscreteOperator(op.grid, m, op.meta))
+    assert calls == []
+
+
+def test_zero_eliminated_diagonal_of_irreducible_operator_refused(monkeypatch):
+    # a hand-built 5-point operator whose columns do not sum to zero can be
+    # irreducible with a zero on the eliminated diagonal: it is refused as
+    # exactly singular, with no division by zero and no LU
+    op = _five_point_operator("ou-iso", 12)
+    m = op.matrix.tolil()
+    m[3 * 12 + 4, 3 * 12 + 4] = 0.0
+    calls = _count_factorizations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularOperatorError, match="zero diagonal at cell 40"):
+            solve_stationary(DiscreteOperator(op.grid, m.tocsr(), op.meta))
+    assert calls == []
 
 
 @pytest.mark.parametrize("make", [
@@ -609,6 +642,7 @@ def test_zero_eliminated_diagonal_falls_back_without_warning(monkeypatch):
 def test_every_stencil_factorizes_once(monkeypatch, make):
     op = make()
     calls = _count_factorizations(monkeypatch)
-    _, rep = solve_stationary(op, check_unique=True)
+    _, rep = solve_stationary(op)
     assert calls == ["splu"]
     assert rep.method == "bordered-lu"
+    assert 0.0 <= rep.meta["pinned_pair_l1"] <= UNIQUENESS_TOL

@@ -7,24 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fplab import io as fio
-from fplab.fields import DiffusionField, DiscreteMeasure, VectorField, isotropic_schedule
+from fplab.fields import DiffusionField, DiscreteMeasure, isotropic_schedule
 from fplab.grid import Grid1D, Grid2D
 
 G = Grid2D(-2.0, 2.0, -1.5, 1.5, 8, 8)
-
-finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False)
-
-
-@given(hnp.arrays(np.float64, (8, 8), elements=finite),
-       hnp.arrays(np.float64, (8, 8), elements=finite))
-@settings(max_examples=25, deadline=None)
-def test_vector_field_roundtrip_bit_identical(vx, vy):
-    v = VectorField(G, vx.copy(), vy.copy())
-    doc = json.loads(json.dumps(fio.vector_field_to_document(v)))
-    v2 = fio.vector_field_from_document(doc)
-    assert v2.grid == G
-    assert np.array_equal(v2.vx, v.vx)
-    assert np.array_equal(v2.vy, v.vy)
 
 
 @given(hnp.arrays(np.float64, (8, 8),
