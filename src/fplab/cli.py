@@ -34,9 +34,9 @@ from .scenarios import (
     _ISOLATION_RECIPES,
     SCENARIOS,
     ScenarioResult,
+    _check_run_sections,
     _config_scenario,
     _design,
-    _hopf_thresholds,
     build_schedule,
     dictionary_for,
     make_scenario,
@@ -111,7 +111,7 @@ class RunConfig:
         if "name" not in raw["scenario"]:
             raise ConfigError("scenario.name", "missing scenario name")
         _eps_labels(raw["schedule"].get("eps"))
-        _hopf_thresholds(raw.get("analysis", {}).get("thresholds"))
+        _check_run_sections(raw["scenario"], raw["schedule"], raw.get("analysis", {}))
         _config_int("analysis.rho_mesh", raw.get("analysis", {}).get("rho_mesh", RHO_MESH), 2)
         for k in _GRID_KEYS:
             if k not in raw["grid"]:
@@ -215,7 +215,7 @@ def _cmd_solve(args) -> int:
     v = scen.vector_field(grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = []
+    reports, timings = [], []
     for eps_k, mu, rep in solve_family(v, sched, grid):
         if mu is None:
             reports.append({"eps": eps_k, "error": repr(rep)})
@@ -224,14 +224,17 @@ def _cmd_solve(args) -> int:
         reports.append({
             "eps": eps_k, "residual": rep.residual, "mass_defect": rep.mass_defect,
             "min_weight": rep.min_weight, "clipped_mass": rep.clipped_mass,
-            "method": rep.method, "wall_time": rep.wall_time,
+            "method": rep.method,
         })
+        timings.append({"eps": eps_k, "wall_time": rep.wall_time})
     fio.save_document(
         {"format": fio.FORMATS["solve_summary"], "scenario": scen.name,
          "params": scen.params, "schedule": {"eps": list(eps), "shape": args.shape},
          "reports": reports},
         out / "solve_summary.json",
     )
+    # wall times vary from run to run: kept apart so reruns write identical summaries
+    fio.save_document({"format": fio.FORMATS["timing"], "members": timings}, out / "timing.json")
     print(f"solved {sum(1 for r in reports if 'error' not in r)}/{len(reports)} members -> {out}")
     return 0 if all("error" not in r for r in reports) else 1
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import curvature_bound, grad_central, grad_hypothesis_tol, hessian_from_grad
 from .errors import (
@@ -348,6 +347,8 @@ def quadratic_certificate(dv: np.ndarray) -> np.ndarray:
         raise CertificateFailError(
             "P3", f"DV eigenvalues {eig} must all have positive real part"
         )
+    import scipy.linalg  # imported on use, so that importing fplab loads no scipy
+
     b = scipy.linalg.solve_continuous_lyapunov(dv.T, np.eye(dv.shape[0]))
     if np.any(np.linalg.eigvalsh(b) <= 0):
         raise CertificateFailError("P1", "Lyapunov-equation solution is not SPD")

@@ -36,17 +36,21 @@ through the Sherman-Morrison-Woodbury formula (Hager 1989). The L1 distance of
 the two normalized solves, reported as pinned_pair_l1, indicates the rounding
 error of the measure; above the tolerance it raises IllConditionedError when
 every off-diagonal rate is non-negative, and SingularOperatorError otherwise.
+
+scipy's sparse modules load on their first use, so commands that never solve
+(sampling, attractor and Lyapunov checks) do not pay for importing them.
+Every factorization goes through the module attribute ``spla``, the one
+place to patch to count or wrap them.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .errors import FplabError, IllConditionedError, SingularOperatorError, StencilOverflowError
 from .fields import DiffusionField, DiscreteMeasure, NullFamilySchedule, VectorField, normalized_measure
@@ -61,6 +65,23 @@ __all__ = [
     "solve_stationary",
     "solve_family",
 ]
+
+
+class _LazyModule(types.ModuleType):
+    """The module named ``__name__``, imported on the first attribute read,
+    which copies its namespace into this object: later reads are plain dict
+    lookups. Loading never rebinds the global holding this object, so a
+    wrapper put in its place keeps seeing every call."""
+
+    def __getattr__(self, name):
+        module = importlib.import_module(self.__name__)
+        vars(self).update(vars(module))
+        return getattr(module, name)
+
+
+sp = _LazyModule("scipy.sparse")
+csgraph = _LazyModule("scipy.sparse.csgraph")
+spla = _LazyModule("scipy.sparse.linalg")
 
 Z_MAX = 700.0
 RESIDUAL_RTOL = 1e-10

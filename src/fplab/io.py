@@ -4,8 +4,8 @@ Every document carries a ``format`` tag, and field documents a ``grid`` header
 and flat row-major value arrays. Floats are serialized with ``repr`` (via the
 json module), which round-trips bit-identically. FORMATS holds every format tag
 the package writes: the measure, diffusion, schedule, certificate and attractor
-documents are built here, the run summaries by ``cli`` and ``scenarios``. The
-field names are part of the public interface.
+documents are built here, the run summaries and timings by ``cli`` and
+``scenarios``. The field names are part of the public interface.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ FORMATS = {
     "certificate": "fplab/certificate@1",
     "attractor": "fplab/attractor@1",
     "scenario_result": "fplab/scenario-result@1",
-    "solve_summary": "fplab/solve-summary@1",
+    "solve_summary": "fplab/solve-summary@2",
+    "timing": "fplab/timing@1",
     "sample_summary": "fplab/sample-summary@1",
     "verify": "fplab/verify@1",
     "shaping": "fplab/shaping@1",

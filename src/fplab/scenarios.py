@@ -242,7 +242,7 @@ def build_schedule(
 
 _DEFAULT_DICTIONARY = "hopf-offcycle-v1"  # used wherever a run names no dictionary
 
-# the Hopf sweep's final-eps thresholds, which _hopf_thresholds lets a run config override
+# the Hopf sweep's final-eps thresholds, which a run config may override
 _HOPF_THRESHOLDS = {
     "annulus_final": 0.85,
     "origin_final": 0.02,
@@ -252,21 +252,21 @@ _HOPF_THRESHOLDS = {
 }
 
 
-def _hopf_thresholds(overrides: dict | None) -> dict:
-    """The Hopf sweep's thresholds with ``overrides`` applied. An unknown key,
-    or a value that is not a number in (0, 1), is a config error naming
+def _thresholds(overrides: dict | None, defaults: dict) -> dict:
+    """``defaults`` with ``overrides`` applied. A key not in ``defaults``, or
+    a value that is not a number in (0, 1), is a config error naming
     ``analysis.thresholds.<key>``; overrides that are not a dict (a JSON
     object) are one naming ``analysis.thresholds``."""
     overrides = overrides or {}
     if not isinstance(overrides, dict):
         raise ConfigError("analysis.thresholds", f"must be a JSON object, got {overrides!r}")
     for k, v in overrides.items():
-        if k not in _HOPF_THRESHOLDS:
+        if k not in defaults:
             raise ConfigError(f"analysis.thresholds.{k}",
-                              f"unknown threshold; known: {', '.join(_HOPF_THRESHOLDS)}")
+                              f"unknown threshold; known: {', '.join(defaults)}")
         if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
             raise ConfigError(f"analysis.thresholds.{k}", "must be a number in (0, 1)")
-    return {**_HOPF_THRESHOLDS, **overrides}
+    return {**defaults, **overrides}
 
 
 def dictionary_for(name: str, grid: Grid2D) -> TestFunctionDictionary:
@@ -352,7 +352,7 @@ def run_hopf_sweep(
     for b > 0, point mass at the origin otherwise), invariance residual, and
     the exponential exterior-mass bound check with U = x^2 + y^2.
     """
-    th = _hopf_thresholds(thresholds)
+    th = _thresholds(thresholds, _HOPF_THRESHOLDS)
     scen = make_scenario("hopf", grid, b=b)
     v = scen.vector_field(grid)
     xx, yy = grid.centers()
@@ -625,18 +625,56 @@ def _run_double_well_designed(scenario, grid, eps, schedule, analysis):
                                    eps, grid)
 
 
+@dataclass(frozen=True)
+class _RunRecipe:
+    """What ``fplab run`` does for one scenario name, and every key of a run
+    config's scenario, schedule and analysis sections that it reads."""
+
+    run: object             # (scenario, grid, eps, schedule, analysis) -> ScenarioResult
+    params: tuple           # numeric keys of the scenario section besides "name"
+    schedule_keys: tuple
+    analysis_keys: tuple    # "dictionary" is read by `fplab verify` on every run
+    thresholds: dict = field(default_factory=dict)  # overridable thresholds and defaults
+
+
 # runners look build_schedule, dictionary_for and run_hopf_sweep up by module-level
 # name at each call, so wrappers rebound to those names (tracing) see every call
 _RUN_RECIPES = {
-    "hopf": _run_hopf,
-    "double-well": _run_double_well,
-    "double-well-designed": _run_double_well_designed,
+    "hopf": _RunRecipe(_run_hopf, ("b",), ("eps", "shape", "invariance_mode"),
+                       ("dictionary", "thresholds", "rho_mesh"), _HOPF_THRESHOLDS),
+    "double-well": _RunRecipe(_run_double_well, (), ("eps", "shape", "invariance_mode"),
+                              ("dictionary",)),
+    "double-well-designed": _RunRecipe(_run_double_well_designed, ("ratio",), ("eps",),
+                                       ("dictionary",)),
 }
+
+
+def _run_recipe(name) -> _RunRecipe:
+    recipe = _RUN_RECIPES.get(name) if isinstance(name, str) else None
+    if recipe is None:
+        raise ConfigError("scenario.name", f"no run recipe for scenario {name!r}")
+    return recipe
+
+
+def _check_run_sections(scenario: dict, schedule: dict, analysis: dict):
+    """Raise a config error naming the first key of a run config's scenario,
+    schedule or analysis section, or threshold, that its run recipe does not
+    read, or a scenario parameter that is not a number."""
+    name = scenario["name"]
+    recipe = _run_recipe(name)
+    for k in recipe.params:
+        if k in scenario:
+            _config_float(f"scenario.{k}", scenario[k])
+    for section, keys, known in (("scenario", scenario, ("name", *recipe.params)),
+                                 ("schedule", schedule, recipe.schedule_keys),
+                                 ("analysis", analysis, recipe.analysis_keys)):
+        for key in keys:
+            if key not in known:
+                raise ConfigError(f"{section}.{key}",
+                                  f"not read by the {name} run; known: {', '.join(known)}")
+    _thresholds(analysis.get("thresholds"), recipe.thresholds)
 
 
 def run_recipe(scenario: dict, grid: Grid2D, eps, schedule: dict, analysis: dict) -> ScenarioResult:
     """Run the recipe a run config's scenario section names, on its grid and eps."""
-    recipe = _RUN_RECIPES.get(scenario["name"])
-    if recipe is None:
-        raise ConfigError("scenario.name", f"no run recipe for scenario {scenario['name']!r}")
-    return recipe(scenario, grid, eps, schedule, analysis)
+    return _run_recipe(scenario["name"]).run(scenario, grid, eps, schedule, analysis)

@@ -97,7 +97,7 @@ def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, flag, value):
 
 
 # (argv, field named on stderr); after "run" a dict of config sections to
-# update, or of top-level values to replace
+# update, or of top-level values and named scenario sections to replace
 _BAD_VALUES = [
     (["solve", "--grid-n", "4"], "grid"),
     (["solve", "--x-min", "1", "--x-max", "0"], "grid"),
@@ -138,6 +138,12 @@ _BAD_VALUES = [
     (["run", {"scenario": {"name": "hopf", "bb": 2.0}}], "scenario.bb"),
     (["run", {"sed": 3}], "sed"),
     (["run", {"grid": {"nz": 3}}], "grid.nz"),
+    (["run", {"analysis": {"rho_msh": 4}}], "analysis.rho_msh"),
+    (["run", {"schedule": {"shpe": "iso"}}], "schedule.shpe"),
+    (["run", {"scenario": {"name": "double-well"},
+              "analysis": {"thresholds": {"annulus_final": 0.5}}}], "analysis.thresholds"),
+    (["run", {"scenario": {"name": "ou2d"}}], "scenario.name"),
+    (["run", {"scenario": {"name": "double-well", "b": 1.0}}], "scenario.b"),
     (["solve", "--scenario", "ou2d", "--b", "5", "--grid-n", "24", "--eps", "0.2"], "scenario.b"),
     (["verify"], "config"),
 ]
@@ -151,9 +157,9 @@ def test_cli_exit_2_on_bad_value_from_outside(tmp_path, capsys, argv, field):
     if cmd == "run":
         cfg = _hopf_config(out)
         for section, values in rest.pop().items():
-            if isinstance(values, dict):
+            if isinstance(values, dict) and "name" not in values:
                 cfg[section].update(values)
-            else:
+            else:  # a value, or a scenario section naming its scenario
                 cfg[section] = values
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
@@ -239,19 +245,20 @@ def test_cli_hopf_exit_2_on_bad_workers(tmp_path, capsys, monkeypatch, workers):
 
 
 def test_cli_solve_default_b_is_the_scenario_default(tmp_path):
-    # without --b the table's b = 1.0 is used; only the wall time differs
+    # without --b the table's b = 1.0 is used; every document but the wall
+    # times of timing.json is byte-identical
     docs = {}
     for name, flags in (("unset", []), ("set", ["--b", "1.0"])):
         out = tmp_path / name
         assert main(["solve", "--scenario", "hopf", "--eps", "0.2", "--grid-n", "24",
                      *flags, "--out", str(out)]) == 0
         docs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        summary = json.loads(docs[name].pop("solve_summary.json"))
-        for r in summary["reports"]:
-            r.pop("wall_time")
-        docs[name]["solve_summary.json"] = summary
+        timing = json.loads(docs[name].pop("timing.json"))
+        assert timing["format"] == fio.FORMATS["timing"]
+        assert [m["eps"] for m in timing["members"]] == [0.2]
     assert docs["unset"] == docs["set"]
-    assert docs["set"]["solve_summary.json"]["params"] == {"b": 1.0}
+    assert sorted(docs["set"]) == ["measure_eps0.2.json", "solve_summary.json"]
+    assert json.loads(docs["set"]["solve_summary.json"])["params"] == {"b": 1.0}
 
 
 def test_cli_solve_and_verify(tmp_path):
@@ -412,3 +419,36 @@ def test_cli_verify_lyapunov(tmp_path):
     rc2 = main(["verify-lyapunov", "--scenario", "hopf", "--rho-m", "0.2",
                 "--gamma", "5.0", "--grid-n", "64", "--out", str(out)])
     assert rc2 == 1
+
+
+# (argv without --out, exit code): commands that factor no matrix
+_SCIPY_FREE = [
+    (["sample", "--scenario", "hopf", "--eps", "0.2,0.1", "--grid-n", "24", "--dt", "0.01",
+      "--t-total", "5", "--n-paths", "4"], 0),
+    (["find-attractor", "--scenario", "hopf", "--grid-n", "32", "--ensemble", "32",
+      "--t-end", "10"], 0),
+    (["find-attractor", "--reverse", "--scenario", "hopf", "--grid-n", "32", "--ensemble", "32",
+      "--t-end", "10"], 0),
+    (["verify-lyapunov", "--scenario", "hopf", "--rho-m", "1.5", "--gamma", "1.5",
+      "--grid-n", "32"], 0),
+    (["verify-lyapunov", "--scenario", "hopf", "--rho-m", "0.2", "--gamma", "5.0",
+      "--grid-n", "32"], 1),
+    (["design-noise", "--target", "attractor", "--scenario", "double-well",
+      "--eps", "0.1,0.05", "--grid-n", "100"], 0),
+]
+
+
+def test_commands_that_never_solve_load_no_scipy(tmp_path, fresh_python):
+    # fpe imports scipy's sparse modules on first use and design imports
+    # scipy.linalg inside its one caller, so a fresh interpreter that imports
+    # the CLI and runs only these commands never loads scipy
+    script = (
+        "import json, sys\n"
+        "import fplab.cli, fplab.fpe\n"
+        "rcs = [fplab.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    argvs = [[*argv, "--out", str(tmp_path / str(k))] for k, (argv, _) in enumerate(_SCIPY_FREE)]
+    rcs, loaded = json.loads(fresh_python(script, json.dumps(argvs)).splitlines()[-1])
+    assert rcs == [rc for _, rc in _SCIPY_FREE]
+    assert loaded == []

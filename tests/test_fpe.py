@@ -407,6 +407,50 @@ def test_solve_stationary_factorizes_once(monkeypatch):
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_wrapper_bound_to_spla_before_scipy_loads_sees_every_factorization(fresh_python):
+    # fpe imports scipy on first use without rebinding its globals, so a
+    # wrapper bound to fpe.spla before scipy is loaded (as the benchmark's
+    # tracer binds one) still sees the first factorization
+    fresh_python(
+        "import sys, types\n"
+        "from fplab import fpe\n"
+        "from fplab.fields import isotropic_diffusion, sample_vector_field\n"
+        "from fplab.grid import Grid2D\n"
+        "from fplab.scenarios import hopf_drift\n"
+        "assert 'scipy' not in sys.modules\n"
+        "calls, lazy = [], fpe.spla\n"
+        "fpe.spla = proxy = types.SimpleNamespace(\n"
+        "    splu=lambda *a, **k: calls.append('splu') or lazy.splu(*a, **k))\n"
+        "g = Grid2D(-2.5, 2.5, -2.5, 2.5, 16, 16)\n"
+        "v = sample_vector_field(hopf_drift(1.0), g)\n"
+        "fpe.solve_stationary(fpe.assemble(v, isotropic_diffusion(g, 0.2), g))\n"
+        "assert calls == ['splu'] and fpe.spla is proxy, calls\n"
+        "assert all(type(m) is fpe._LazyModule for m in (fpe.sp, fpe.csgraph, lazy))\n"
+    )
+
+
+def test_threads_reading_the_lazy_modules_at_once_get_scipy(fresh_python):
+    # fplab hopf's workers can reach the first scipy import together
+    fresh_python(
+        "import sys, threading\n"
+        "from fplab import fpe\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier, got = threading.Barrier(8), []\n"
+        "def read():\n"
+        "    barrier.wait()\n"
+        "    got.append((fpe.sp.csr_matrix, fpe.csgraph.connected_components, fpe.spla.splu))\n"
+        "threads = [threading.Thread(target=read) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "import scipy.sparse, scipy.sparse.csgraph, scipy.sparse.linalg\n"
+        "assert got == [(scipy.sparse.csr_matrix, scipy.sparse.csgraph.connected_components,\n"
+        "                scipy.sparse.linalg.splu)] * 8, got\n"
+    )
+
+
 def test_pinned_solve_passes_residual_test_without_fallback(monkeypatch):
     # the pinned solve has w = 1 at the centre cell, where the Hopf measure is
     # ~1e-6 of its peak at eps 0.02, so its entries sum to ~6e8: the residual

@@ -47,6 +47,54 @@ def test_unused_import_is_detected():
     assert _unused_imports(tree) == ["sys (line 2)", "a (line 3)"]
 
 
+def _module_level_scipy_imports(tree: ast.Module) -> list[str]:
+    """Imports of scipy that run when the module is imported: every import
+    statement outside a function body (class bodies and if/try blocks run at
+    import time too)."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return [f"{name} (line {line})" for line, name in found if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_module_level_scipy_import(path):
+    # scipy is loaded on first use (fpe's lazy modules, imports inside the
+    # functions that call it), so commands that never solve do not load it
+    assert _module_level_scipy_imports(ast.parse(path.read_text())) == []
+
+
+def test_module_level_scipy_import_is_detected():
+    tree = ast.parse(
+        "import numpy as np, scipy.sparse as sp\n"
+        "from scipy import linalg\n"
+        "try:\n"
+        "    from scipy.sparse import csgraph\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    import scipy\n"
+        "    def f(self):\n"
+        "        import scipy.linalg\n"
+        "def g():\n"
+        "    from scipy.sparse import linalg\n"
+        "from .scipyish import x\n"
+        "lazy = Lazy('scipy.sparse.linalg')\n"
+    )
+    assert _module_level_scipy_imports(tree) == [
+        "scipy.sparse (line 1)", "scipy (line 2)", "scipy.sparse (line 4)", "scipy (line 8)"]
+
+
 def _stale_exports(tree: ast.Module) -> list[str]:
     """Names in ``__all__`` that nothing at the module's top level binds."""
     bound, exported = set(), []
