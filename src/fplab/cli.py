@@ -35,8 +35,8 @@ from .scenarios import (
     SCENARIOS,
     ScenarioResult,
     _check_run_sections,
-    _config_scenario,
     _design,
+    _solved_scenario,
     build_schedule,
     dictionary_for,
     make_scenario,
@@ -75,12 +75,13 @@ def _eps_labels(values) -> tuple:
     return eps
 
 
-def _config_int(name: str, value, lo: int, hi: int | None = None) -> int:
-    """A config value that must be a JSON integer (not a bool) in [lo, hi)."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
-            or (hi is not None and value >= hi)):
-        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-        raise ConfigError(name, f"must be an integer {bounds}, got {value!r}")
+def _config_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """A config value that must be a JSON integer (not a bool), in [lo, hi)
+    as far as those bounds are given."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (lo is not None and value < lo) or (hi is not None and value >= hi)):
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
+        raise ConfigError(name, f"must be an integer{bounds}, got {value!r}")
     return value
 
 
@@ -98,6 +99,8 @@ class RunConfig:
         for key in ("scenario", "grid", "schedule", "output_dir"):
             if key not in raw:
                 raise ConfigError(key, "missing required field")
+        if not (isinstance(raw["output_dir"], str) and raw["output_dir"]):
+            raise ConfigError("output_dir", f"must be a non-empty path, got {raw['output_dir']!r}")
         for key in ("scenario", "grid", "schedule", "analysis"):
             if not isinstance(raw.get(key, {}), dict):
                 raise ConfigError(key, f"must be a JSON object, got {raw[key]!r}")
@@ -116,6 +119,8 @@ class RunConfig:
         for k in _GRID_KEYS:
             if k not in raw["grid"]:
                 raise ConfigError(f"grid.{k}", "missing grid field")
+        for k in ("nx", "ny"):  # Grid2D checks the range
+            _config_int(f"grid.{k}", raw["grid"][k])
         cfg = cls(raw["scenario"], raw["grid"], raw["schedule"], raw["output_dir"],
                   _config_int("seed", raw.get("seed", 0), 0, 2**64), raw.get("analysis", {}))
         cfg.build_grid()  # fails here, before any work, on values Grid2D rejects
@@ -271,7 +276,7 @@ def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_config(run_dir / "config.json")
     grid = cfg.build_grid()
-    v = _config_scenario(cfg.scenario, grid).vector_field(grid)
+    v = _solved_scenario(cfg.scenario, grid).vector_field(grid)
     dic = dictionary_for(cfg.analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
     rows = []
     for eps in cfg.schedule["eps"]:

@@ -5,12 +5,16 @@ plus the uniform-destabilization check for strongly repelling equilibria.
 The shaping is a scalar profile s(x) in [1/R, 1] applied isotropically,
 A_k(x) = eps_k s(x) I, with a smoothstep transition in the level-set
 coordinate of the isolating certificate U0: weak noise guards the band next
-to the target set, strong noise covers the complementary region. Per-cell
-normality is exact (Frobenius/lambda = sqrt(2)) and the ratio condition
+to the target set, strong noise covers the complementary region. One
+constructor, design_family, builds both: the kind of the isolating data
+(attractor or repeller) decides on which side of the isolating level the
+guard band and the ramp lie. Per-cell normality is exact
+(Frobenius/lambda = sqrt(2)) and the ratio condition
 min_Omega s / max_(D_*) s = R is recorded per family. The ratio R must be
 finite and strictly greater than 1: at R = 1 the shaping is s = 1, i.e. the
-isotropic family, which carries no concentration claim. Both constructors
-raise RatioInfeasibleError for any other R before building a field, and also
+isotropic family, which carries no concentration claim. design_family raises
+RatioInfeasibleError for any other R before building a field, when the ramp
+cannot be widened to MIN_RAMP_CELLS cells inside the bracketing levels, and
 when the shaping is too steep for the largest noise level
 (eps_max * max|grad s| on Omega must stay below 1).
 """
@@ -36,8 +40,7 @@ __all__ = [
     "DesignedFamily",
     "isolation_from_certificate",
     "lemma41_constants",
-    "design_stabilizing_family",
-    "design_destabilizing_family",
+    "design_family",
     "quadratic_certificate",
     "verify_repelling_equilibrium",
 ]
@@ -137,15 +140,24 @@ def isolation_from_certificate(
     )
 
 
+def _guard_band(iso: IsolationData, kind: str):
+    """(mask, width) of the guard band D_*: the levels between rho_tilde and
+    the bracketing level on the kind's side, {rho_star_lo <= U0 <= rho_tilde}
+    for an attractor and {rho_tilde <= U0 <= rho_star_hi} for a repeller."""
+    if kind == "attractor":
+        lo, hi = iso.rho_star_lo, iso.rho_tilde
+    else:
+        lo, hi = iso.rho_tilde, iso.rho_star_hi
+    return (iso.u0 >= lo) & (iso.u0 <= hi), hi - lo
+
+
 def lemma41_constants(iso: IsolationData, kind: str | None = None):
     """Constants of the local mass estimate exp(-C / a(alpha)).
 
-    Attractor side: C1 = gamma0 (rho_tilde - rho_star_lo) min_level |grad U0|
-    / (2 max_band |grad U0|^2) with the band {rho_star_lo <= U0 <= rho_tilde};
-    repeller side mirrors it on {rho_tilde <= U0 <= rho_star_hi}. Returns
-    (C, band_mask); a(alpha) is max over the band of |A_alpha|.
+    C = gamma0 (width of the band) min_level |grad U0| / (2 max_band |grad U0|^2),
+    with the band the guard band D_* on the kind's side (iso.kind unless
+    given). Returns (C, band_mask); a(alpha) is max over the band of |A_alpha|.
     """
-    kind = kind or iso.kind
     grid = iso.grid
     gx, gy = grad_central(iso.u0, grid)
     gnorm = np.hypot(gx, gy)
@@ -153,12 +165,7 @@ def lemma41_constants(iso: IsolationData, kind: str | None = None):
     min_level = float(gnorm[level].min())
     if min_level <= 1e-12:
         raise DegenerateGradientError("grad U0 vanishes on the rho_tilde level set")
-    if kind == "attractor":
-        band = (iso.u0 >= iso.rho_star_lo) & (iso.u0 <= iso.rho_tilde)
-        drho = iso.rho_tilde - iso.rho_star_lo
-    else:
-        band = (iso.u0 >= iso.rho_tilde) & (iso.u0 <= iso.rho_star_hi)
-        drho = iso.rho_star_hi - iso.rho_tilde
+    band, drho = _guard_band(iso, kind or iso.kind)
     max_band = float(gnorm[band].max())
     c = iso.gamma0 * drho * min_level / (2.0 * max_band**2)
     return c, band
@@ -193,64 +200,45 @@ class DesignedFamily:
         )
 
 
-def _fit_ramp(iso: IsolationData, ratio: float, ramp_lo: float, ramp_hi: float,
-              low_inside: bool):
-    """Widen the smoothstep band to span at least MIN_RAMP_CELLS cells,
-    staying inside the bracketing levels; raises when that is impossible."""
-    grid = iso.grid
-    gx, gy = grad_central(iso.u0, grid)
-    gnorm = np.hypot(gx, gy)
-    ramp_band = (iso.u0 >= ramp_lo) & (iso.u0 <= ramp_hi)
-    if not ramp_band.any():
-        return ramp_lo, ramp_hi
-    gmax = float(gnorm[ramp_band].max())
-    needed = MIN_RAMP_CELLS * max(grid.hx, grid.hy) * gmax
-    if ramp_hi - ramp_lo >= needed:
-        return ramp_lo, ramp_hi
-    if low_inside:
-        available = iso.rho_star_hi - ramp_lo
-        if needed > available:
-            raise RatioInfeasibleError(ratio, needed, available)
-        return ramp_lo, ramp_lo + needed
-    available = ramp_hi - iso.rho_star_lo
-    if needed > available:
-        raise RatioInfeasibleError(ratio, needed, available)
-    return ramp_hi - needed, ramp_hi
+def design_family(iso: IsolationData, eps_list, ratio: float) -> DesignedFamily:
+    """Shaped null family that stabilizes the attractor or destabilizes the
+    repeller ``iso`` certifies: weak noise on the guard band D_*, strong noise
+    on D, and a smoothstep ramp in U0 between them with one end on rho_tilde.
 
-
-def _check_ratio(ratio: float) -> None:
-    """Reject a shaping ratio that is not finite or not above 1."""
+    Attractor: the ramp starts at rho_tilde, the noise is weak below it and
+    D = {U0 >= ramp_hi}. Repeller: the ramp ends at rho_tilde, the noise is
+    strong below it and D = {U0 <= ramp_lo}. A ramp narrower than
+    MIN_RAMP_CELLS cells is widened away from rho_tilde, up to the
+    bracketing level on that side.
+    """
     if not (math.isfinite(ratio) and ratio > 1.0):
         raise RatioInfeasibleError(
             ratio,
             message=f"shaping ratio {ratio} must be finite and > 1 "
             "(the shaping lies in [1/ratio, 1])",
         )
-
-
-def _build_designed(
-    iso: IsolationData,
-    eps_list,
-    ratio: float,
-    ramp_lo: float,
-    ramp_hi: float,
-    low_inside: bool,
-    regions_fn,
-) -> DesignedFamily:
-    grid = iso.grid
-    ramp_lo, ramp_hi = _fit_ramp(iso, ratio, ramp_lo, ramp_hi, low_inside)
-
-    t = (iso.u0 - ramp_lo) / (ramp_hi - ramp_lo)
-    step = _smoothstep(t)
-    lo = 1.0 / ratio
-    if low_inside:
-        s = lo + (1.0 - lo) * step          # weak noise below the ramp
+    grid, u0, rho = iso.grid, iso.u0, iso.rho_tilde
+    attractor = iso.kind == "attractor"
+    if attractor:
+        room = iso.rho_star_hi - rho      # the ramp may widen up to rho_star_hi
+        ramp_lo, ramp_hi = rho, rho + 0.8 * room
     else:
-        s = 1.0 - (1.0 - lo) * step         # strong noise below the ramp
+        room = rho - iso.rho_star_lo      # ... or down to rho_star_lo
+        ramp_lo, ramp_hi = iso.rho_star_lo + 0.2 * room, rho
+    ramp_band = (u0 >= ramp_lo) & (u0 <= ramp_hi)
+    if ramp_band.any():
+        gmax = float(np.hypot(*grad_central(u0, grid))[ramp_band].max())
+        needed = MIN_RAMP_CELLS * max(grid.hx, grid.hy) * gmax
+        if ramp_hi - ramp_lo < needed:
+            if needed > room:
+                raise RatioInfeasibleError(ratio, needed, room)
+            ramp_lo, ramp_hi = (rho, rho + needed) if attractor else (rho - needed, rho)
 
-    region_strong, region_guard = regions_fn(ramp_lo, ramp_hi)
-    sgx, sgy = grad_central(s, grid)
-    sgrad = np.hypot(sgx, sgy)
+    step = _smoothstep((u0 - ramp_lo) / (ramp_hi - ramp_lo))
+    lo = 1.0 / ratio
+    s = lo + (1.0 - lo) * step if attractor else 1.0 - (1.0 - lo) * step
+    region_strong = u0 >= ramp_hi if attractor else u0 <= ramp_lo
+    sgrad = np.hypot(*grad_central(s, grid))
     omega = dilate(region_strong, 2, diagonal=False)
     eps_max = max(eps_list)
     grad_cap = float(sgrad[omega].max() * eps_max) if omega.any() else 0.0
@@ -274,65 +262,13 @@ def _build_designed(
         shaping=s,
         ratio=float(ratio),
         region_strong=region_strong,
-        region_guard=region_guard,
+        region_guard=_guard_band(iso, iso.kind)[0],
         meta={
             "ramp": (float(ramp_lo), float(ramp_hi)),
             "grad_cap_on_omega": grad_cap,
             "max_grad_s": float(sgrad.max()),
             "anisotropy_cap": 0.25,
         },
-    )
-
-
-def design_stabilizing_family(
-    iso: IsolationData, eps_list, ratio: float
-) -> DesignedFamily:
-    """Weak noise on the guard band inside the attractor's isolating
-    neighborhood, strong noise outside it; smoothstep transition in the collar.
-
-    Regions follow the stabilization construction: D is everything outside
-    {U0 < ramp_hi}, D_* the guard band [rho_star_lo, rho_tilde].
-
-    The shaping lies in [1/ratio, 1], so ratio must be finite and strictly
-    greater than 1; otherwise RatioInfeasibleError is raised before any field
-    is built.
-    """
-    if iso.kind != "attractor":
-        raise ValueError("isolating data must certify an attractor")
-    _check_ratio(ratio)
-    ramp_lo = iso.rho_tilde
-    ramp_hi = iso.rho_tilde + 0.8 * (iso.rho_star_hi - iso.rho_tilde)
-
-    def regions_fn(lo, hi):
-        return iso.u0 >= hi, (iso.u0 >= iso.rho_star_lo) & (iso.u0 <= iso.rho_tilde)
-
-    return _build_designed(
-        iso, eps_list, ratio, ramp_lo, ramp_hi, low_inside=True, regions_fn=regions_fn
-    )
-
-
-def design_destabilizing_family(
-    iso: IsolationData, eps_list, ratio: float
-) -> DesignedFamily:
-    """Strong noise on and near the repeller, weak noise on the guard band
-    outside its isolating neighborhood; roles of the regions are swapped
-    relative to the stabilizing construction.
-
-    The shaping lies in [1/ratio, 1], so ratio must be finite and strictly
-    greater than 1; otherwise RatioInfeasibleError is raised before any field
-    is built.
-    """
-    if iso.kind != "repeller":
-        raise ValueError("isolating data must certify a repeller")
-    _check_ratio(ratio)
-    ramp_hi = iso.rho_tilde
-    ramp_lo = iso.rho_star_lo + 0.2 * (iso.rho_tilde - iso.rho_star_lo)
-
-    def regions_fn(lo, hi):
-        return iso.u0 <= lo, (iso.u0 >= iso.rho_tilde) & (iso.u0 <= iso.rho_star_hi)
-
-    return _build_designed(
-        iso, eps_list, ratio, ramp_lo, ramp_hi, low_inside=False, regions_fn=regions_fn
     )
 
 

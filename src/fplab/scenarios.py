@@ -26,11 +26,7 @@ from .analysis import (
     lyapunov_upper_bound,
     make_dictionary,
 )
-from .design import (
-    design_destabilizing_family,
-    design_stabilizing_family,
-    isolation_from_certificate,
-)
+from .design import design_family, isolation_from_certificate
 from .dynamics import verify_uniform_lyapunov
 from .errors import ConfigError
 from .fields import (
@@ -188,11 +184,13 @@ def make_scenario(name: str, grid: Grid2D | None = None, /, **params) -> Scenari
     return Scenario(name, spec.drift(p), p, g)
 
 
-def _config_scenario(section: dict, grid: Grid2D) -> Scenario:
-    """The scenario a run config's scenario section names, with the section's
-    other keys as its parameters."""
-    params = dict(section)
-    return make_scenario(params.pop("name"), grid, **params)
+def _solved_scenario(section: dict, grid: Grid2D) -> Scenario:
+    """The scenario whose drift a run config's run solves: the SCENARIOS row
+    its run recipe names, with the section's parameters that row knows (a
+    designed run's ratio is not a drift parameter)."""
+    row = _run_recipe(section["name"]).scenario
+    return make_scenario(row, grid, **{k: v for k, v in section.items()
+                                       if k in SCENARIOS[row].defaults})
 
 
 def boundary_taper(grid: Grid2D) -> np.ndarray:
@@ -224,8 +222,10 @@ def build_schedule(
     """
     if invariance_mode == "vanishing-at-boundary":
         taper = boundary_taper(grid)
-    else:
+    elif invariance_mode == "reflecting":
         taper = np.ones((grid.nx, grid.ny))
+    else:
+        raise ConfigError("schedule.invariance_mode", f"unknown invariance mode {invariance_mode!r}")
 
     if shape == "iso":
         base = (taper, 0.0 * taper, taper)
@@ -519,14 +519,17 @@ _ISOLATION_RECIPES = {
 
 def _design(scenario: Scenario, target: str, v: VectorField, ratio: float, eps_list):
     """(recipe, isolation, family) for a scenario/target pair of
-    _ISOLATION_RECIPES: a stabilizing family for 'attractor', a destabilizing
-    one for 'repeller'."""
+    _ISOLATION_RECIPES: design_family stabilizes an attractor and destabilizes
+    a repeller. Isolating data that certifies the other kind than ``target``
+    is a ValueError, raised before any field is built."""
     recipe = _ISOLATION_RECIPES.get((scenario.name, target))
     if recipe is None:
         raise ConfigError("scenario", f"no isolating data recipe for {scenario.name}/{target}")
     iso = isolation_from_certificate(recipe.u0(*v.grid.centers()), v, *recipe.levels)
-    design = design_stabilizing_family if target == "attractor" else design_destabilizing_family
-    return recipe, iso, design(iso, eps_list, ratio)
+    if iso.kind != target:
+        raise ValueError(f"isolating data for {scenario.name}/{target} certifies "
+                         f"{iso.kind!r}, not {target!r}")
+    return recipe, iso, design_family(iso, eps_list, ratio)
 
 
 def run_designed_comparison(
@@ -539,7 +542,8 @@ def run_designed_comparison(
     """Paired designed-vs-uniform solves for noise stabilization (target =
     'attractor') or destabilization ('repeller') on a scenario admitting
     isolating data. The isotropic schedule solved alongside is the
-    no-shaping control; `ratio` must be finite and > 1."""
+    no-shaping control; `ratio` must be finite and > 1. The result's
+    measures are those of the designed family."""
     v = scenario.vector_field(grid)
     recipe, iso, designed = _design(scenario, target, v, ratio, eps_list)
     region = recipe.region(*grid.centers())
@@ -585,6 +589,7 @@ def run_designed_comparison(
         if mu_d is None or mu_u is None:
             out.errors.append((eps, repr(rep_d if mu_d is None else rep_u)))
             continue
+        out.measures.append((eps, mu_d))
         md = float(mu_d.weights[region].sum())
         mu_ = float(mu_u.weights[region].sum())
         dominance.append(md > mu_ if target == "attractor" else md < mu_)
@@ -605,7 +610,7 @@ def run_designed_comparison(
 # run recipes: what `fplab run` does for each scenario name of a run config
 
 def _run_hopf(scenario, grid, eps, schedule, analysis):
-    b = _config_scenario(scenario, grid).params["b"]
+    b = _solved_scenario(scenario, grid).params["b"]
     sched = build_schedule(grid, eps, schedule.get("shape", "modulated"),
                            schedule.get("invariance_mode", "reflecting"))
     dic = dictionary_for(analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
@@ -620,7 +625,7 @@ def _run_double_well(scenario, grid, eps, schedule, analysis):
 
 
 def _run_double_well_designed(scenario, grid, eps, schedule, analysis):
-    return run_designed_comparison(make_scenario("double-well", grid), "attractor",
+    return run_designed_comparison(_solved_scenario(scenario, grid), "attractor",
                                    _config_float("scenario.ratio", scenario.get("ratio", 10.0)),
                                    eps, grid)
 
@@ -631,6 +636,7 @@ class _RunRecipe:
     config's scenario, schedule and analysis sections that it reads."""
 
     run: object             # (scenario, grid, eps, schedule, analysis) -> ScenarioResult
+    scenario: str           # the SCENARIOS row whose drift the run solves
     params: tuple           # numeric keys of the scenario section besides "name"
     schedule_keys: tuple
     analysis_keys: tuple    # "dictionary" is read by `fplab verify` on every run
@@ -640,12 +646,12 @@ class _RunRecipe:
 # runners look build_schedule, dictionary_for and run_hopf_sweep up by module-level
 # name at each call, so wrappers rebound to those names (tracing) see every call
 _RUN_RECIPES = {
-    "hopf": _RunRecipe(_run_hopf, ("b",), ("eps", "shape", "invariance_mode"),
+    "hopf": _RunRecipe(_run_hopf, "hopf", ("b",), ("eps", "shape", "invariance_mode"),
                        ("dictionary", "thresholds", "rho_mesh"), _HOPF_THRESHOLDS),
-    "double-well": _RunRecipe(_run_double_well, (), ("eps", "shape", "invariance_mode"),
-                              ("dictionary",)),
-    "double-well-designed": _RunRecipe(_run_double_well_designed, ("ratio",), ("eps",),
-                                       ("dictionary",)),
+    "double-well": _RunRecipe(_run_double_well, "double-well", (),
+                              ("eps", "shape", "invariance_mode"), ("dictionary",)),
+    "double-well-designed": _RunRecipe(_run_double_well_designed, "double-well", ("ratio",),
+                                       ("eps",), ("dictionary",)),
 }
 
 

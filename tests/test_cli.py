@@ -144,6 +144,12 @@ _BAD_VALUES = [
               "analysis": {"thresholds": {"annulus_final": 0.5}}}], "analysis.thresholds"),
     (["run", {"scenario": {"name": "ou2d"}}], "scenario.name"),
     (["run", {"scenario": {"name": "double-well", "b": 1.0}}], "scenario.b"),
+    (["run", {"schedule": {"invariance_mode": "bogus"}}], "schedule.invariance_mode"),
+    (["run", {"output_dir": 5}], "output_dir"),
+    (["run", {"output_dir": None}], "output_dir"),
+    (["run", {"output_dir": ""}], "output_dir"),
+    (["run", {"grid": {"nx": 16.7}}], "grid.nx"),
+    (["run", {"grid": {"ny": "16"}}], "grid.ny"),
     (["solve", "--scenario", "ou2d", "--b", "5", "--grid-n", "24", "--eps", "0.2"], "scenario.b"),
     (["verify"], "config"),
 ]
@@ -289,6 +295,30 @@ def test_cli_verify_uses_the_run_dictionary(tmp_path, b):
     run_rows = json.loads((out / "summary.json").read_text())["metrics"]
     verify_rows = json.loads((out / "verify.json").read_text())["rows"]
     assert [r["residual_max"] for r in verify_rows] == [r["residual_max"] for r in run_rows]
+
+
+def test_cli_verify_designed_run(tmp_path):
+    # a designed run writes one measure per eps, of its designed family, and
+    # verify reads them against the double-well drift the run solved
+    out = tmp_path / "run"
+    cfg = {
+        "scenario": {"name": "double-well-designed", "ratio": 10.0},
+        "grid": {"x_min": -2.5, "x_max": 2.5, "y_min": -2.5, "y_max": 2.5,
+                 "nx": 100, "ny": 100},
+        "schedule": {"eps": [0.1, 0.05, 0.02]},
+        "output_dir": str(out),
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p)]) == 0
+    assert main(["verify", "--run", str(out)]) == 0
+    verify_rows = json.loads((out / "verify.json").read_text())["rows"]
+    assert [r["eps"] for r in verify_rows] == [0.1, 0.05, 0.02]
+    summary = json.loads((out / "summary.json").read_text())
+    for eps, row in zip(summary["eps"], summary["metrics"]):
+        mu = fio.measure_from_document(fio.load_document(out / f"measure_eps{eps!r}.json"))
+        xx, _ = mu.grid.centers()
+        assert float(mu.weights[xx < 0.0].sum()) == row["designed_mass"]
 
 
 def test_cli_sample_runs(tmp_path):

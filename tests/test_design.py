@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fplab import design
+from fplab import design, scenarios
 from fplab.design import (
-    design_destabilizing_family,
-    design_stabilizing_family,
+    design_family,
     isolation_from_certificate,
     lemma41_constants,
     quadratic_certificate,
@@ -15,7 +14,7 @@ from fplab.errors import CertificateFailError, DegenerateGradientError, RatioInf
 from fplab.fields import isotropic_diffusion, isotropic_schedule, sample_vector_field
 from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
-from fplab.scenarios import delta_at, hopf_drift
+from fplab.scenarios import delta_at, hopf_drift, make_scenario
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +84,12 @@ def test_lemma41_bound_dominates_escaping_mass(dw_grid, dw_field, dw_iso):
         assert bound >= float(mu.weights[collar].sum())
 
 
-def test_designed_family_invariants(dw_iso):
-    eps = (0.1, 0.05, 0.02)
-    fam = design_stabilizing_family(dw_iso, eps, ratio=10.0)
+@pytest.mark.parametrize("kind", ["attractor", "repeller"])
+def test_designed_family_invariants(kind, dw_iso, hopf_iso):
+    # the double-well's left attractor and the Hopf origin repeller
+    iso = {"attractor": dw_iso, "repeller": hopf_iso}[kind]
+    assert iso.kind == kind
+    fam = design_family(iso, (0.1, 0.05, 0.02), ratio=10.0)
     s = fam.shaping
     assert s.min() >= 1.0 / 10.0 - 1e-12
     assert s.max() <= 1.0 + 1e-12
@@ -97,13 +99,39 @@ def test_designed_family_invariants(dw_iso):
     assert fam.schedule.is_normal
     assert fam.ratio_condition() == pytest.approx(10.0)
     assert fam.meta["grad_cap_on_omega"] < 1.0
-    # weak noise on the guard band, strong outside
-    assert np.allclose(s[fam.region_guard], 0.1, atol=1e-9)
+    # strong noise on D, weak noise on the guard band D_*, which is the band
+    # of the local mass estimate on the same side of rho_tilde
     assert np.allclose(s[fam.region_strong], 1.0, atol=1e-9)
+    assert np.allclose(s[fam.region_guard], 0.1, atol=1e-9)
+    assert np.array_equal(fam.region_guard, lemma41_constants(iso)[1])
+    # the ramp has one end on rho_tilde and lies inside the bracketing levels:
+    # above rho_tilde for an attractor, below it for a repeller
+    ramp_lo, ramp_hi = fam.meta["ramp"]
+    assert iso.rho_star_lo <= ramp_lo < ramp_hi <= iso.rho_star_hi
+    assert (ramp_lo if kind == "attractor" else ramp_hi) == iso.rho_tilde
+
+
+@pytest.mark.parametrize("recipe_of", [("hopf", "attractor"), ("double-well", "repeller")],
+                         ids=["hopf-as-attractor", "double-well-as-repeller"])
+def test_design_rejects_isolating_data_of_the_other_kind(recipe_of, monkeypatch):
+    # file each scenario's recipe under the other target: its certificate
+    # still certifies the kind it was made for
+    def no_field(*args, **kwargs):
+        raise AssertionError("a DiffusionField was built for isolating data of the wrong kind")
+
+    name, target = recipe_of
+    other = "repeller" if target == "attractor" else "attractor"
+    recipes = {(name, target): scenarios._ISOLATION_RECIPES[(name, other)]}
+    monkeypatch.setattr(scenarios, "_ISOLATION_RECIPES", recipes)
+    monkeypatch.setattr(design, "DiffusionField", no_field)
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
+    scen = make_scenario(name, g)
+    with pytest.raises(ValueError, match=f"certifies {other!r}, not {target!r}"):
+        scenarios._design(scen, target, scen.vector_field(g), 10.0, (0.1, 0.05))
 
 
 def test_designed_family_passes_uniform_lyapunov(dw_grid, dw_field, dw_iso):
-    fam = design_stabilizing_family(dw_iso, (0.1, 0.05, 0.02), ratio=10.0)
+    fam = design_family(dw_iso, (0.1, 0.05, 0.02), ratio=10.0)
     xx, yy = dw_grid.centers()
     u = xx**2 + yy**2
     rho_m = 1.5
@@ -114,7 +142,7 @@ def test_designed_family_passes_uniform_lyapunov(dw_grid, dw_field, dw_iso):
 
 def test_ratio_below_minimum_rejected(dw_iso):
     with pytest.raises(RatioInfeasibleError):
-        design_stabilizing_family(dw_iso, (0.1, 0.05), ratio=1.0)
+        design_family(dw_iso, (0.1, 0.05), ratio=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +152,7 @@ def hopf_iso(hopf_field, radial_u):
 
 def test_destabilizing_ratio_one_rejected(hopf_iso):
     with pytest.raises(RatioInfeasibleError):
-        design_destabilizing_family(hopf_iso, (0.1, 0.05), ratio=1.0)
+        design_family(hopf_iso, (0.1, 0.05), ratio=1.0)
 
 
 @pytest.mark.parametrize("ratio", [1.0, 0.5, float("nan"), float("inf")])
@@ -135,12 +163,9 @@ def test_inadmissible_ratio_rejected_before_any_field(target, ratio, dw_iso, hop
         raise AssertionError("a DiffusionField was built for an inadmissible ratio")
 
     monkeypatch.setattr(design, "DiffusionField", no_field)
-    if target == "attractor":
-        build, iso = design_stabilizing_family, dw_iso
-    else:
-        build, iso = design_destabilizing_family, hopf_iso
+    iso = dw_iso if target == "attractor" else hopf_iso
     with pytest.raises(RatioInfeasibleError) as exc:
-        build(iso, (0.1, 0.05), ratio=ratio)
+        design_family(iso, (0.1, 0.05), ratio=ratio)
     assert exc.value.requested_ratio is ratio
     # the message is about the ratio itself, not about transition-band widths
     msg = str(exc.value)
@@ -156,7 +181,7 @@ def test_steep_shaping_rejected_with_gradient_message(dw_iso, monkeypatch):
 
     monkeypatch.setattr(design, "DiffusionField", no_field)
     with pytest.raises(RatioInfeasibleError) as exc:
-        design_stabilizing_family(dw_iso, (5.0,), ratio=1000.0)
+        design_family(dw_iso, (5.0,), ratio=1000.0)
     assert exc.value.requested_ratio == 1000.0
     msg = str(exc.value)
     assert "eps_max * max|grad s| on Omega = 30.19" in msg
@@ -169,16 +194,7 @@ def test_narrow_band_infeasible(dw_grid, dw_field):
     u0 = (xx + 1.0) ** 2 + yy**2
     iso = isolation_from_certificate(u0, dw_field, 0.16, 0.13, 0.18)
     with pytest.raises(RatioInfeasibleError):
-        design_stabilizing_family(iso, (0.1, 0.05), ratio=10.0)
-
-
-def test_destabilizing_regions_swapped(hopf_grid, hopf_field, radial_u):
-    iso = isolation_from_certificate(radial_u, hopf_field, 0.36, 0.04, 0.64)
-    fam = design_destabilizing_family(iso, (0.1, 0.05), ratio=10.0)
-    s = fam.shaping
-    assert np.allclose(s[fam.region_strong], 1.0, atol=1e-9)   # on the repeller
-    assert np.allclose(s[fam.region_guard], 0.1, atol=1e-9)    # guard outside
-    assert fam.ratio_condition() == pytest.approx(10.0)
+        design_family(iso, (0.1, 0.05), ratio=10.0)
 
 
 def test_quadratic_certificate_hopf():
