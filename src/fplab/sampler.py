@@ -4,16 +4,26 @@ measure as a pooled long-run occupation histogram.
 
 One fused step advances the paths of all k members of a noise family on one
 (2, k, n_paths) position array, so the drift is called once per step for
-every member. Each path's flat cell index (member, i, j) is computed once per
-step: the next step gathers the member's noise factor (computed once per
-cell) at it, and one ``np.bincount`` per chunk of ``_CHUNK_STEPS`` steps bins
-it. A step that leaves every position inside the box returns lo + (x - lo)
-without calling ``_reflect``; that is exactly ``_reflect``'s value, because
-its ``mod`` is exact there. Otherwise the step checks that all positions are
-finite and reflects the whole array. Per-path noise streams come from
-counter-based Philox generators keyed by (seed, path index), drawn a chunk at
-a time, and every member reuses them: a member's measure is bit-identical
-whether it is sampled alone or with others.
+every member. A step works on a few hundred numbers, so its cost is the
+number of numpy calls, and a call that broadcasts costs two to five times one
+whose operands share a shape. So every per-step ufunc takes operands of one
+shape: the box corner, span, cell size and dt are copied out to the position
+array's shape once, and each chunk lays out its noise increments as
+(dwx, dwx, dwy) for every member, so that one product with the gathered
+factor rows (g00, g10, g11) gives all three noise terms.
+
+Each path's flat cell index (member, i, j) is computed once per step: the
+next step gathers the member's noise factor (computed once per cell) at it,
+and one ``np.bincount`` per chunk of ``_CHUNK_STEPS`` steps bins it. The box
+test is one minimum over u = x - lo and span - u. It is exact: fl(span - u)
+>= 0 holds exactly when u <= span, and a NaN fails it. A step that leaves
+every position inside the box returns lo + u without calling ``_reflect``;
+that is exactly ``_reflect``'s value, because its ``mod`` is exact there.
+Otherwise the step checks that all positions are finite and reflects the
+whole array. Per-path noise streams come from counter-based Philox
+generators keyed by (seed, path index), drawn a chunk at a time, and every
+member reuses them: a member's measure is bit-identical whether it is
+sampled alone or with others.
 """
 
 from __future__ import annotations
@@ -30,8 +40,12 @@ from .grid import Grid2D
 
 __all__ = ["SamplerConfig", "noise_factor", "occupation_measure"]
 
-# steps of normals drawn per path at a time: 64 paths take 1 MB per chunk
-_CHUNK_STEPS = 1024
+# steps per chunk of drawn normals and per-step records. The chunk's buffers
+# take 64 B per step, member and path, plus 32 B per step and path for the
+# normals: 2.6 MB for 2 members of 64 paths. Longer chunks only cost memory:
+# with 1024 steps, `fplab sample` of 2 members of 64 paths ran no faster and
+# peaked at 49.8 MB RSS, against 41.0 MB.
+_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,12 @@ class SamplerConfig:
             raise ValueError("dt must be finite and positive")
         if not (math.isfinite(self.t_total) and self.t_total > 0):
             raise ValueError("t_total must be finite and positive")
+        for name in ("n_paths", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            # a numpy integer would wrap in _path_rng's 64-bit shift
+            object.__setattr__(self, name, int(value))
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         burn = 0.2 * self.t_total if self.t_burn is None else self.t_burn
@@ -57,6 +77,10 @@ class SamplerConfig:
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must lie in [0, 2**64)")
         object.__setattr__(self, "t_burn", burn)
+        # t_burn < t_total, so t_burn/dt is finite when t_total/dt is
+        if not math.isfinite(self.t_total / self.dt):
+            raise ValueError(f"t_total/dt = {self.t_total / self.dt} has no step count: "
+                             "raise dt")
         if self.n_steps < 1:
             raise ValueError(f"t_total/dt = {self.t_total / self.dt:.3g} rounds to no step")
         if self.burn_steps >= self.n_steps:
@@ -127,9 +151,11 @@ def occupation_measure(
     under ``members``. An ``UnderresolvedError`` names the first member, in
     order, that fails.
     """
+    if not members:
+        raise ValueError("members must hold at least one diffusion field")
     if any(a.grid != grid for a in members):
         raise GridMismatchError("every diffusion field must live on the sampler's grid")
-    n_steps, burn_steps = cfg.n_steps, cfg.burn_steps
+    n_steps, burn_steps, dt = cfg.n_steps, cfg.burn_steps, cfg.dt
     npaths, k = cfg.n_paths, len(members)
     # rows g00, g10, g11 of member m's noise factor in cell (i, j), at the
     # flat index m * n_cells + i * ny + j that also bins the histogram
@@ -147,44 +173,64 @@ def occupation_measure(
     p[0], p[1] = x0.ravel()[:npaths], y0.ravel()[:npaths]
     lo, hi, h = (np.array(c, dtype=float)[:, None, None] for c in (
         (grid.x_min, grid.y_min), (grid.x_max, grid.y_max), (grid.hx, grid.hy)))
-    span = hi - lo
-    u = np.empty_like(p)
+    # the loop's constants, copied out to p's shape once
+    lo_p, h_p, span_p, dt_p = (np.broadcast_to(c, p.shape).copy()
+                               for c in (lo, h, hi - lo, dt))
+    box = np.empty((2, 2, k, npaths))
+    u, back = box  # u = p - lo and span - u
     mij = np.empty((3, k, npaths), dtype=np.intp)  # member, i, j of every path
     mij[0] = np.arange(k)[:, None]
+    ij, mij_cols = mij[1:], mij.reshape(3, -1)
+    ij_lo, ij_hi = np.zeros_like(ij), np.empty_like(ij)
+    ij_hi[0], ij_hi[1] = grid.nx - 1, grid.ny - 1
+    flat_weights = np.array([grid.n_cells, grid.ny, 1], dtype=np.intp)
 
     def cell_index(out):
         """Flat cell index of p, truncated and clipped as in Grid2D.cell_index."""
-        np.divide(np.subtract(p, lo, out=u), h, out=u)
-        np.copyto(mij[1:], u, casting="unsafe")
-        out[...] = np.ravel_multi_index(mij, (k, grid.nx, grid.ny), mode="clip")
+        np.divide(np.subtract(p, lo_p, out=u), h_p, out=u)
+        ij[...] = u  # truncates toward 0, as astype does
+        np.maximum(ij, ij_lo, out=ij)
+        np.minimum(ij, ij_hi, out=ij)
+        np.matmul(flat_weights, mij_cols, out=out.reshape(-1))
 
     rngs = [_path_rng(cfg.rng_seed, q) for q in range(npaths)]
-    dt = cfg.dt
     cell_diag = min(grid.hx, grid.hy)
     big_jumps, slow_drift = np.zeros((2, k), dtype=np.int64)
     counts = np.zeros(k * grid.n_cells, dtype=np.int64)
-    # per chunk: each step's drift, displacement and flat cell after the move
+    # per chunk: each step's noise increments (dwx, dwx, dwy), drift,
+    # displacement and flat cell after the move
+    normals = np.empty((npaths, _CHUNK_STEPS, 2))
+    dw = np.empty((_CHUNK_STEPS, 3, k, npaths))
     vxy = np.empty((_CHUNK_STEPS, 2, k, npaths))
     dxy = np.empty_like(vxy)
     cells = np.empty((_CHUNK_STEPS, k, npaths), dtype=np.intp)
+    gs = np.empty((3, k, npaths))  # the step's noise factor, then noise term
     # step s starts in cells[s - 1]: for s = 0 the last row, which holds the
     # start positions, then the last step of the previous (whole) chunk
     cell_index(cells[-1])
 
     for start in range(0, n_steps, _CHUNK_STEPS):
         n = min(_CHUNK_STEPS, n_steps - start)
+        for rng, path_normals in zip(rngs, normals):
+            rng.standard_normal(out=path_normals[:n])
         # (n, 2, n_paths): row s holds step start+s of every path's stream
-        dw = np.stack([rng.standard_normal((n, 2)) for rng in rngs], axis=-1) * np.sqrt(dt)
+        z = normals[:, :n].transpose(1, 2, 0) * np.sqrt(dt)
+        dw[:n, :2] = z[:, :1, None]
+        dw[:n, 2] = z[:, 1, None]
         for s in range(n):
-            vxy[s] = v_fn(p[0], p[1])
-            gs = g.take(cells[s - 1], axis=1)
-            d = np.multiply(vxy[s], dt, out=dxy[s])
-            d += gs[:2] * dw[s, 0]  # vx dt + g00 dwx, vy dt + g10 dwx
-            d[1] += gs[2] * dw[s, 1]
+            vxy[s, 0], vxy[s, 1] = v_fn(p[0], p[1])
+            # "clip" as "raise" would buffer the output; every index is in range
+            g.take(cells[s - 1], axis=1, out=gs, mode="clip")
+            gs *= dw[s]
+            d = np.multiply(vxy[s], dt_p, out=dxy[s])
+            d += gs[:2]  # vx dt + g00 dwx, vy dt + g10 dwx
+            d[1] += gs[2]  # + g11 dwy
             p += d
-            np.subtract(p, lo, out=u)
-            if u.min() >= 0.0 and (u <= span).all():
-                np.add(lo, u, out=p)  # _reflect's value: its mod is exact here
+            np.subtract(p, lo_p, out=u)
+            np.subtract(span_p, u, out=back)
+            # fl(span - u) >= 0 exactly when u <= span; a NaN fails the test
+            if np.minimum.reduce(box, axis=None) >= 0.0:
+                np.add(lo_p, u, out=p)  # _reflect's value: its mod is exact here
             else:
                 if not np.isfinite(p).all():
                     raise NonFiniteFieldError(("path", start + s), float("nan"))

@@ -81,10 +81,11 @@ def test_cli_exit_2_when_grid_cannot_hold_dictionary(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-# --t-total 0.001 and --dt inf round to no step; --dt nan has no step count
+# --t-total 0.001 and --dt inf round to no step; --dt nan has no step count,
+# nor has --dt 5e-324, where t_total/dt overflows
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--dt", "0"), ("--n-paths", "0"),
                                         ("--t-total", "0.001"), ("--dt", "inf"),
-                                        ("--dt", "nan")])
+                                        ("--dt", "nan"), ("--dt", "5e-324")])
 def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     rc = main(["sample", "--scenario", "ou2d", "--eps", "0.1", "--grid-n", "16",

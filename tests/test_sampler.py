@@ -60,8 +60,34 @@ def test_config_validation():
                 {"t_total": 1.0, "t_burn": 0.999}):
         with pytest.raises(ValueError):
             SamplerConfig(**{"dt": 0.1, "t_total": 10.0, **bad})
+    # t_total/dt overflows to inf: no step count, not an OverflowError
+    for dt, t_total in ((5e-324, 1.0), (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="t_total/dt"):
+            SamplerConfig(dt=dt, t_total=t_total)
     cfg = SamplerConfig(dt=0.1, t_total=1.0, t_burn=0.94)
     assert (cfg.n_steps, cfg.burn_steps) == (10, 9)
+
+
+@pytest.mark.parametrize("field,value", [("n_paths", True), ("n_paths", 8.0),
+                                         ("rng_seed", 1.5), ("rng_seed", False),
+                                         ("rng_seed", "3")])
+def test_config_refuses_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        SamplerConfig(dt=0.1, t_total=10.0, **{field: value})
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    # np.int64(3) << 64 wraps to 0, so a numpy seed would give path p the
+    # stream of seed 0
+    cfg = SamplerConfig(dt=0.1, t_total=10.0, n_paths=np.int64(4), rng_seed=np.uint64(3))
+    assert (cfg.n_paths, cfg.rng_seed) == (4, 3)
+    assert type(cfg.n_paths) is int and type(cfg.rng_seed) is int
+
+
+def test_occupation_refuses_no_members():
+    g = Grid2D(-1, 1, -1, 1, 16, 16)
+    with pytest.raises(ValueError, match="members"):
+        occupation_measure(OU, [], g, SamplerConfig(dt=0.01, t_total=1.0, n_paths=4))
 
 
 def test_path_streams_do_not_collide():
@@ -179,14 +205,18 @@ def _fields(grid, tables):
 _WIDE = Grid2D(-2.0, 2.0, -2.0, 2.0, 24, 24)
 # paths cross this box in a few hundred steps, so most steps reflect
 _SMALL = Grid2D(-0.6, 0.6, -0.4, 0.4, 12, 8)
+# at dt 0.01 the run ends 30 steps before the middle of its third chunk, and
+# burn-in ends in the middle of the second (2530 and 1536 steps for chunks of
+# 1024, 610 and 384 for chunks of 256)
+_T_MID_THIRD = 0.01 * (2 * _CHUNK_STEPS + _CHUNK_STEPS // 2 - 30)
+_T_MID_SECOND = 0.01 * (_CHUNK_STEPS + _CHUNK_STEPS // 2)
 
 
 @pytest.mark.parametrize("n_members,t_total,t_burn,g,scale", [
     pytest.param(1, 20.0, None, _WIDE, 1.0, id="1-20.0-None"),  # one member, the tests' call
     pytest.param(3, 20.0, None, _WIDE, 1.0, id="3-20.0-None"),
-    # 2530 steps end 482 into the third chunk; burn-in ends inside the second
-    pytest.param(2, 25.3, 15.0, _WIDE, 1.0, id="2-25.3-15.0"),
-    pytest.param(2, 25.3, 15.0, _SMALL, 0.25, id="reflecting"),
+    pytest.param(2, _T_MID_THIRD, _T_MID_SECOND, _WIDE, 1.0, id="2-25.3-15.0"),
+    pytest.param(2, _T_MID_THIRD, _T_MID_SECOND, _SMALL, 0.25, id="reflecting"),
 ])
 def test_kernel_matches_reference_loop(monkeypatch, n_members, t_total, t_burn, g, scale):
     reflecting_steps = []
