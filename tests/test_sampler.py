@@ -207,7 +207,7 @@ _WIDE = Grid2D(-2.0, 2.0, -2.0, 2.0, 24, 24)
 _SMALL = Grid2D(-0.6, 0.6, -0.4, 0.4, 12, 8)
 # at dt 0.01 the run ends 30 steps before the middle of its third chunk, and
 # burn-in ends in the middle of the second (2530 and 1536 steps for chunks of
-# 1024, 610 and 384 for chunks of 256)
+# 1024, 610 and 384 for chunks of 256; the ids keep the values for 1024)
 _T_MID_THIRD = 0.01 * (2 * _CHUNK_STEPS + _CHUNK_STEPS // 2 - 30)
 _T_MID_SECOND = 0.01 * (_CHUNK_STEPS + _CHUNK_STEPS // 2)
 
