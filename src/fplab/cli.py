@@ -1,14 +1,15 @@
 """Command-line entry point: configuration, orchestration, persistence.
 
 Subcommands: solve, sample, verify, design-noise, hopf, run, find-attractor,
-verify-lyapunov. Runs are driven by one JSON config document (flags only
-select the file and override scalar fields); outputs go to a run directory
-holding the config echo, per-eps measure documents, metrics.csv, and a
-summary document with per-assertion pass/fail. Exit codes: 0 all assertions
-pass, 1 an assertion failed or another package error stopped the command
-(e.g. an infeasible noise design), 2 configuration error: a missing or
-invalid config field, a bad grid or eps value (flag or config), or an
-unreadable config or run directory.
+verify-lyapunov. Runs are driven by one JSON config document, checked whole by
+RunConfig.from_dict before any work against the run recipe of its scenario
+(scenarios._RUN_RECIPES); outputs go to a run directory holding the config
+echo, per-eps measure documents, metrics.csv, and a summary document with
+per-assertion pass/fail. Exit codes: 0 all assertions pass, 1 an assertion
+failed or another package error stopped the command (e.g. an infeasible noise
+design), 2 configuration error: a missing, unknown or invalid config field or
+flag value (a non-finite number, a bool or a string where a number is due),
+or an unreadable config or run directory.
 """
 
 from __future__ import annotations
@@ -19,32 +20,36 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import io as fio
-from .analysis import RHO_MESH, angular_w1_to_uniform, invariance_residual
+from .analysis import angular_w1_to_uniform, invariance_residual
 from .dynamics import approximate_attractor, verify_lyapunov
 from .errors import ConfigError, FplabError
 from .fpe import solve_family
 from .grid import Grid2D
 from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
-    _DEFAULT_DICTIONARY,
     _ISOLATION_RECIPES,
+    _RUN_RECIPES,
     SCENARIOS,
+    SHAPES,
     ScenarioResult,
-    _check_run_sections,
+    _config_int,
     _design,
-    _solved_scenario,
+    _eps_labels,
+    _known,
+    _resolve_run,
+    _RunRecipe,
     build_schedule,
     dictionary_for,
     make_scenario,
-    run_recipe,
 )
 
 DEFAULT_WORKERS_ENV = "FPLAB_WORKERS"
 _GRID_KEYS = ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
+_CONFIG_KEYS = ("scenario", "grid", "schedule", "output_dir", "seed", "analysis")
 
 
 def _grid(x_min, x_max, y_min, y_max, nx, ny) -> Grid2D:
@@ -61,38 +66,26 @@ def _flag_scenario(args):
     return grid, make_scenario(args.scenario, grid, **({} if args.b is None else {"b": args.b}))
 
 
-def _eps_labels(values) -> tuple:
-    """Noise labels of a flag or config: a non-empty, strictly decreasing list
-    of positive finite numbers, else a config error."""
+def _flag_numbers(field: str, text: str) -> list:
+    """The comma-separated numbers of a flag, else a config error naming ``field``."""
     try:
-        eps = tuple(float(e) for e in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("schedule.eps", f"must be a list of numbers: {exc}") from exc
-    if not eps or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ConfigError("schedule.eps", "labels must be a non-empty, strictly decreasing list")
-    if not all(0.0 < e < float("inf") for e in eps):
-        raise ConfigError("schedule.eps", "labels must be positive and finite")
-    return eps
-
-
-def _config_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
-    """A config value that must be a JSON integer (not a bool), in [lo, hi)
-    as far as those bounds are given."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (lo is not None and value < lo) or (hi is not None and value >= hi)):
-        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
-        raise ConfigError(name, f"must be an integer{bounds}, got {value!r}")
-    return value
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(field, f"must be comma-separated numbers, got {text!r}") from exc
 
 
 @dataclass
 class RunConfig:
+    """A run config as read, with seed and analysis filled in (``to_dict``, which
+    config.json echoes), and ``resolved``: its sections resolved against their recipe."""
+
     scenario: dict
     grid: dict
     schedule: dict
     output_dir: str
-    seed: int = 0
-    analysis: dict = field(default_factory=dict)
+    seed: int
+    analysis: dict
+    resolved: _RunRecipe = field(repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -104,33 +97,28 @@ class RunConfig:
         for key in ("scenario", "grid", "schedule", "analysis"):
             if not isinstance(raw.get(key, {}), dict):
                 raise ConfigError(key, f"must be a JSON object, got {raw[key]!r}")
-        known = [f.name for f in fields(cls)]
-        for key in raw:
-            if key not in known:
-                raise ConfigError(key, "unknown key; known: " + ", ".join(known))
-        for key in raw["grid"]:
-            if key not in _GRID_KEYS:
-                raise ConfigError(f"grid.{key}", "unknown key; known: " + ", ".join(_GRID_KEYS))
-        if "name" not in raw["scenario"]:
-            raise ConfigError("scenario.name", "missing scenario name")
-        _eps_labels(raw["schedule"].get("eps"))
-        _check_run_sections(raw["scenario"], raw["schedule"], raw.get("analysis", {}))
-        _config_int("analysis.rho_mesh", raw.get("analysis", {}).get("rho_mesh", RHO_MESH), 2)
+        _known("", raw, _CONFIG_KEYS)
+        _known("grid.", raw["grid"], _GRID_KEYS)
+        analysis = raw.get("analysis", {})
+        resolved = _resolve_run(raw["scenario"], raw["schedule"], analysis)
         for k in _GRID_KEYS:
             if k not in raw["grid"]:
                 raise ConfigError(f"grid.{k}", "missing grid field")
         for k in ("nx", "ny"):  # Grid2D checks the range
             _config_int(f"grid.{k}", raw["grid"][k])
         cfg = cls(raw["scenario"], raw["grid"], raw["schedule"], raw["output_dir"],
-                  _config_int("seed", raw.get("seed", 0), 0, 2**64), raw.get("analysis", {}))
+                  _config_int("seed", raw.get("seed", 0), 0, 2**64), analysis, resolved)
         cfg.build_grid()  # fails here, before any work, on values Grid2D rejects
         return cfg
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {k: getattr(self, k) for k in _CONFIG_KEYS}
 
     def build_grid(self) -> Grid2D:
         return _grid(*(self.grid[k] for k in _GRID_KEYS))
+
+    def run(self) -> ScenarioResult:
+        return self.resolved.run(self.resolved, self.build_grid())
 
 
 def _load_config(path: Path) -> RunConfig:
@@ -159,11 +147,6 @@ def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
     fio.save_document(result.to_document(), out_dir / "summary.json")
 
 
-def _run_scenario(cfg: RunConfig) -> ScenarioResult:
-    return run_recipe(cfg.scenario, cfg.build_grid(), _eps_labels(cfg.schedule["eps"]),
-                      cfg.schedule, cfg.analysis)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -172,7 +155,7 @@ def _cmd_run(args) -> int:
     if args.out:
         cfg.output_dir = args.out
     t0 = time.perf_counter()
-    result = _run_scenario(cfg)
+    result = cfg.run()
     out_dir = Path(cfg.output_dir)
     _write_run_dir(out_dir, cfg, result)
     wall = time.perf_counter() - t0
@@ -186,36 +169,29 @@ def _cmd_run(args) -> int:
 
 def _cmd_hopf(args) -> int:
     workers = _workers()
-    eps = list(_eps_labels(args.eps.split(",")))
-    b_values = [make_scenario("hopf", b=b).params["b"] for b in args.b.split(",")]
+    eps = _flag_numbers("schedule.eps", args.eps)  # checked by RunConfig
     box = SCENARIOS["hopf"].box
-    rc = 0
-    jobs = []
-    for b in b_values:
-        raw = {
-            "scenario": {"name": "hopf", "b": b},
-            "grid": {"x_min": -box, "x_max": box, "y_min": -box, "y_max": box,
-                     "nx": args.grid_n, "ny": args.grid_n},
-            "schedule": {"eps": eps, "shape": args.shape},
-            "analysis": {"dictionary": _DEFAULT_DICTIONARY},
-            "output_dir": str(Path(args.out) / f"b{b!r}"),
-            "seed": args.seed,
-        }
-        jobs.append(RunConfig.from_dict(raw))
+    jobs = [RunConfig.from_dict({
+        "scenario": {"name": "hopf", "b": b},
+        "grid": {"x_min": -box, "x_max": box, "y_min": -box, "y_max": box,
+                 "nx": args.grid_n, "ny": args.grid_n},
+        "schedule": {"eps": eps, "shape": args.shape},
+        "analysis": {"dictionary": _RUN_RECIPES["hopf"].analysis["dictionary"]},
+        "output_dir": str(Path(args.out) / f"b{b!r}"),
+        "seed": args.seed,
+    }) for b in _flag_numbers("scenario.b", args.b)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_run_scenario, jobs))
+        results = list(pool.map(RunConfig.run, jobs))
     for result, cfg in zip(results, jobs):
         _write_run_dir(Path(cfg.output_dir), cfg, result)
         print(f"b={cfg.scenario['b']}: "
               + ", ".join(f"{n}={'PASS' if p else 'FAIL'}" for n, p, _, _ in result.assertions))
-        if not result.all_passed:
-            rc = 1
-    return rc
+    return 0 if all(result.all_passed for result in results) else 1
 
 
 def _cmd_solve(args) -> int:
     grid, scen = _flag_scenario(args)
-    eps = _eps_labels(args.eps.split(","))
+    eps = _eps_labels(_flag_numbers("schedule.eps", args.eps))
     sched = build_schedule(grid, eps, args.shape)
     v = scen.vector_field(grid)
     out = Path(args.out)
@@ -246,7 +222,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sample(args) -> int:
     grid, scen = _flag_scenario(args)
-    eps = _eps_labels(args.eps.split(","))
+    eps = _eps_labels(_flag_numbers("schedule.eps", args.eps))
     sched = build_schedule(grid, eps, args.shape)
     try:
         cfg = SamplerConfig(dt=args.dt, t_total=args.t_total, n_paths=args.n_paths,
@@ -275,20 +251,20 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_config(run_dir / "config.json")
-    grid = cfg.build_grid()
-    v = _solved_scenario(cfg.scenario, grid).vector_field(grid)
-    dic = dictionary_for(cfg.analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
+    grid, run = cfg.build_grid(), cfg.resolved
+    v = run.solved(grid).vector_field(grid)
+    dic = dictionary_for(run.analysis["dictionary"], grid)
     rows = []
-    for eps in cfg.schedule["eps"]:
-        path = run_dir / f"measure_eps{float(eps)!r}.json"
+    for eps in run.schedule["eps"]:
+        path = run_dir / f"measure_eps{eps!r}.json"
         if not path.exists():
-            path = run_dir / f"occupation_eps{float(eps)!r}.json"
+            path = run_dir / f"occupation_eps{eps!r}.json"
         if not path.exists():
             print(f"missing measure for eps={eps}", file=sys.stderr)
             return 2
         mu = fio.measure_from_document(fio.load_document(path))
         res = invariance_residual(mu, v, dic)
-        rows.append({"eps": float(eps), "residual_max": res.max,
+        rows.append({"eps": eps, "residual_max": res.max,
                      "angular_w1": angular_w1_to_uniform(mu)})
     lines = ["eps,residual_max,angular_w1"]
     lines += [f"{r['eps']!r},{r['residual_max']!r},{r['angular_w1']!r}" for r in rows]
@@ -300,7 +276,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_design_noise(args) -> int:
     grid, scen = _flag_scenario(args)
-    eps = _eps_labels(args.eps.split(","))
+    eps = _eps_labels(_flag_numbers("schedule.eps", args.eps))
     if args.target == "equilibrium":
         print("equilibrium destabilization holds for any normal family; "
               "use `run`/`solve` with an isotropic schedule and the "
@@ -379,10 +355,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("hopf", help="stochastic Hopf bifurcation sweep")
-    p.add_argument("--b", default="1.0", help="bifurcation parameter(s), comma separated")
+    p.add_argument("--b", default=repr(SCENARIOS["hopf"].defaults["b"]), help="b values, comma separated")
     p.add_argument("--eps", default="0.2,0.1,0.05,0.02")
     p.add_argument("--grid-n", type=int, default=256)
-    p.add_argument("--shape", default="modulated", choices=["iso", "aniso", "modulated"])
+    p.add_argument("--shape", default=_RUN_RECIPES["hopf"].schedule["shape"], choices=list(SHAPES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_hopf)
@@ -391,7 +367,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="hopf", choices=scenarios)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--eps", default="0.2,0.1,0.05,0.02")
-    p.add_argument("--shape", default="iso", choices=["iso", "aniso", "modulated"])
+    p.add_argument("--shape", default="iso", choices=list(SHAPES))
     _add_domain_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_solve)
@@ -400,7 +376,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="hopf", choices=scenarios)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--eps", default="0.1,0.05")
-    p.add_argument("--shape", default="iso", choices=["iso", "aniso", "modulated"])
+    p.add_argument("--shape", default="iso", choices=list(SHAPES))
     p.add_argument("--dt", type=float, default=0.005)
     p.add_argument("--t-total", type=float, default=200.0)
     p.add_argument("--n-paths", type=int, default=64)

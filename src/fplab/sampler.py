@@ -47,6 +47,10 @@ __all__ = ["SamplerConfig", "noise_factor", "occupation_measure"]
 # peaked at 49.8 MB RSS, against 41.0 MB.
 _CHUNK_STEPS = 256
 
+# the most steps a run may take: at about 40 us a step (2 members of 64 paths)
+# 10**8 steps run over an hour, so a dt that asks for more is a typo
+_MAX_STEPS = 10**8
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -77,10 +81,10 @@ class SamplerConfig:
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must lie in [0, 2**64)")
         object.__setattr__(self, "t_burn", burn)
-        # t_burn < t_total, so t_burn/dt is finite when t_total/dt is
-        if not math.isfinite(self.t_total / self.dt):
-            raise ValueError(f"t_total/dt = {self.t_total / self.dt} has no step count: "
-                             "raise dt")
+        # t_burn < t_total, so t_burn/dt is bounded when t_total/dt is
+        if not self.t_total / self.dt <= _MAX_STEPS:
+            raise ValueError(f"t_total/dt = {self.t_total / self.dt:.3g} exceeds the "
+                             f"{_MAX_STEPS:.0e} steps a run may take: raise dt")
         if self.n_steps < 1:
             raise ValueError(f"t_total/dt = {self.t_total / self.dt:.3g} rounds to no step")
         if self.burn_steps >= self.n_steps:

@@ -1,7 +1,10 @@
 """Scenario library: OU, Gibbs gradient systems, symmetric double well, and
 the stochastic Hopf bifurcation sweep, with per-scenario metrics and
 assertion harnesses. The table SCENARIOS holds what is known about each
-scenario; _RUN_RECIPES holds what ``fplab run`` does for each run config.
+scenario; _RUN_RECIPES holds what ``fplab run`` does for each run config and
+the {key: default} table of each section it reads. _resolve_run checks a config
+against it once: NaN, Infinity, a bool or a string where a number is due is a
+config error.
 
 Each runner returns a ScenarioResult embedding the full configuration
 (grid, schedule, seeds, shaping ratio, dictionary version), per-eps metric
@@ -11,7 +14,7 @@ result document alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +55,7 @@ __all__ = [
     "run_hopf_sweep",
     "run_gibbs",
     "run_designed_comparison",
-    "run_recipe",
+    "SHAPES",
     "haar_on_circle",
     "delta_at",
     "dictionary_for",
@@ -160,37 +163,71 @@ class Scenario:
         return SCENARIOS[self.name].gamma(self.params, rho_m, amax)
 
 
-def _config_float(field: str, value) -> float:
-    """float(value); a value float() rejects is a config error naming ``field``."""
-    try:
+def _number(field: str, value) -> float:
+    """``value`` as a float if it is a finite number, not a bool or a numeric
+    string: a JSON config writes numbers as numbers, and the CLI converts flags."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)) \
+            and abs(value) <= np.finfo(float).max:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(field, f"must be a number, got {value!r}") from exc
+    raise ConfigError(field, f"must be a finite number, got {value!r}")
+
+
+def _config_int(field: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """A config value that must be a JSON integer (not a bool), in [lo, hi)
+    as far as those bounds are given."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (lo is not None and value < lo) or (hi is not None and value >= hi)):
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
+        raise ConfigError(field, f"must be an integer{bounds}, got {value!r}")
+    return value
+
+
+def _eps_labels(values) -> tuple:
+    """Noise labels as floats, from a strictly decreasing JSON list of positive numbers."""
+    eps = tuple(_number("schedule.eps", e) for e in values) if isinstance(values, list) else ()
+    if not eps or eps[-1] <= 0.0 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ConfigError("schedule.eps", f"must be a decreasing JSON list of positive numbers, got {values!r}")
+    return eps
+
+
+def _known(prefix: str, section: dict, known) -> None:
+    """Refuse a key of ``section`` not in ``known``, naming ``prefix + key``."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(prefix + key, "unknown key; known: " + (", ".join(known) or "none"))
+
+
+def _checked(field: str, value, default):
+    """``value`` checked by its default's kind: float, int (>= 2), threshold
+    map, or None (eps). A name (str) is checked where it is looked up."""
+    if default is None:
+        return _eps_labels(value)
+    if isinstance(default, float):
+        return _number(field, value)
+    if isinstance(default, int):
+        return _config_int(field, value, 2)
+    if isinstance(default, dict):
+        return _thresholds(value, default)
+    return value
+
+
+def _resolved(section: str, raw: dict, table: dict) -> dict:
+    """Every key of ``table`` ({key: default}) with the checked value that
+    ``raw``, a config section, gives it, or else its default."""
+    _known(f"{section}.", raw, table)
+    return {k: _checked(f"{section}.{k}", raw.get(k, d), d) for k, d in table.items()}
 
 
 def make_scenario(name: str, grid: Grid2D | None = None, /, **params) -> Scenario:
     """Scenario ``name`` of SCENARIOS; keyword values override the table's
-    parameter defaults. A key the table has no parameter for, or a
-    non-numeric parameter value, is a config error naming ``scenario.<param>``."""
+    parameter defaults. A key the table has no parameter for, or a value that
+    is not a finite number, is a config error naming ``scenario.<param>``."""
     spec = SCENARIOS.get(name)
     if spec is None:
         raise ConfigError("scenario.name", f"unknown scenario {name!r}")
-    for k in params:
-        if k not in spec.defaults:
-            raise ConfigError(f"scenario.{k}", "unknown parameter; known: "
-                              + (", ".join(spec.defaults) or "none"))
-    p = {k: _config_float(f"scenario.{k}", params.get(k, v)) for k, v in spec.defaults.items()}
+    p = _resolved("scenario", params, spec.defaults)
     g = grid or Grid2D(-spec.box, spec.box, -spec.box, spec.box, spec.n, spec.n)
     return Scenario(name, spec.drift(p), p, g)
-
-
-def _solved_scenario(section: dict, grid: Grid2D) -> Scenario:
-    """The scenario whose drift a run config's run solves: the SCENARIOS row
-    its run recipe names, with the section's parameters that row knows (a
-    designed run's ratio is not a drift parameter)."""
-    row = _run_recipe(section["name"]).scenario
-    return make_scenario(row, grid, **{k: v for k, v in section.items()
-                                       if k in SCENARIOS[row].defaults})
 
 
 def boundary_taper(grid: Grid2D) -> np.ndarray:
@@ -209,8 +246,16 @@ def boundary_taper(grid: Grid2D) -> np.ndarray:
     return floor + (1.0 - floor) * t
 
 
+# schedule shape name -> (profile s(x, y) or None, a22): A = eps * s * diag(1, a22)
+SHAPES = {
+    "iso": (None, 1.0),
+    "aniso": (None, 0.5),
+    "modulated": (lambda x, y: 1.0 + 0.5 * x / (1.0 + x**2 + y**2), 0.5),
+}
+
+
 def build_schedule(
-    grid: Grid2D, eps_list, shape: str = "iso", invariance_mode: str = "reflecting"
+    grid: Grid2D, eps, shape: str = "iso", invariance_mode: str = "reflecting"
 ) -> NullFamilySchedule:
     """Named noise shapes for schedules A_k = eps_k * shape(x).
 
@@ -226,18 +271,11 @@ def build_schedule(
         taper = np.ones((grid.nx, grid.ny))
     else:
         raise ConfigError("schedule.invariance_mode", f"unknown invariance mode {invariance_mode!r}")
-
-    if shape == "iso":
-        base = (taper, 0.0 * taper, taper)
-    elif shape == "aniso":
-        base = (taper, 0.0 * taper, 0.5 * taper)
-    elif shape == "modulated":
-        xx, yy = grid.centers()
-        s = (1.0 + 0.5 * xx / (1.0 + xx**2 + yy**2)) * taper
-        base = (s, 0.0 * s, 0.5 * s)
-    else:
+    if not (isinstance(shape, str) and shape in SHAPES):
         raise ConfigError("schedule.shape", f"unknown shape {shape!r}")
-    return _scaled_schedule(grid, eps_list, base, invariance_mode)
+    profile, a22 = SHAPES[shape]
+    s = taper if profile is None else profile(*grid.centers()) * taper
+    return _scaled_schedule(grid, eps, (s, 0.0 * s, a22 * s), invariance_mode)
 
 
 _DEFAULT_DICTIONARY = "hopf-offcycle-v1"  # used wherever a run names no dictionary
@@ -253,17 +291,13 @@ _HOPF_THRESHOLDS = {
 
 
 def _thresholds(overrides: dict | None, defaults: dict) -> dict:
-    """``defaults`` with ``overrides`` applied. A key not in ``defaults``, or
-    a value that is not a number in (0, 1), is a config error naming
-    ``analysis.thresholds.<key>``; overrides that are not a dict (a JSON
-    object) are one naming ``analysis.thresholds``."""
-    overrides = overrides or {}
+    """``defaults`` with ``overrides``, a JSON object of numbers in (0, 1) over
+    their keys, applied; else a config error naming the first bad field."""
+    overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
         raise ConfigError("analysis.thresholds", f"must be a JSON object, got {overrides!r}")
+    _known("analysis.thresholds.", overrides, defaults)
     for k, v in overrides.items():
-        if k not in defaults:
-            raise ConfigError(f"analysis.thresholds.{k}",
-                              f"unknown threshold; known: {', '.join(defaults)}")
         if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
             raise ConfigError(f"analysis.thresholds.{k}", "must be a number in (0, 1)")
     return {**defaults, **overrides}
@@ -609,78 +643,62 @@ def run_designed_comparison(
 # ---------------------------------------------------------------------------
 # run recipes: what `fplab run` does for each scenario name of a run config
 
-def _run_hopf(scenario, grid, eps, schedule, analysis):
-    b = _solved_scenario(scenario, grid).params["b"]
-    sched = build_schedule(grid, eps, schedule.get("shape", "modulated"),
-                           schedule.get("invariance_mode", "reflecting"))
-    dic = dictionary_for(analysis.get("dictionary", _DEFAULT_DICTIONARY), grid)
-    return run_hopf_sweep(b, sched, grid, dic, thresholds=analysis.get("thresholds"),
-                          rho_mesh=analysis.get("rho_mesh", RHO_MESH))
+def _run_hopf(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
+    a = run.analysis
+    return run_hopf_sweep(run.params["b"], build_schedule(grid, **run.schedule), grid,
+                          dictionary_for(a["dictionary"], grid), a["thresholds"], a["rho_mesh"])
 
 
-def _run_double_well(scenario, grid, eps, schedule, analysis):
-    sched = build_schedule(grid, eps, schedule.get("shape", "iso"),
-                           schedule.get("invariance_mode", "reflecting"))
-    return run_gibbs(double_well_potential, sched, grid)
+def _run_double_well(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
+    return run_gibbs(double_well_potential, build_schedule(grid, **run.schedule), grid)
 
 
-def _run_double_well_designed(scenario, grid, eps, schedule, analysis):
-    return run_designed_comparison(_solved_scenario(scenario, grid), "attractor",
-                                   _config_float("scenario.ratio", scenario.get("ratio", 10.0)),
-                                   eps, grid)
+def _run_double_well_designed(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
+    return run_designed_comparison(run.solved(grid), "attractor", run.params["ratio"],
+                                   run.schedule["eps"], grid)
 
 
 @dataclass(frozen=True)
 class _RunRecipe:
-    """What ``fplab run`` does for one scenario name, and every key of a run
-    config's scenario, schedule and analysis sections that it reads."""
+    """What ``fplab run`` does for one scenario name, and the {key: default} table of
+    the keys each config section may hold; _resolve_run puts a config's values in."""
 
-    run: object             # (scenario, grid, eps, schedule, analysis) -> ScenarioResult
+    run: object             # (resolved recipe, grid) -> ScenarioResult
     scenario: str           # the SCENARIOS row whose drift the run solves
-    params: tuple           # numeric keys of the scenario section besides "name"
-    schedule_keys: tuple
-    analysis_keys: tuple    # "dictionary" is read by `fplab verify` on every run
-    thresholds: dict = field(default_factory=dict)  # overridable thresholds and defaults
+    params: dict            # scenario keys besides "name": the row's parameters first
+    schedule: dict          # its "eps" has no default: a run names its noise labels
+    analysis: dict
 
+    def solved(self, grid: Grid2D) -> Scenario:
+        """The scenario whose drift the run solves, with the params it knows."""
+        return make_scenario(self.scenario, grid,
+                             **{k: self.params[k] for k in SCENARIOS[self.scenario].defaults})
+
+
+_ANALYSIS = {"dictionary": _DEFAULT_DICTIONARY}  # on every run: `fplab verify` reads it
+_NAMED_SCHEDULE = {"eps": None, "shape": "modulated", "invariance_mode": "reflecting"}
 
 # runners look build_schedule, dictionary_for and run_hopf_sweep up by module-level
 # name at each call, so wrappers rebound to those names (tracing) see every call
 _RUN_RECIPES = {
-    "hopf": _RunRecipe(_run_hopf, "hopf", ("b",), ("eps", "shape", "invariance_mode"),
-                       ("dictionary", "thresholds", "rho_mesh"), _HOPF_THRESHOLDS),
-    "double-well": _RunRecipe(_run_double_well, "double-well", (),
-                              ("eps", "shape", "invariance_mode"), ("dictionary",)),
-    "double-well-designed": _RunRecipe(_run_double_well_designed, "double-well", ("ratio",),
-                                       ("eps",), ("dictionary",)),
+    "hopf": _RunRecipe(_run_hopf, "hopf", SCENARIOS["hopf"].defaults, _NAMED_SCHEDULE,
+                      {**_ANALYSIS, "thresholds": _HOPF_THRESHOLDS, "rho_mesh": RHO_MESH}),
+    "double-well": _RunRecipe(_run_double_well, "double-well", SCENARIOS["double-well"].defaults,
+                             {**_NAMED_SCHEDULE, "shape": "iso"}, _ANALYSIS),
+    "double-well-designed": _RunRecipe(
+        _run_double_well_designed, "double-well",
+        {**SCENARIOS["double-well"].defaults, "ratio": 10.0}, {"eps": None}, _ANALYSIS),
 }
 
 
-def _run_recipe(name) -> _RunRecipe:
+def _resolve_run(scenario: dict, schedule: dict, analysis: dict) -> _RunRecipe:
+    """The run recipe a run config's scenario section names, with the config's
+    sections resolved into its tables, or the config error of the first key it
+    does not read or value it refuses. Builds no schedule or dictionary."""
+    name = scenario.get("name")
     recipe = _RUN_RECIPES.get(name) if isinstance(name, str) else None
     if recipe is None:
         raise ConfigError("scenario.name", f"no run recipe for scenario {name!r}")
-    return recipe
-
-
-def _check_run_sections(scenario: dict, schedule: dict, analysis: dict):
-    """Raise a config error naming the first key of a run config's scenario,
-    schedule or analysis section, or threshold, that its run recipe does not
-    read, or a scenario parameter that is not a number."""
-    name = scenario["name"]
-    recipe = _run_recipe(name)
-    for k in recipe.params:
-        if k in scenario:
-            _config_float(f"scenario.{k}", scenario[k])
-    for section, keys, known in (("scenario", scenario, ("name", *recipe.params)),
-                                 ("schedule", schedule, recipe.schedule_keys),
-                                 ("analysis", analysis, recipe.analysis_keys)):
-        for key in keys:
-            if key not in known:
-                raise ConfigError(f"{section}.{key}",
-                                  f"not read by the {name} run; known: {', '.join(known)}")
-    _thresholds(analysis.get("thresholds"), recipe.thresholds)
-
-
-def run_recipe(scenario: dict, grid: Grid2D, eps, schedule: dict, analysis: dict) -> ScenarioResult:
-    """Run the recipe a run config's scenario section names, on its grid and eps."""
-    return _run_recipe(scenario["name"]).run(scenario, grid, eps, schedule, analysis)
+    return replace(recipe, params=_resolved("scenario", scenario, {"name": name, **recipe.params}),
+                   schedule=_resolved("schedule", schedule, recipe.schedule),
+                   analysis=_resolved("analysis", analysis, recipe.analysis))

@@ -82,11 +82,16 @@ def test_cli_exit_2_when_grid_cannot_hold_dictionary(tmp_path, capsys):
 
 
 # --t-total 0.001 and --dt inf round to no step; --dt nan has no step count,
-# nor has --dt 5e-324, where t_total/dt overflows
+# nor has --dt 5e-324, where t_total/dt overflows; --dt 1e-300 asks for 1e300
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--dt", "0"), ("--n-paths", "0"),
                                         ("--t-total", "0.001"), ("--dt", "inf"),
-                                        ("--dt", "nan"), ("--dt", "5e-324")])
-def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, flag, value):
+                                        ("--dt", "nan"), ("--dt", "5e-324"),
+                                        ("--dt", "1e-300")])
+def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, monkeypatch, flag, value):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("occupation_measure called")
+
+    monkeypatch.setattr(cli, "occupation_measure", no_sampling)
     out = tmp_path / "out"
     rc = main(["sample", "--scenario", "ou2d", "--eps", "0.1", "--grid-n", "16",
                "--t-total", "1", flag, value, "--out", str(out)])
@@ -120,6 +125,19 @@ _BAD_VALUES = [
     (["run", {"grid": {"nx": 4}}], "grid"),
     (["run", {"grid": {"x_min": 1.0, "x_max": 0.0}}], "grid"),
     (["run", {"schedule": {"eps": ["a"]}}], "schedule.eps"),
+    (["run", {"schedule": {"eps": "21"}}], "schedule.eps"),
+    (["run", {"schedule": {"eps": [True]}}], "schedule.eps"),
+    (["run", {"schedule": {"eps": ["0.2", "0.1"]}}], "schedule.eps"),
+    (["run", {"scenario": {"b": float("nan")}}], "scenario.b"),
+    (["run", {"scenario": {"b": float("inf")}}], "scenario.b"),
+    (["run", {"scenario": {"b": "2"}}], "scenario.b"),
+    (["run", {"scenario": {"b": True}}], "scenario.b"),
+    (["run", {"scenario": {"name": "double-well-designed", "ratio": float("nan")}}],
+     "scenario.ratio"),
+    (["run", {"scenario": {"name": "double-well-designed", "ratio": "10"}}], "scenario.ratio"),
+    (["hopf", "--b=nan"], "scenario.b"),
+    (["solve", "--b", "nan"], "scenario.b"),
+    (["run", {"analysis": {"thresholds": []}}], "analysis.thresholds"),
     (["hopf", "--b=abc"], "scenario.b"),
     (["hopf", "--b=0.5,x"], "scenario.b"),
     (["run", {"scenario": {"b": "x"}}], "scenario.b"),
@@ -209,6 +227,39 @@ def test_cli_run_roundtrip_and_determinism(tmp_path):
     assert rc == 0
     assert (out2 / "metrics.csv").read_bytes() == (out1 / "metrics.csv").read_bytes()
     assert (out2 / "measure_eps0.15.json").read_bytes() == (out1 / "measure_eps0.15.json").read_bytes()
+
+
+# per run recipe: a grid size and every scenario, schedule and analysis key
+# it reads besides name and eps, spelled out with its documented default
+_SPELLED_OUT = {
+    "hopf": (48, {"b": 1.0}, {"shape": "modulated", "invariance_mode": "reflecting"},
+             {"dictionary": "hopf-offcycle-v1", "rho_mesh": 64, "thresholds": {
+                 "annulus_final": 0.85, "origin_final": 0.02, "angular_w1_final": 0.05,
+                 "residual_ratio_final": 0.05, "center_final": 0.95}}),
+    "double-well": (48, {}, {"shape": "iso", "invariance_mode": "reflecting"},
+                    {"dictionary": "hopf-offcycle-v1"}),
+    "double-well-designed": (100, {"ratio": 10.0}, {}, {"dictionary": "hopf-offcycle-v1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPELLED_OUT))
+def test_cli_run_spelled_out_defaults_write_the_same_files(tmp_path, name):
+    n, *sections = _SPELLED_OUT[name]
+    runs = {}
+    for how, (scenario, schedule, analysis) in (("omitted", ({}, {}, {})), ("spelled", sections)):
+        out = tmp_path / how
+        cfg = {"scenario": {"name": name, **scenario},
+               "grid": {"x_min": -2.5, "x_max": 2.5, "y_min": -2.5, "y_max": 2.5, "nx": n, "ny": n},
+               "schedule": {"eps": [0.1, 0.05], **schedule}, "analysis": analysis,
+               "output_dir": str(out)}
+        p = tmp_path / f"{how}.json"
+        p.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(p)])
+        runs[how] = rc, {f.name: f.read_bytes() for f in sorted(out.iterdir())
+                         if f.name != "config.json"}
+    assert sorted(runs["spelled"][1]) == ["measure_eps0.05.json", "measure_eps0.1.json",
+                                          "metrics.csv", "summary.json"]
+    assert runs["spelled"] == runs["omitted"]
 
 
 def test_cli_exit_1_on_impossible_threshold(tmp_path, capsys):

@@ -146,18 +146,23 @@ def test_format_tags_live_in_io_formats():
 
 
 def test_scenario_choices_come_from_the_tables():
-    # the CLI keeps no list of scenario names of its own
+    # the CLI keeps no list of scenario or schedule shape names of its own
     import argparse
 
     from fplab.cli import _parser
-    from fplab.scenarios import _ISOLATION_RECIPES, SCENARIOS
+    from fplab.scenarios import _ISOLATION_RECIPES, SCENARIOS, SHAPES
 
     sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    choices = {cmd: a.choices for cmd, p in sub.choices.items()
-               for a in p._actions if a.dest == "scenario"}
-    assert choices.pop("design-noise") == sorted({s for s, _ in _ISOLATION_RECIPES})
-    assert choices == {cmd: list(SCENARIOS)
-                       for cmd in ("solve", "sample", "find-attractor", "verify-lyapunov")}
+
+    def choices(dest):
+        return {cmd: a.choices for cmd, p in sub.choices.items()
+                for a in p._actions if a.dest == dest}
+
+    scenarios = choices("scenario")
+    assert scenarios.pop("design-noise") == sorted({s for s, _ in _ISOLATION_RECIPES})
+    assert scenarios == {cmd: list(SCENARIOS)
+                         for cmd in ("solve", "sample", "find-attractor", "verify-lyapunov")}
+    assert choices("shape") == {cmd: list(SHAPES) for cmd in ("hopf", "solve", "sample")}
 
 
 def _fplab_names(tree: ast.Module) -> set[str]:

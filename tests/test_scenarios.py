@@ -66,6 +66,24 @@ def test_schedule_shapes():
         build_schedule(g, (0.2, 0.1), "bogus")
 
 
+@pytest.mark.parametrize("mode", ["reflecting", "vanishing-at-boundary"])
+def test_schedule_shapes_match_their_formulas(mode):
+    # each shape's members are eps times these products, in this order
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
+    xx, yy = g.centers()
+    taper = scenarios.boundary_taper(g) if mode != "reflecting" else np.ones((32, 32))
+    s = (1.0 + 0.5 * xx / (1.0 + xx**2 + yy**2)) * taper
+    formulas = {"iso": (taper, 0.0 * taper, taper), "aniso": (taper, 0.0 * taper, 0.5 * taper),
+                "modulated": (s, 0.0 * s, 0.5 * s)}
+    assert sorted(formulas) == sorted(scenarios.SHAPES)
+    for shape, base in formulas.items():
+        (_, a), = build_schedule(g, (0.2,), shape, mode)
+        for name, b in zip(("a11", "a12", "a22"), base):
+            assert getattr(a, name).tobytes() == (0.2 * b).tobytes()
+    with pytest.raises(ConfigError, match="schedule.shape"):
+        build_schedule(g, (0.2,), ["iso"])
+
+
 def test_iso_schedule_matches_isotropic_schedule():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
     eps = (0.2, 0.1, 0.05)
