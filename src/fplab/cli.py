@@ -3,7 +3,8 @@
 Subcommands: solve, sample, verify, design-noise, hopf, run, find-attractor,
 verify-lyapunov. Runs are driven by one JSON config document, checked whole by
 RunConfig.from_dict before any work against the run recipe of its scenario
-(scenarios._RUN_RECIPES); outputs go to a run directory holding the config
+(scenarios._RUN_RECIPES); flag values go through the checks of the config
+sections they stand for. Outputs go to a run directory holding the config
 echo, per-eps measure documents, metrics.csv, and a summary document with
 per-assertion pass/fail. Exit codes: 0 all assertions pass, 1 an assertion
 failed or another package error stopped the command (e.g. an infeasible noise
@@ -36,11 +37,14 @@ from .scenarios import (
     SCENARIOS,
     SHAPES,
     ScenarioResult,
+    _config_grid,
     _config_int,
     _design,
     _eps_labels,
     _known,
+    _number,
     _resolve_run,
+    _resolved,
     _RunRecipe,
     build_schedule,
     dictionary_for,
@@ -48,21 +52,14 @@ from .scenarios import (
 )
 
 DEFAULT_WORKERS_ENV = "FPLAB_WORKERS"
-_GRID_KEYS = ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
+_DESIGNED = _RUN_RECIPES["double-well-designed"].params  # design-noise's --ratio
 _CONFIG_KEYS = ("scenario", "grid", "schedule", "output_dir", "seed", "analysis")
 
 
-def _grid(x_min, x_max, y_min, y_max, nx, ny) -> Grid2D:
-    """Grid2D of flag or config values; values it rejects are a config error."""
-    try:
-        return Grid2D(float(x_min), float(x_max), float(y_min), float(y_max), int(nx), int(ny))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("grid", str(exc)) from exc
-
-
 def _flag_scenario(args):
-    """The grid and the scenario named by the domain and scenario flags."""
-    grid = _grid(args.x_min, args.x_max, args.y_min, args.y_max, args.grid_n, args.grid_n)
+    """The grid and the scenario named by the domain and scenario flags, checked as configs are."""
+    grid = _config_grid({"x_min": args.x_min, "x_max": args.x_max, "y_min": args.y_min,
+                         "y_max": args.y_max, "nx": args.grid_n, "ny": args.grid_n})
     return grid, make_scenario(args.scenario, grid, **({} if args.b is None else {"b": args.b}))
 
 
@@ -98,24 +95,18 @@ class RunConfig:
             if not isinstance(raw.get(key, {}), dict):
                 raise ConfigError(key, f"must be a JSON object, got {raw[key]!r}")
         _known("", raw, _CONFIG_KEYS)
-        _known("grid.", raw["grid"], _GRID_KEYS)
         analysis = raw.get("analysis", {})
         resolved = _resolve_run(raw["scenario"], raw["schedule"], analysis)
-        for k in _GRID_KEYS:
-            if k not in raw["grid"]:
-                raise ConfigError(f"grid.{k}", "missing grid field")
-        for k in ("nx", "ny"):  # Grid2D checks the range
-            _config_int(f"grid.{k}", raw["grid"][k])
         cfg = cls(raw["scenario"], raw["grid"], raw["schedule"], raw["output_dir"],
                   _config_int("seed", raw.get("seed", 0), 0, 2**64), analysis, resolved)
-        cfg.build_grid()  # fails here, before any work, on values Grid2D rejects
+        cfg.build_grid()  # fails here, before any work, on a grid value it refuses
         return cfg
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in _CONFIG_KEYS}
 
     def build_grid(self) -> Grid2D:
-        return _grid(*(self.grid[k] for k in _GRID_KEYS))
+        return _config_grid(self.grid)
 
     def run(self) -> ScenarioResult:
         return self.resolved.run(self.resolved, self.build_grid())
@@ -131,11 +122,12 @@ def _load_config(path: Path) -> RunConfig:
 
 
 def _workers() -> int:
-    """The pool size FPLAB_WORKERS: a positive integer, 1 when unset."""
+    """The pool size FPLAB_WORKERS: a JSON integer >= 1, 1 when unset."""
     raw = os.environ.get(DEFAULT_WORKERS_ENV, "1")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ConfigError(DEFAULT_WORKERS_ENV, f"must be a positive integer, got {raw!r}")
-    return int(raw)
+    try:
+        return _config_int(DEFAULT_WORKERS_ENV, json.loads(raw), 1)
+    except json.JSONDecodeError:
+        raise ConfigError(DEFAULT_WORKERS_ENV, f"must be a positive integer, got {raw!r}") from None
 
 
 def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
@@ -277,12 +269,8 @@ def _cmd_verify(args) -> int:
 def _cmd_design_noise(args) -> int:
     grid, scen = _flag_scenario(args)
     eps = _eps_labels(_flag_numbers("schedule.eps", args.eps))
-    if args.target == "equilibrium":
-        print("equilibrium destabilization holds for any normal family; "
-              "use `run`/`solve` with an isotropic schedule and the "
-              "verify-repelling harness in the test suite", file=sys.stderr)
-        return 2
-    fam = _design(scen, args.target, scen.vector_field(grid), args.ratio, eps)[2]
+    ratio = _resolved("scenario", {"ratio": args.ratio}, _DESIGNED)["ratio"]
+    fam = _design(scen, args.target, scen.vector_field(grid), ratio, eps)[2]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fio.save_document(
@@ -297,10 +285,9 @@ def _cmd_design_noise(args) -> int:
 
 
 def _cmd_find_attractor(args) -> int:
-    if not 0.0 < args.t_end < float("inf"):
-        raise ConfigError("t_end", f"must be positive and finite, got {args.t_end!r}")
-    if args.ensemble < 1:
-        raise ConfigError("ensemble", f"must be >= 1, got {args.ensemble}")
+    if not _number("t_end", args.t_end) > 0.0:
+        raise ConfigError("t_end", f"must be positive, got {args.t_end!r}")
+    _config_int("ensemble", args.ensemble, 1)
     grid, scen = _flag_scenario(args)
     # a repeller is sought from seeds in its isolating region: seeds outside
     # it may escape in reverse time, so without one there is nothing to seek
@@ -317,14 +304,15 @@ def _cmd_find_attractor(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fio.save_document(fio.attractor_to_document(approx), out / "attractor.json")
-    print(f"{approx.kind}: {int(approx.mask.sum())} cells flagged -> {out / 'attractor.json'}")
+    print(f"{approx.kind}: {approx.mask.sum()} cells flagged -> {out / 'attractor.json'}")
     return 0
 
 
 def _cmd_verify_lyapunov(args) -> int:
     grid, scen = _flag_scenario(args)
     cert = verify_lyapunov(scen.certificate_samples(grid), scen.vector_field(grid),
-                           args.rho_m, args.gamma, kind=args.kind)
+                           _number("rho_m", args.rho_m), _number("gamma", args.gamma),
+                           kind=args.kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fio.save_document(fio.certificate_to_document(cert), out / "certificate.json")
@@ -390,11 +378,11 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("design-noise", help="construct a shaped null family")
-    p.add_argument("--target", required=True, choices=["attractor", "repeller", "equilibrium"])
+    p.add_argument("--target", required=True, choices=["attractor", "repeller"])
     p.add_argument("--scenario", default="double-well",
                    choices=sorted({s for s, _ in _ISOLATION_RECIPES}))
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=10.0)
+    p.add_argument("--ratio", type=float, default=_DESIGNED["ratio"])
     p.add_argument("--eps", default="0.1,0.05,0.02")
     _add_domain_args(p)
     p.add_argument("--out", required=True)

@@ -271,10 +271,11 @@ class LyapunovCertificate:
 
 def _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma, kind, verified_for,
                  meta) -> LyapunovCertificate:
-    """Certificate of the per-cell ``margins`` on ``mask``, where a cell fails below
-    -slack. It holds ``u`` as given: callers pass a copy that may become read-only."""
+    """Certificate of the per-cell ``margins`` on ``mask``, where a cell fails unless
+    its margin is >= -slack (so a NaN margin fails), and which fails if ``mask`` is
+    empty. It holds ``u`` as given: callers pass a copy that may become read-only."""
     margins = np.where(mask, margins, np.inf)
-    violations = tuple(map(tuple, np.argwhere(mask & (margins < -slack))))
+    violations = tuple(map(tuple, np.argwhere(mask & ~(margins >= -slack))))
     return LyapunovCertificate(
         grid=grid,
         u=u,
@@ -283,7 +284,7 @@ def _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma, kind, verif
         gamma=float(gamma),
         kind=kind,
         verified_for=verified_for,
-        passed=len(violations) == 0,
+        passed=bool(mask.any()) and not violations,
         worst_margin=float(margins[mask].min()) if mask.any() else np.inf,
         slack=float(slack),
         violations=violations,

@@ -27,8 +27,8 @@ class Grid1D:
     def __post_init__(self):
         if self.nx < MIN_CELLS:
             raise ValueError(f"nx must be >= {MIN_CELLS}, got {self.nx}")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        if not 0.0 < self.x_max - self.x_min < np.inf:
+            raise ValueError("x_max must exceed x_min by a finite extent")
 
     @property
     def hx(self) -> float:
@@ -67,8 +67,8 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < MIN_CELLS or self.ny < MIN_CELLS:
             raise ValueError(f"nx and ny must be >= {MIN_CELLS}, got {self.nx}x{self.ny}")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("domain bounds must have positive extent")
+        if not (0.0 < self.x_max - self.x_min < np.inf and 0.0 < self.y_max - self.y_min < np.inf):
+            raise ValueError("domain bounds must have positive finite extent")
 
     @property
     def hx(self) -> float:

@@ -198,24 +198,42 @@ def _known(prefix: str, section: dict, known) -> None:
 
 
 def _checked(field: str, value, default):
-    """``value`` checked by its default's kind: float, int (>= 2), threshold
+    """``value`` checked by the kind ``default`` is or has: float, int (>= 2), threshold
     map, or None (eps). A name (str) is checked where it is looked up."""
+    kind = default if isinstance(default, type) else type(default)
     if default is None:
         return _eps_labels(value)
-    if isinstance(default, float):
+    if kind is float:
         return _number(field, value)
-    if isinstance(default, int):
+    if kind is int:
         return _config_int(field, value, 2)
-    if isinstance(default, dict):
+    if kind is dict:
         return _thresholds(value, default)
     return value
 
 
 def _resolved(section: str, raw: dict, table: dict) -> dict:
     """Every key of ``table`` ({key: default}) with the checked value that
-    ``raw``, a config section, gives it, or else its default."""
+    ``raw``, a config section, gives it, or else its default. A kind (float,
+    int) in place of a default makes the key required."""
     _known(f"{section}.", raw, table)
+    for k, d in table.items():
+        if isinstance(d, type) and k not in raw:
+            raise ConfigError(f"{section}.{k}", f"missing {section} field")
     return {k: _checked(f"{section}.{k}", raw.get(k, d), d) for k, d in table.items()}
+
+
+_GRID = {"x_min": float, "x_max": float, "y_min": float, "y_max": float, "nx": int, "ny": int}
+
+
+def _config_grid(raw: dict) -> Grid2D:
+    """The Grid2D of a grid section (_GRID: no defaults), of a run config or of the
+    domain flags; a value it refuses is a config error."""
+    bounds = _resolved("grid", raw, _GRID)
+    try:
+        return Grid2D(**bounds)
+    except ValueError as exc:
+        raise ConfigError("grid", str(exc)) from exc
 
 
 def make_scenario(name: str, grid: Grid2D | None = None, /, **params) -> Scenario:
@@ -490,16 +508,13 @@ def run_hopf_sweep(
     return out
 
 
-def run_gibbs(
-    phi_fn,
-    schedule: NullFamilySchedule,
-    grid: Grid2D,
-) -> ScenarioResult:
-    """Gradient-drift oracle runs: V = -grad(Phi) with A = eps I has the exact
-    stationary density exp(-Phi/eps); reports per-eps L1 errors."""
+def run_gibbs(phi_fn, drift_fn, schedule: NullFamilySchedule, grid: Grid2D) -> ScenarioResult:
+    """Gradient-drift oracle runs: the drift ``drift_fn`` = -grad(Phi) with
+    A = eps I has the exact stationary density exp(-Phi/eps); reports per-eps
+    L1 errors."""
     xx, yy = grid.centers()
     phi = phi_fn(xx, yy)
-    v = sample_vector_field(lambda x, y: _neg_grad(phi_fn, x, y), grid)
+    v = sample_vector_field(drift_fn, grid)
 
     results = solve_family(v, schedule, grid)
     report = ConvergenceReport()
@@ -525,13 +540,6 @@ def run_gibbs(
             left_mass=float(mu.weights[xx < 0].sum()),
         )
     return out
-
-
-def _neg_grad(phi_fn, x, y):
-    h = 1e-6
-    px = (phi_fn(x + h, y) - phi_fn(x - h, y)) / (2 * h)
-    py = (phi_fn(x, y + h) - phi_fn(x, y - h)) / (2 * h)
-    return -px, -py
 
 
 @dataclass(frozen=True)
@@ -650,7 +658,8 @@ def _run_hopf(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
 
 
 def _run_double_well(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
-    return run_gibbs(double_well_potential, build_schedule(grid, **run.schedule), grid)
+    return run_gibbs(double_well_potential, run.solved(grid).drift_fn,
+                     build_schedule(grid, **run.schedule), grid)
 
 
 def _run_double_well_designed(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:

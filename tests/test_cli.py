@@ -171,6 +171,15 @@ _BAD_VALUES = [
     (["run", {"grid": {"ny": "16"}}], "grid.ny"),
     (["solve", "--scenario", "ou2d", "--b", "5", "--grid-n", "24", "--eps", "0.2"], "scenario.b"),
     (["verify"], "config"),
+    # grid values and the other number flags are checked as config sections are
+    (["run", {"grid": {"x_min": True}}], "grid.x_min"),
+    (["run", {"grid": {"x_min": "-2.5"}}], "grid.x_min"),
+    (["run", {"grid": {"x_min": float("-inf")}}], "grid.x_min"),
+    (["solve", "--x-min=-inf"], "grid.x_min"),
+    (["sample", "--x-min=-1e308", "--x-max=1e308"], "grid"),
+    (["design-noise", "--target", "attractor", "--ratio", "nan"], "scenario.ratio"),
+    (["verify-lyapunov", "--gamma=nan"], "gamma"),
+    (["verify-lyapunov", "--rho-m=nan"], "rho_m"),
 ]
 
 
@@ -501,6 +510,8 @@ def test_cli_verify_lyapunov(tmp_path):
     rc2 = main(["verify-lyapunov", "--scenario", "hopf", "--rho-m", "0.2",
                 "--gamma", "5.0", "--grid-n", "64", "--out", str(out)])
     assert rc2 == 1
+    # no cell has U > 1e9: an empty check is no pass
+    assert main(["verify-lyapunov", "--rho-m=1e9", "--grid-n", "64", "--out", str(out)]) == 1
 
 
 # (argv without --out, exit code): commands that factor no matrix

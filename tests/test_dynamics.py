@@ -169,6 +169,28 @@ def test_uniform_fails_for_large_member(hopf_grid, hopf_field, radial_u):
     assert first == 1  # passes from the second member on
 
 
+# a NaN margin is no pass, nor is a band {rho_m < U < max U + 1} with no cell
+# in it; the first case shows that the inputs, not the field, fail the others
+@pytest.mark.parametrize("rho_m,gamma,passed", [(1.5, 0.7, True), (1.5, np.nan, False),
+                                                (1e9, 0.7, False)],
+                         ids=["control", "nan-gamma", "empty-band"])
+@pytest.mark.parametrize("verified_for", ["ode", "operator-family"])
+def test_certificate_fails_closed(hopf_grid, hopf_field, radial_u, verified_for, rho_m, gamma,
+                                  passed):
+    if verified_for == "ode":
+        certs = [verify_lyapunov(radial_u, hopf_field, rho_m, gamma)]
+    else:
+        fam = isotropic_schedule(hopf_grid, (0.1, 0.05))
+        certs, uniform, first = verify_uniform_lyapunov(radial_u, hopf_field, fam, rho_m, gamma)
+        assert uniform is passed and (first == 0 if passed else first is None)
+    for cert in certs:
+        assert cert.verified_for == verified_for
+        assert cert.passed is passed
+        # every checked cell is a violation when gamma is NaN
+        assert len(cert.violations) == (int(np.sum((radial_u > rho_m) & (radial_u < cert.rho_M)))
+                                        if np.isnan(gamma) else 0)
+
+
 def test_lasalle_consistency(hopf_grid, hopf_field, radial_u):
     # omega-limit points of the b=1 flow land in {V.grad U = 0} = {U=0}+{U=1}
     for x0 in ((0.3, 0.1), (1.4, -0.2), (0.05, 0.0)):

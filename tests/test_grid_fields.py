@@ -16,7 +16,7 @@ from fplab.fields import (
     sample_diffusion_field,
     sample_vector_field,
 )
-from fplab.grid import Grid1D, Grid2D, dilate
+from fplab.grid import Grid1D, Grid2D, dilate, grid_from_metadata
 
 
 def test_grid_geometry():
@@ -35,6 +35,19 @@ def test_grid_rejects_tiny():
         Grid2D(-1, 1, -1, 1, 4, 16)
     with pytest.raises(ValueError):
         Grid1D(0.0, 0.0, 16)
+
+
+# an extent that overflows to inf, an infinite bound, and a NaN bound
+@pytest.mark.parametrize("x_min,x_max", [(-1e308, 1e308), (-np.inf, 1.0), (np.nan, 1.0)])
+def test_grid_refuses_non_finite_extent(x_min, x_max):
+    # grids also arrive from documents, whose JSON may hold -Infinity or NaN
+    meta = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8).metadata()
+    with pytest.raises(ValueError, match="finite extent"):
+        grid_from_metadata({**meta, "x_min": x_min, "x_max": x_max})
+    with pytest.raises(ValueError, match="finite extent"):
+        grid_from_metadata({**meta, "y_min": x_min, "y_max": x_max})
+    with pytest.raises(ValueError, match="finite extent"):
+        Grid1D(x_min, x_max, 8)
 
 
 def test_cell_index_roundtrip():

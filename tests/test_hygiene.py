@@ -95,6 +95,47 @@ def test_module_level_scipy_import_is_detected():
         "scipy.sparse (line 1)", "scipy (line 2)", "scipy.sparse (line 4)", "scipy (line 8)"]
 
 
+def _bare_number_casts(tree: ast.Module) -> list[str]:
+    """Calls of the builtins float and int outside ``_flag_numbers``, the one
+    function that turns the text of a flag into numbers."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "_flag_numbers":
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("float", "int")):
+            found.append(f"{node.func.id} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_cli_checks_inputs_only_through_the_section_tables():
+    # flag values go through the same checks as run-config values
+    # (scenarios._resolved, _number, _config_int); a float() or int() in cli.py
+    # would be a second check path, as the grid coercion once was
+    assert _bare_number_casts(ast.parse((ROOT / "src" / "fplab" / "cli.py").read_text())) == []
+
+
+def test_bare_number_cast_is_detected():
+    tree = ast.parse(
+        "LIMIT = int('3')\n"
+        "def _flag_numbers(text):\n"
+        "    return [float(v) for v in text.split(',')]\n"
+        "def _grid(args):\n"
+        "    p.add_argument('--n', type=int)\n"
+        "    return Grid2D(float(args.x), np.float64(args.y), round(args.n))\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        return [int(v) for v in self.x if float(v)]\n"
+    )
+    assert _bare_number_casts(tree) == [
+        "int (line 1)", "float (line 6)", "int (line 9)", "float (line 9)"]
+
+
 def _stale_exports(tree: ast.Module) -> list[str]:
     """Names in ``__all__`` that nothing at the module's top level binds."""
     bound, exported = set(), []

@@ -9,6 +9,7 @@ from fplab.scenarios import (
     build_schedule,
     delta_at,
     dictionary_for,
+    double_well_drift,
     double_well_potential,
     haar_on_circle,
     hopf_drift,
@@ -119,7 +120,7 @@ def test_dictionary_registry():
 def test_run_gibbs_symmetric_split():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
     sched = build_schedule(g, (0.2, 0.1), "iso")
-    res = run_gibbs(double_well_potential, sched, g)
+    res = run_gibbs(double_well_potential, double_well_drift, sched, g)
     assert not res.errors
     for row in res.report.rows:
         assert row["l1_error"] < 6e-3
@@ -186,7 +187,7 @@ def test_designed_comparison_rejects_unknown_target():
 def test_metrics_csv_shape():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
     sched = build_schedule(g, (0.2, 0.1), "iso")
-    res = run_gibbs(double_well_potential, sched, g)
+    res = run_gibbs(double_well_potential, double_well_drift, sched, g)
     csv = res.report.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0].startswith("eps,")
