@@ -7,6 +7,9 @@ the angular marginal's W1 distance to uniform. The exponential sublevel-set
 bounds follow the level-set estimates: mass outside {U < rho} is bounded by
 exp(-gamma * int_{rho_m}^{rho} dt/H(t)) with H an upper envelope of
 a^{ij} d_i U d_j U on level bands.
+
+Each function here gives metric values of one solved member; the runners of
+``scenarios`` keep them with the member's eps and measure in one record.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "lyapunov_upper_bound",
     "anti_lyapunov_lower_bound",
     "LyapunovBound",
-    "ConvergenceReport",
 ]
 
 
@@ -415,29 +417,3 @@ def anti_lyapunov_lower_bound(
     return replace(bound, value=float(np.exp(cert.gamma * bound.integral))
                    if bound.hypothesis_ok else 1.0)
 
-
-# ---------------------------------------------------------------------------
-# per-family report
-
-@dataclass
-class ConvergenceReport:
-    """Per-eps convergence metrics for a solved family."""
-
-    eps: list = field(default_factory=list)
-    rows: list = field(default_factory=list)  # dicts of metric name -> value
-
-    def add(self, eps: float, **metrics):
-        self.eps.append(float(eps))
-        self.rows.append({k: float(v) for k, v in metrics.items()})
-
-    def series(self, key: str) -> np.ndarray:
-        return np.asarray([row[key] for row in self.rows])
-
-    def to_csv(self) -> str:
-        if not self.rows:
-            return "eps\n"
-        keys = list(self.rows[0].keys())
-        lines = [",".join(["eps"] + keys)]
-        for e, row in zip(self.eps, self.rows):
-            lines.append(",".join([repr(e)] + [repr(row[k]) for k in keys]))
-        return "\n".join(lines) + "\n"

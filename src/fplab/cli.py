@@ -5,8 +5,9 @@ verify-lyapunov. Runs are driven by one JSON config document, checked whole by
 RunConfig.from_dict before any work against the run recipe of its scenario
 (scenarios._RUN_RECIPES); flag values go through the checks of the config
 sections they stand for. Outputs go to a run directory holding the config
-echo, per-eps measure documents, metrics.csv, and a summary document with
-per-assertion pass/fail. Exit codes: 0 all assertions pass, 1 an assertion
+echo and, from the result's member records, per-eps measure documents,
+metrics.csv and a summary document with per-assertion pass/fail; every file is
+written through ``io``. Exit codes: 0 all assertions pass, 1 an assertion
 failed or another package error stopped the command (e.g. an infeasible noise
 design), 2 configuration error: a missing, unknown or invalid config field or
 flag value (a non-finite number, a bool or a string where a number is due),
@@ -133,9 +134,9 @@ def _workers() -> int:
 def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
     out_dir.mkdir(parents=True, exist_ok=True)
     fio.save_document(cfg.to_dict(), out_dir / "config.json")
-    for eps, mu in result.measures:
+    for eps, mu, _ in result.members:
         fio.save_document(fio.measure_to_document(mu), out_dir / f"measure_eps{eps!r}.json")
-    (out_dir / "metrics.csv").write_text(result.report.to_csv())
+    fio.save_csv([{"eps": eps, **row} for eps, _, row in result.members], out_dir / "metrics.csv")
     fio.save_document(result.to_document(), out_dir / "summary.json")
 
 
@@ -258,9 +259,7 @@ def _cmd_verify(args) -> int:
         res = invariance_residual(mu, v, dic)
         rows.append({"eps": eps, "residual_max": res.max,
                      "angular_w1": angular_w1_to_uniform(mu)})
-    lines = ["eps,residual_max,angular_w1"]
-    lines += [f"{r['eps']!r},{r['residual_max']!r},{r['angular_w1']!r}" for r in rows]
-    (run_dir / "verify.csv").write_text("\n".join(lines) + "\n")
+    fio.save_csv(rows, run_dir / "verify.csv")
     fio.save_document({"format": fio.FORMATS["verify"], "rows": rows}, run_dir / "verify.json")
     print(f"verified {len(rows)} measures -> {run_dir / 'verify.json'}")
     return 0

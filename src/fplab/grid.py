@@ -14,6 +14,7 @@ import numpy as np
 __all__ = ["Grid1D", "Grid2D", "dilate"]
 
 MIN_CELLS = 8
+MIN_WIDTH = 1.0 / np.sqrt(np.finfo(float).max)  # the narrowest cell h whose 1/h^2 is finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,8 @@ class Grid1D:
             raise ValueError(f"nx must be >= {MIN_CELLS}, got {self.nx}")
         if not 0.0 < self.x_max - self.x_min < np.inf:
             raise ValueError("x_max must exceed x_min by a finite extent")
+        if not self.hx >= MIN_WIDTH:  # the face rates divide by h^2
+            raise ValueError(f"cells of width {self.hx:g} are too small: 1/h^2 is not finite")
 
     @property
     def hx(self) -> float:
@@ -69,6 +72,9 @@ class Grid2D:
             raise ValueError(f"nx and ny must be >= {MIN_CELLS}, got {self.nx}x{self.ny}")
         if not (0.0 < self.x_max - self.x_min < np.inf and 0.0 < self.y_max - self.y_min < np.inf):
             raise ValueError("domain bounds must have positive finite extent")
+        if not min(self.hx, self.hy) >= MIN_WIDTH:  # the face rates divide by h^2
+            raise ValueError(f"cells of {self.hx:g} x {self.hy:g} are too small: "
+                             "1/h^2 is not finite")
 
     @property
     def hx(self) -> float:

@@ -1,11 +1,14 @@
-"""Self-describing JSON documents for grids, fields, measures, and certificates.
+"""Self-describing JSON documents for grids, fields, measures, and certificates,
+and the per-eps CSV tables; this is the one module that writes files.
 
 Every document carries a ``format`` tag, and field documents a ``grid`` header
 and flat row-major value arrays. Floats are serialized with ``repr`` (via the
 json module), which round-trips bit-identically. FORMATS holds every format tag
 the package writes: the measure, diffusion, schedule, certificate and attractor
 documents are built here, the run summaries and timings by ``cli`` and
-``scenarios``. The field names are part of the public interface.
+``scenarios``. The field names are part of the public interface. save_csv
+writes a table of one row per noise level (a run's ``metrics.csv``, the
+``verify.csv`` of ``fplab verify``) with the same ``repr`` floats.
 """
 
 from __future__ import annotations
@@ -123,6 +126,14 @@ def attractor_to_document(approx: AttractorApprox) -> dict:
 
 def save_document(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
+
+
+def save_csv(rows: list, path) -> None:
+    """Rows of {column: float}, one per noise level and eps first, as CSV with the
+    first row's keys as header; a table with no rows keeps its eps column."""
+    keys = list(rows[0]) if rows else ["eps"]
+    lines = [",".join(keys)] + [",".join(repr(row[k]) for k in keys) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_document(path) -> dict:

@@ -7,9 +7,10 @@ against it once: NaN, Infinity, a bool or a string where a number is due is a
 config error.
 
 Each runner returns a ScenarioResult embedding the full configuration
-(grid, schedule, seeds, shaping ratio, dictionary version), per-eps metric
-rows, and named assertion verdicts, so any row is re-derivable from the
-result document alone.
+(grid, schedule, seeds, shaping ratio, dictionary version), one member record
+(eps, measure, {metric: value}) per solved noise level, the error of each
+member that failed, and named assertion verdicts, so any row is re-derivable
+from the result document alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .analysis import (
     RHO_MESH,
-    ConvergenceReport,
     TestFunctionDictionary,
     angular_w1_to_uniform,
     bl_distance,
@@ -159,8 +159,14 @@ class Scenario:
     def limit_measure(self, grid: Grid2D) -> DiscreteMeasure:
         return SCENARIOS[self.name].limit(self.params, grid)
 
-    def uniform_gamma(self, rho_m: float, amax: float) -> float:
-        return SCENARIOS[self.name].gamma(self.params, rho_m, amax)
+    def uniform_certificates(self, v: VectorField, schedule: NullFamilySchedule, rho_m: float):
+        """(gamma, member certificates, all passed) of U = x^2 + y^2 on ``schedule``, with
+        gamma from the table's row for rho_m and the largest member |A|."""
+        amax = max(A.max_norm() for _, A in schedule)
+        gamma = SCENARIOS[self.name].gamma(self.params, rho_m, amax)
+        certs, passed, _ = verify_uniform_lyapunov(self.certificate_samples(v.grid), v,
+                                                   schedule, rho_m, gamma)
+        return gamma, certs, passed
 
 
 def _number(field: str, value) -> float:
@@ -348,13 +354,31 @@ def dictionary_for(name: str, grid: Grid2D) -> TestFunctionDictionary:
 
 @dataclass
 class ScenarioResult:
+    """A family run: one record (eps, measure, {metric: value}) per solved member, in
+    schedule order; to_document keeps each eps and metric row, not the measures."""
+
     scenario: str
     config: dict
-    report: ConvergenceReport
+    members: list = field(default_factory=list)     # (eps, DiscreteMeasure, {metric: value})
     assertions: list = field(default_factory=list)  # (name, passed, value, threshold)
     errors: list = field(default_factory=list)      # (eps, repr(exception))
     extra: dict = field(default_factory=dict)
-    measures: list = field(default_factory=list)    # (eps, DiscreteMeasure); not serialized
+
+    def add(self, eps: float, mu: DiscreteMeasure, **metrics):
+        self.members.append((float(eps), mu, {k: float(v) for k, v in metrics.items()}))
+
+    def series(self, key: str) -> np.ndarray:
+        """Metric ``key`` of every member, in schedule order."""
+        return np.asarray([row[key] for _, _, row in self.members])
+
+    def solved(self, results):
+        """The solved (eps, mu, report) items of solve_family ``results``; each
+        failed member is recorded in ``errors`` instead."""
+        for eps, mu, rep in results:
+            if mu is None:
+                self.errors.append((eps, repr(rep)))
+            else:
+                yield eps, mu, rep
 
     def record(self, name: str, passed: bool, value, threshold):
         self.assertions.append((name, bool(passed), float(value), float(threshold)))
@@ -368,8 +392,8 @@ class ScenarioResult:
             "format": FORMATS["scenario_result"],
             "scenario": self.scenario,
             "config": self.config,
-            "eps": list(self.report.eps),
-            "metrics": self.report.rows,
+            "eps": [e for e, _, _ in self.members],
+            "metrics": [row for _, _, row in self.members],
             "assertions": [
                 {"name": n, "passed": p, "value": v, "threshold": t}
                 for n, p, v, t in self.assertions
@@ -377,13 +401,6 @@ class ScenarioResult:
             "errors": [{"eps": e, "error": msg} for e, msg in self.errors],
             "extra": self.extra,
         }
-
-
-def _strictly(series, direction):
-    s = list(series)
-    if direction == "increasing":
-        return all(b > a for a, b in zip(s, s[1:]))
-    return all(b < a for a, b in zip(s, s[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +426,6 @@ def run_hopf_sweep(
     v = scen.vector_field(grid)
     xx, yy = grid.centers()
     r = np.hypot(xx, yy)
-    u_cert = scen.certificate_samples(grid)
     dictionary = dictionary or dictionary_for(_DEFAULT_DICTIONARY, grid)
 
     sqrt_b = float(np.sqrt(b)) if b > 0 else 0.0
@@ -422,12 +438,9 @@ def run_hopf_sweep(
     # outside rho_m; gamma from the largest member (see Hopf drift identity
     # V.grad U = 2U(b - U))
     rho_m = max(1.5 * b, 1.0)
-    amax = max(A.max_norm() for _, A in schedule)
-    gamma = scen.uniform_gamma(rho_m, amax)
-    certs, uniform_ok, _ = verify_uniform_lyapunov(u_cert, v, schedule, rho_m, gamma)
+    gamma, certs, uniform_ok = scen.uniform_certificates(v, schedule, rho_m)
+    by_eps = {eps: (cert, a) for (eps, a), cert in zip(schedule, certs)}
 
-    results = solve_family(v, schedule, grid)
-    report = ConvergenceReport()
     out = ScenarioResult(
         scenario="hopf",
         config={
@@ -441,27 +454,21 @@ def run_hopf_sweep(
             "rho_m": rho_m,
             "gamma": gamma,
         },
-        report=report,
     )
     out.extra["uniform_lyapunov_pass"] = bool(uniform_ok)
-    for (eps, mu, rep), cert, (_, a_member) in zip(results, certs, schedule):
-        if mu is None:
-            out.errors.append((eps, repr(rep)))
-            continue
-        out.measures.append((eps, mu))
+    for eps, mu, rep in out.solved(solve_family(v, schedule, grid)):
+        cert, a_member = by_eps[eps]
         res = invariance_residual(mu, v, dictionary)
         blr = bl_distance(mu, reference, dictionary)
-        bound_ok = 1.0
-        bound_margin = np.inf
-        if cert.passed:
-            for rho in np.linspace(rho_m + 0.25, min(4.0, cert.rho_M - 0.5), 5):
-                bnd = lyapunov_upper_bound(cert, a_member, float(rho), rho_mesh)
-                ext = 1.0 - float(mu.weights[u_cert < rho].sum())
-                bound_margin = min(bound_margin, bnd.value - ext)
-                if bnd.value < ext:
-                    bound_ok = 0.0
-        report.add(
-            eps,
+        # levels from rho_m + 0.25 up to 4; a member with no certificate or no such
+        # level (b > 2.5 on the default box) fails closed
+        lo, hi = rho_m + 0.25, min(4.0, cert.rho_M - 0.5)
+        levels = np.linspace(lo, hi, 5) if cert.passed and lo <= hi else ()
+        # bound on the mass outside {U < rho} minus that mass
+        margins = [lyapunov_upper_bound(cert, a_member, float(rho), rho_mesh).value
+                   - (1.0 - float(mu.weights[cert.u < rho].sum())) for rho in levels]
+        out.add(
+            eps, mu,
             mass_annulus=float(mu.weights[annulus].sum()),
             mass_origin_ball=float(mu.weights[origin_ball].sum()),
             mass_center=float(mu.weights[center_ball].sum()),
@@ -469,23 +476,23 @@ def run_hopf_sweep(
             residual_max=res.max,
             bl_to_reference=blr.value,
             radial_w1_to_reference=blr.radial_w1,
-            exterior_bound_ok=bound_ok,
-            exterior_bound_margin=float(bound_margin),
+            exterior_bound_ok=bool(margins) and min(margins) >= 0.0,
+            exterior_bound_margin=min(margins, default=np.inf),
             solve_residual=rep.residual,
             min_weight=rep.min_weight,
         )
 
-    if len(report.eps) >= 2:
+    if len(out.members) >= 2:
         if b > 0:
-            ann = report.series("mass_annulus")
-            org = report.series("mass_origin_ball")
-            aw1 = report.series("angular_w1")
-            resid = report.series("residual_max")
-            out.record("annulus_mass_increasing", _strictly(ann, "increasing"), ann[-1], ann[0])
+            ann = out.series("mass_annulus")
+            org = out.series("mass_origin_ball")
+            aw1 = out.series("angular_w1")
+            resid = out.series("residual_max")
+            out.record("annulus_mass_increasing", np.all(np.diff(ann) > 0), ann[-1], ann[0])
             out.record("annulus_mass_final", ann[-1] >= th["annulus_final"], ann[-1], th["annulus_final"])
-            out.record("origin_mass_decreasing", _strictly(org, "decreasing"), org[-1], org[0])
+            out.record("origin_mass_decreasing", np.all(np.diff(org) < 0), org[-1], org[0])
             out.record("origin_mass_final", org[-1] <= th["origin_final"], org[-1], th["origin_final"])
-            out.record("angular_w1_decreasing", _strictly(aw1, "decreasing"), aw1[-1], aw1[0])
+            out.record("angular_w1_decreasing", np.all(np.diff(aw1) < 0), aw1[-1], aw1[0])
             out.record("angular_w1_final", aw1[-1] <= th["angular_w1_final"], aw1[-1], th["angular_w1_final"])
             out.record(
                 "residual_ratio_final",
@@ -493,16 +500,16 @@ def run_hopf_sweep(
                 resid[-1] / max(resid[0], 1e-300),
                 th["residual_ratio_final"],
             )
-            bl = report.series("bl_to_reference")
-            out.record("bl_to_haar_decreasing", _strictly(bl, "decreasing"), bl[-1], bl[0])
+            bl = out.series("bl_to_reference")
+            out.record("bl_to_haar_decreasing", np.all(np.diff(bl) < 0), bl[-1], bl[0])
         else:
-            ctr = report.series("mass_center")
-            out.record("center_mass_increasing", _strictly(ctr, "increasing"), ctr[-1], ctr[0])
+            ctr = out.series("mass_center")
+            out.record("center_mass_increasing", np.all(np.diff(ctr) > 0), ctr[-1], ctr[0])
             out.record("center_mass_final", ctr[-1] >= th["center_final"], ctr[-1], th["center_final"])
         out.record(
             "exterior_bound_all_ok",
-            bool(np.all(report.series("exterior_bound_ok") > 0)),
-            float(report.series("exterior_bound_margin").min()),
+            bool(np.all(out.series("exterior_bound_ok") > 0)),
+            float(out.series("exterior_bound_margin").min()),
             0.0,
         )
     return out
@@ -516,25 +523,17 @@ def run_gibbs(phi_fn, drift_fn, schedule: NullFamilySchedule, grid: Grid2D) -> S
     phi = phi_fn(xx, yy)
     v = sample_vector_field(drift_fn, grid)
 
-    results = solve_family(v, schedule, grid)
-    report = ConvergenceReport()
     out = ScenarioResult(
         scenario="gibbs",
         config={"grid": grid.metadata(), "eps": list(schedule.eps),
                 "invariance_mode": schedule.invariance_mode},
-        report=report,
     )
-    for eps, mu, rep in results:
-        if mu is None:
-            out.errors.append((eps, repr(rep)))
-            continue
-        out.measures.append((eps, mu))
+    for eps, mu, rep in out.solved(solve_family(v, schedule, grid)):
         ref = np.exp(-(phi - phi.min()) / eps)
         ref /= ref.sum()
-        l1 = float(np.abs(mu.weights - ref).sum())
-        report.add(
-            eps,
-            l1_error=l1,
+        out.add(
+            eps, mu,
+            l1_error=float(np.abs(mu.weights - ref).sum()),
             solve_residual=rep.residual,
             min_weight=rep.min_weight,
             left_mass=float(mu.weights[xx < 0].sum()),
@@ -591,19 +590,12 @@ def run_designed_comparison(
     region = recipe.region(*grid.centers())
 
     # every designed member must carry the global uniform certificate
-    u_glob = scenario.certificate_samples(grid)
-    amax = max(A.max_norm() for _, A in designed.schedule)
     rho_m = 1.5
-    gamma_glob = scenario.uniform_gamma(rho_m, amax)
-    certs, uniform_ok, _ = verify_uniform_lyapunov(
-        u_glob, v, designed.schedule, rho_m, gamma_glob
-    )
+    gamma_glob, _, uniform_ok = scenario.uniform_certificates(v, designed.schedule, rho_m)
 
-    uniform = isotropic_schedule(grid, eps_list)
     res_designed = solve_family(v, designed.schedule, grid)
-    res_uniform = solve_family(v, uniform, grid)
+    res_uniform = solve_family(v, isotropic_schedule(grid, eps_list), grid)
 
-    report = ConvergenceReport()
     out = ScenarioResult(
         scenario=f"{scenario.name}-designed-{target}",
         config={
@@ -617,7 +609,6 @@ def run_designed_comparison(
             "rho_m": rho_m,
             "gamma": gamma_glob,
         },
-        report=report,
     )
     out.extra["uniform_lyapunov_pass"] = bool(uniform_ok)
     out.extra["ratio_condition"] = designed.ratio_condition()
@@ -626,25 +617,21 @@ def run_designed_comparison(
         for k, val in designed.meta.items()
     }
 
-    dominance = []
     for (eps, mu_d, rep_d), (_, mu_u, rep_u) in zip(res_designed, res_uniform):
         if mu_d is None or mu_u is None:
             out.errors.append((eps, repr(rep_d if mu_d is None else rep_u)))
             continue
-        out.measures.append((eps, mu_d))
-        md = float(mu_d.weights[region].sum())
-        mu_ = float(mu_u.weights[region].sum())
-        dominance.append(md > mu_ if target == "attractor" else md < mu_)
-        report.add(eps, designed_mass=md, uniform_mass=mu_)
-    if dominance:
-        final_d = report.series("designed_mass")[-1]
-        final_u = report.series("uniform_mass")[-1]
+        out.add(eps, mu_d, designed_mass=mu_d.weights[region].sum(),
+                uniform_mass=mu_u.weights[region].sum())
+    if out.members:
+        md, mu_ = out.series("designed_mass"), out.series("uniform_mass")
+        dominance = md > mu_ if target == "attractor" else md < mu_
         if target == "attractor":
-            out.record("designed_final_mass", final_d >= 0.9, final_d, 0.9)
-            out.record("uniform_symmetric_split", abs(final_u - 0.5) <= 0.02, final_u, 0.5)
+            out.record("designed_final_mass", md[-1] >= 0.9, md[-1], 0.9)
+            out.record("uniform_symmetric_split", abs(mu_[-1] - 0.5) <= 0.02, mu_[-1], 0.5)
         else:
-            out.record("designed_final_mass", final_d <= 0.01, final_d, 0.01)
-        out.record("dominance_every_eps", all(dominance), float(sum(dominance)), float(len(dominance)))
+            out.record("designed_final_mass", md[-1] <= 0.01, md[-1], 0.01)
+        out.record("dominance_every_eps", dominance.all(), dominance.sum(), len(dominance))
     return out
 
 

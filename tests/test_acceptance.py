@@ -194,7 +194,7 @@ def test_criterion_5_hopf_subcritical_as_stated():
     grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
     sched = build_schedule(grid, (0.2, 0.1, 0.05, 0.02), "modulated")
     res = run_hopf_sweep(-0.5, sched, grid)
-    ctr = res.report.series("mass_center")
+    ctr = res.series("mass_center")
     increasing = all(b > a for a, b in zip(ctr, ctr[1:]))
     _line(5, increasing and ctr[-1] >= 0.95,
           f"b=-0.5: mass(r<0.2) = {np.array2string(ctr, precision=3)} "
@@ -209,7 +209,7 @@ def test_criterion_5_demonstration_point_mass_limit():
     grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
     sched = build_schedule(grid, (0.02, 0.005, 0.003), "modulated")
     res = run_hopf_sweep(-0.5, sched, grid)
-    ctr = res.report.series("mass_center")
+    ctr = res.series("mass_center")
     increasing = all(b > a for a, b in zip(ctr, ctr[1:]))
     ok = increasing and ctr[-1] >= 0.95
     _line(5, ok, f"b=-0.5 demonstration: mass(r<0.2) -> {ctr[-1]:.4f} >= 0.95 at eps=0.003 "

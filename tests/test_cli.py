@@ -107,6 +107,8 @@ def test_cli_sample_exit_2_on_bad_sampler_value(tmp_path, capsys, monkeypatch, f
 _BAD_VALUES = [
     (["solve", "--grid-n", "4"], "grid"),
     (["solve", "--x-min", "1", "--x-max", "0"], "grid"),
+    (["solve", "--scenario", "ou2d", "--eps", "0.1", "--x-min", "0", "--x-max", "5e-324",
+      "--grid-n", "8"], "grid"),
     (["sample", "--grid-n", "4"], "grid"),
     (["hopf", "--grid-n", "4"], "grid"),
     (["design-noise", "--target", "attractor", "--x-min", "1", "--x-max", "0"], "grid"),
@@ -297,6 +299,19 @@ def test_cli_hopf_thread_pool_matches_one_worker(tmp_path, monkeypatch):
         shutil.rmtree(out)
     assert len(trees["2"]) == 2 * 5  # per b: config, 2 measures, metrics.csv, summary
     assert trees["2"] == trees["1"]
+
+
+def test_cli_hopf_b_with_no_bound_level_fails_and_writes(tmp_path, capsys):
+    # at b = 3, rho_m = 4.5 leaves the exterior bound no level to check: that
+    # b fails its verdict, and every b still writes its run directory
+    out = tmp_path / "out"
+    rc = main(["hopf", "--b", "3.0,1.0", "--grid-n", "48", "--eps", "0.3,0.15",
+               "--out", str(out)])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "b3.0" / "summary.json").read_text())
+    assert {a["name"]: a["passed"] for a in summary["assertions"]}["exterior_bound_all_ok"] is False
+    assert (out / "b1.0" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("workers", ["abc", "0", "-3"])

@@ -16,7 +16,7 @@ from fplab.fields import (
     sample_diffusion_field,
     sample_vector_field,
 )
-from fplab.grid import Grid1D, Grid2D, dilate, grid_from_metadata
+from fplab.grid import MIN_WIDTH, Grid1D, Grid2D, dilate, grid_from_metadata
 
 
 def test_grid_geometry():
@@ -48,6 +48,19 @@ def test_grid_refuses_non_finite_extent(x_min, x_max):
         grid_from_metadata({**meta, "y_min": x_min, "y_max": x_max})
     with pytest.raises(ValueError, match="finite extent"):
         Grid1D(x_min, x_max, 8)
+
+
+def test_grid_refuses_cells_whose_rates_overflow():
+    # the face rates divide by h^2: a width that underflows to 0 (5e-324 / 8),
+    # or one a step below MIN_WIDTH, gives no finite rate; MIN_WIDTH does
+    for extent in (5e-324, 8 * np.nextafter(MIN_WIDTH, 0.0)):
+        for bounds in ((0.0, extent, -1.0, 1.0), (-1.0, 1.0, 0.0, extent)):
+            with pytest.raises(ValueError, match="too small"):
+                Grid2D(*bounds, 8, 8)
+        with pytest.raises(ValueError, match="too small"):
+            Grid1D(0.0, extent, 8)
+    h = Grid2D(0.0, 8 * MIN_WIDTH, 0.0, 8 * MIN_WIDTH, 8, 8).hx
+    assert h == MIN_WIDTH and np.isfinite(1.0 / np.float64(h) ** 2)
 
 
 def test_cell_index_roundtrip():

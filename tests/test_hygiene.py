@@ -186,6 +186,41 @@ def test_format_tags_live_in_io_formats():
     assert set(tags) == set(FORMATS.values())
 
 
+def _file_writes(tree: ast.Module) -> list[str]:
+    """Calls of the builtin ``open`` and of any ``.open``, ``.write_text`` or
+    ``.write_bytes`` method: the ways a module can write a file."""
+    calls = [(n.lineno, n.func.id if isinstance(n.func, ast.Name) else n.func.attr)
+             for n in ast.walk(tree) if isinstance(n, ast.Call) and (
+                 (isinstance(n.func, ast.Name) and n.func.id == "open")
+                 or (isinstance(n.func, ast.Attribute)
+                     and n.func.attr in ("open", "write_text", "write_bytes")))]
+    return [f"{name} (line {line})" for line, name in sorted(calls)]
+
+
+NOT_IO = [p for p in SRC if p.name != "io.py"]
+
+
+@pytest.mark.parametrize("path", NOT_IO, ids=[p.name for p in NOT_IO])
+def test_only_io_writes_files(path):
+    # every file the package writes goes through io (save_document, save_csv),
+    # so its formats are decided in one module
+    assert _file_writes(ast.parse(path.read_text())) == []
+
+
+def test_file_write_is_detected():
+    tree = ast.parse(
+        "from pathlib import Path\n"
+        "def f(p, doc):\n"
+        "    p.write_text(doc)\n"
+        "    with open(p, 'w') as fh:\n"
+        "        fh.write(doc)\n"
+        "    Path(p).write_bytes(b'')\n"
+        "    return p.read_text(), gzip.open(p), write_text(p)\n"
+    )
+    assert _file_writes(tree) == ["write_text (line 3)", "open (line 4)",
+                                  "write_bytes (line 6)", "open (line 7)"]
+
+
 def test_scenario_choices_come_from_the_tables():
     # the CLI keeps no list of scenario or schedule shape names of its own
     import argparse

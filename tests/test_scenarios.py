@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fplab import scenarios
 from fplab.errors import ConfigError
-from fplab.fields import isotropic_schedule, measure_mass_on
+from fplab.fields import isotropic_schedule, measure_mass_on, sample_vector_field
+from fplab.fpe import assemble
 from fplab.grid import Grid2D
+from fplab.io import save_csv
 from fplab.scenarios import (
     build_schedule,
     delta_at,
@@ -122,7 +126,7 @@ def test_run_gibbs_symmetric_split():
     sched = build_schedule(g, (0.2, 0.1), "iso")
     res = run_gibbs(double_well_potential, double_well_drift, sched, g)
     assert not res.errors
-    for row in res.report.rows:
+    for _, _, row in res.members:
         assert row["l1_error"] < 6e-3
         assert row["left_mass"] == pytest.approx(0.5, abs=0.01)
 
@@ -133,7 +137,7 @@ def test_run_hopf_sweep_small():
     res = run_hopf_sweep(1.0, sched, g)
     assert not res.errors
     assert res.extra["uniform_lyapunov_pass"]
-    ann = res.report.series("mass_annulus")
+    ann = res.series("mass_annulus")
     assert all(b > a for a, b in zip(ann, ann[1:]))  # monotone concentration
     names = [n for n, _, _, _ in res.assertions]
     assert "annulus_mass_increasing" in names
@@ -170,8 +174,8 @@ def test_run_designed_comparison_small():
     assert not res.errors
     assert res.extra["uniform_lyapunov_pass"]
     assert res.extra["ratio_condition"] == pytest.approx(10.0)
-    dm = res.report.series("designed_mass")
-    um = res.report.series("uniform_mass")
+    dm = res.series("designed_mass")
+    um = res.series("uniform_mass")
     assert np.all(dm > um)
     verdicts = {n: p for n, p, _, _ in res.assertions}
     assert verdicts["dominance_every_eps"]
@@ -184,11 +188,62 @@ def test_designed_comparison_rejects_unknown_target():
         run_designed_comparison(scen, "repeller", 10.0, (0.1,), g)
 
 
-def test_metrics_csv_shape():
+def test_metrics_csv_shape(tmp_path):
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
     sched = build_schedule(g, (0.2, 0.1), "iso")
     res = run_gibbs(double_well_potential, double_well_drift, sched, g)
-    csv = res.report.to_csv()
-    lines = csv.strip().split("\n")
+    save_csv([{"eps": eps, **row} for eps, _, row in res.members], tmp_path / "metrics.csv")
+    lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
     assert lines[0].startswith("eps,")
     assert len(lines) == 3
+    # a run whose every member failed keeps its eps column
+    save_csv([], tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == "eps\n"
+
+
+# measured on 200^2 at eps 0.1, 0.05 and 0.02: discretization 5.85e-4, 8.23e-4
+# and 1.26e-3, rounding 2.5e-14, 6.1e-14 and 5.7e-11, and the Gibbs L1 off the
+# discretization part by 6e-15 to 1.3e-14
+def test_gibbs_error_splits_into_discretization_and_rounding(exact_discrete_measure):
+    # the double well's operator has a closed-form stationary measure, so the
+    # Gibbs L1 splits into discretization (closed form against the Gibbs
+    # density) and rounding (solve against the closed form)
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 200, 200)
+    sched = build_schedule(g, (0.1, 0.05, 0.02), "iso")
+    res = run_gibbs(double_well_potential, double_well_drift, sched, g)
+    assert not res.errors and len(res.members) == 3
+    v = sample_vector_field(double_well_drift, g)
+    phi = double_well_potential(*g.centers())
+    for (eps, a), (_, mu, row), measured in zip(sched, res.members, (5.85e-4, 8.23e-4, 1.26e-3)):
+        exact = exact_discrete_measure(assemble(v, a, g))
+        gibbs = np.exp(-(phi - phi.min()) / eps)
+        gibbs /= gibbs.sum()
+        disc = np.abs(exact - gibbs).sum()
+        rounding = np.abs(mu.weights - exact).sum()
+        # the triangle inequality, up to the rounding of three sums of cell terms
+        # (pairwise summation: well under 64 ulp of each sum)
+        sums = 64 * np.finfo(float).eps * (row["l1_error"] + disc + rounding)
+        assert abs(row["l1_error"] - disc) <= rounding + sums
+        assert disc == pytest.approx(measured, rel=0.01)
+        assert rounding <= 1e-6 * disc
+
+
+def test_run_hopf_sweep_exterior_bound_fails_closed(monkeypatch):
+    # b = 3 puts rho_m = 4.5 above the top level (4) the bound is checked at;
+    # that member, like one whose certificate fails, has checked nothing
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 64, 64)
+    sched = build_schedule(g, (0.2, 0.1), "iso")
+    res = run_hopf_sweep(3.0, sched, g)
+    assert list(res.series("exterior_bound_ok")) == [0.0, 0.0]
+    assert not {n: p for n, p, _, _ in res.assertions}["exterior_bound_all_ok"]
+
+    verify = scenarios.verify_uniform_lyapunov
+
+    def last_fails(*args):
+        certs, _, first = verify(*args)
+        return certs[:-1] + [replace(certs[-1], passed=False)], False, first
+
+    monkeypatch.setattr(scenarios, "verify_uniform_lyapunov", last_fails)
+    res = run_hopf_sweep(1.0, sched, g)
+    assert list(res.series("exterior_bound_ok")) == [1.0, 0.0]
+    assert not {n: p for n, p, _, _ in res.assertions}["exterior_bound_all_ok"]
