@@ -1,13 +1,14 @@
 """Command-line entry point: configuration, orchestration, persistence.
 
 Subcommands: solve, sample, verify, design-noise, hopf, run, find-attractor,
-verify-lyapunov. Runs are driven by one JSON config document, checked whole by
-RunConfig.from_dict before any work against the run recipe of its scenario
-(scenarios._RUN_RECIPES); flag values go through the checks of the config
-sections they stand for. Outputs go to a run directory holding the config
-echo and, from the result's member records, per-eps measure documents,
-metrics.csv and a summary document with per-assertion pass/fail; every file is
-written through ``io``. Exit codes: 0 all assertions pass, 1 an assertion
+verify-lyapunov. This module parses flags, calls the library and prints. Runs
+are driven by one JSON config document, checked whole before any work by
+scenarios.RunConfig against the run recipe of its scenario; flag values go
+through the checks of the config sections they stand for. Outputs go to a run
+directory holding the config echo and, from the result's member records,
+per-eps measure documents, metrics.csv and a summary document with
+per-assertion pass/fail; ``io`` makes every directory and writes every file.
+Exit codes: 0 all assertions pass, 1 an assertion
 failed or another package error stopped the command (e.g. an infeasible noise
 design), 2 configuration error: a missing, unknown or invalid config field or
 flag value (a non-finite number, a bool or a string where a number is due),
@@ -22,7 +23,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import io as fio
@@ -30,23 +30,20 @@ from .analysis import angular_w1_to_uniform, invariance_residual
 from .dynamics import approximate_attractor, verify_lyapunov
 from .errors import ConfigError, FplabError
 from .fpe import solve_family
-from .grid import Grid2D
 from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
     _ISOLATION_RECIPES,
     _RUN_RECIPES,
     SCENARIOS,
     SHAPES,
+    RunConfig,
     ScenarioResult,
     _config_grid,
     _config_int,
     _design,
     _eps_labels,
-    _known,
     _number,
-    _resolve_run,
     _resolved,
-    _RunRecipe,
     build_schedule,
     dictionary_for,
     make_scenario,
@@ -54,7 +51,6 @@ from .scenarios import (
 
 DEFAULT_WORKERS_ENV = "FPLAB_WORKERS"
 _DESIGNED = _RUN_RECIPES["double-well-designed"].params  # design-noise's --ratio
-_CONFIG_KEYS = ("scenario", "grid", "schedule", "output_dir", "seed", "analysis")
 
 
 def _flag_scenario(args):
@@ -72,54 +68,17 @@ def _flag_numbers(field: str, text: str) -> list:
         raise ConfigError(field, f"must be comma-separated numbers, got {text!r}") from exc
 
 
-@dataclass
-class RunConfig:
-    """A run config as read, with seed and analysis filled in (``to_dict``, which
-    config.json echoes), and ``resolved``: its sections resolved against their recipe."""
-
-    scenario: dict
-    grid: dict
-    schedule: dict
-    output_dir: str
-    seed: int
-    analysis: dict
-    resolved: _RunRecipe = field(repr=False)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        for key in ("scenario", "grid", "schedule", "output_dir"):
-            if key not in raw:
-                raise ConfigError(key, "missing required field")
-        if not (isinstance(raw["output_dir"], str) and raw["output_dir"]):
-            raise ConfigError("output_dir", f"must be a non-empty path, got {raw['output_dir']!r}")
-        for key in ("scenario", "grid", "schedule", "analysis"):
-            if not isinstance(raw.get(key, {}), dict):
-                raise ConfigError(key, f"must be a JSON object, got {raw[key]!r}")
-        _known("", raw, _CONFIG_KEYS)
-        analysis = raw.get("analysis", {})
-        resolved = _resolve_run(raw["scenario"], raw["schedule"], analysis)
-        cfg = cls(raw["scenario"], raw["grid"], raw["schedule"], raw["output_dir"],
-                  _config_int("seed", raw.get("seed", 0), 0, 2**64), analysis, resolved)
-        cfg.build_grid()  # fails here, before any work, on a grid value it refuses
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _CONFIG_KEYS}
-
-    def build_grid(self) -> Grid2D:
-        return _config_grid(self.grid)
-
-    def run(self) -> ScenarioResult:
-        return self.resolved.run(self.resolved, self.build_grid())
+def _flag_family(args):
+    """The grid, the scenario and the --eps noise labels of the flags, checked as configs are."""
+    return (*_flag_scenario(args), _eps_labels(_flag_numbers("schedule.eps", args.eps)))
 
 
-def _load_config(path: Path) -> RunConfig:
-    """The run config at ``path``; an unreadable file is a config error."""
+def _load(path: Path, field: str) -> dict:
+    """The JSON document at ``path``; an unreadable file is a config error naming ``field``."""
     try:
-        raw = json.loads(path.read_text())
+        return fio.load_document(path)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("config", f"cannot read config: {exc}") from exc
-    return RunConfig.from_dict(raw)
+        raise ConfigError(field, f"cannot read {field}: {exc}") from exc
 
 
 def _workers() -> int:
@@ -132,7 +91,6 @@ def _workers() -> int:
 
 
 def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
-    out_dir.mkdir(parents=True, exist_ok=True)
     fio.save_document(cfg.to_dict(), out_dir / "config.json")
     for eps, mu, _ in result.members:
         fio.save_document(fio.measure_to_document(mu), out_dir / f"measure_eps{eps!r}.json")
@@ -144,7 +102,7 @@ def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
 # subcommand implementations
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(Path(args.config))
+    cfg = RunConfig.from_dict(_load(Path(args.config), "config"))
     if args.out:
         cfg.output_dir = args.out
     t0 = time.perf_counter()
@@ -183,12 +141,10 @@ def _cmd_hopf(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    grid, scen = _flag_scenario(args)
-    eps = _eps_labels(_flag_numbers("schedule.eps", args.eps))
+    grid, scen, eps = _flag_family(args)
     sched = build_schedule(grid, eps, args.shape)
     v = scen.vector_field(grid)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     reports, timings = [], []
     for eps_k, mu, rep in solve_family(v, sched, grid):
         if mu is None:
@@ -214,8 +170,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    grid, scen = _flag_scenario(args)
-    eps = _eps_labels(_flag_numbers("schedule.eps", args.eps))
+    grid, scen, eps = _flag_family(args)
     sched = build_schedule(grid, eps, args.shape)
     try:
         cfg = SamplerConfig(dt=args.dt, t_total=args.t_total, n_paths=args.n_paths,
@@ -224,7 +179,6 @@ def _cmd_sample(args) -> int:
         raise ConfigError("sampler", str(exc)) from exc
     measures, diag = occupation_measure(scen.drift_fn, sched.members, grid, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     diags = []
     for (eps_k, _), mu, d in zip(sched, measures, diag["members"]):
         fio.save_document(fio.measure_to_document(mu), out / f"occupation_eps{eps_k!r}.json")
@@ -243,19 +197,14 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
-    cfg = _load_config(run_dir / "config.json")
-    grid, run = cfg.build_grid(), cfg.resolved
+    cfg = RunConfig.from_dict(_load(run_dir / "config.json", "config"))
+    solved = _load(run_dir / "summary.json", "summary")["eps"]  # a failed member has no measure
+    grid, run = cfg.domain, cfg.resolved
     v = run.solved(grid).vector_field(grid)
     dic = dictionary_for(run.analysis["dictionary"], grid)
     rows = []
-    for eps in run.schedule["eps"]:
-        path = run_dir / f"measure_eps{eps!r}.json"
-        if not path.exists():
-            path = run_dir / f"occupation_eps{eps!r}.json"
-        if not path.exists():
-            print(f"missing measure for eps={eps}", file=sys.stderr)
-            return 2
-        mu = fio.measure_from_document(fio.load_document(path))
+    for eps in solved:
+        mu = fio.measure_from_document(_load(run_dir / f"measure_eps{eps!r}.json", "run"))
         res = invariance_residual(mu, v, dic)
         rows.append({"eps": eps, "residual_max": res.max,
                      "angular_w1": angular_w1_to_uniform(mu)})
@@ -266,12 +215,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_design_noise(args) -> int:
-    grid, scen = _flag_scenario(args)
-    eps = _eps_labels(_flag_numbers("schedule.eps", args.eps))
+    grid, scen, eps = _flag_family(args)
     ratio = _resolved("scenario", {"ratio": args.ratio}, _DESIGNED)["ratio"]
     fam = _design(scen, args.target, scen.vector_field(grid), ratio, eps)[2]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fio.save_document(
         {"format": fio.FORMATS["shaping"], "grid": grid.metadata(),
          "ratio": fam.ratio, "shaping": fam.shaping.ravel().tolist(),
@@ -301,7 +248,6 @@ def _cmd_find_attractor(args) -> int:
         reverse_time=args.reverse, seed_region=None if recipe is None else recipe.region,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fio.save_document(fio.attractor_to_document(approx), out / "attractor.json")
     print(f"{approx.kind}: {approx.mask.sum()} cells flagged -> {out / 'attractor.json'}")
     return 0
@@ -312,24 +258,25 @@ def _cmd_verify_lyapunov(args) -> int:
     cert = verify_lyapunov(scen.certificate_samples(grid), scen.vector_field(grid),
                            _number("rho_m", args.rho_m), _number("gamma", args.gamma),
                            kind=args.kind)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fio.save_document(fio.certificate_to_document(cert), out / "certificate.json")
+    fio.save_document(fio.certificate_to_document(cert), Path(args.out) / "certificate.json")
     print(f"certificate {'PASS' if cert.passed else 'FAIL'} "
           f"(worst margin {cert.worst_margin:.4g}, slack {cert.slack:.4g})")
     return 0 if cert.passed else 1
 
 
-def _add_domain_args(p, default_n=200):
+def _add_domain_args(p, default_n=200, scenario="hopf", scenarios=tuple(SCENARIOS)):
+    """The scenario, domain and output flags of the commands that build a scenario from flags."""
+    p.add_argument("--scenario", default=scenario, choices=list(scenarios))
+    p.add_argument("--b", type=float, default=None)
     p.add_argument("--x-min", type=float, default=-2.5)
     p.add_argument("--x-max", type=float, default=2.5)
     p.add_argument("--y-min", type=float, default=-2.5)
     p.add_argument("--y-max", type=float, default=2.5)
     p.add_argument("--grid-n", type=int, default=default_n)
+    p.add_argument("--out", required=True)
 
 
 def _parser() -> argparse.ArgumentParser:
-    scenarios = list(SCENARIOS)
     parser = argparse.ArgumentParser(
         prog="fplab",
         description="Stationary Fokker-Planck laboratory for vanishing-noise limit measures",
@@ -351,17 +298,12 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hopf)
 
     p = sub.add_parser("solve", help="solve a schedule and write measures")
-    p.add_argument("--scenario", default="hopf", choices=scenarios)
-    p.add_argument("--b", type=float, default=None)
     p.add_argument("--eps", default="0.2,0.1,0.05,0.02")
     p.add_argument("--shape", default="iso", choices=list(SHAPES))
     _add_domain_args(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("sample", help="Monte-Carlo occupation measures")
-    p.add_argument("--scenario", default="hopf", choices=scenarios)
-    p.add_argument("--b", type=float, default=None)
     p.add_argument("--eps", default="0.1,0.05")
     p.add_argument("--shape", default="iso", choices=list(SHAPES))
     p.add_argument("--dt", type=float, default=0.005)
@@ -369,7 +311,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n-paths", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     _add_domain_args(p, default_n=100)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("verify", help="convergence diagnostics on a run directory")
@@ -378,34 +319,25 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design-noise", help="construct a shaped null family")
     p.add_argument("--target", required=True, choices=["attractor", "repeller"])
-    p.add_argument("--scenario", default="double-well",
-                   choices=sorted({s for s, _ in _ISOLATION_RECIPES}))
-    p.add_argument("--b", type=float, default=None)
     p.add_argument("--ratio", type=float, default=_DESIGNED["ratio"])
     p.add_argument("--eps", default="0.1,0.05,0.02")
-    _add_domain_args(p)
-    p.add_argument("--out", required=True)
+    _add_domain_args(p, scenario="double-well",
+                     scenarios=sorted({s for s, _ in _ISOLATION_RECIPES}))
     p.set_defaults(fn=_cmd_design_noise)
 
     p = sub.add_parser("find-attractor", help="ensemble attractor approximation")
-    p.add_argument("--scenario", default="hopf", choices=scenarios)
-    p.add_argument("--b", type=float, default=None)
     p.add_argument("--ensemble", type=int, default=256)
     p.add_argument("--t-end", type=float, default=40.0)
     p.add_argument("--reverse", action="store_true", help="time-reversed (repeller)")
     _add_domain_args(p, default_n=100)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_find_attractor)
 
     p = sub.add_parser("verify-lyapunov", help="check U = x^2+y^2 against a scenario drift")
-    p.add_argument("--scenario", default="hopf", choices=scenarios)
-    p.add_argument("--b", type=float, default=None)
     p.add_argument("--rho-m", type=float, default=1.5)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--kind", default="lyapunov",
                    choices=["lyapunov", "anti-lyapunov", "weak", "entire-weak"])
     _add_domain_args(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_verify_lyapunov)
     return parser
 

@@ -185,11 +185,8 @@ def isotropic_schedule(grid: Grid2D, eps_list, shape=(1.0, 0.0, 1.0)) -> NullFam
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Non-negative cell weights summing to 1; stands in for a probability measure.
-
-    ``weights`` has the grid's cell shape; the associated density is
-    weights / cell_volume.
-    """
+    """Non-negative cell weights summing to 1, in the grid's cell shape; stands in
+    for a probability measure."""
 
     grid: Grid1D | Grid2D
     weights: np.ndarray
@@ -205,9 +202,6 @@ class DiscreteMeasure:
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {mass!r} deviates from 1 by more than {MASS_TOL}")
         self.weights.setflags(write=False)
-
-    def density(self) -> np.ndarray:
-        return self.weights / self.grid.cell_volume
 
 
 def measure_mass_on(mu: DiscreteMeasure, region) -> float:

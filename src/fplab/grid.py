@@ -37,16 +37,8 @@ class Grid1D:
     def hx(self) -> float:
         return (self.x_max - self.x_min) / self.nx
 
-    @property
-    def n_cells(self) -> int:
-        return self.nx
-
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.nx) + 0.5) * self.hx
-
-    @property
-    def cell_volume(self) -> float:
-        return self.hx
 
     def metadata(self) -> dict:
         return {"kind": "grid1d", "x_min": self.x_min, "x_max": self.x_max, "nx": self.nx}
@@ -87,10 +79,6 @@ class Grid2D:
     @property
     def n_cells(self) -> int:
         return self.nx * self.ny
-
-    @property
-    def cell_volume(self) -> float:
-        return self.hx * self.hy
 
     def x_centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.nx) + 0.5) * self.hx

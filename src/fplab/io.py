@@ -1,9 +1,12 @@
 """Self-describing JSON documents for grids, fields, measures, and certificates,
-and the per-eps CSV tables; this is the one module that writes files.
+and the per-eps CSV tables; this is the one module that writes files, and it
+makes the directory of each file it writes.
 
 Every document carries a ``format`` tag, and field documents a ``grid`` header
 and flat row-major value arrays. Floats are serialized with ``repr`` (via the
-json module), which round-trips bit-identically. FORMATS holds every format tag
+json module), which round-trips bit-identically; a non-finite float (an empty
+minimum, an unbounded margin) is written as ``null``, so every document is
+standard JSON. FORMATS holds every format tag
 the package writes: the measure, diffusion, schedule, certificate and attractor
 documents are built here, the run summaries and timings by ``cli`` and
 ``scenarios``. The field names are part of the public interface. save_csv
@@ -124,8 +127,28 @@ def attractor_to_document(approx: AttractorApprox) -> dict:
     }
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float in it replaced by None."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _write(path, text: str) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
+
+
 def save_document(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc) + "\n")
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:  # a non-finite float: walk the document only then
+        text = json.dumps(_finite(doc), allow_nan=False)
+    _write(path, text + "\n")
 
 
 def save_csv(rows: list, path) -> None:
@@ -133,7 +156,7 @@ def save_csv(rows: list, path) -> None:
     first row's keys as header; a table with no rows keeps its eps column."""
     keys = list(rows[0]) if rows else ["eps"]
     lines = [",".join(keys)] + [",".join(repr(row[k]) for k in keys) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def load_document(path) -> dict:

@@ -2,9 +2,9 @@
 the stochastic Hopf bifurcation sweep, with per-scenario metrics and
 assertion harnesses. The table SCENARIOS holds what is known about each
 scenario; _RUN_RECIPES holds what ``fplab run`` does for each run config and
-the {key: default} table of each section it reads. _resolve_run checks a config
-against it once: NaN, Infinity, a bool or a string where a number is due is a
-config error.
+the {key: default} table of each section it reads. RunConfig.from_dict checks a
+run config against it once and builds its grid: NaN, Infinity, a bool or a
+string where a number is due is a config error.
 
 Each runner returns a ScenarioResult embedding the full configuration
 (grid, schedule, seeds, shaping ratio, dictionary version), one member record
@@ -49,6 +49,7 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "ScenarioResult",
+    "RunConfig",
     "make_scenario",
     "build_schedule",
     "hopf_drift",
@@ -657,7 +658,7 @@ def _run_double_well_designed(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
 @dataclass(frozen=True)
 class _RunRecipe:
     """What ``fplab run`` does for one scenario name, and the {key: default} table of
-    the keys each config section may hold; _resolve_run puts a config's values in."""
+    the keys each config section may hold; RunConfig.from_dict puts a config's values in."""
 
     run: object             # (resolved recipe, grid) -> ScenarioResult
     scenario: str           # the SCENARIOS row whose drift the run solves
@@ -687,14 +688,51 @@ _RUN_RECIPES = {
 }
 
 
-def _resolve_run(scenario: dict, schedule: dict, analysis: dict) -> _RunRecipe:
-    """The run recipe a run config's scenario section names, with the config's
-    sections resolved into its tables, or the config error of the first key it
-    does not read or value it refuses. Builds no schedule or dictionary."""
-    name = scenario.get("name")
-    recipe = _RUN_RECIPES.get(name) if isinstance(name, str) else None
-    if recipe is None:
-        raise ConfigError("scenario.name", f"no run recipe for scenario {name!r}")
-    return replace(recipe, params=_resolved("scenario", scenario, {"name": name, **recipe.params}),
-                   schedule=_resolved("schedule", schedule, recipe.schedule),
-                   analysis=_resolved("analysis", analysis, recipe.analysis))
+_CONFIG_KEYS = ("scenario", "grid", "schedule", "output_dir", "seed", "analysis")
+
+
+@dataclass
+class RunConfig:
+    """A run config as read, with seed and analysis filled in (``to_dict``, which
+    config.json echoes); ``resolved``, its sections resolved into the run recipe its
+    scenario names; and ``domain``, the Grid2D of its grid section."""
+
+    scenario: dict
+    grid: dict
+    schedule: dict
+    output_dir: str
+    seed: int
+    analysis: dict
+    resolved: _RunRecipe = field(repr=False)
+    domain: Grid2D = field(repr=False)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "RunConfig":
+        """The config ``raw``, checked whole before any work: the config error of the
+        first key it does not read or value it refuses. Builds no schedule or dictionary."""
+        for key in ("scenario", "grid", "schedule", "output_dir"):
+            if key not in raw:
+                raise ConfigError(key, "missing required field")
+        if not (isinstance(raw["output_dir"], str) and raw["output_dir"]):
+            raise ConfigError("output_dir", f"must be a non-empty path, got {raw['output_dir']!r}")
+        for key in ("scenario", "grid", "schedule", "analysis"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise ConfigError(key, f"must be a JSON object, got {raw[key]!r}")
+        _known("", raw, _CONFIG_KEYS)
+        scenario, analysis = raw["scenario"], raw.get("analysis", {})
+        name = scenario.get("name")
+        recipe = _RUN_RECIPES.get(name) if isinstance(name, str) else None
+        if recipe is None:
+            raise ConfigError("scenario.name", f"no run recipe for scenario {name!r}")
+        resolved = replace(recipe, params=_resolved("scenario", scenario, {"name": name, **recipe.params}),
+                           schedule=_resolved("schedule", raw["schedule"], recipe.schedule),
+                           analysis=_resolved("analysis", analysis, recipe.analysis))
+        return cls(scenario, raw["grid"], raw["schedule"], raw["output_dir"],
+                   _config_int("seed", raw.get("seed", 0), 0, 2**64), analysis, resolved,
+                   _config_grid(raw["grid"]))
+
+    def to_dict(self) -> dict:
+        return {k: getattr(self, k) for k in _CONFIG_KEYS}
+
+    def run(self) -> ScenarioResult:
+        return self.resolved.run(self.resolved, self.domain)

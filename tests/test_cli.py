@@ -7,11 +7,11 @@ import pytest
 
 from fplab import cli
 from fplab import io as fio
-from fplab.cli import RunConfig, main
+from fplab.cli import main
 from fplab.errors import ConfigError
 from fplab.grid import Grid2D, grid_from_metadata
 from fplab.sampler import SamplerConfig, occupation_measure
-from fplab.scenarios import build_schedule, make_scenario
+from fplab.scenarios import RunConfig, build_schedule, make_scenario
 
 
 def _hopf_config(out_dir, nx=64, eps=(0.3, 0.15), thresholds=None):
@@ -27,6 +27,13 @@ def _hopf_config(out_dir, nx=64, eps=(0.3, 0.15), thresholds=None):
     if thresholds:
         cfg["analysis"]["thresholds"] = thresholds
     return cfg
+
+
+def _standard_json(path):
+    """The document at ``path``, read as standard JSON: NaN and Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"{token} is not standard JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_config_validation_errors():
@@ -309,8 +316,12 @@ def test_cli_hopf_b_with_no_bound_level_fails_and_writes(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 1
     assert "Traceback" not in capsys.readouterr().err
-    summary = json.loads((out / "b3.0" / "summary.json").read_text())
-    assert {a["name"]: a["passed"] for a in summary["assertions"]}["exterior_bound_all_ok"] is False
+    summary = _standard_json(out / "b3.0" / "summary.json")
+    verdicts = {a["name"]: a for a in summary["assertions"]}
+    assert verdicts["exterior_bound_all_ok"]["passed"] is False
+    # the margin over no level is infinite, which standard JSON writes as null
+    assert verdicts["exterior_bound_all_ok"]["value"] is None
+    assert [row["exterior_bound_margin"] for row in summary["metrics"]] == [None, None]
     assert (out / "b1.0" / "summary.json").exists()
 
 
@@ -341,6 +352,40 @@ def test_cli_solve_default_b_is_the_scenario_default(tmp_path):
     assert docs["unset"] == docs["set"]
     assert sorted(docs["set"]) == ["measure_eps0.2.json", "solve_summary.json"]
     assert json.loads(docs["set"]["solve_summary.json"])["params"] == {"b": 1.0}
+
+
+def test_cli_solve_writes_the_members_it_solved(tmp_path, capsys):
+    # at 32^2 the eps = 0.005 member overflows the stencil: its report holds the
+    # error, it writes no measure, and the command exits 1
+    out = tmp_path / "solve"
+    rc = main(["solve", "--scenario", "hopf", "--eps", "0.2,0.005", "--grid-n", "32",
+               "--out", str(out)])
+    assert rc == 1
+    assert "solved 1/2" in capsys.readouterr().out
+    reports = json.loads((out / "solve_summary.json").read_text())["reports"]
+    assert [r["eps"] for r in reports] == [0.2, 0.005]
+    assert "StencilOverflowError" in reports[1]["error"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "measure_eps0.2.json", "solve_summary.json", "timing.json"]
+
+
+def test_cli_run_and_verify_a_partial_run(tmp_path, capsys):
+    # the eps = 0.003 member overflows the stencil at 48^2: the run records its
+    # error and exits 1, and verify reads the one member the run solved
+    out = tmp_path / "run"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_hopf_config(out, nx=48, eps=(0.2, 0.003))))
+    assert main(["run", "--config", str(p)]) == 1
+    assert "ERROR eps=0.003: StencilOverflowError" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["eps"] == [0.2]
+    assert [e["eps"] for e in summary["errors"]] == [0.003]
+    assert main(["verify", "--run", str(out)]) == 0
+    assert [r["eps"] for r in json.loads((out / "verify.json").read_text())["rows"]] == [0.2]
+    # a run directory without its summary is a config error
+    (out / "summary.json").unlink()
+    assert main(["verify", "--run", str(out)]) == 2
+    assert "config field 'summary'" in capsys.readouterr().err
 
 
 def test_cli_solve_and_verify(tmp_path):
@@ -525,8 +570,9 @@ def test_cli_verify_lyapunov(tmp_path):
     rc2 = main(["verify-lyapunov", "--scenario", "hopf", "--rho-m", "0.2",
                 "--gamma", "5.0", "--grid-n", "64", "--out", str(out)])
     assert rc2 == 1
-    # no cell has U > 1e9: an empty check is no pass
+    # no cell has U > 1e9: an empty check is no pass, with no finite worst margin
     assert main(["verify-lyapunov", "--rho-m=1e9", "--grid-n", "64", "--out", str(out)]) == 1
+    assert _standard_json(out / "certificate.json")["worst_margin"] is None
 
 
 # (argv without --out, exit code): commands that factor no matrix

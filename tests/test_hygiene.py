@@ -187,13 +187,14 @@ def test_format_tags_live_in_io_formats():
 
 
 def _file_writes(tree: ast.Module) -> list[str]:
-    """Calls of the builtin ``open`` and of any ``.open``, ``.write_text`` or
-    ``.write_bytes`` method: the ways a module can write a file."""
+    """Calls of the builtin ``open`` and of any ``.open``, ``.write_text``,
+    ``.write_bytes`` or ``.mkdir`` method: the ways a module can write a file or
+    make a directory."""
     calls = [(n.lineno, n.func.id if isinstance(n.func, ast.Name) else n.func.attr)
              for n in ast.walk(tree) if isinstance(n, ast.Call) and (
                  (isinstance(n.func, ast.Name) and n.func.id == "open")
                  or (isinstance(n.func, ast.Attribute)
-                     and n.func.attr in ("open", "write_text", "write_bytes")))]
+                     and n.func.attr in ("open", "write_text", "write_bytes", "mkdir")))]
     return [f"{name} (line {line})" for line, name in sorted(calls)]
 
 
@@ -203,7 +204,7 @@ NOT_IO = [p for p in SRC if p.name != "io.py"]
 @pytest.mark.parametrize("path", NOT_IO, ids=[p.name for p in NOT_IO])
 def test_only_io_writes_files(path):
     # every file the package writes goes through io (save_document, save_csv),
-    # so its formats are decided in one module
+    # which makes its directory, so its formats are decided in one module
     assert _file_writes(ast.parse(path.read_text())) == []
 
 
@@ -215,10 +216,11 @@ def test_file_write_is_detected():
         "    with open(p, 'w') as fh:\n"
         "        fh.write(doc)\n"
         "    Path(p).write_bytes(b'')\n"
-        "    return p.read_text(), gzip.open(p), write_text(p)\n"
+        "    p.parent.mkdir(parents=True, exist_ok=True)\n"
+        "    return p.read_text(), gzip.open(p), write_text(p), mkdir(p)\n"
     )
     assert _file_writes(tree) == ["write_text (line 3)", "open (line 4)",
-                                  "write_bytes (line 6)", "open (line 7)"]
+                                  "write_bytes (line 6)", "mkdir (line 7)", "open (line 8)"]
 
 
 def test_scenario_choices_come_from_the_tables():

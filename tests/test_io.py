@@ -59,6 +59,17 @@ def test_1d_measure_roundtrip(tmp_path):
     assert np.array_equal(mu2.weights, mu.weights)
 
 
+def test_save_document_writes_standard_json_and_makes_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "doc.json"
+    fio.save_document({"x": float("inf"), "y": [np.float64("nan"), 1.5], "z": {"w": -np.inf},
+                       "t": (2.0, float("-inf")), "n": 3, "s": "inf"}, path)
+    doc = json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(token))
+    assert doc == {"x": None, "y": [None, 1.5], "z": {"w": None}, "t": [2.0, None],
+                   "n": 3, "s": "inf"}
+    fio.save_csv([{"eps": 0.1, "margin": float("inf")}], tmp_path / "c" / "m.csv")
+    assert (tmp_path / "c" / "m.csv").read_text() == "eps,margin\n0.1,inf\n"
+
+
 def test_format_tags_present():
     mu = DiscreteMeasure(G, np.full((8, 8), 1.0 / 64))
     doc = fio.measure_to_document(mu)

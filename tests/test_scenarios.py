@@ -181,6 +181,23 @@ def test_run_designed_comparison_small():
     assert verdicts["dominance_every_eps"]
 
 
+def test_run_designed_comparison_hopf_repeller():
+    # designed noise drains the Hopf origin ball at every eps; at 100^2 the
+    # eps = 0.02 designed member overflows the stencil and is recorded as an error
+    verdicts, errors = {}, {}
+    for n in (128, 100):
+        g = Grid2D(-2.5, 2.5, -2.5, 2.5, n, n)
+        res = run_designed_comparison(make_scenario("hopf", g, b=1.0), "repeller", 10.0,
+                                      (0.1, 0.05, 0.02), g)
+        verdicts[n] = {name: (p, v) for name, p, v, _ in res.assertions}
+        errors[n] = [(eps, "StencilOverflowError" in msg) for eps, msg in res.errors]
+    passed, final_mass = verdicts[128]["designed_final_mass"]
+    assert passed and final_mass <= 0.01
+    assert verdicts[128]["dominance_every_eps"] == (True, 3.0)
+    assert errors == {128: [], 100: [(0.02, True)]}
+    assert verdicts[100]["dominance_every_eps"] == (True, 2.0)
+
+
 def test_designed_comparison_rejects_unknown_target():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
     scen = make_scenario("double-well", g)
