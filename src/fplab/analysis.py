@@ -130,44 +130,39 @@ class TestFunctionDictionary:
 
     Each member is h(x,y) = psi((x-cx)/wx) psi((y-cy)/wy); supports must stay
     strictly inside the truncation box so every h vanishes on boundary-adjacent
-    cells. Each bump is stored as four 1D profiles on the cell centres: psi
-    and psi' along x, psi and psi' along y. The (k, nx, ny) arrays h, dxh and
-    dyh are their outer products, built on first read and kept; an element of
-    np.outer(px, py) is the same product of the same two numbers as in the
-    dense construction, so the values are exact. Sup norms of the
-    gradient/Laplacian are evaluated on a 2001^2 fine lattice, once per
-    (wx, wy) per process, pruned row by row with exact bounds.
+    cells. The 1D profiles on the cell centres, one row per bump, are the
+    whole representation: px and py hold psi, dpx and dpy hold psi' divided
+    by the width, so d_x h_k = outer(dpx_k, py_k) and d_y h_k =
+    outer(px_k, dpy_k). A bump sums against a cell array W as px_k^T W py_k,
+    and no (nx, ny) bump is formed. Sup norms of the gradient/Laplacian are
+    evaluated on a 2001^2 fine lattice, once per (wx, wy) per process, pruned
+    row by row with exact bounds.
     """
 
     grid: Grid2D
     name: str
     bumps: tuple  # of (cx, cy, wx, wy)
-    profiles: tuple = field(repr=False)  # per bump (psi_x, psi'_x, psi_y, psi'_y)
+    px: np.ndarray = field(repr=False)   # (k, nx) psi((x - cx) / wx)
+    dpx: np.ndarray = field(repr=False)  # (k, nx) psi'((x - cx) / wx) / wx
+    py: np.ndarray = field(repr=False)   # (k, ny) psi((y - cy) / wy)
+    dpy: np.ndarray = field(repr=False)  # (k, ny) psi'((y - cy) / wy) / wy
     grad_inf: np.ndarray = field(repr=False)  # (k,)
     lap_inf: np.ndarray = field(repr=False)   # (k,)
 
     def __len__(self):
         return len(self.bumps)
 
-    @functools.cached_property
-    def h(self) -> np.ndarray:
-        """(k, nx, ny) bump values at the cell centres."""
-        return np.asarray([np.outer(px, py) for px, _, py, _ in self.profiles])
+    def integrals(self, w: np.ndarray) -> np.ndarray:
+        """(k,) sums over the cells of h_k w, for an (nx, ny) cell array w."""
+        return _separable_sums(self.px, w, self.py)
 
-    @functools.cached_property
-    def dxh(self) -> np.ndarray:
-        return np.asarray([np.outer(dpx, py) / wx
-                           for (_, dpx, py, _), (_, _, wx, _) in zip(self.profiles, self.bumps)])
 
-    @functools.cached_property
-    def dyh(self) -> np.ndarray:
-        return np.asarray([np.outer(px, dpy) / wy
-                           for (px, _, _, dpy), (_, _, _, wy) in zip(self.profiles, self.bumps)])
+def _separable_sums(p, w, q):
+    """p_k^T w q_k for each row k of the stacks p (k, nx) and q (k, ny)."""
+    return ((p @ w) * q).sum(axis=1)
 
 
 def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
-    x, y = grid.x_centers(), grid.y_centers()
-    profiles, ginf, linf = [], [], []
     for cx, cy, wx, wy in bumps:
         if not (
             grid.x_min + grid.hx < cx - wx
@@ -178,18 +173,14 @@ def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
             raise ValueError(
                 f"bump ({cx},{cy},{wx},{wy}) support reaches boundary-adjacent cells"
             )
-        ux, uy = (x - cx) / wx, (y - cy) / wy
-        profiles.append((bump_profile(ux), bump_d1(ux), bump_profile(uy), bump_d1(uy)))
-        g_sup, l_sup = _sup_norms(wx, wy)
-        ginf.append(g_sup)
-        linf.append(l_sup)
+    bumps = tuple(tuple(map(float, b)) for b in bumps)
+    sups = np.reshape([_sup_norms(wx, wy) for _, _, wx, wy in bumps], (-1, 2))
+    cx, cy, wx, wy = np.reshape(bumps, (-1, 4)).T[:, :, None]  # each (k, 1)
+    ux, uy = (grid.x_centers() - cx) / wx, (grid.y_centers() - cy) / wy
     return TestFunctionDictionary(
-        grid=grid,
-        name=name,
-        bumps=tuple(tuple(map(float, b)) for b in bumps),
-        profiles=tuple(profiles),
-        grad_inf=np.asarray(ginf),
-        lap_inf=np.asarray(linf),
+        grid=grid, name=name, bumps=bumps,
+        px=bump_profile(ux), dpx=bump_d1(ux) / wx, py=bump_profile(uy), dpy=bump_d1(uy) / wy,
+        grad_inf=sups[:, 0], lap_inf=sups[:, 1],
     )
 
 
@@ -250,18 +241,16 @@ def bl_distance(
     if mu.grid != nu.grid:
         raise GridMismatchError("measures live on different grids")
     grid = mu.grid
-    fs = _bl_functions(grid)
-    if dictionary is not None:
-        if dictionary.grid != grid:
-            raise GridMismatchError("dictionary grid mismatch")
-        for k in range(len(dictionary)):
-            scale = max(1.0, dictionary.grad_inf[k])
-            fs.append(dictionary.h[k] / scale)
+    if dictionary is not None and dictionary.grid != grid:
+        raise GridMismatchError("dictionary grid mismatch")
     dmu = mu.weights - nu.weights
-    value = max(float(abs((f * dmu).sum())) for f in fs)
+    values = [float(abs((f * dmu).sum())) for f in _bl_functions(grid)]
+    if dictionary is not None:
+        scale = np.maximum(1.0, dictionary.grad_inf)
+        values += (np.abs(dictionary.integrals(dmu)) / scale).tolist()
     xx, yy = grid.centers()
     rw1 = marginal_w1(np.hypot(xx, yy).ravel(), mu.weights.ravel(), nu.weights.ravel())
-    return BLResult(value=value, radial_w1=rw1)
+    return BLResult(value=max(values), radial_w1=rw1)
 
 
 def marginal_w1(coords: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> float:
@@ -302,11 +291,12 @@ class ResidualReport:
 def invariance_residual(
     mu: DiscreteMeasure, v: VectorField, dictionary: TestFunctionDictionary
 ) -> ResidualReport:
-    """r_k = |sum_cells V . grad(h_k) w|; zero for invariant limit measures."""
+    """r_k = |sum_cells V . grad(h_k) w| = |dpx_k^T (v_x w) py_k + px_k^T (v_y w) dpy_k|
+    (dpx, dpy carry the chain rule's 1/wx, 1/wy); zero for invariant limit measures."""
     if mu.grid != v.grid or dictionary.grid != v.grid:
         raise GridMismatchError("measure, field, and dictionary must share a grid")
-    vg = dictionary.dxh * v.vx[None] + dictionary.dyh * v.vy[None]
-    r = np.abs((vg * mu.weights[None]).sum(axis=(1, 2)))
+    d, w = dictionary, mu.weights
+    r = np.abs(_separable_sums(d.dpx, v.vx * w, d.py) + _separable_sums(d.px, v.vy * w, d.dpy))
     return ResidualReport(per_function=r, max=float(r.max()))
 
 

@@ -189,10 +189,6 @@ class DesignedFamily:
     region_guard: np.ndarray    # D_*: weak-noise guard band
     meta: dict = field(default_factory=dict)
 
-    @property
-    def grid(self):
-        return self.schedule.grid
-
     def ratio_condition(self) -> float:
         """min over a neighborhood of D of s / max over D_* of s."""
         return float(

@@ -135,7 +135,7 @@ class SolveReport:
 def _check_overflow(z, what):
     amax = float(np.abs(z).max()) if z.size else 0.0
     if amax > Z_MAX:
-        idx = np.unravel_index(int(np.abs(z).argmax()), z.shape)
+        idx = tuple(map(int, np.unravel_index(np.abs(z).argmax(), z.shape)))
         raise StencilOverflowError((what, idx), amax)
 
 

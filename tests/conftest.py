@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fplab
+from fplab.analysis import bump_d1, bump_profile
 from fplab.grid import Grid2D
 from fplab.fields import sample_vector_field
 from fplab.scenarios import hopf_drift
@@ -86,3 +87,23 @@ def _exact_discrete_measure(op, loop_tol=LOOP_TOL):
 def exact_discrete_measure():
     """_exact_discrete_measure: (5-point operator[, loop_tol]) -> its closed-form measure."""
     return _exact_discrete_measure
+
+
+def _dense_reference(grid, bumps):
+    """h, dxh and dyh of the bumps (cx, cy, wx, wy) as (k, nx, ny) arrays,
+    each bump built as a 2D array on the cell centres."""
+    xx, yy = grid.centers()
+    hs, dxs, dys = [], [], []
+    for cx, cy, wx, wy in bumps:
+        ux, uy = (xx - cx) / wx, (yy - cy) / wy
+        px, py = bump_profile(ux), bump_profile(uy)
+        hs.append(px * py)
+        dxs.append(bump_d1(ux) * py / wx)
+        dys.append(px * bump_d1(uy) / wy)
+    return np.asarray(hs), np.asarray(dxs), np.asarray(dys)
+
+
+@pytest.fixture(scope="session")
+def dense_reference():
+    """_dense_reference: (grid, bumps) -> the dense (h, dxh, dyh) of a dictionary."""
+    return _dense_reference

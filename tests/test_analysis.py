@@ -45,12 +45,12 @@ def test_bump_derivatives_match_finite_differences():
     assert bump_profile(np.array([1.0, -1.0, 2.0])).max() == 0.0
 
 
-def test_dictionary_vanishes_near_boundary(small_grid):
+def test_dictionary_vanishes_near_boundary(small_grid, dense_reference):
     d = grid_dictionary(small_grid, 3)
     assert len(d) == 9
     border = np.ones((16, 16), dtype=bool)
     border[1:-1, 1:-1] = False
-    assist = np.abs(d.h[:, border])
+    assist = np.abs(dense_reference(small_grid, d.bumps)[0][:, border])
     assert assist.max() <= 1e-12
 
 
@@ -91,42 +91,51 @@ def test_pruned_sup_norms_equal_the_whole_lattice(wx, wy):
     assert (d.grad_inf[0], d.lap_inf[0]) == _reference_sup_norms(wx, wy)
 
 
-def _dense_reference(grid, bumps):
-    """h, dxh and dyh built as 2D arrays per bump, as first written."""
-    xx, yy = grid.centers()
-    hs, dxs, dys = [], [], []
-    for cx, cy, wx, wy in bumps:
-        ux, uy = (xx - cx) / wx, (yy - cy) / wy
-        px, py = bump_profile(ux), bump_profile(uy)
-        hs.append(px * py)
-        dxs.append(bump_d1(ux) * py / wx)
-        dys.append(px * bump_d1(uy) / wy)
-    return np.asarray(hs), np.asarray(dxs), np.asarray(dys)
+_SQUARE = [(n, name) for n in (96, 256)
+           for name in ("grid3x3-v1", "grid4x4-v1", "hopf-offcycle-v1")]
 
 
-@pytest.mark.parametrize("n", [96, 256])
-@pytest.mark.parametrize("name", ["grid3x3-v1", "grid4x4-v1", "hopf-offcycle-v1"])
-def test_factored_dictionary_equals_dense_construction(n, name):
-    grid = Grid2D(-2.5, 2.5, -2.5, 2.5, n, n)
-    d = dictionary_for(name, grid)
-    h, dxh, dyh = _dense_reference(grid, d.bumps)
-    assert np.array_equal(d.h, h) and np.array_equal(d.dxh, dxh) and np.array_equal(d.dyh, dyh)
-    assert d.h.shape == (len(d), n, n)
+@pytest.mark.parametrize("n,name", _SQUARE + [pytest.param(None, "aniso", id="aniso-96x64")])
+def test_profile_contractions_equal_the_dense_bumps(n, name, dense_reference):
+    # the aniso bump on a non-square grid tells x from y; whole arrays are
+    # compared, since hopf-offcycle-v1 on a square grid is symmetric in x <-> y
+    if n is None:
+        grid = Grid2D(-2.5, 2.5, -1.5, 1.5, 96, 64)
+        d = make_dictionary(grid, [(0.3, -0.2, 0.7, 0.35)], name)
+    else:
+        grid = Grid2D(-2.5, 2.5, -2.5, 2.5, n, n)
+        d = dictionary_for(name, grid)
+    h, dxh, dyh = dense_reference(grid, d.bumps)
+    rng = np.random.default_rng(7)
+    mu, nu = (DiscreteMeasure(grid, w / w.sum()) for w in rng.random((2, grid.nx, grid.ny)))
+    v = sample_vector_field(hopf_drift(1.0), grid)
+    dense_r = np.abs(((dxh * v.vx + dyh * v.vy) * mu.weights).sum(axis=(1, 2)))
+    np.testing.assert_allclose(invariance_residual(mu, v, d).per_function, dense_r, rtol=1e-14, atol=0)
+    dmu = mu.weights - nu.weights
+    dense_probes = (h * dmu).sum(axis=(1, 2))
+    np.testing.assert_allclose(d.integrals(dmu), dense_probes, rtol=1e-14, atol=0)
+    dense_bl = max(bl_distance(mu, nu).value,
+                   (np.abs(dense_probes) / np.maximum(1.0, d.grad_inf)).max())
+    assert bl_distance(mu, nu, d).value == pytest.approx(dense_bl, rel=1e-14, abs=0)
 
 
-def test_dictionary_holds_only_profiles_until_read():
-    # the nine 256^2 bumps of hopf-offcycle-v1 take 14 MB as h, dxh and dyh;
-    # until one of them is read the dictionary holds 1D profiles only
+def test_invariance_residual_forms_no_dense_bump():
+    # at 256^2 one (nx, ny) array is 0.5 MB, and the nine bumps of
+    # hopf-offcycle-v1 with both derivatives as (k, nx, ny) arrays 14 MB
     grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
+    mu = DiscreteMeasure(grid, np.full((256, 256), 1.0 / 256**2))
+    v = sample_vector_field(hopf_drift(1.0), grid)
     tracemalloc.start()
     try:
         d = dictionary_for("hopf-offcycle-v1", grid)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        invariance_residual(mu, v, d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
-    assert not {"h", "dxh", "dyh"} & set(vars(d))
-    assert d.h is d.h  # built once, then kept
+    assert build_peak < 2**20
+    assert peak < 2 * 2**20
 
 
 def test_dictionary_never_holds_the_whole_fine_lattice():
