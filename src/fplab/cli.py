@@ -45,7 +45,6 @@ from .scenarios import (
     _number,
     _resolved,
     build_schedule,
-    dictionary_for,
     make_scenario,
 )
 
@@ -74,11 +73,15 @@ def _flag_family(args):
 
 
 def _load(path: Path, field: str) -> dict:
-    """The JSON document at ``path``; an unreadable file is a config error naming ``field``."""
+    """The JSON object at ``path``; an unreadable file or another JSON value is a
+    config error naming ``field``."""
     try:
-        return fio.load_document(path)
+        doc = fio.load_document(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(field, f"cannot read {field}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(field, f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _workers() -> int:
@@ -198,14 +201,18 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg = RunConfig.from_dict(_load(run_dir / "config.json", "config"))
-    solved = _load(run_dir / "summary.json", "summary")["eps"]  # a failed member has no measure
-    grid, run = cfg.domain, cfg.resolved
-    v = run.solved(grid).vector_field(grid)
-    dic = dictionary_for(run.analysis["dictionary"], grid)
+    solved = _load(run_dir / "summary.json", "summary").get("eps")  # a failed member has no measure
+    if not isinstance(solved, list):
+        raise ConfigError("summary", f"eps must be a JSON list, got {solved!r}")
+    v = cfg.solved.vector_field(cfg.domain)
     rows = []
     for eps in solved:
-        mu = fio.measure_from_document(_load(run_dir / f"measure_eps{eps!r}.json", "run"))
-        res = invariance_residual(mu, v, dic)
+        path = run_dir / f"measure_eps{eps!r}.json"
+        try:
+            mu = fio.measure_from_document(_load(path, "run"))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError("run", f"{path} is not a measure document: {exc!r}") from exc
+        res = invariance_residual(mu, v, cfg.dictionary)
         rows.append({"eps": eps, "residual_max": res.max,
                      "angular_w1": angular_w1_to_uniform(mu)})
     fio.save_csv(rows, run_dir / "verify.csv")

@@ -27,7 +27,7 @@ def _check_finite(name, arr):
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(np.asarray(arr)))
         idx = tuple(int(k) for k in bad[0])
-        raise NonFiniteFieldError(idx, float(np.asarray(arr)[idx]))
+        raise NonFiniteFieldError((name, idx), float(np.asarray(arr)[idx]))
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ class DiffusionField:
 def sample_vector_field(fn, grid: Grid2D) -> VectorField:
     """Sample an analytic drift callback fn(x, y) -> (vx, vy) onto the grid."""
     xx, yy = grid.centers()
-    vx, vy = fn(xx, yy)
+    with np.errstate(all="ignore"):  # VectorField names the first non-finite cell
+        vx, vy = fn(xx, yy)
     vx = np.broadcast_to(np.asarray(vx, dtype=float), xx.shape).copy()
     vy = np.broadcast_to(np.asarray(vy, dtype=float), xx.shape).copy()
     return VectorField(grid, vx, vy)
@@ -112,7 +113,8 @@ def sample_vector_field(fn, grid: Grid2D) -> VectorField:
 def sample_diffusion_field(fn, grid: Grid2D) -> DiffusionField:
     """Sample an analytic diffusion callback fn(x, y) -> (a11, a12, a22)."""
     xx, yy = grid.centers()
-    a11, a12, a22 = fn(xx, yy)
+    with np.errstate(all="ignore"):  # DiffusionField names the first non-finite cell
+        a11, a12, a22 = fn(xx, yy)
     a11 = np.broadcast_to(np.asarray(a11, dtype=float), xx.shape).copy()
     a12 = np.broadcast_to(np.asarray(a12, dtype=float), xx.shape).copy()
     a22 = np.broadcast_to(np.asarray(a22, dtype=float), xx.shape).copy()

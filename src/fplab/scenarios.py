@@ -3,8 +3,10 @@ the stochastic Hopf bifurcation sweep, with per-scenario metrics and
 assertion harnesses. The table SCENARIOS holds what is known about each
 scenario; _RUN_RECIPES holds what ``fplab run`` does for each run config and
 the {key: default} table of each section it reads. RunConfig.from_dict checks a
-run config against it once and builds its grid: NaN, Infinity, a bool or a
-string where a number is due is a config error.
+run config against it once and builds what every run of it reads: its grid, the
+scenario it solves and its test-function dictionary. NaN, Infinity, a bool or a
+string where a number is due, or a dictionary that does not fit the grid, is a
+config error.
 
 Each runner returns a ScenarioResult embedding the full configuration
 (grid, schedule, seeds, shaping ratio, dictionary version), one member record
@@ -206,7 +208,8 @@ def _known(prefix: str, section: dict, known) -> None:
 
 def _checked(field: str, value, default):
     """``value`` checked by the kind ``default`` is or has: float, int (>= 2), threshold
-    map, or None (eps). A name (str) is checked where it is looked up."""
+    map, or None (eps). A name (str) is checked where it is looked up: the dictionary
+    by RunConfig.from_dict, a schedule shape or mode by build_schedule."""
     kind = default if isinstance(default, type) else type(default)
     if default is None:
         return _eps_labels(value)
@@ -639,20 +642,20 @@ def run_designed_comparison(
 # ---------------------------------------------------------------------------
 # run recipes: what `fplab run` does for each scenario name of a run config
 
-def _run_hopf(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
-    a = run.analysis
+def _run_hopf(cfg: RunConfig) -> ScenarioResult:
+    run, grid = cfg.resolved, cfg.domain
     return run_hopf_sweep(run.params["b"], build_schedule(grid, **run.schedule), grid,
-                          dictionary_for(a["dictionary"], grid), a["thresholds"], a["rho_mesh"])
+                          cfg.dictionary, run.analysis["thresholds"], run.analysis["rho_mesh"])
 
 
-def _run_double_well(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
-    return run_gibbs(double_well_potential, run.solved(grid).drift_fn,
-                     build_schedule(grid, **run.schedule), grid)
+def _run_double_well(cfg: RunConfig) -> ScenarioResult:
+    return run_gibbs(double_well_potential, cfg.solved.drift_fn,
+                     build_schedule(cfg.domain, **cfg.resolved.schedule), cfg.domain)
 
 
-def _run_double_well_designed(run: _RunRecipe, grid: Grid2D) -> ScenarioResult:
-    return run_designed_comparison(run.solved(grid), "attractor", run.params["ratio"],
-                                   run.schedule["eps"], grid)
+def _run_double_well_designed(cfg: RunConfig) -> ScenarioResult:
+    return run_designed_comparison(cfg.solved, "attractor", cfg.resolved.params["ratio"],
+                                   cfg.resolved.schedule["eps"], cfg.domain)
 
 
 @dataclass(frozen=True)
@@ -660,23 +663,18 @@ class _RunRecipe:
     """What ``fplab run`` does for one scenario name, and the {key: default} table of
     the keys each config section may hold; RunConfig.from_dict puts a config's values in."""
 
-    run: object             # (resolved recipe, grid) -> ScenarioResult
+    run: object             # RunConfig -> ScenarioResult
     scenario: str           # the SCENARIOS row whose drift the run solves
     params: dict            # scenario keys besides "name": the row's parameters first
     schedule: dict          # its "eps" has no default: a run names its noise labels
     analysis: dict
 
-    def solved(self, grid: Grid2D) -> Scenario:
-        """The scenario whose drift the run solves, with the params it knows."""
-        return make_scenario(self.scenario, grid,
-                             **{k: self.params[k] for k in SCENARIOS[self.scenario].defaults})
-
 
 _ANALYSIS = {"dictionary": _DEFAULT_DICTIONARY}  # on every run: `fplab verify` reads it
 _NAMED_SCHEDULE = {"eps": None, "shape": "modulated", "invariance_mode": "reflecting"}
 
-# runners look build_schedule, dictionary_for and run_hopf_sweep up by module-level
-# name at each call, so wrappers rebound to those names (tracing) see every call
+# from_dict and the runners look dictionary_for, build_schedule and run_hopf_sweep up
+# by module-level name at each call, so wrappers rebound to those names (tracing) see every call
 _RUN_RECIPES = {
     "hopf": _RunRecipe(_run_hopf, "hopf", SCENARIOS["hopf"].defaults, _NAMED_SCHEDULE,
                       {**_ANALYSIS, "thresholds": _HOPF_THRESHOLDS, "rho_mesh": RHO_MESH}),
@@ -695,7 +693,9 @@ _CONFIG_KEYS = ("scenario", "grid", "schedule", "output_dir", "seed", "analysis"
 class RunConfig:
     """A run config as read, with seed and analysis filled in (``to_dict``, which
     config.json echoes); ``resolved``, its sections resolved into the run recipe its
-    scenario names; and ``domain``, the Grid2D of its grid section."""
+    scenario names; and what every run reads: ``domain``, the Grid2D of its grid
+    section, ``solved``, the scenario whose drift it solves, and ``dictionary``,
+    its test-function dictionary."""
 
     scenario: dict
     grid: dict
@@ -705,11 +705,16 @@ class RunConfig:
     analysis: dict
     resolved: _RunRecipe = field(repr=False)
     domain: Grid2D = field(repr=False)
+    solved: Scenario = field(repr=False)
+    dictionary: TestFunctionDictionary = field(repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         """The config ``raw``, checked whole before any work: the config error of the
-        first key it does not read or value it refuses. Builds no schedule or dictionary."""
+        first key it does not read or value it refuses. Builds the grid, the solved
+        scenario and the dictionary, so a run and ``fplab verify`` read the same ones,
+        but not the schedule: its members are full-grid fields, and ``fplab hopf``
+        resolves every config before it solves any."""
         for key in ("scenario", "grid", "schedule", "output_dir"):
             if key not in raw:
                 raise ConfigError(key, "missing required field")
@@ -727,12 +732,15 @@ class RunConfig:
         resolved = replace(recipe, params=_resolved("scenario", scenario, {"name": name, **recipe.params}),
                            schedule=_resolved("schedule", raw["schedule"], recipe.schedule),
                            analysis=_resolved("analysis", analysis, recipe.analysis))
-        return cls(scenario, raw["grid"], raw["schedule"], raw["output_dir"],
-                   _config_int("seed", raw.get("seed", 0), 0, 2**64), analysis, resolved,
-                   _config_grid(raw["grid"]))
+        seed = _config_int("seed", raw.get("seed", 0), 0, 2**64)
+        grid = _config_grid(raw["grid"])
+        solved = make_scenario(recipe.scenario, grid,
+                               **{k: resolved.params[k] for k in SCENARIOS[recipe.scenario].defaults})
+        return cls(scenario, raw["grid"], raw["schedule"], raw["output_dir"], seed, analysis,
+                   resolved, grid, solved, dictionary_for(resolved.analysis["dictionary"], grid))
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in _CONFIG_KEYS}
 
     def run(self) -> ScenarioResult:
-        return self.resolved.run(self.resolved, self.domain)
+        return self.resolved.run(self)

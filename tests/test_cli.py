@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from fplab import cli
 from fplab import io as fio
 from fplab.cli import main
 from fplab.errors import ConfigError
+from fplab.fields import DiscreteMeasure
 from fplab.grid import Grid2D, grid_from_metadata
 from fplab.sampler import SamplerConfig, occupation_measure
 from fplab.scenarios import RunConfig, build_schedule, make_scenario
@@ -86,6 +88,87 @@ def test_cli_exit_2_when_grid_cannot_hold_dictionary(tmp_path, capsys):
     assert "analysis.dictionary" in err
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
+
+
+def _designed_config(out_dir, **analysis):
+    # the [-2, 2]^2 box at 100^2: the corner bumps of hopf-offcycle-v1, the
+    # default dictionary, reach the boundary-adjacent cells
+    return {"scenario": {"name": "double-well-designed"},
+            "grid": {"x_min": -2.0, "x_max": 2.0, "y_min": -2.0, "y_max": 2.0,
+                     "nx": 100, "ny": 100},
+            "schedule": {"eps": [0.16, 0.12]},
+            "analysis": analysis, "output_dir": str(out_dir)}
+
+
+def test_cli_run_refuses_a_dictionary_that_does_not_fit_under_every_recipe(tmp_path, capsys):
+    # a recipe that reads no dictionary itself still refuses one that does
+    # not fit: `fplab verify` reads it, and would refuse the run directory
+    out = tmp_path / "out"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_designed_config(out)))
+    assert main(["run", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'analysis.dictionary'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # with a dictionary that fits, the same run is written and verified
+    p.write_text(json.dumps(_designed_config(out, dictionary="grid3x3-v1")))
+    assert main(["run", "--config", str(p)]) == 0
+    assert main(["verify", "--run", str(out)]) == 0
+
+
+def _uniform_run_dir(out):
+    """A run directory of a 48^2 Hopf config holding one uniform measure, at eps 0.2."""
+    fio.save_document(_hopf_config(out, nx=48), out / "config.json")
+    fio.save_document({"eps": [0.2]}, out / "summary.json")
+    mu = DiscreteMeasure(Grid2D(-2.5, 2.5, -2.5, 2.5, 48, 48), np.full((48, 48), 1.0 / 48**2))
+    fio.save_document(fio.measure_to_document(mu), out / "measure_eps0.2.json")
+
+
+# (command, file, its text, field named on stderr)
+_MALFORMED = [
+    ("run", "cfg.json", "5", "config"),
+    ("run", "cfg.json", "[1, 2]", "config"),
+    ("verify", "summary.json", "{}", "summary"),
+    ("verify", "summary.json", '{"eps": 0.2}', "summary"),
+    ("verify", "measure_eps0.2.json", "[1, 2]", "run"),
+    ("verify", "measure_eps0.2.json", "{}", "run"),
+    ("verify", "measure_eps0.2.json", '{"grid": [], "weights": []}', "run"),
+]
+
+
+@pytest.mark.parametrize("cmd,name,text,field", _MALFORMED,
+                         ids=[f"{cmd}-{name}-{text}" for cmd, name, text, _ in _MALFORMED])
+def test_cli_exit_2_on_malformed_document(tmp_path, capsys, cmd, name, text, field):
+    out = tmp_path / "run"
+    if cmd == "verify":
+        _uniform_run_dir(out)
+        assert main(["verify", "--run", str(out)]) == 0  # the well-formed directory
+        capsys.readouterr()
+        (out / name).write_text(text)
+        argv = ["verify", "--run", str(out)]
+    else:
+        (tmp_path / name).write_text(text)
+        argv = ["run", "--config", str(tmp_path / name)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_solve_names_the_non_finite_drift_array(tmp_path, capsys):
+    # x^2 overflows at |x| ~ 1e200: the sampled drift reports its first bad
+    # cell and array, and no floating-point warning leaks out of the sampling
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["solve", "--scenario", "hopf", "--eps", "0.1", "--x-min=-1e200",
+                   "--x-max=1e200", "--grid-n", "8", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'vx'" in err
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught] == []
 
 
 # --t-total 0.001 and --dt inf round to no step; --dt nan has no step count,

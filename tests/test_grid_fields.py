@@ -98,8 +98,9 @@ def test_hopf_drift_point_value():
 
 def test_nonfinite_sampling_rejected():
     g = Grid2D(-2, 2, -2, 2, 16, 16)
-    with np.errstate(divide="ignore"), pytest.raises(NonFiniteFieldError):
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteFieldError) as exc:
         sample_vector_field(lambda x, y: (1.0 / (x - x[0, 0]), 0 * y), g)
+    assert exc.value.where[0] == "vx"
 
 
 def test_not_spd_rejected():

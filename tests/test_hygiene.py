@@ -8,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "fplab").glob("*.py"))
+CLI = ROOT / "src" / "fplab" / "cli.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -117,7 +118,7 @@ def test_cli_checks_inputs_only_through_the_section_tables():
     # flag values go through the same checks as run-config values
     # (scenarios._resolved, _number, _config_int); a float() or int() in cli.py
     # would be a second check path, as the grid coercion once was
-    assert _bare_number_casts(ast.parse((ROOT / "src" / "fplab" / "cli.py").read_text())) == []
+    assert _bare_number_casts(ast.parse(CLI.read_text())) == []
 
 
 def test_bare_number_cast_is_detected():
@@ -134,6 +135,75 @@ def test_bare_number_cast_is_detected():
     )
     assert _bare_number_casts(tree) == [
         "int (line 1)", "float (line 6)", "int (line 9)", "float (line 9)"]
+
+
+def _run_rebuilds(tree: ast.Module) -> list[str]:
+    """Every mention of ``dictionary_for`` (a name, an attribute or an imported
+    name) and every call of a ``.solved`` method: the ways a module can build a
+    run's dictionary or scenario again instead of reading RunConfig's."""
+    found = []
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == "dictionary_for")
+                or (isinstance(node, ast.Attribute) and node.attr == "dictionary_for")
+                or (isinstance(node, ast.alias) and node.name == "dictionary_for")):
+            found.append((node.lineno, "dictionary_for"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "solved"):
+            found.append((node.lineno, "solved"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_cli_reads_the_run_from_its_config():
+    # RunConfig.from_dict builds a run's scenario and dictionary once; a run and
+    # its verification read those, so they cannot disagree on either
+    assert _run_rebuilds(ast.parse(CLI.read_text())) == []
+
+
+def test_run_rebuild_is_detected():
+    tree = ast.parse(
+        "from .scenarios import (RunConfig,\n"
+        "    dictionary_for)\n"
+        "def f(cfg, grid):\n"
+        "    v = cfg.resolved.solved(grid).vector_field(grid)\n"
+        "    d = scenarios.dictionary_for('x', grid)\n"
+        "    return cfg.solved.vector_field(grid), cfg.dictionary, solved(v)\n"
+    )
+    assert _run_rebuilds(tree) == ["dictionary_for (line 2)", "solved (line 4)",
+                                   "dictionary_for (line 5)"]
+
+
+def _document_reads(tree: ast.Module) -> list[str]:
+    """Calls of a ``load_document`` function or method outside ``_load``, the one
+    function that reads a document and refuses one that is not a JSON object."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "_load":
+            return
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "load_document")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "load_document")):
+            found.append(f"load_document (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_cli_reads_documents_only_through_load():
+    assert _document_reads(ast.parse(CLI.read_text())) == []
+
+
+def test_document_read_is_detected():
+    tree = ast.parse(
+        "def _load(path, field):\n"
+        "    return fio.load_document(path)\n"
+        "def _cmd_verify(args):\n"
+        "    doc = fio.load_document(args.run)\n"
+        "    return load_document(doc), fio.load_document\n"
+    )
+    assert _document_reads(tree) == ["load_document (line 4)", "load_document (line 5)"]
 
 
 def _stale_exports(tree: ast.Module) -> list[str]:
