@@ -22,12 +22,11 @@ from .fields import (
     sample_diffusion_field,
     sample_vector_field,
 )
-from .grid import Grid1D, Grid2D
+from .grid import Grid2D
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid1D",
     "Grid2D",
     "VectorField",
     "DiffusionField",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, NonFiniteFieldError, NotSPDError
-from .grid import Grid1D, Grid2D
+from .grid import Grid2D
 
 __all__ = [
     "VectorField",
@@ -190,11 +190,11 @@ class DiscreteMeasure:
     """Non-negative cell weights summing to 1, in the grid's cell shape; stands in
     for a probability measure."""
 
-    grid: Grid1D | Grid2D
+    grid: Grid2D
     weights: np.ndarray
 
     def __post_init__(self):
-        expect = (self.grid.nx,) if isinstance(self.grid, Grid1D) else (self.grid.nx, self.grid.ny)
+        expect = (self.grid.nx, self.grid.ny)
         if self.weights.shape != expect:
             raise ValueError(f"weights shape must be {expect}")
         _check_finite("weights", self.weights)
@@ -209,18 +209,10 @@ class DiscreteMeasure:
 def measure_mass_on(mu: DiscreteMeasure, region) -> float:
     """Mass of mu on a region given as a boolean mask or cell predicate.
 
-    A callable region receives cell-center coordinates (x[, y]) and must
+    A callable region receives cell-center coordinates (x, y) and must
     return a boolean array of the cell shape.
     """
-    if callable(region):
-        if isinstance(mu.grid, Grid1D):
-            mask = region(mu.grid.centers())
-        else:
-            xx, yy = mu.grid.centers()
-            mask = region(xx, yy)
-    else:
-        mask = region
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.asarray(region(*mu.grid.centers()) if callable(region) else region, dtype=bool)
     if mask.shape != mu.weights.shape:
         raise GridMismatchError(
             f"region shape {mask.shape} does not match measure shape {mu.weights.shape}"
@@ -229,10 +221,8 @@ def measure_mass_on(mu: DiscreteMeasure, region) -> float:
 
 
 def rebin_measure(mu: DiscreteMeasure, factor: int) -> DiscreteMeasure:
-    """Coarsen a 2D measure by summing weights over factor x factor cell blocks."""
+    """Coarsen a measure by summing weights over factor x factor cell blocks."""
     g = mu.grid
-    if not isinstance(g, Grid2D):
-        raise ValueError("rebinning is defined for 2D measures")
     if g.nx % factor or g.ny % factor:
         raise ValueError(f"grid {g.nx}x{g.ny} not divisible by factor {factor}")
     coarse = Grid2D(g.x_min, g.x_max, g.y_min, g.y_max, g.nx // factor, g.ny // factor)

@@ -23,7 +23,7 @@ block of B on one colour is diagonal: one step of red-black (cyclic)
 reduction (Saad, Iterative Methods for Sparse Linear Systems, sec. 3.3)
 eliminates that colour, and the LU is taken of the Schur complement on the
 half of the cells that keeps the pinned one, with its diagonal set from its
-column sums (no cancellation). 9-point, 1D and hand-built operators factor B
+column sums (no cancellation). 9-point and hand-built operators factor B
 itself. There is no second method: the solve fails closed with
 SingularOperatorError when the operator is reducible (more than one strongly
 connected component in its nonzero pattern, refused before it is factorized),
@@ -54,14 +54,13 @@ import numpy as np
 
 from .errors import FplabError, IllConditionedError, SingularOperatorError, StencilOverflowError
 from .fields import DiffusionField, DiscreteMeasure, NullFamilySchedule, VectorField, normalized_measure
-from .grid import Grid1D, Grid2D
+from .grid import Grid2D
 
 __all__ = [
     "bernoulli",
     "DiscreteOperator",
     "SolveReport",
     "assemble",
-    "assemble_1d",
     "solve_stationary",
     "solve_family",
 ]
@@ -109,7 +108,7 @@ def bernoulli(z):
 class DiscreteOperator:
     """Sparse generator-like matrix M with (M w)_cell ~ cell-integrated L_A u."""
 
-    grid: Grid1D | Grid2D
+    grid: Grid2D
     matrix: sp.csr_matrix
     meta: dict = field(default_factory=dict)
 
@@ -199,21 +198,6 @@ def _csr(st, offsets) -> sp.csr_matrix:
     return sp.csr_matrix((vals, np.stack(cols, axis=-1)[keep], indptr), shape=(nx * ny, nx * ny))
 
 
-def assemble_1d(v: np.ndarray, a: np.ndarray, grid: Grid1D) -> DiscreteOperator:
-    """1D stationary operator for drift samples v(x) and scalar diffusion a(x)."""
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if v.shape != (grid.nx,) or a.shape != (grid.nx,):
-        raise ValueError("v and a must be sampled per cell")
-    if np.any(a <= 0):
-        raise ValueError("diffusion must be positive")
-    st = np.zeros((3, 3, grid.nx, 1))
-    z = _faces(v[:, None], a[:, None], st, grid.hx)[:, 0]
-    _check_overflow(z, "x-face")
-    meta = {"max_abs_z": float(np.abs(z).max()), "stencil": "3-point"}
-    return DiscreteOperator(grid, _csr(st, _FIVE_POINT), meta)
-
-
 def assemble(v: VectorField, a: DiffusionField, grid: Grid2D) -> DiscreteOperator:
     """2D stationary operator; no-flux truncation boundary."""
     if v.grid != grid or a.grid != grid:
@@ -230,11 +214,9 @@ def assemble(v: VectorField, a: DiffusionField, grid: Grid2D) -> DiscreteOperato
     return DiscreteOperator(grid, _csr(st, _FIVE_POINT if a12 is None else _NINE_POINT), meta)
 
 
-def _pinned_cells(grid: Grid1D | Grid2D) -> tuple[int, int]:
+def _pinned_cells(grid: Grid2D) -> tuple[int, int]:
     """Flat indices of the cell the solve pins (the centre cell) and of the one
     the uniqueness check pins instead (the centre of the low-x half)."""
-    if isinstance(grid, Grid1D):
-        return grid.nx // 2, grid.nx // 4
     mid = grid.ny // 2
     return (grid.nx // 2) * grid.ny + mid, (grid.nx // 4) * grid.ny + mid
 
@@ -425,10 +407,8 @@ def solve_stationary(op: DiscreteOperator) -> tuple[DiscreteMeasure, SolveReport
 
     mass_defect = abs(float(w.sum()) - 1.0)
     min_weight = float(w.min() / max(w.sum(), 1e-300))
-    shape = (op.grid.nx,) if isinstance(op.grid, Grid1D) else (op.grid.nx, op.grid.ny)
-    w_cells = w.reshape(shape)
     try:
-        mu, clipped = normalized_measure(op.grid, w_cells)
+        mu, clipped = normalized_measure(op.grid, w.reshape(op.grid.nx, op.grid.ny))
     except ValueError as exc:
         raise SingularOperatorError(f"null vector is not a measure: {exc}") from exc
     report = SolveReport(

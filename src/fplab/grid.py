@@ -1,8 +1,8 @@
 """Uniform rectangular grids: the discrete stand-in for the state-space domain.
 
 Cell data everywhere in the package is stored as numpy arrays of shape
-``(nx, ny)`` (2D) or ``(nx,)`` (1D), flattened row-major (C order), so cell
-``(i, j)`` has flat index ``i * ny + j``.
+``(nx, ny)``, flattened row-major (C order), so cell ``(i, j)`` has flat
+index ``i * ny + j``.
 """
 
 from __future__ import annotations
@@ -11,37 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid1D", "Grid2D", "dilate"]
+__all__ = ["Grid2D", "dilate"]
 
 MIN_CELLS = 8
 MIN_WIDTH = 1.0 / np.sqrt(np.finfo(float).max)  # the narrowest cell h whose 1/h^2 is finite
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform 1D cell partition of [x_min, x_max]; fast path for oracles."""
-
-    x_min: float
-    x_max: float
-    nx: int
-
-    def __post_init__(self):
-        if self.nx < MIN_CELLS:
-            raise ValueError(f"nx must be >= {MIN_CELLS}, got {self.nx}")
-        if not 0.0 < self.x_max - self.x_min < np.inf:
-            raise ValueError("x_max must exceed x_min by a finite extent")
-        if not self.hx >= MIN_WIDTH:  # the face rates divide by h^2
-            raise ValueError(f"cells of width {self.hx:g} are too small: 1/h^2 is not finite")
-
-    @property
-    def hx(self) -> float:
-        return (self.x_max - self.x_min) / self.nx
-
-    def centers(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.nx) + 0.5) * self.hx
-
-    def metadata(self) -> dict:
-        return {"kind": "grid1d", "x_min": self.x_min, "x_max": self.x_max, "nx": self.nx}
 
 
 @dataclass(frozen=True)
@@ -144,8 +117,6 @@ def dilate(mask: np.ndarray, n: int, diagonal: bool) -> np.ndarray:
 
 def grid_from_metadata(meta: dict):
     kind = meta.get("kind")
-    if kind == "grid1d":
-        return Grid1D(meta["x_min"], meta["x_max"], int(meta["nx"]))
     if kind == "grid2d":
         return Grid2D(
             meta["x_min"], meta["x_max"], meta["y_min"], meta["y_max"],

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import AttractorApprox, LyapunovCertificate
 from .fields import DiffusionField, DiscreteMeasure, NullFamilySchedule
-from .grid import Grid1D, grid_from_metadata
+from .grid import grid_from_metadata
 
 FORMATS = {
     "measure": "fplab/measure@1",
@@ -45,10 +45,7 @@ def _flat(arr) -> list:
 
 
 def _unflat(values, grid) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if isinstance(grid, Grid1D):
-        return arr.reshape(grid.nx)
-    return arr.reshape(grid.nx, grid.ny)
+    return np.asarray(values, dtype=float).reshape(grid.nx, grid.ny)
 
 
 def measure_to_document(mu: DiscreteMeasure) -> dict:
@@ -74,13 +71,6 @@ def diffusion_to_document(a: DiffusionField) -> dict:
     }
 
 
-def diffusion_from_document(doc: dict) -> DiffusionField:
-    grid = grid_from_metadata(doc["grid"])
-    return DiffusionField(
-        grid, _unflat(doc["a11"], grid), _unflat(doc["a12"], grid), _unflat(doc["a22"], grid)
-    )
-
-
 def schedule_to_document(s: NullFamilySchedule) -> dict:
     return {
         "format": FORMATS["schedule"],
@@ -90,13 +80,6 @@ def schedule_to_document(s: NullFamilySchedule) -> dict:
         "normal_bound": s.normal_bound,
         "members": [diffusion_to_document(a) for a in s.members],
     }
-
-
-def schedule_from_document(doc: dict) -> NullFamilySchedule:
-    members = tuple(diffusion_from_document(d) for d in doc["members"])
-    return NullFamilySchedule(
-        tuple(doc["eps"]), members, doc["invariance_mode"], normal_bound=doc["normal_bound"]
-    )
 
 
 def certificate_to_document(cert: LyapunovCertificate) -> dict:

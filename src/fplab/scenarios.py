@@ -208,8 +208,8 @@ def _known(prefix: str, section: dict, known) -> None:
 
 def _checked(field: str, value, default):
     """``value`` checked by the kind ``default`` is or has: float, int (>= 2), threshold
-    map, or None (eps). A name (str) is checked where it is looked up: the dictionary
-    by RunConfig.from_dict, a schedule shape or mode by build_schedule."""
+    map, or None (eps). A name (str) is checked by RunConfig.from_dict: the dictionary
+    where it is built, a schedule shape or mode by _check_schedule_names."""
     kind = default if isinstance(default, type) else type(default)
     if default is None:
         return _eps_labels(value)
@@ -282,6 +282,16 @@ SHAPES = {
 }
 
 
+def _check_schedule_names(shape: str = "iso", invariance_mode: str = "reflecting") -> None:
+    """Refuse a schedule shape not in SHAPES or an invariance mode that is
+    neither "reflecting" nor "vanishing-at-boundary"; the defaults are
+    build_schedule's."""
+    if invariance_mode not in ("reflecting", "vanishing-at-boundary"):
+        raise ConfigError("schedule.invariance_mode", f"unknown invariance mode {invariance_mode!r}")
+    if not (isinstance(shape, str) and shape in SHAPES):
+        raise ConfigError("schedule.shape", f"unknown shape {shape!r}")
+
+
 def build_schedule(
     grid: Grid2D, eps, shape: str = "iso", invariance_mode: str = "reflecting"
 ) -> NullFamilySchedule:
@@ -293,14 +303,11 @@ def build_schedule(
     With invariance_mode = "vanishing-at-boundary" every member is tapered to
     a small floor at the truncation boundary.
     """
+    _check_schedule_names(shape, invariance_mode)
     if invariance_mode == "vanishing-at-boundary":
         taper = boundary_taper(grid)
-    elif invariance_mode == "reflecting":
-        taper = np.ones((grid.nx, grid.ny))
     else:
-        raise ConfigError("schedule.invariance_mode", f"unknown invariance mode {invariance_mode!r}")
-    if not (isinstance(shape, str) and shape in SHAPES):
-        raise ConfigError("schedule.shape", f"unknown shape {shape!r}")
+        taper = np.ones((grid.nx, grid.ny))
     profile, a22 = SHAPES[shape]
     s = taper if profile is None else profile(*grid.centers()) * taper
     return _scaled_schedule(grid, eps, (s, 0.0 * s, a22 * s), invariance_mode)
@@ -565,15 +572,20 @@ _ISOLATION_RECIPES = {
 def _design(scenario: Scenario, target: str, v: VectorField, ratio: float, eps_list):
     """(recipe, isolation, family) for a scenario/target pair of
     _ISOLATION_RECIPES: design_family stabilizes an attractor and destabilizes
-    a repeller. Isolating data that certifies the other kind than ``target``
-    is a ValueError, raised before any field is built."""
+    a repeller. Isolating data that the grid does not hold, or that certifies
+    the other kind than ``target``, is a config error naming ``scenario``,
+    raised before any field is built."""
     recipe = _ISOLATION_RECIPES.get((scenario.name, target))
     if recipe is None:
         raise ConfigError("scenario", f"no isolating data recipe for {scenario.name}/{target}")
-    iso = isolation_from_certificate(recipe.u0(*v.grid.centers()), v, *recipe.levels)
+    try:
+        iso = isolation_from_certificate(recipe.u0(*v.grid.centers()), v, *recipe.levels)
+    except ValueError as exc:
+        raise ConfigError("scenario", f"no isolating data for {scenario.name}/{target} "
+                                      f"on this grid: {exc}") from exc
     if iso.kind != target:
-        raise ValueError(f"isolating data for {scenario.name}/{target} certifies "
-                         f"{iso.kind!r}, not {target!r}")
+        raise ConfigError("scenario", f"isolating data for {scenario.name}/{target} certifies "
+                                      f"{iso.kind!r}, not {target!r}")
     return recipe, iso, design_family(iso, eps_list, ratio)
 
 
@@ -732,6 +744,7 @@ class RunConfig:
         resolved = replace(recipe, params=_resolved("scenario", scenario, {"name": name, **recipe.params}),
                            schedule=_resolved("schedule", raw["schedule"], recipe.schedule),
                            analysis=_resolved("analysis", analysis, recipe.analysis))
+        _check_schedule_names(**{k: v for k, v in resolved.schedule.items() if k != "eps"})
         seed = _config_int("seed", raw.get("seed", 0), 0, 2**64)
         grid = _config_grid(raw["grid"])
         solved = make_scenario(recipe.scenario, grid,

@@ -9,7 +9,8 @@ import pytest
 import fplab
 from fplab.analysis import bump_d1, bump_profile
 from fplab.grid import Grid2D
-from fplab.fields import sample_vector_field
+from fplab.fields import isotropic_diffusion, sample_vector_field
+from fplab.fpe import assemble
 from fplab.scenarios import hopf_drift
 
 
@@ -32,6 +33,22 @@ def hopf_field(hopf_grid):
 def radial_u(hopf_grid):
     xx, yy = hopf_grid.centers()
     return xx**2 + yy**2
+
+
+def _ou_strip(n, eps):
+    """The 1D OU law exp(-x^2/eps) on [-4, 4] as a y-uniform strip of the 2D
+    path: (operator, x centres). On Grid2D(-4, 4, -1, 1, n, 8) with
+    V = (-x, 0) and A = (eps/2) I, every y-face has z = 0, so the strip's
+    stationary measure is exactly the 1D measure on n cells times 1/ny."""
+    g = Grid2D(-4.0, 4.0, -1.0, 1.0, n, 8)
+    v = sample_vector_field(lambda x, y: (-x, 0 * y), g)
+    return assemble(v, isotropic_diffusion(g, eps / 2), g), g.x_centers()
+
+
+@pytest.fixture(scope="session")
+def ou_strip():
+    """_ou_strip: (n, eps) -> (operator of the OU strip, its x centres)."""
+    return _ou_strip
 
 
 @pytest.fixture(scope="session")

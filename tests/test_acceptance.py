@@ -30,8 +30,8 @@ from fplab.fields import (
     rebin_measure,
     sample_vector_field,
 )
-from fplab.fpe import assemble, assemble_1d, solve_stationary
-from fplab.grid import Grid1D, Grid2D
+from fplab.fpe import assemble, solve_stationary
+from fplab.grid import Grid2D
 from fplab.sampler import SamplerConfig, occupation_measure
 from fplab.scenarios import (
     build_schedule,
@@ -104,18 +104,18 @@ def hopf_iso():
 # ---------------------------------------------------------------------------
 # criteria
 
-def test_criterion_1_ou_oracle():
-    grid = Grid1D(-4.0, 4.0, 400)
-    x = grid.centers()
+def test_criterion_1_ou_oracle(ou_strip):
+    # the 1D OU law on 400 cells, solved as a y-uniform 400x8 strip
     eps = 0.1
     t0 = time.perf_counter()
-    mu, _ = solve_stationary(assemble_1d(-x, np.full_like(x, eps / 2), grid))
+    op, x = ou_strip(400, eps)
+    mu, _ = solve_stationary(op)
     wall = time.perf_counter() - t0
     ref = np.exp(-(x**2) / eps)
     ref /= ref.sum()
-    l1 = float(np.abs(mu.weights - ref).sum())
+    l1 = float(np.abs(mu.weights - ref[:, None] / op.grid.ny).sum())
     ok = l1 < 1e-3 and wall < 5.0
-    _line(1, ok, f"OU 1D L1 = {l1:.3e} (< 1e-3), runtime {wall:.2f}s (< 5s)")
+    _line(1, ok, f"OU 1D strip L1 = {l1:.3e} (< 1e-3), runtime {wall:.2f}s (< 5s)")
     assert l1 < 1e-3
     assert wall < 5.0
 
@@ -137,14 +137,14 @@ def test_criterion_2_gibbs_oracle():
     assert wall < 60.0
 
 
-def test_criterion_3_bruteforce_equivalence():
-    grid = Grid1D(-4.0, 4.0, 64)
-    x = grid.centers()
+def test_criterion_3_bruteforce_equivalence(ou_strip):
     eps = 0.1
+    op, x = ou_strip(64, eps)
+    mu, _ = solve_stationary(op)
     a = np.full_like(x, eps / 2)
-    mu, _ = solve_stationary(assemble_1d(-x, a, grid))
-    # independent construction: nearest-neighbor jump rates -> dense eigensolve
-    h, n = grid.hx, grid.nx
+    # independent construction: the 1D nearest-neighbor jump rates -> dense
+    # eigensolve, whose null vector the 64x8 strip spreads evenly over each column
+    h, n = op.grid.hx, op.grid.nx
     q = np.zeros((n, n))
     for i in range(n - 1):
         af = 0.5 * (a[i] + a[i + 1])
@@ -159,7 +159,7 @@ def test_criterion_3_bruteforce_equivalence():
     vals, vecs = np.linalg.eig(q)
     w = np.real(vecs[:, np.argmin(np.abs(vals))])
     w /= w.sum()
-    dev = float(np.abs(mu.weights - w).max())
+    dev = float(np.abs(mu.weights - w[:, None] / op.grid.ny).max())
     _line(3, dev < 1e-10, f"bordered solve vs rate-matrix eigensolve: max dev = {dev:.2e} (< 1e-10)")
     assert dev < 1e-10
 

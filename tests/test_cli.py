@@ -156,6 +156,54 @@ def test_cli_exit_2_on_malformed_document(tmp_path, capsys, cmd, name, text, fie
     assert "Traceback" not in err
 
 
+def test_cli_verify_refuses_a_1d_measure(tmp_path, capsys):
+    # every grid is 2D: a 1D grid header, which no fplab command writes, is
+    # not a measure document
+    out = tmp_path / "run"
+    _uniform_run_dir(out)
+    fio.save_document({"format": "fplab/measure@1", "weights": [1 / 32] * 32,
+                       "grid": {"kind": "grid1d", "x_min": -4.0, "x_max": 4.0, "nx": 32}},
+                      out / "measure_eps0.2.json")
+    assert main(["verify", "--run", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'run'" in err and "unknown grid kind 'grid1d'" in err
+
+
+@pytest.mark.parametrize("key,value", [("shape", "bogus"), ("invariance_mode", "sideways")])
+def test_cli_verify_refuses_a_schedule_name_that_run_refuses(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    _uniform_run_dir(out)
+    cfg = _hopf_config(out, nx=48)
+    cfg["schedule"][key] = value
+    fio.save_document(cfg, out / "config.json")
+    for argv in (["verify", "--run", str(out)], ["run", "--config", str(out / "config.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config field 'schedule.{key}'" in err
+        assert "Traceback" not in err
+
+
+def test_cli_exit_2_on_isolating_data_that_does_not_fit(tmp_path, capsys):
+    # hopf at b = -0.5 has an attracting origin, so its repeller recipe
+    # certifies the other kind; on x in [1.5, 2.5] the double well's recipe
+    # level set misses the grid
+    cfg = {"scenario": {"name": "double-well-designed"},
+           "grid": {"x_min": 1.5, "x_max": 2.5, "y_min": -2.5, "y_max": 2.5, "nx": 32, "ny": 32},
+           "schedule": {"eps": [0.1, 0.05]}, "analysis": {"dictionary": "grid3x3-v1"},
+           "output_dir": str(tmp_path / "run")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    for argv, why in (
+        (["design-noise", "--scenario", "hopf", "--target", "repeller", "--b=-0.5",
+          "--grid-n", "64", "--out", str(tmp_path / "design")], "certifies 'attractor'"),
+        (["run", "--config", str(tmp_path / "cfg.json")], "does not intersect the grid"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config field 'scenario'" in err and why in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "design").exists() and not (tmp_path / "run").exists()
+
+
 def test_cli_solve_names_the_non_finite_drift_array(tmp_path, capsys):
     # x^2 overflows at |x| ~ 1e200: the sampled drift reports its first bad
     # cell and array, and no floating-point warning leaks out of the sampling

@@ -10,7 +10,12 @@ from fplab.design import (
     verify_repelling_equilibrium,
 )
 from fplab.dynamics import verify_uniform_lyapunov
-from fplab.errors import CertificateFailError, DegenerateGradientError, RatioInfeasibleError
+from fplab.errors import (
+    CertificateFailError,
+    ConfigError,
+    DegenerateGradientError,
+    RatioInfeasibleError,
+)
 from fplab.fields import isotropic_diffusion, isotropic_schedule, sample_vector_field
 from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
@@ -126,7 +131,7 @@ def test_design_rejects_isolating_data_of_the_other_kind(recipe_of, monkeypatch)
     monkeypatch.setattr(design, "DiffusionField", no_field)
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
     scen = make_scenario(name, g)
-    with pytest.raises(ValueError, match=f"certifies {other!r}, not {target!r}"):
+    with pytest.raises(ConfigError, match=f"certifies {other!r}, not {target!r}"):
         scenarios._design(scen, target, scen.vector_field(g), 10.0, (0.1, 0.05))
 
 

@@ -21,12 +21,11 @@ from fplab.fpe import (
     UNIQUENESS_TOL,
     DiscreteOperator,
     assemble,
-    assemble_1d,
     bernoulli,
     solve_family,
     solve_stationary,
 )
-from fplab.grid import Grid1D, Grid2D
+from fplab.grid import Grid2D
 from fplab.scenarios import build_schedule, double_well_drift, hopf_drift
 
 
@@ -96,32 +95,29 @@ def test_sg_off_diagonal_rates_nonnegative():
     assert off.min() >= 0.0
 
 
-def test_ou_1d_analytic_oracle():
-    # stationary density of a u'' + (x u)' = 0 with a = eps/2 is ~ exp(-x^2/eps)
-    g = Grid1D(-4.0, 4.0, 400)
-    x = g.centers()
+def test_ou_1d_analytic_oracle(ou_strip):
+    # stationary density of a u'' + (x u)' = 0 with a = eps/2 is ~ exp(-x^2/eps),
+    # spread evenly over the strip's ny cells of each column
     eps = 0.1
-    op = assemble_1d(-x, np.full_like(x, eps / 2), g)
+    op, x = ou_strip(400, eps)
     mu, rep = solve_stationary(op)
     ref = np.exp(-(x**2) / eps)
     ref /= ref.sum()
-    assert np.abs(mu.weights - ref).sum() < 1e-3
+    assert np.abs(mu.weights - ref[:, None] / op.grid.ny).sum() < 1e-3
     assert rep.residual <= 1e-10 * op.norm_inf()
     assert rep.min_weight >= -1e-12
 
 
-def test_ou_1d_rate_matrix_eigensolve_equivalence():
+def test_ou_1d_rate_matrix_eigensolve_equivalence(ou_strip):
     # independently build the nearest-neighbor jump-rate matrix from the
     # exponential-fitting weights and cross-check via dense eigensolve
-    g = Grid1D(-4.0, 4.0, 64)
-    x = g.centers()
     eps = 0.1
-    a = np.full_like(x, eps / 2)
-    op = assemble_1d(-x, a, g)
+    op, x = ou_strip(64, eps)
     w_solve, _ = solve_stationary(op)
+    a = np.full_like(x, eps / 2)
 
-    h = g.hx
-    n = g.nx
+    h = op.grid.hx
+    n = op.grid.nx
     q = np.zeros((n, n))
     for i in range(n - 1):
         af = 0.5 * (a[i] + a[i + 1])
@@ -139,7 +135,7 @@ def test_ou_1d_rate_matrix_eigensolve_equivalence():
     k = np.argmin(np.abs(vals))
     w_eig = np.real(vecs[:, k])
     w_eig = w_eig / w_eig.sum()
-    assert np.abs(w_solve.weights - w_eig).max() < 1e-10
+    assert np.abs(w_solve.weights - w_eig[:, None] / op.grid.ny).max() < 1e-10
 
 
 def test_gibbs_2d_analytic_oracle():
@@ -309,17 +305,6 @@ def test_solve_family_empty_schedule():
     assert solve_family(v, fam, g) == []
 
 
-def test_singular_null_space_detected():
-    # two decoupled 1D operators => null space dimension 2
-    g1 = Grid1D(-1, 1, 8)
-    x = g1.centers()
-    op_a = assemble_1d(-x, np.full(8, 0.1), g1)
-    op_b = assemble_1d(-x, np.full(8, 0.2), g1)
-    big = DiscreteOperator(Grid1D(-1, 1, 16), sp.block_diag([op_a.matrix, op_b.matrix]).tocsr())
-    with pytest.raises(SingularOperatorError):
-        solve_stationary(big)
-
-
 def _chain(rng, n):
     # birth-death generator on n cells, rates uniform in [0.1, 1.1]; entry
     # (j, i) is the rate i -> j, so columns sum to zero
@@ -329,9 +314,16 @@ def _chain(rng, n):
     return m.tocsr()
 
 
-def _on_16_cells(m):
-    # Grid1D with 16 cells: the solve pins cell 8, the uniqueness check cell 4
-    return DiscreteOperator(Grid1D(-1, 1, 16), sp.csr_matrix(m))
+def _on_64_cells(m):
+    # an 8x8 grid: the solve pins cell 36, the uniqueness check cell 20
+    return DiscreteOperator(Grid2D(-1, 1, -1, 1, 8, 8), sp.csr_matrix(m))
+
+
+def test_singular_null_space_detected():
+    # two decoupled chains => null space dimension 2
+    rng = np.random.default_rng(3)
+    with pytest.raises(SingularOperatorError):
+        solve_stationary(_on_64_cells(sp.block_diag([_chain(rng, 32), _chain(rng, 32)])))
 
 
 def test_reducible_two_block_batch_refused():
@@ -340,32 +332,32 @@ def test_reducible_two_block_batch_refused():
     # pattern of the operator shows that it splits
     rng = np.random.default_rng(2024)
     for _ in range(100):
-        k = int(rng.choice([3, 5, 8, 11, 13]))
-        op = _on_16_cells(sp.block_diag([_chain(rng, k), _chain(rng, 16 - k)]))
+        k = int(rng.choice([12, 21, 32, 44, 52]))
+        op = _on_64_cells(sp.block_diag([_chain(rng, k), _chain(rng, 64 - k)]))
         with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
             solve_stationary(op)
 
 
 def test_one_way_coupled_pair_refused():
-    # block A (cells 12-15) feeds block B (cells 0-11), which never returns
+    # block A (cells 48-63) feeds block B (cells 0-47), which never returns
     # mass: A is transient and the null vector vanishes on it
     rng = np.random.default_rng(7)
-    m = sp.block_diag([_chain(rng, 12), _chain(rng, 4)]).tolil()
-    m[11, 12] += 0.5
-    m[12, 12] -= 0.5
+    m = sp.block_diag([_chain(rng, 48), _chain(rng, 16)]).tolil()
+    m[47, 48] += 0.5
+    m[48, 48] -= 0.5
     with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
-        solve_stationary(_on_16_cells(m))
+        solve_stationary(_on_64_cells(m))
 
 
 def test_coupling_stored_as_zero_does_not_hide_reducibility():
     # explicit 0.0 entries between the blocks are edges to csgraph; the check
     # must read the pattern of the nonzero entries
     rng = np.random.default_rng(0)
-    m = sp.block_diag([_chain(rng, 12), _chain(rng, 4)]).tocoo()
-    rows = np.concatenate([m.row, [11, 12]])
-    cols = np.concatenate([m.col, [12, 11]])
+    m = sp.block_diag([_chain(rng, 48), _chain(rng, 16)]).tocoo()
+    rows = np.concatenate([m.row, [47, 48]])
+    cols = np.concatenate([m.col, [48, 47]])
     data = np.concatenate([m.data, [0.0, 0.0]])
-    op = _on_16_cells(sp.csr_matrix((data, (rows, cols)), shape=(16, 16)))
+    op = _on_64_cells(sp.csr_matrix((data, (rows, cols)), shape=(64, 64)))
     assert op.matrix.nnz == m.nnz + 2
     with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
         solve_stationary(op)
@@ -477,12 +469,10 @@ def test_pinned_solve_passes_residual_test_without_fallback(monkeypatch):
 
 
 def _isolated_cell_operator():
-    # an OU chain of 15 cells plus a 16th cell with no transitions at all:
+    # a chain of 63 cells plus a 64th cell with no transitions at all:
     # every pinned matrix has a zero row, so its LU is exactly singular
-    g = Grid1D(-1, 1, 15)
-    x = g.centers()
-    m = sp.block_diag([assemble_1d(-x, np.full(15, 0.1), g).matrix, sp.csr_matrix((1, 1))])
-    return DiscreteOperator(Grid1D(-1, 1, 16), m.tocsr())
+    rng = np.random.default_rng(11)
+    return _on_64_cells(sp.block_diag([_chain(rng, 63), sp.csr_matrix((1, 1))]))
 
 
 def test_exactly_singular_factor_fails_uniqueness_check():
@@ -494,8 +484,8 @@ def test_zero_operator_is_singular_without_uniqueness_check(monkeypatch):
     # no cell reaches another: refused as reducible before any factorization,
     # so the pinned-pair (uniqueness) check never runs
     calls = _count_factorizations(monkeypatch)
-    op = DiscreteOperator(Grid1D(-1, 1, 8), sp.csr_matrix((8, 8)))
-    with pytest.raises(SingularOperatorError, match="reducible: 8 strongly"):
+    op = _on_64_cells(sp.csr_matrix((64, 64)))
+    with pytest.raises(SingularOperatorError, match="reducible: 64 strongly"):
         solve_stationary(op)
     assert calls == []
 
@@ -503,7 +493,7 @@ def test_zero_operator_is_singular_without_uniqueness_check(monkeypatch):
 def test_exactly_singular_pinned_matrix_refused():
     # every cell reaches every other, but the rows other than the pinned one
     # are equal, so SuperLU meets an exact zero pivot
-    op = DiscreteOperator(Grid1D(-1, 1, 16), sp.csr_matrix(np.ones((16, 16))))
+    op = _on_64_cells(np.ones((64, 64)))
     with pytest.raises(SingularOperatorError, match="exactly singular"):
         solve_stationary(op)
 
@@ -511,10 +501,9 @@ def test_exactly_singular_pinned_matrix_refused():
 def test_operator_without_null_vector_fails_residual_test():
     # a generator shifted by I is irreducible and nonsingular: the pinned
     # solve exists but leaves the pinned cell's balance row unsatisfied
-    g = Grid1D(-1, 1, 16)
-    m = assemble_1d(-g.centers(), np.full(16, 0.1), g).matrix + sp.identity(16, format="csr")
+    m = _chain(np.random.default_rng(13), 64) + sp.identity(64, format="csr")
     with pytest.raises(SingularOperatorError, match="residual .* above the tolerance"):
-        solve_stationary(DiscreteOperator(g, m.tocsr()))
+        solve_stationary(_on_64_cells(m))
 
 
 def test_solve_family_propagates_programming_errors():
@@ -708,7 +697,7 @@ def test_zero_eliminated_diagonal_of_irreducible_operator_refused(monkeypatch):
 @pytest.mark.parametrize("make", [
     lambda: _five_point_operator("hopf", 24),
     lambda: _sheared_ou_operator(24),
-    lambda: assemble_1d(-Grid1D(-1, 1, 40).centers(), np.full(40, 0.1), Grid1D(-1, 1, 40)),
+    lambda: _on_64_cells(_chain(np.random.default_rng(17), 64)),
 ], ids=["5-point", "9-point", "1d"])
 def test_every_stencil_factorizes_once(monkeypatch, make):
     op = make()

@@ -16,7 +16,7 @@ from fplab.fields import (
     sample_diffusion_field,
     sample_vector_field,
 )
-from fplab.grid import MIN_WIDTH, Grid1D, Grid2D, dilate, grid_from_metadata
+from fplab.grid import MIN_WIDTH, Grid2D, dilate, grid_from_metadata
 
 
 def test_grid_geometry():
@@ -33,8 +33,6 @@ def test_grid_geometry():
 def test_grid_rejects_tiny():
     with pytest.raises(ValueError):
         Grid2D(-1, 1, -1, 1, 4, 16)
-    with pytest.raises(ValueError):
-        Grid1D(0.0, 0.0, 16)
 
 
 # an extent that overflows to inf, an infinite bound, and a NaN bound
@@ -46,8 +44,11 @@ def test_grid_refuses_non_finite_extent(x_min, x_max):
         grid_from_metadata({**meta, "x_min": x_min, "x_max": x_max})
     with pytest.raises(ValueError, match="finite extent"):
         grid_from_metadata({**meta, "y_min": x_min, "y_max": x_max})
-    with pytest.raises(ValueError, match="finite extent"):
-        Grid1D(x_min, x_max, 8)
+
+
+def test_grid_from_metadata_refuses_a_1d_grid():
+    with pytest.raises(ValueError, match="unknown grid kind 'grid1d'"):
+        grid_from_metadata({"kind": "grid1d", "x_min": -4.0, "x_max": 4.0, "nx": 32})
 
 
 def test_grid_refuses_cells_whose_rates_overflow():
@@ -57,8 +58,6 @@ def test_grid_refuses_cells_whose_rates_overflow():
         for bounds in ((0.0, extent, -1.0, 1.0), (-1.0, 1.0, 0.0, extent)):
             with pytest.raises(ValueError, match="too small"):
                 Grid2D(*bounds, 8, 8)
-        with pytest.raises(ValueError, match="too small"):
-            Grid1D(0.0, extent, 8)
     h = Grid2D(0.0, 8 * MIN_WIDTH, 0.0, 8 * MIN_WIDTH, 8, 8).hx
     assert h == MIN_WIDTH and np.isfinite(1.0 / np.float64(h) ** 2)
 
