@@ -98,30 +98,39 @@ def _pruned_max(bound: np.ndarray, row_max) -> float:
     return best
 
 
-@functools.lru_cache(maxsize=None)  # two floats per distinct (wx, wy); dictionaries use few
-def _sup_norms(wx: float, wy: float) -> tuple:
-    """(sup |grad h|, sup |lap h|) of a (wx, wy) bump on the 2001^2 fine lattice.
+# Sup norms of a (wx, wy) bump on the 2001^2 fine lattice, one float per
+# distinct width pair (dictionaries use few). A row of the lattice takes the
+# same elementwise expressions as the whole outer products. Each row's bound
+# is that expression with every column factor replaced by its largest
+# magnitude on the lattice; IEEE rounding is monotone, so no computed value of
+# the row exceeds its bound, and the pruned maximum equals the whole lattice's
+# exactly.
 
-    A row of the lattice takes the same elementwise expressions as the whole
-    outer products. Each row's bound is that expression with every column
-    factor replaced by its largest magnitude on the lattice; IEEE rounding is
-    monotone, so no computed value of the row exceeds its bound, and the
-    pruned maximum equals the whole lattice's exactly.
-    """
-    psi, d1, d2 = _fine_profiles()
-    p_max, d1_max, d2_max = np.abs(psi).max(), np.abs(d1).max(), np.abs(d2).max()
+@functools.lru_cache(maxsize=None)
+def _grad_sup(wx: float, wy: float) -> float:
+    """sup |grad h| of a (wx, wy) bump on the fine lattice."""
+    psi, d1, _ = _fine_profiles()
 
     def grad_row(rows):
         gx = np.abs(np.outer(d1[rows], psi)) / wx
         gy = np.abs(np.outer(psi[rows], d1)) / wy
         return np.sqrt(gx**2 + gy**2).max()
 
+    bound = np.sqrt((np.abs(d1 * np.abs(psi).max()) / wx) ** 2
+                    + (np.abs(psi * np.abs(d1).max()) / wy) ** 2)
+    return _pruned_max(bound, grad_row)
+
+
+@functools.lru_cache(maxsize=None)
+def _lap_sup(wx: float, wy: float) -> float:
+    """sup |lap h| of a (wx, wy) bump on the fine lattice."""
+    psi, _, d2 = _fine_profiles()
+
     def lap_row(rows):
         return np.abs(np.outer(d2[rows], psi) / wx**2 + np.outer(psi[rows], d2) / wy**2).max()
 
-    g_bound = np.sqrt((np.abs(d1 * p_max) / wx) ** 2 + (np.abs(psi * d1_max) / wy) ** 2)
-    l_bound = np.abs(d2) * p_max / wx**2 + np.abs(psi) * d2_max / wy**2
-    return _pruned_max(g_bound, grad_row), _pruned_max(l_bound, lap_row)
+    bound = np.abs(d2) * np.abs(psi).max() / wx**2 + np.abs(psi) * np.abs(d2).max() / wy**2
+    return _pruned_max(bound, lap_row)
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,8 @@ class TestFunctionDictionary:
     outer(px_k, dpy_k). A bump sums against a cell array W as px_k^T W py_k,
     and no (nx, ny) bump is formed. Sup norms of the gradient/Laplacian are
     evaluated on a 2001^2 fine lattice, once per (wx, wy) per process, pruned
-    row by row with exact bounds.
+    row by row with exact bounds. Only tests read the Laplacian's, so lap_inf
+    is computed on first read.
     """
 
     grid: Grid2D
@@ -147,7 +157,11 @@ class TestFunctionDictionary:
     py: np.ndarray = field(repr=False)   # (k, ny) psi((y - cy) / wy)
     dpy: np.ndarray = field(repr=False)  # (k, ny) psi'((y - cy) / wy) / wy
     grad_inf: np.ndarray = field(repr=False)  # (k,)
-    lap_inf: np.ndarray = field(repr=False)   # (k,)
+
+    @functools.cached_property
+    def lap_inf(self) -> np.ndarray:
+        """(k,) sup |lap h_k| on the fine lattice."""
+        return np.array([_lap_sup(wx, wy) for _, _, wx, wy in self.bumps])
 
     def __len__(self):
         return len(self.bumps)
@@ -174,13 +188,12 @@ def make_dictionary(grid: Grid2D, bumps, name: str) -> TestFunctionDictionary:
                 f"bump ({cx},{cy},{wx},{wy}) support reaches boundary-adjacent cells"
             )
     bumps = tuple(tuple(map(float, b)) for b in bumps)
-    sups = np.reshape([_sup_norms(wx, wy) for _, _, wx, wy in bumps], (-1, 2))
     cx, cy, wx, wy = np.reshape(bumps, (-1, 4)).T[:, :, None]  # each (k, 1)
     ux, uy = (grid.x_centers() - cx) / wx, (grid.y_centers() - cy) / wy
     return TestFunctionDictionary(
         grid=grid, name=name, bumps=bumps,
         px=bump_profile(ux), dpx=bump_d1(ux) / wx, py=bump_profile(uy), dpy=bump_d1(uy) / wy,
-        grad_inf=sups[:, 0], lap_inf=sups[:, 1],
+        grad_inf=np.array([_grad_sup(wx, wy) for _, _, wx, wy in bumps]),
     )
 
 
@@ -312,7 +325,6 @@ class LyapunovBound:
     hypothesis_ok: bool
     gamma: float
     rho_m: float
-    rho: float
     integral: float
 
 
@@ -332,7 +344,7 @@ def _level_set_bound(cert, a, lo, hi, rho_mesh):
     band = (cert.u >= lo) & (cert.u <= hi)
     nodes = np.linspace(lo, hi, rho_mesh)
     failed = LyapunovBound(value=np.nan, form="constant", hypothesis_ok=False,
-                           gamma=cert.gamma, rho_m=cert.rho_m, rho=hi, integral=np.nan)
+                           gamma=cert.gamma, rho_m=cert.rho_m, integral=np.nan)
     if not (band.any() and float(cert.grad_norm[band].min())
             > grad_hypothesis_tol(cert.curvature, band, cert.grid)):
         return band, failed
@@ -352,7 +364,7 @@ def _level_set_bound(cert, a, lo, hi, rho_mesh):
     h_nodes = np.interp(nodes, np.asarray(pu)[order], np.asarray(pg)[order])
     return band, LyapunovBound(
         value=np.nan, form="integral", hypothesis_ok=True, gamma=cert.gamma,
-        rho_m=cert.rho_m, rho=hi, integral=float(np.trapezoid(1.0 / h_nodes, nodes)),
+        rho_m=cert.rho_m, integral=float(np.trapezoid(1.0 / h_nodes, nodes)),
     )
 
 
@@ -401,7 +413,7 @@ def anti_lyapunov_lower_bound(
     if rho == rho0 or cert.gamma == 0.0:
         return LyapunovBound(
             value=1.0, form="integral", hypothesis_ok=True, gamma=cert.gamma,
-            rho_m=cert.rho_m, rho=rho, integral=0.0,
+            rho_m=cert.rho_m, integral=0.0,
         )
     bound = _level_set_bound(cert, a, rho0, rho, RHO_MESH)[1]
     return replace(bound, value=float(np.exp(cert.gamma * bound.integral))

@@ -48,7 +48,7 @@ __all__ = [
 MIN_RAMP_CELLS = 4
 
 
-def _level_band_mask(u, rho, grid):
+def _level_band_mask(u, rho):
     """Cells within one cell of the {U = rho} level set (sign change among
     the 4-neighborhood of u - rho)."""
     d = u - rho
@@ -78,7 +78,6 @@ class IsolationData:
     kind: str  # "attractor" | "repeller"
     rho_star_lo: float
     rho_star_hi: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("attractor", "repeller"):
@@ -108,7 +107,7 @@ def isolation_from_certificate(
     gnorm = np.hypot(gx, gy)
     vdot = v.vx * gx + v.vy * gy
 
-    band = _level_band_mask(u0, rho_tilde, grid)
+    band = _level_band_mask(u0, rho_tilde)
     if not band.any():
         raise ValueError("rho_tilde level set does not intersect the grid")
     bracket = (u0 >= rho_star_lo) & (u0 <= rho_star_hi)
@@ -136,7 +135,6 @@ def isolation_from_certificate(
         kind=kind,
         rho_star_lo=float(rho_star_lo),
         rho_star_hi=float(rho_star_hi),
-        meta={"band_cells": int(band.sum())},
     )
 
 
@@ -161,7 +159,7 @@ def lemma41_constants(iso: IsolationData, kind: str | None = None):
     grid = iso.grid
     gx, gy = grad_central(iso.u0, grid)
     gnorm = np.hypot(gx, gy)
-    level = _level_band_mask(iso.u0, iso.rho_tilde, grid)
+    level = _level_band_mask(iso.u0, iso.rho_tilde)
     min_level = float(gnorm[level].min())
     if min_level <= 1e-12:
         raise DegenerateGradientError("grad U0 vanishes on the rho_tilde level set")
@@ -294,7 +292,6 @@ class RepellingVerdict:
     template: float        # (rho0 / rho_bar)^C
     exponent: float        # C
     passed: bool
-    per_eps_ok: tuple
 
 
 def verify_repelling_equilibrium(
@@ -348,12 +345,10 @@ def verify_repelling_equilibrium(
     template = (rho0 / rho_bar) ** c_exp
 
     masses = tuple(float(mu.weights[u < rho0].sum()) for mu in measures)
-    oks = tuple(m <= template for m in masses)
     return RepellingVerdict(
         eps=tuple(family.eps),
         mass_near=masses,
         template=float(template),
         exponent=float(c_exp),
-        passed=all(oks),
-        per_eps_ok=oks,
+        passed=all(m <= template for m in masses),
     )

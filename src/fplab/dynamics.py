@@ -119,9 +119,6 @@ class AttractorApprox:
             raise ValueError("attractor approximation must be non-empty")
         self.mask.setflags(write=False)
 
-    def cells(self):
-        return np.argwhere(self.mask)
-
 
 def approximate_attractor(
     v_fn,
@@ -247,7 +244,6 @@ class LyapunovCertificate:
     worst_margin: float
     slack: float
     violations: tuple = ()
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in CERT_KINDS:
@@ -269,8 +265,8 @@ class LyapunovCertificate:
         return curvature_bound(*hessian_from_grad(*self.grad, self.grid))
 
 
-def _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma, kind, verified_for,
-                 meta) -> LyapunovCertificate:
+def _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma, kind,
+                 verified_for) -> LyapunovCertificate:
     """Certificate of the per-cell ``margins`` on ``mask``, where a cell fails unless
     its margin is >= -slack (so a NaN margin fails), and which fails if ``mask`` is
     empty. It holds ``u`` as given: callers pass a copy that may become read-only."""
@@ -288,7 +284,6 @@ def _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma, kind, verif
         worst_margin=float(margins[mask].min()) if mask.any() else np.inf,
         slack=float(slack),
         violations=violations,
-        meta=meta,
     )
 
 
@@ -331,8 +326,7 @@ def verify_lyapunov(
         # "weak" and "entire-weak" check the Lyapunov direction V.grad U <= 0;
         # the anti directions follow by passing v.negated() (time reversal)
         margins = -vdotgrad - gamma_eff
-    return _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma_eff, kind, "ode",
-                        {"n_checked": int(mask.sum())})
+    return _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma_eff, kind, "ode")
 
 
 def verify_uniform_lyapunov(
@@ -346,8 +340,8 @@ def verify_uniform_lyapunov(
     domain {rho_m < U < max U + 1} for every family member, with one shared
     (rho_m, gamma).
 
-    Returns (member_certs, uniform_pass, first_pass_index): the index of the
-    largest eps at which the condition starts holding for all smaller eps.
+    Returns (member_certs in family order, uniform_pass, first_pass_index): the
+    index of the largest eps from which the condition holds for all smaller eps.
     """
     if len(family) == 0:
         raise ValueError("family must be non-empty")
@@ -361,10 +355,10 @@ def verify_uniform_lyapunov(
     mask = (u > rho_m) & (u < rho_M)
 
     certs = []
-    for eps, a in family:
+    for a in family.members:
         lau = a.a11 * uxx + 2.0 * a.a12 * uxy + a.a22 * uyy + vdotgrad
         certs.append(_certificate(u, grid, -lau - gamma, mask, slack, rho_m, rho_M, gamma,
-                                  "lyapunov", "operator-family", {"eps": eps}))
+                                  "lyapunov", "operator-family"))
     flags = [c.passed for c in certs]
     uniform = all(flags)
     first_pass = None

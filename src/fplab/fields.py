@@ -132,16 +132,15 @@ class NullFamilySchedule:
     """Ordered noise family (eps_k, A_k) with eps strictly decreasing to 0.
 
     The constructor raises ValueError unless max-over-cells |A_k| decreases
-    strictly along the schedule; ``is_normal`` records whether the per-member
-    Frobenius/lambda ratio stays below ``normal_bound`` on the verification
-    region.
+    strictly along the schedule. ``normal_bound`` (recorded in schedule.json)
+    bounds the members' Frobenius/lambda ratio: every builder sets it above
+    their largest ratio.
     """
 
     eps: tuple
     members: tuple
     invariance_mode: str = "reflecting"
     normal_bound: float = np.sqrt(2.0) * 1.0001
-    is_normal: bool = field(init=False)
 
     def __post_init__(self):
         if len(self.eps) != len(self.members):
@@ -154,9 +153,7 @@ class NullFamilySchedule:
         norms = [A.max_norm() for A in self.members]
         if not all(n2 < n1 for n1, n2 in zip(norms, norms[1:])):
             raise ValueError("max-cell |A_k| must decrease strictly along the schedule")
-        normal = all(A.normality_ratio() <= self.normal_bound for A in self.members)
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "is_normal", normal)
 
     def __len__(self):
         return len(self.members)
@@ -231,11 +228,12 @@ def rebin_measure(mu: DiscreteMeasure, factor: int) -> DiscreteMeasure:
 
 
 def normalized_measure(grid, raw: np.ndarray) -> tuple[DiscreteMeasure, float]:
-    """Clip tiny negatives to 0 and renormalize; returns (measure, clipped_mass)."""
+    """Clip tiny negatives to +0.0 and renormalize; returns (measure, clipped_mass)."""
     w = np.asarray(raw, dtype=float).copy()
     neg = w < 0.0
     clipped = float(-w[neg].sum()) if neg.any() else 0.0
     w[neg] = 0.0
+    w += 0.0  # a -0.0 (a zero over a negative pivot) is not < 0; this makes it +0.0
     total = w.sum()
     if total <= 0.0:
         raise ValueError("cannot normalize a measure with non-positive total mass")

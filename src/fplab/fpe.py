@@ -122,6 +122,9 @@ class DiscreteOperator:
 
 @dataclass
 class SolveReport:
+    """How a solve went. min_weight is the raw null vector's minimum over its
+    sum, taken before normalized_measure clips negatives (and -0.0) away."""
+
     residual: float
     mass_defect: float
     min_weight: float

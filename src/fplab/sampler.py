@@ -38,7 +38,7 @@ from .errors import GridMismatchError, NonFiniteFieldError, NotSPDError, Underre
 from .fields import DiffusionField, DiscreteMeasure, normalized_measure
 from .grid import Grid2D
 
-__all__ = ["SamplerConfig", "noise_factor", "occupation_measure"]
+__all__ = ["SamplerConfig", "occupation_measure"]
 
 # steps per chunk of drawn normals and per-step records. The chunk's buffers
 # take 64 B per step, member and path, plus 32 B per step and path for the
@@ -100,17 +100,8 @@ class SamplerConfig:
         return int(round(self.t_burn / self.dt))
 
 
-def noise_factor(a_cell: np.ndarray) -> np.ndarray:
-    """Lower-triangular G with G G^T / 2 = A, for one symmetric 2x2 SPD A."""
-    a = np.asarray(a_cell, dtype=float)
-    if a.shape != (2, 2) or abs(a[0, 1] - a[1, 0]) > 0:
-        raise ValueError("A must be symmetric 2x2")
-    g00, g10, g11 = _chol_2x2_batch(a[0, 0], a[1, 0], a[1, 1])
-    return np.array([[g00, 0.0], [g10, g11]])
-
-
 def _chol_2x2_batch(a11, a12, a22):
-    """Elementwise Cholesky factor (g00, g10, g11) of 2A."""
+    """Elementwise entries (g00, g10, g11) of the lower-triangular G with G G^T / 2 = A."""
     m11, m12, m22 = 2.0 * a11, 2.0 * a12, 2.0 * a22
     if np.any(m11 <= 0):
         raise NotSPDError("path", float(np.min(m11)) / 2.0)

@@ -79,6 +79,13 @@ def test_dictionary_sup_norms_equal_the_whole_lattice(n, name):
     assert d.lap_inf.tolist() == [lap for _, lap in ref]
 
 
+def test_dictionary_computes_the_laplacian_sup_norm_on_first_read():
+    d = dictionary_for("hopf-offcycle-v1", Grid2D(-2.5, 2.5, -2.5, 2.5, 64, 64))
+    assert "lap_inf" not in vars(d)
+    assert d.lap_inf is d.lap_inf
+    assert "lap_inf" in vars(d)
+
+
 def test_dictionary_sup_norms_of_an_anisotropic_bump():
     d = make_dictionary(Grid2D(-2.5, 2.5, -2.5, 2.5, 96, 96), [(0.3, -0.2, 0.7, 0.35)], "aniso")
     g, lap = _reference_sup_norms(0.7, 0.35)
@@ -144,11 +151,17 @@ def test_dictionary_never_holds_the_whole_fine_lattice():
     grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 32, 32)
     tracemalloc.start()
     try:
-        make_dictionary(grid, [(0.0, 0.0, 0.3137, 0.2719)], "cold")
+        make_dictionary(grid, [(0.0, 0.0, 0.3137, 0.2719)], "cold").lap_inf
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2001**2 * 8
+
+
+def _cold_dictionary(grid, bump):
+    d = make_dictionary(grid, [bump], "race")
+    d.lap_inf  # computed on first read, in the calling thread
+    return d
 
 
 def test_dictionary_sup_norms_under_concurrent_cold_calls():
@@ -159,7 +172,7 @@ def test_dictionary_sup_norms_under_concurrent_cold_calls():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(make_dictionary, grid, [(0.0, 0.0, 0.5123, 0.4567)], "race")
+            futures = [pool.submit(_cold_dictionary, grid, (0.0, 0.0, 0.5123, 0.4567))
                        for _ in range(8)]
             dicts = [f.result(timeout=120) for f in futures]
     finally:

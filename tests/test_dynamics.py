@@ -59,7 +59,7 @@ def test_attractor_origin():
     g = Grid2D(-2, 2, -2, 2, 32, 32)
     ap = approximate_attractor(LINEAR, g, ensemble_size=64, t_end=20.0)
     assert ap.kind == "global-attractor"
-    cells = ap.cells()
+    cells = np.argwhere(ap.mask)
     centers_x = g.x_centers()[cells[:, 0]]
     centers_y = g.y_centers()[cells[:, 1]]
     assert np.hypot(centers_x, centers_y).max() < 3 * max(g.hx, g.hy)
@@ -68,7 +68,7 @@ def test_attractor_origin():
 def test_attractor_hopf_annulus():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 64, 64)
     ap = approximate_attractor(hopf_drift(1.0), g, ensemble_size=128, t_end=40.0)
-    cells = ap.cells()
+    cells = np.argwhere(ap.mask)
     r = np.hypot(g.x_centers()[cells[:, 0]], g.y_centers()[cells[:, 1]])
     assert np.all(np.abs(r - 1.0) < 3 * max(g.hx, g.hy))
     # orbits approach the flagged set: distance at 80% of t_end is not smaller
@@ -85,7 +85,7 @@ def test_repeller_via_time_reversal():
         seed_region=lambda x, y: x**2 + y**2 < 0.25,
     )
     assert ap.kind == "local-repeller"
-    cells = ap.cells()
+    cells = np.argwhere(ap.mask)
     r = np.hypot(g.x_centers()[cells[:, 0]], g.y_centers()[cells[:, 1]])
     assert r.max() < 3 * max(g.hx, g.hy)
 

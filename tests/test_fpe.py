@@ -468,16 +468,52 @@ def test_pinned_solve_passes_residual_test_without_fallback(monkeypatch):
     assert rep.residual == pytest.approx(np.abs(op.matrix @ mu.weights.ravel()).max(), rel=1e-6, abs=0)
 
 
+def test_solved_measure_has_no_negative_zero():
+    # at 48² and eps 0.02 the checkerboard solve writes -0.0 (a zero over the
+    # negative generator diagonal) into 64 cells of the Hopf null vector
+    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 48, 48)
+    v = sample_vector_field(hopf_drift(1.0), g)
+    (_, a), = build_schedule(g, (0.02,), "iso")
+    mu, _ = solve_stationary(assemble(v, a, g))
+    assert (mu.weights == 0.0).any()
+    assert not np.signbit(mu.weights).any()
+
+
 def _isolated_cell_operator():
-    # a chain of 63 cells plus a 64th cell with no transitions at all:
-    # every pinned matrix has a zero row, so its LU is exactly singular
+    # a chain of 63 cells plus a 64th cell with no transitions at all: the
+    # pattern has two strongly connected components, so it is refused before
+    # any factorization
     rng = np.random.default_rng(11)
     return _on_64_cells(sp.block_diag([_chain(rng, 63), sp.csr_matrix((1, 1))]))
 
 
-def test_exactly_singular_factor_fails_uniqueness_check():
-    with pytest.raises(SingularOperatorError):
+def test_isolated_cell_is_refused_as_reducible(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    with pytest.raises(SingularOperatorError, match="reducible: 2 strongly"):
         solve_stationary(_isolated_cell_operator())
+    assert calls == []
+
+
+def test_disagreeing_pair_of_a_non_metzler_operator_is_singular(monkeypatch):
+    # the sheared 9-point stencil has negative corner rates, so uniqueness of
+    # the null vector is not known, and a pinned pair that disagrees (step 4)
+    # suggests a second null vector rather than rounding
+    from fplab import fpe
+
+    op = _sheared_ou_operator(12)
+    assert op.meta["stencil"] == "9-point"
+    assert (op.matrix - sp.diags(op.matrix.diagonal())).min() < 0
+    alternate = fpe._alternate_solve
+
+    def perturbed(*args):
+        w_alt = alternate(*args)
+        w_alt[0] += w_alt.sum()  # moves half the mass onto one cell
+        return w_alt
+
+    monkeypatch.setattr(fpe, "_alternate_solve", perturbed)
+    with pytest.raises(SingularOperatorError, match="null space dimension > 1 suspected") as exc:
+        solve_stationary(op)
+    assert not isinstance(exc.value, IllConditionedError)
 
 
 def test_zero_operator_is_singular_without_uniqueness_check(monkeypatch):

@@ -241,6 +241,61 @@ def test_stale_export_is_detected():
     assert _stale_exports(tree) == ["b", "g", "gone"]
 
 
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Names read as an attribute (``x.name`` in a load) anywhere in the tree."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_fields(tree: ast.Module, reads: set[str]) -> list[str]:
+    """Annotated fields of the tree's ``@dataclass`` classes whose name is not in
+    ``reads``. Fields are matched by name only, so a field that shares its name
+    with an attribute read elsewhere (``meta``, say) escapes the check."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        found += [f"{cls.name}.{node.target.id} (line {node.lineno})" for node in cls.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and node.target.id not in reads]
+    return found
+
+
+READERS = SRC + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def test_every_dataclass_field_is_read():
+    # state that no command, document or test reads is dead weight on every
+    # object that carries it
+    reads = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in READERS))
+    assert [f"{p.name}: {f}" for p in SRC
+            for f in _unread_fields(ast.parse(p.read_text()), reads)] == []
+
+
+def test_unread_field_is_detected():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    stored: dict = field(default_factory=dict)\n"
+        "    ratio = 2.0\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    written: float\n"
+        "class C:\n"
+        "    plain: int\n"
+        "def f(a, b):\n"
+        "    b.written = a.kept\n"
+        "    return getattr(a, 'stored'), a.plain\n"
+    )
+    assert _unread_fields(tree, _attribute_reads(tree)) == ["A.stored (line 5)",
+                                                            "B.written (line 9)"]
+
+
 def test_format_tags_live_in_io_formats():
     # a document format tag written anywhere but io.FORMATS would let two
     # modules disagree on a version

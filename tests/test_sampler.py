@@ -18,29 +18,33 @@ from fplab.sampler import (
     _chol_2x2_batch,
     _path_rng,
     _reflect,
-    noise_factor,
     occupation_measure,
 )
 from fplab.scenarios import double_well_drift, hopf_drift
 
 
+def _noise_factor(a11, a12, a22):
+    """The lower-triangular G that _chol_2x2_batch gives for one A."""
+    g00, g10, g11 = _chol_2x2_batch(a11, a12, a22)
+    return np.array([[g00, 0.0], [g10, g11]])
+
+
 def test_noise_factor_isotropic():
-    g = noise_factor(np.array([[0.05, 0.0], [0.0, 0.05]]))
+    g = _noise_factor(0.05, 0.0, 0.05)
     np.testing.assert_allclose(g, np.sqrt(0.1) * np.eye(2), atol=1e-15)
 
 
 def test_noise_factor_general():
     a = np.array([[0.1, 0.02], [0.02, 0.05]])
-    g = noise_factor(a)
+    g = _noise_factor(0.1, 0.02, 0.05)
     assert np.abs(g @ g.T / 2.0 - a).max() < 1e-14
-    assert g[0, 1] == 0.0  # lower-triangular
 
 
 def test_noise_factor_rejects_indefinite():
     with pytest.raises(NotSPDError):
-        noise_factor(np.array([[0.1, 0.2], [0.2, 0.1]]))
+        _noise_factor(0.1, 0.2, 0.1)
     with pytest.raises(NotSPDError):
-        noise_factor(np.array([[-0.1, 0.0], [0.0, 0.1]]))
+        _noise_factor(-0.1, 0.0, 0.1)
 
 
 def test_config_validation():
