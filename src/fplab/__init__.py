@@ -17,7 +17,6 @@ from .fields import (
     VectorField,
     isotropic_diffusion,
     isotropic_schedule,
-    measure_mass_on,
     rebin_measure,
     sample_diffusion_field,
     sample_vector_field,
@@ -36,7 +35,6 @@ __all__ = [
     "sample_diffusion_field",
     "isotropic_diffusion",
     "isotropic_schedule",
-    "measure_mass_on",
     "rebin_measure",
     "__version__",
 ]

@@ -13,6 +13,10 @@ failed or another package error stopped the command (e.g. an infeasible noise
 design), 2 configuration error: a missing, unknown or invalid config field or
 flag value (a non-finite number, a bool or a string where a number is due),
 or an unreadable config or run directory.
+
+A run config's ``seed`` (and ``fplab hopf --seed``) is range-checked and
+echoed into config.json, but no computation reads it: no run is random. Only
+``fplab sample --seed`` seeds anything, the sampler's path streams.
 """
 
 from __future__ import annotations
@@ -125,6 +129,9 @@ def _cmd_hopf(args) -> int:
     workers = _workers()
     eps = _flag_numbers("schedule.eps", args.eps)  # checked by RunConfig
     box = SCENARIOS["hopf"].box
+    bs = _flag_numbers("scenario.b", args.b)
+    if len(set(bs)) < len(bs):  # two jobs would write one b directory
+        raise ConfigError("scenario.b", f"repeats a value: {args.b!r}")
     jobs = [RunConfig.from_dict({
         "scenario": {"name": "hopf", "b": b},
         "grid": {"x_min": -box, "x_max": box, "y_min": -box, "y_max": box,
@@ -133,7 +140,7 @@ def _cmd_hopf(args) -> int:
         "analysis": {"dictionary": _RUN_RECIPES["hopf"].analysis["dictionary"]},
         "output_dir": str(Path(args.out) / f"b{b!r}"),
         "seed": args.seed,
-    }) for b in _flag_numbers("scenario.b", args.b)]
+    }) for b in bs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(RunConfig.run, jobs))
     for result, cfg in zip(results, jobs):
@@ -300,7 +307,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="0.2,0.1,0.05,0.02")
     p.add_argument("--grid-n", type=int, default=256)
     p.add_argument("--shape", default=_RUN_RECIPES["hopf"].schedule["shape"], choices=list(SHAPES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="range-checked and echoed into config.json; no run reads it, as none is random")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_hopf)
 

@@ -32,7 +32,7 @@ from .errors import (
     DegenerateGradientError,
     RatioInfeasibleError,
 )
-from .fields import DiffusionField, NullFamilySchedule, VectorField
+from .fields import NullFamilySchedule, VectorField, _scaled_schedule
 from .grid import Grid2D, dilate
 
 __all__ = [
@@ -243,16 +243,8 @@ def design_family(iso: IsolationData, eps_list, ratio: float) -> DesignedFamily:
             f"eps_max * max|grad s| on Omega = {grad_cap:.4g} must stay below 1",
         )
 
-    members = tuple(
-        DiffusionField(grid, e * s, np.zeros_like(s), e * s) for e in eps_list
-    )
-    # per-cell the shape is isotropic, so the region-wise Frobenius/lambda
-    # ratio is bounded by sqrt(2) * (max s / min s) = sqrt(2) * ratio
-    schedule = NullFamilySchedule(
-        tuple(eps_list), members, normal_bound=np.sqrt(2.0) * ratio * 1.0001
-    )
     return DesignedFamily(
-        schedule=schedule,
+        schedule=_scaled_schedule(grid, eps_list, (s, 0.0 * s, s), "reflecting"),
         shaping=s,
         ratio=float(ratio),
         region_strong=region_strong,

@@ -1,7 +1,6 @@
-"""Deterministic side: flow integration, attractor/repeller approximation, and
+"""Deterministic side: attractor/repeller approximation by an RK4 ensemble, and
 Lyapunov-certificate verification on the grid.
 
-Trajectories and the attractor ensemble share one RK4 step generator.
 Certificates check the drift inequality V . grad(U) <= -gamma (or its
 anti/weak variants) outside the rho_m sublevel set, with gradients by central
 differences and a discretization slack proportional to hx + hy; that slack and
@@ -25,7 +24,6 @@ from .grid import Grid2D, dilate
 __all__ = [
     "LyapunovCertificate",
     "AttractorApprox",
-    "integrate_flow",
     "approximate_attractor",
     "grad_central",
     "hessian_from_grad",
@@ -66,37 +64,6 @@ def _rk4_steps(v_fn, p, total: float, dt: float, sign: float):
         p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         yield t, p
-
-
-def integrate_flow(v_fn, x0, t_end: float, dt: float, box: Grid2D | None = None):
-    """Classical RK4 trajectory of dx/dt = V(x) from x0.
-
-    ``v_fn`` maps an (..., 2) array of points to drift vectors of the same
-    shape. Negative t_end integrates the time-reversed field (repeller
-    detection). If a grid ``box`` is given, trajectories terminate with an
-    escape flag on leaving its closed box.
-
-    Returns (times, points, escaped) with points of shape (n_steps+1, 2).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end == 0:
-        raise ValueError("t_end must be nonzero")
-    sign = 1.0 if t_end > 0 else -1.0
-
-    p0 = np.asarray(x0, dtype=float)
-    t_start, times, points = 0.0, [0.0], [p0]
-    escaped = False
-    for t, p in _rk4_steps(v_fn, p0, abs(t_end), dt, sign):
-        if not np.all(np.isfinite(p)):
-            raise NonFiniteFieldError(("trajectory", t_start), float("nan"))
-        t_start = t
-        times.append(sign * t)
-        points.append(p)
-        if box is not None and not box.contains(p):
-            escaped = True
-            break
-    return np.asarray(times), np.asarray(points), escaped
 
 
 def _diameter(pts):
@@ -294,7 +261,6 @@ def verify_lyapunov(
     gamma: float,
     kind: str = "lyapunov",
     rho_M: float | None = None,
-    slack: float | None = None,
 ) -> LyapunovCertificate:
     """Check the drift inequality for U against the ODE field.
 
@@ -312,8 +278,7 @@ def verify_lyapunov(
         rho_M = float(u.max()) + 1.0
     gx, gy = grad_central(u, grid)
     vdotgrad = v.vx * gx + v.vy * gy
-    if slack is None:
-        slack = _default_slack(curvature_bound(*hessian_from_grad(gx, gy, grid)), grid)
+    slack = _default_slack(curvature_bound(*hessian_from_grad(gx, gy, grid)), grid)
 
     if kind == "entire-weak":
         mask = np.ones_like(u, dtype=bool)
@@ -324,7 +289,7 @@ def verify_lyapunov(
         margins = vdotgrad - gamma_eff
     else:
         # "weak" and "entire-weak" check the Lyapunov direction V.grad U <= 0;
-        # the anti directions follow by passing v.negated() (time reversal)
+        # the anti directions follow by passing the time-reversed field -V
         margins = -vdotgrad - gamma_eff
     return _certificate(u, grid, margins, mask, slack, rho_m, rho_M, gamma_eff, kind, "ode")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, NonFiniteFieldError, NotSPDError
+from .errors import NonFiniteFieldError, NotSPDError
 from .grid import Grid2D
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "sample_vector_field",
     "sample_diffusion_field",
     "isotropic_diffusion",
-    "measure_mass_on",
 ]
 
 MASS_TOL = 1e-12
@@ -46,9 +45,6 @@ class VectorField:
         _check_finite("vy", self.vy)
         self.vx.setflags(write=False)
         self.vy.setflags(write=False)
-
-    def negated(self) -> "VectorField":
-        return VectorField(self.grid, -self.vx, -self.vy)
 
 
 def _spd_lambda_min(a11, a12, a22):
@@ -201,20 +197,6 @@ class DiscreteMeasure:
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {mass!r} deviates from 1 by more than {MASS_TOL}")
         self.weights.setflags(write=False)
-
-
-def measure_mass_on(mu: DiscreteMeasure, region) -> float:
-    """Mass of mu on a region given as a boolean mask or cell predicate.
-
-    A callable region receives cell-center coordinates (x, y) and must
-    return a boolean array of the cell shape.
-    """
-    mask = np.asarray(region(*mu.grid.centers()) if callable(region) else region, dtype=bool)
-    if mask.shape != mu.weights.shape:
-        raise GridMismatchError(
-            f"region shape {mask.shape} does not match measure shape {mu.weights.shape}"
-        )
-    return float(mu.weights[mask].sum())
 
 
 def rebin_measure(mu: DiscreteMeasure, factor: int) -> DiscreteMeasure:

@@ -112,10 +112,6 @@ class DiscreteOperator:
     matrix: sp.csr_matrix
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     def norm_inf(self) -> float:
         return float(np.abs(self.matrix).sum(axis=1).max())
 

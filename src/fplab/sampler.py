@@ -58,7 +58,6 @@ class SamplerConfig:
     t_total: float
     n_paths: int = 64
     rng_seed: int = 0
-    t_burn: float | None = None  # default 0.2 * t_total
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -73,23 +72,19 @@ class SamplerConfig:
             object.__setattr__(self, name, int(value))
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        burn = 0.2 * self.t_total if self.t_burn is None else self.t_burn
-        if not (math.isfinite(burn) and burn >= 0):
-            raise ValueError("t_burn must be finite and >= 0")
-        if not burn < self.t_total:
-            raise ValueError("t_burn must be below t_total")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must lie in [0, 2**64)")
-        object.__setattr__(self, "t_burn", burn)
-        # t_burn < t_total, so t_burn/dt is bounded when t_total/dt is
         if not self.t_total / self.dt <= _MAX_STEPS:
             raise ValueError(f"t_total/dt = {self.t_total / self.dt:.3g} exceeds the "
                              f"{_MAX_STEPS:.0e} steps a run may take: raise dt")
+        # burn-in is a fifth of the run, so a run of one step or more keeps one
         if self.n_steps < 1:
             raise ValueError(f"t_total/dt = {self.t_total / self.dt:.3g} rounds to no step")
-        if self.burn_steps >= self.n_steps:
-            raise ValueError(f"t_burn/dt rounds to {self.burn_steps} of {self.n_steps} steps: "
-                             "no step is kept after burn-in")
+
+    @property
+    def t_burn(self) -> float:
+        """Burn-in time: the first fifth of the run."""
+        return 0.2 * self.t_total
 
     @property
     def n_steps(self) -> int:

@@ -31,7 +31,7 @@ from .analysis import (
     lyapunov_upper_bound,
     make_dictionary,
 )
-from .design import design_family, isolation_from_certificate
+from .design import _smoothstep, design_family, isolation_from_certificate
 from .dynamics import verify_uniform_lyapunov
 from .errors import ConfigError
 from .fields import (
@@ -269,9 +269,7 @@ def boundary_taper(grid: Grid2D) -> np.ndarray:
     dy = np.minimum(yy - grid.y_min, grid.y_max - yy)
     d = np.minimum(dx, dy)
     m = 0.1 * 0.5 * min(grid.x_max - grid.x_min, grid.y_max - grid.y_min)
-    t = np.clip(d / m, 0.0, 1.0)
-    t = t * t * (3.0 - 2.0 * t)
-    return floor + (1.0 - floor) * t
+    return floor + (1.0 - floor) * _smoothstep(d / m)
 
 
 # schedule shape name -> (profile s(x, y) or None, a22): A = eps * s * diag(1, a22)
@@ -421,8 +419,8 @@ def run_hopf_sweep(
     b: float,
     schedule: NullFamilySchedule,
     grid: Grid2D,
-    dictionary: TestFunctionDictionary | None = None,
-    thresholds: dict | None = None,
+    dictionary: TestFunctionDictionary,
+    thresholds: dict,
     rho_mesh: int = RHO_MESH,
 ) -> ScenarioResult:
     """Solve the Hopf family and evaluate the vanishing-noise metrics.
@@ -431,13 +429,13 @@ def run_hopf_sweep(
     uniform, BL distance to the reference limit measure (Haar on the cycle
     for b > 0, point mass at the origin otherwise), invariance residual, and
     the exponential exterior-mass bound check with U = x^2 + y^2.
+    ``thresholds`` holds every final-eps threshold of _HOPF_THRESHOLDS, as
+    RunConfig.from_dict resolves them.
     """
-    th = _thresholds(thresholds, _HOPF_THRESHOLDS)
     scen = make_scenario("hopf", grid, b=b)
     v = scen.vector_field(grid)
     xx, yy = grid.centers()
     r = np.hypot(xx, yy)
-    dictionary = dictionary or dictionary_for(_DEFAULT_DICTIONARY, grid)
 
     sqrt_b = float(np.sqrt(b)) if b > 0 else 0.0
     annulus = np.abs(r - sqrt_b) < 0.15
@@ -461,7 +459,7 @@ def run_hopf_sweep(
             "invariance_mode": schedule.invariance_mode,
             "dictionary": dictionary.name,
             "rho_mesh": rho_mesh,
-            "thresholds": th,
+            "thresholds": thresholds,
             "rho_m": rho_m,
             "gamma": gamma,
         },
@@ -500,23 +498,27 @@ def run_hopf_sweep(
             aw1 = out.series("angular_w1")
             resid = out.series("residual_max")
             out.record("annulus_mass_increasing", np.all(np.diff(ann) > 0), ann[-1], ann[0])
-            out.record("annulus_mass_final", ann[-1] >= th["annulus_final"], ann[-1], th["annulus_final"])
+            out.record("annulus_mass_final", ann[-1] >= thresholds["annulus_final"], ann[-1],
+                       thresholds["annulus_final"])
             out.record("origin_mass_decreasing", np.all(np.diff(org) < 0), org[-1], org[0])
-            out.record("origin_mass_final", org[-1] <= th["origin_final"], org[-1], th["origin_final"])
+            out.record("origin_mass_final", org[-1] <= thresholds["origin_final"], org[-1],
+                       thresholds["origin_final"])
             out.record("angular_w1_decreasing", np.all(np.diff(aw1) < 0), aw1[-1], aw1[0])
-            out.record("angular_w1_final", aw1[-1] <= th["angular_w1_final"], aw1[-1], th["angular_w1_final"])
+            out.record("angular_w1_final", aw1[-1] <= thresholds["angular_w1_final"], aw1[-1],
+                       thresholds["angular_w1_final"])
             out.record(
                 "residual_ratio_final",
-                resid[-1] <= th["residual_ratio_final"] * resid[0],
+                resid[-1] <= thresholds["residual_ratio_final"] * resid[0],
                 resid[-1] / max(resid[0], 1e-300),
-                th["residual_ratio_final"],
+                thresholds["residual_ratio_final"],
             )
             bl = out.series("bl_to_reference")
             out.record("bl_to_haar_decreasing", np.all(np.diff(bl) < 0), bl[-1], bl[0])
         else:
             ctr = out.series("mass_center")
             out.record("center_mass_increasing", np.all(np.diff(ctr) > 0), ctr[-1], ctr[0])
-            out.record("center_mass_final", ctr[-1] >= th["center_final"], ctr[-1], th["center_final"])
+            out.record("center_mass_final", ctr[-1] >= thresholds["center_final"], ctr[-1],
+                       thresholds["center_final"])
         out.record(
             "exterior_bound_all_ok",
             bool(np.all(out.series("exterior_bound_ok") > 0)),
@@ -707,7 +709,8 @@ class RunConfig:
     config.json echoes); ``resolved``, its sections resolved into the run recipe its
     scenario names; and what every run reads: ``domain``, the Grid2D of its grid
     section, ``solved``, the scenario whose drift it solves, and ``dictionary``,
-    its test-function dictionary."""
+    its test-function dictionary. ``seed`` is range-checked and echoed, but no
+    computation reads it: no run is random."""
 
     scenario: dict
     grid: dict

@@ -34,7 +34,9 @@ from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
 from fplab.sampler import SamplerConfig, occupation_measure
 from fplab.scenarios import (
+    _HOPF_THRESHOLDS,
     build_schedule,
+    dictionary_for,
     hopf_drift,
     make_scenario,
     run_designed_comparison,
@@ -193,7 +195,8 @@ def test_criterion_4_hopf_sweep(hopf_sweep_run):
 def test_criterion_5_hopf_subcritical_as_stated():
     grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
     sched = build_schedule(grid, (0.2, 0.1, 0.05, 0.02), "modulated")
-    res = run_hopf_sweep(-0.5, sched, grid)
+    res = run_hopf_sweep(-0.5, sched, grid, dictionary_for("hopf-offcycle-v1", grid),
+                         _HOPF_THRESHOLDS)
     ctr = res.series("mass_center")
     increasing = all(b > a for a, b in zip(ctr, ctr[1:]))
     _line(5, increasing and ctr[-1] >= 0.95,
@@ -208,7 +211,8 @@ def test_criterion_5_demonstration_point_mass_limit():
     # the Gaussian width fits inside r < 0.2 reaches the stated mass
     grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
     sched = build_schedule(grid, (0.02, 0.005, 0.003), "modulated")
-    res = run_hopf_sweep(-0.5, sched, grid)
+    res = run_hopf_sweep(-0.5, sched, grid, dictionary_for("hopf-offcycle-v1", grid),
+                         _HOPF_THRESHOLDS)
     ctr = res.series("mass_center")
     increasing = all(b > a for a, b in zip(ctr, ctr[1:]))
     ok = increasing and ctr[-1] >= 0.95

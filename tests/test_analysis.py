@@ -24,6 +24,7 @@ from fplab.analysis import (
 from fplab.dynamics import verify_lyapunov, verify_uniform_lyapunov
 from fplab.fields import (
     DiscreteMeasure,
+    VectorField,
     isotropic_diffusion,
     isotropic_schedule,
     normalized_measure,
@@ -309,7 +310,8 @@ def test_bound_constant_fallback_on_flat_level():
 
 
 def test_anti_bound_trivial_cases(hopf_grid, hopf_field, radial_u):
-    cert = verify_lyapunov(radial_u, hopf_field.negated(), 0.05, 0.09,
+    reversed_field = VectorField(hopf_grid, -hopf_field.vx, -hopf_field.vy)
+    cert = verify_lyapunov(radial_u, reversed_field, 0.05, 0.09,
                            kind="anti-lyapunov", rho_M=0.5)
     a = isotropic_diffusion(hopf_grid, 0.1)
     same = anti_lyapunov_lower_bound(cert, a, 0.2, 0.2)

@@ -280,6 +280,8 @@ _BAD_VALUES = [
     (["run", {"analysis": {"thresholds": []}}], "analysis.thresholds"),
     (["hopf", "--b=abc"], "scenario.b"),
     (["hopf", "--b=0.5,x"], "scenario.b"),
+    # two jobs of one b would write one b1.0 directory
+    (["hopf", "--b=1.0,1", "--grid-n", "48", "--eps", "0.3"], "scenario.b"),
     (["run", {"scenario": {"b": "x"}}], "scenario.b"),
     (["run", {"scenario": {"name": "double-well-designed", "ratio": "big"}}], "scenario.ratio"),
     (["run", {"seed": "x"}], "seed"),

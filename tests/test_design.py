@@ -121,14 +121,14 @@ def test_designed_family_invariants(kind, dw_iso, hopf_iso):
 def test_design_rejects_isolating_data_of_the_other_kind(recipe_of, monkeypatch):
     # file each scenario's recipe under the other target: its certificate
     # still certifies the kind it was made for
-    def no_field(*args, **kwargs):
-        raise AssertionError("a DiffusionField was built for isolating data of the wrong kind")
+    def no_family(*args, **kwargs):
+        raise AssertionError("a noise family was built for isolating data of the wrong kind")
 
     name, target = recipe_of
     other = "repeller" if target == "attractor" else "attractor"
     recipes = {(name, target): scenarios._ISOLATION_RECIPES[(name, other)]}
     monkeypatch.setattr(scenarios, "_ISOLATION_RECIPES", recipes)
-    monkeypatch.setattr(design, "DiffusionField", no_field)
+    monkeypatch.setattr(design, "_scaled_schedule", no_family)
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
     scen = make_scenario(name, g)
     with pytest.raises(ConfigError, match=f"certifies {other!r}, not {target!r}"):
@@ -164,10 +164,10 @@ def test_destabilizing_ratio_one_rejected(hopf_iso):
 @pytest.mark.parametrize("target", ["attractor", "repeller"])
 def test_inadmissible_ratio_rejected_before_any_field(target, ratio, dw_iso, hopf_iso,
                                                        monkeypatch):
-    def no_field(*args, **kwargs):
-        raise AssertionError("a DiffusionField was built for an inadmissible ratio")
+    def no_family(*args, **kwargs):
+        raise AssertionError("a noise family was built for an inadmissible ratio")
 
-    monkeypatch.setattr(design, "DiffusionField", no_field)
+    monkeypatch.setattr(design, "_scaled_schedule", no_family)
     iso = dw_iso if target == "attractor" else hopf_iso
     with pytest.raises(RatioInfeasibleError) as exc:
         design_family(iso, (0.1, 0.05), ratio=ratio)
@@ -181,10 +181,10 @@ def test_inadmissible_ratio_rejected_before_any_field(target, ratio, dw_iso, hop
 def test_steep_shaping_rejected_with_gradient_message(dw_iso, monkeypatch):
     # ratio 1000 at eps 5 makes eps_max * max|grad s| on Omega about 30 > 1;
     # the message names that product and its cap, not a band width
-    def no_field(*args, **kwargs):
-        raise AssertionError("a DiffusionField was built for an infeasible shaping")
+    def no_family(*args, **kwargs):
+        raise AssertionError("a noise family was built for an infeasible shaping")
 
-    monkeypatch.setattr(design, "DiffusionField", no_field)
+    monkeypatch.setattr(design, "_scaled_schedule", no_family)
     with pytest.raises(RatioInfeasibleError) as exc:
         design_family(dw_iso, (5.0,), ratio=1000.0)
     assert exc.value.requested_ratio == 1000.0

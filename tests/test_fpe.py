@@ -611,11 +611,11 @@ def test_checkerboard_solve_keeps_metastable_accuracy(n, eps, bound):
     b = b.tocsc()
     lu = spla.splu(b)
     coo = b.tocoo()
-    e = np.zeros(op.n)
+    e = np.zeros(op.grid.n_cells)
     e[r1] = 1.0
     x = lu.solve(e)
     for _ in range(3):
-        r = np.zeros(op.n, dtype=np.longdouble)
+        r = np.zeros(op.grid.n_cells, dtype=np.longdouble)
         np.add.at(r, coo.row, coo.data.astype(np.longdouble) * x.astype(np.longdouble)[coo.col])
         x = x - lu.solve((r - e).astype(float))
     assert np.abs(mu.weights.ravel() - x / x.sum()).sum() <= bound
@@ -702,7 +702,7 @@ def test_zero_eliminated_diagonal_refused_as_reducible_without_warning(monkeypat
     # is its own strongly connected component, so the operator is refused
     # before any LU
     op = _five_point_operator("ou-iso", 12)
-    keep = np.ones(op.n)
+    keep = np.ones(op.grid.n_cells)
     keep[3 * 12 + 4] = 0.0
     off = op.matrix - sp.diags(op.matrix.diagonal())
     off = sp.diags(keep) @ off @ sp.diags(keep)

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fplab.errors import GridMismatchError, NonFiniteFieldError, NotSPDError
+from fplab.errors import NonFiniteFieldError, NotSPDError
 from fplab.fields import (
     DiffusionField,
     DiscreteMeasure,
     NullFamilySchedule,
     isotropic_diffusion,
     isotropic_schedule,
-    measure_mass_on,
     normalized_measure,
     rebin_measure,
     sample_diffusion_field,
@@ -125,43 +124,11 @@ def test_lambda_min_matches_eigensolve():
         assert a.lam[i, j] == pytest.approx(lam, abs=1e-12)
 
 
-def test_measure_mass_on_examples():
-    g = Grid2D(-1, 1, -1, 1, 8, 8)
-    # uniform on 4 cells
-    w = np.zeros((8, 8))
-    w[:2, :2] = 0.25
-    mu = DiscreteMeasure(g, w)
-    region = np.zeros((8, 8), dtype=bool)
-    region[0, 0] = True
-    assert measure_mass_on(mu, region) == pytest.approx(0.25)
-    # point mass, region excludes it
-    w2 = np.zeros((8, 8))
-    w2[3, 3] = 1.0
-    mu2 = DiscreteMeasure(g, w2)
-    region2 = np.ones((8, 8), dtype=bool)
-    region2[3, 3] = False
-    assert measure_mass_on(mu2, region2) == 0.0
-
-
-def test_measure_mass_on_gaussian_quadrature_oracle():
-    # Gaussian with sigma^2 = 0.05 on [-2,2]^2; mass of {x^2+y^2 < 0.3^2}
-    # computed by direct summation of the analytic density over cell centers
-    g = Grid2D(-2, 2, -2, 2, 64, 64)
-    xx, yy = g.centers()
-    dens = np.exp(-(xx**2 + yy**2) / (2 * 0.05))
-    w = dens / dens.sum()
-    mu = DiscreteMeasure(g, w)
-    oracle = float(w[xx**2 + yy**2 < 0.09].sum())
-    got = measure_mass_on(mu, lambda x, y: x**2 + y**2 < 0.09)
-    assert got == pytest.approx(oracle, abs=1e-15)
-    assert 0.5 < got < 0.7  # sanity: ~1 - exp(-0.09/0.1)
-
-
 def test_measure_mass_full_domain(small_grid):
     rng = np.random.default_rng(0)
     w = rng.random((16, 16))
     mu, _ = normalized_measure(small_grid, w)
-    assert measure_mass_on(mu, np.ones((16, 16), dtype=bool)) == pytest.approx(1.0, abs=1e-12)
+    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalized_measure_stores_no_negative_zero(small_grid):
@@ -172,12 +139,6 @@ def test_normalized_measure_stores_no_negative_zero(small_grid):
     assert clipped == 1e-18
     assert not np.signbit(mu.weights).any()
     assert (mu.weights == 0.0).sum() == 5
-
-
-def test_measure_region_mismatch(small_grid):
-    mu, _ = normalized_measure(small_grid, np.ones((16, 16)))
-    with pytest.raises(GridMismatchError):
-        measure_mass_on(mu, np.ones((8, 8), dtype=bool))
 
 
 def test_rebin_measure(small_grid):
@@ -218,8 +179,8 @@ def test_point_mass_region_property(i, j):
     mu = DiscreteMeasure(g, w)
     region = np.zeros((16, 16), dtype=bool)
     region[i, j] = True
-    assert measure_mass_on(mu, region) == 1.0
-    assert measure_mass_on(mu, ~region) == 0.0
+    assert mu.weights[region].sum() == 1.0
+    assert mu.weights[~region].sum() == 0.0
 
 
 def _dilate_box_reference(cells):

@@ -11,6 +11,16 @@ SRC = sorted((ROOT / "src" / "fplab").glob("*.py"))
 CLI = ROOT / "src" / "fplab" / "cli.py"
 
 
+def _exports(tree: ast.Module) -> list[str]:
+    """The names in the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return []
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by module-level imports that the module never reads;
     names listed in ``__all__`` count as read (they are re-exported)."""
@@ -22,12 +32,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_exports(tree))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -208,7 +213,7 @@ def test_document_read_is_detected():
 
 def _stale_exports(tree: ast.Module) -> list[str]:
     """Names in ``__all__`` that nothing at the module's top level binds."""
-    bound, exported = set(), []
+    bound = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
@@ -217,11 +222,7 @@ def _stale_exports(tree: ast.Module) -> list[str]:
         else:
             bound |= {n.id for n in ast.walk(node)
                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
-    return [name for name in exported if name not in bound]
+    return [name for name in _exports(tree) if name not in bound]
 
 
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
@@ -294,6 +295,79 @@ def test_unread_field_is_detected():
     )
     assert _unread_fields(tree, _attribute_reads(tree)) == ["A.stored (line 5)",
                                                             "B.written (line 9)"]
+
+
+def _name_reads(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Names the tree reads, as a name or as an attribute, outside the
+    definition (def or class) named ``skip``."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name == skip:
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def _unread_exports(trees: dict, bench_reads: set[str]) -> list[str]:
+    """``module: name`` for each name in a module's ``__all__`` that no module of
+    ``trees`` ({name: tree}) reads outside the name's own definition, and that is
+    not in ``bench_reads``. A re-export (an import) is not a read."""
+    reads = {m: _name_reads(t) for m, t in trees.items()}
+    return [f"{m}: {name}" for m, tree in trees.items() for name in _exports(tree)
+            if name not in bench_reads and name not in _name_reads(tree, skip=name)
+            and not any(name in r for other, r in reads.items() if other != m)]
+
+
+# exported names that only tests read, each with the reason it stays
+UNREAD_EXPORTS = {
+    "design.py: lemma41_constants": "paper check (Lemma 4.1) for ROADMAP item 5 to wire into runs",
+    "design.py: quadratic_certificate": "paper check (repelling equilibrium) for ROADMAP item 5",
+    "design.py: verify_repelling_equilibrium": "paper check (repelling equilibrium) for ROADMAP item 5",
+    "analysis.py: anti_lyapunov_lower_bound": "paper check (anti-Lyapunov growth) for ROADMAP item 5",
+    "fields.py: isotropic_diffusion": "field constructor of the public API",
+    "fields.py: sample_diffusion_field": "field constructor of the public API",
+    "__init__.py: isotropic_diffusion": "field constructor of the public API",
+    "__init__.py: sample_diffusion_field": "field constructor of the public API",
+    "__init__.py: rebin_measure": "ROADMAP item 1's disc_error_est rebins each fine measure",
+}
+
+
+def test_every_export_is_read_in_src_or_perfbench():
+    # a library path that only tests reach is a second way to do a job src does
+    # another way, or a setting with one value in use
+    bench = (ROOT / "perfbench").glob("*.py")
+    bench_reads = set().union(*(_name_reads(t) | {n.rsplit(".", 1)[-1] for n in _fplab_names(t)}
+                                for t in map(ast.parse, map(Path.read_text, bench))))
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC}
+    assert sorted(_unread_exports(trees, bench_reads)) == sorted(UNREAD_EXPORTS)
+
+
+def test_unread_export_is_detected():
+    trees = {
+        "a.py": ast.parse(
+            "__all__ = ['used', 'recursive', 'benched', 'planted', 'Self']\n"
+            "def used(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def benched(): pass\n"
+            "def planted(): pass\n"
+            "class Self:\n"
+            "    def copy(self): return Self()\n"),
+        "b.py": ast.parse(
+            "from .a import planted, used\n"
+            "__all__ = ['planted']\n"
+            "x = used()\n"),
+    }
+    assert _unread_exports(trees, {"benched"}) == [
+        "a.py: recursive", "a.py: planted", "a.py: Self", "b.py: planted"]
 
 
 def test_format_tags_live_in_io_formats():

@@ -5,7 +5,7 @@ import pytest
 
 from fplab import scenarios
 from fplab.errors import ConfigError
-from fplab.fields import isotropic_schedule, measure_mass_on, sample_vector_field
+from fplab.fields import isotropic_schedule, sample_vector_field
 from fplab.fpe import assemble
 from fplab.grid import Grid2D
 from fplab.io import save_csv
@@ -29,7 +29,7 @@ def test_make_scenario_reference_consistency():
     g = s.default_grid
     xx, yy = g.centers()
     haar = s.limit_measure(g)  # Haar on the cycle of radius^2 = b
-    assert measure_mass_on(haar, np.abs(np.hypot(xx, yy) - 1.5) < 0.05) == pytest.approx(1.0)
+    assert haar.weights[np.abs(np.hypot(xx, yy) - 1.5) < 0.05].sum() == pytest.approx(1.0)
     point = make_scenario("hopf", b=-1.0).limit_measure(g)
     assert point.weights[g.cell_index(0.0, 0.0)] == 1.0
     with pytest.raises(ConfigError):
@@ -50,7 +50,7 @@ def test_haar_reference_is_angularly_uniform():
     haar = haar_on_circle(g, 1.0)
     xx, yy = g.centers()
     r = np.hypot(xx, yy)
-    assert measure_mass_on(haar, np.abs(r - 1.0) < 0.1) == pytest.approx(1.0)
+    assert haar.weights[np.abs(r - 1.0) < 0.1].sum() == pytest.approx(1.0)
     # quadrant symmetry
     q1 = haar.weights[(xx > 0) & (yy > 0)].sum()
     q2 = haar.weights[(xx < 0) & (yy > 0)].sum()
@@ -132,10 +132,16 @@ def test_run_gibbs_symmetric_split():
         assert row["left_mass"] == pytest.approx(0.5, abs=0.01)
 
 
+def _hopf_sweep(b, sched, g):
+    """run_hopf_sweep with the dictionary and thresholds a run config defaults to."""
+    return run_hopf_sweep(b, sched, g, dictionary_for("hopf-offcycle-v1", g),
+                          scenarios._HOPF_THRESHOLDS)
+
+
 def test_run_hopf_sweep_small():
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 128, 128)
     sched = build_schedule(g, (0.2, 0.1, 0.05), "modulated")
-    res = run_hopf_sweep(1.0, sched, g)
+    res = _hopf_sweep(1.0, sched, g)
     assert not res.errors
     assert res.extra["uniform_lyapunov_pass"]
     ann = res.series("mass_annulus")
@@ -154,18 +160,6 @@ def test_run_hopf_sweep_small():
     doc = res.to_document()
     assert doc["format"] == "fplab/scenario-result@1"
     assert len(doc["metrics"]) == 3
-
-
-@pytest.mark.parametrize("override", [{"annulus_finl": 0.5}, {"annulus_final": 1.5}])
-def test_run_hopf_sweep_checks_thresholds_before_solving(monkeypatch, override):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve_family called")
-
-    monkeypatch.setattr(scenarios, "solve_family", no_solve)
-    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 32, 32)
-    with pytest.raises(ConfigError) as exc:
-        run_hopf_sweep(1.0, build_schedule(g, (0.2, 0.1), "iso"), g, thresholds=override)
-    assert exc.value.field == f"analysis.thresholds.{next(iter(override))}"
 
 
 def test_run_designed_comparison_small():
@@ -251,7 +245,7 @@ def test_run_hopf_sweep_exterior_bound_fails_closed(monkeypatch):
     # that member, like one whose certificate fails, has checked nothing
     g = Grid2D(-2.5, 2.5, -2.5, 2.5, 64, 64)
     sched = build_schedule(g, (0.2, 0.1), "iso")
-    res = run_hopf_sweep(3.0, sched, g)
+    res = _hopf_sweep(3.0, sched, g)
     assert list(res.series("exterior_bound_ok")) == [0.0, 0.0]
     assert not {n: p for n, p, _, _ in res.assertions}["exterior_bound_all_ok"]
 
@@ -262,6 +256,6 @@ def test_run_hopf_sweep_exterior_bound_fails_closed(monkeypatch):
         return certs[:-1] + [replace(certs[-1], passed=False)], False, first
 
     monkeypatch.setattr(scenarios, "verify_uniform_lyapunov", last_fails)
-    res = run_hopf_sweep(1.0, sched, g)
+    res = _hopf_sweep(1.0, sched, g)
     assert list(res.series("exterior_bound_ok")) == [1.0, 0.0]
     assert not {n: p for n, p, _, _ in res.assertions}["exterior_bound_all_ok"]
