@@ -33,7 +33,6 @@ __all__ = [
     "marginal_w1",
     "angular_w1_to_uniform",
     "invariance_residual",
-    "ResidualReport",
     "lyapunov_upper_bound",
     "anti_lyapunov_lower_bound",
     "LyapunovBound",
@@ -63,25 +62,14 @@ def bump_d1(t):
     return out
 
 
-def bump_d2(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0 - 1e-14
-    ti = t[inside]
-    s = -2.0 * ti / (1.0 - ti**2) ** 2
-    sp = -2.0 * (1.0 + 3.0 * ti**2) / (1.0 - ti**2) ** 3
-    out[inside] = bump_profile(ti) * (s**2 + sp)
-    return out
-
-
 _SUP_ROWS = 8  # fine-lattice rows evaluated at a time, in descending order of their bound
 
 
 @functools.cache
 def _fine_profiles():
-    """psi, psi', psi'' on the 2001-point fine lattice of [-1, 1]."""
+    """psi, psi' on the 2001-point fine lattice of [-1, 1]."""
     fine = np.linspace(-1.0, 1.0, 2001)
-    return bump_profile(fine), bump_d1(fine), bump_d2(fine)
+    return bump_profile(fine), bump_d1(fine)
 
 
 def _pruned_max(bound: np.ndarray, row_max) -> float:
@@ -98,18 +86,18 @@ def _pruned_max(bound: np.ndarray, row_max) -> float:
     return best
 
 
-# Sup norms of a (wx, wy) bump on the 2001^2 fine lattice, one float per
-# distinct width pair (dictionaries use few). A row of the lattice takes the
-# same elementwise expressions as the whole outer products. Each row's bound
-# is that expression with every column factor replaced by its largest
-# magnitude on the lattice; IEEE rounding is monotone, so no computed value of
-# the row exceeds its bound, and the pruned maximum equals the whole lattice's
-# exactly.
+# The gradient's sup norm of a (wx, wy) bump on the 2001^2 fine lattice, one
+# float per distinct width pair (dictionaries use few). A row of the lattice
+# takes the same elementwise expressions as the whole outer products. Each
+# row's bound is that expression with every column factor replaced by its
+# largest magnitude on the lattice; IEEE rounding is monotone, so no computed
+# value of the row exceeds its bound, and the pruned maximum equals the whole
+# lattice's exactly.
 
 @functools.lru_cache(maxsize=None)
 def _grad_sup(wx: float, wy: float) -> float:
     """sup |grad h| of a (wx, wy) bump on the fine lattice."""
-    psi, d1, _ = _fine_profiles()
+    psi, d1 = _fine_profiles()
 
     def grad_row(rows):
         gx = np.abs(np.outer(d1[rows], psi)) / wx
@@ -119,18 +107,6 @@ def _grad_sup(wx: float, wy: float) -> float:
     bound = np.sqrt((np.abs(d1 * np.abs(psi).max()) / wx) ** 2
                     + (np.abs(psi * np.abs(d1).max()) / wy) ** 2)
     return _pruned_max(bound, grad_row)
-
-
-@functools.lru_cache(maxsize=None)
-def _lap_sup(wx: float, wy: float) -> float:
-    """sup |lap h| of a (wx, wy) bump on the fine lattice."""
-    psi, _, d2 = _fine_profiles()
-
-    def lap_row(rows):
-        return np.abs(np.outer(d2[rows], psi) / wx**2 + np.outer(psi[rows], d2) / wy**2).max()
-
-    bound = np.abs(d2) * np.abs(psi).max() / wx**2 + np.abs(psi) * np.abs(d2).max() / wy**2
-    return _pruned_max(bound, lap_row)
 
 
 @dataclass(frozen=True)
@@ -143,10 +119,9 @@ class TestFunctionDictionary:
     whole representation: px and py hold psi, dpx and dpy hold psi' divided
     by the width, so d_x h_k = outer(dpx_k, py_k) and d_y h_k =
     outer(px_k, dpy_k). A bump sums against a cell array W as px_k^T W py_k,
-    and no (nx, ny) bump is formed. Sup norms of the gradient/Laplacian are
-    evaluated on a 2001^2 fine lattice, once per (wx, wy) per process, pruned
-    row by row with exact bounds. Only tests read the Laplacian's, so lap_inf
-    is computed on first read.
+    and no (nx, ny) bump is formed. The gradient's sup norm is evaluated on a
+    2001^2 fine lattice, once per (wx, wy) per process, pruned row by row with
+    exact bounds.
     """
 
     grid: Grid2D
@@ -157,11 +132,6 @@ class TestFunctionDictionary:
     py: np.ndarray = field(repr=False)   # (k, ny) psi((y - cy) / wy)
     dpy: np.ndarray = field(repr=False)  # (k, ny) psi'((y - cy) / wy) / wy
     grad_inf: np.ndarray = field(repr=False)  # (k,)
-
-    @functools.cached_property
-    def lap_inf(self) -> np.ndarray:
-        """(k,) sup |lap h_k| on the fine lattice."""
-        return np.array([_lap_sup(wx, wy) for _, _, wx, wy in self.bumps])
 
     def __len__(self):
         return len(self.bumps)
@@ -295,22 +265,15 @@ def angular_w1_to_uniform(mu: DiscreteMeasure) -> float:
 # ---------------------------------------------------------------------------
 # invariance residuals
 
-@dataclass(frozen=True)
-class ResidualReport:
-    per_function: np.ndarray  # |int V.grad(h_k) dmu|
-    max: float
-
-
 def invariance_residual(
     mu: DiscreteMeasure, v: VectorField, dictionary: TestFunctionDictionary
-) -> ResidualReport:
-    """r_k = |sum_cells V . grad(h_k) w| = |dpx_k^T (v_x w) py_k + px_k^T (v_y w) dpy_k|
+) -> np.ndarray:
+    """(k,) r_k = |sum_cells V . grad(h_k) w| = |dpx_k^T (v_x w) py_k + px_k^T (v_y w) dpy_k|
     (dpx, dpy carry the chain rule's 1/wx, 1/wy); zero for invariant limit measures."""
     if mu.grid != v.grid or dictionary.grid != v.grid:
         raise GridMismatchError("measure, field, and dictionary must share a grid")
     d, w = dictionary, mu.weights
-    r = np.abs(_separable_sums(d.dpx, v.vx * w, d.py) + _separable_sums(d.px, v.vy * w, d.dpy))
-    return ResidualReport(per_function=r, max=float(r.max()))
+    return np.abs(_separable_sums(d.dpx, v.vx * w, d.py) + _separable_sums(d.px, v.vy * w, d.dpy))
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +284,7 @@ RHO_MESH = 64  # level nodes of the band envelope H in both level-set bounds
 @dataclass(frozen=True)
 class LyapunovBound:
     value: float
-    form: str  # "integral" | "constant"
-    hypothesis_ok: bool
-    gamma: float
-    rho_m: float
+    hypothesis_ok: bool  # integral form if True, else the constant-form fallback
     integral: float
 
 
@@ -343,8 +303,7 @@ def _level_set_bound(cert, a, lo, hi, rho_mesh):
     """
     band = (cert.u >= lo) & (cert.u <= hi)
     nodes = np.linspace(lo, hi, rho_mesh)
-    failed = LyapunovBound(value=np.nan, form="constant", hypothesis_ok=False,
-                           gamma=cert.gamma, rho_m=cert.rho_m, integral=np.nan)
+    failed = LyapunovBound(value=np.nan, hypothesis_ok=False, integral=np.nan)
     if not (band.any() and float(cert.grad_norm[band].min())
             > grad_hypothesis_tol(cert.curvature, band, cert.grid)):
         return band, failed
@@ -362,10 +321,8 @@ def _level_set_bound(cert, a, lo, hi, rho_mesh):
         return band, failed
     order = np.argsort(pu)
     h_nodes = np.interp(nodes, np.asarray(pu)[order], np.asarray(pg)[order])
-    return band, LyapunovBound(
-        value=np.nan, form="integral", hypothesis_ok=True, gamma=cert.gamma,
-        rho_m=cert.rho_m, integral=float(np.trapezoid(1.0 / h_nodes, nodes)),
-    )
+    return band, LyapunovBound(value=np.nan, hypothesis_ok=True,
+                               integral=float(np.trapezoid(1.0 / h_nodes, nodes)))
 
 
 def lyapunov_upper_bound(
@@ -411,10 +368,7 @@ def anti_lyapunov_lower_bound(
     if not (cert.rho_m <= rho0 <= rho < cert.rho_M):
         raise ValueError("need rho_m <= rho0 <= rho < rho_M")
     if rho == rho0 or cert.gamma == 0.0:
-        return LyapunovBound(
-            value=1.0, form="integral", hypothesis_ok=True, gamma=cert.gamma,
-            rho_m=cert.rho_m, integral=0.0,
-        )
+        return LyapunovBound(value=1.0, hypothesis_ok=True, integral=0.0)
     bound = _level_set_bound(cert, a, rho0, rho, RHO_MESH)[1]
     return replace(bound, value=float(np.exp(cert.gamma * bound.integral))
                    if bound.hypothesis_ok else 1.0)

@@ -219,8 +219,8 @@ def _cmd_verify(args) -> int:
             mu = fio.measure_from_document(_load(path, "run"))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError("run", f"{path} is not a measure document: {exc!r}") from exc
-        res = invariance_residual(mu, v, cfg.dictionary)
-        rows.append({"eps": eps, "residual_max": res.max,
+        res = invariance_residual(mu, v, cfg.dictionary).max().item()
+        rows.append({"eps": eps, "residual_max": res,
                      "angular_w1": angular_w1_to_uniform(mu)})
     fio.save_csv(rows, run_dir / "verify.csv")
     fio.save_document({"format": fio.FORMATS["verify"], "rows": rows}, run_dir / "verify.json")

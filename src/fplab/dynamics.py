@@ -305,8 +305,7 @@ def verify_uniform_lyapunov(
     domain {rho_m < U < max U + 1} for every family member, with one shared
     (rho_m, gamma).
 
-    Returns (member_certs in family order, uniform_pass, first_pass_index): the
-    index of the largest eps from which the condition holds for all smaller eps.
+    Returns (member certificates in family order, whether every member passed).
     """
     if len(family) == 0:
         raise ValueError("family must be non-empty")
@@ -324,11 +323,4 @@ def verify_uniform_lyapunov(
         lau = a.a11 * uxx + 2.0 * a.a12 * uxy + a.a22 * uyy + vdotgrad
         certs.append(_certificate(u, grid, -lau - gamma, mask, slack, rho_m, rho_M, gamma,
                                   "lyapunov", "operator-family"))
-    flags = [c.passed for c in certs]
-    uniform = all(flags)
-    first_pass = None
-    for k in range(len(flags)):
-        if all(flags[k:]):
-            first_pass = k
-            break
-    return certs, uniform, first_pass
+    return certs, all(c.passed for c in certs)

@@ -171,15 +171,15 @@ def occupation_measure(
     mij = np.empty((3, k, npaths), dtype=np.intp)  # member, i, j of every path
     mij[0] = np.arange(k)[:, None]
     ij, mij_cols = mij[1:], mij.reshape(3, -1)
-    ij_lo, ij_hi = np.zeros_like(ij), np.empty_like(ij)
+    ij_hi = np.empty_like(ij)
     ij_hi[0], ij_hi[1] = grid.nx - 1, grid.ny - 1
     flat_weights = np.array([grid.n_cells, grid.ny, 1], dtype=np.intp)
 
     def cell_index(out):
         """Flat cell index of p, truncated and clipped as in Grid2D.cell_index."""
         np.divide(np.subtract(p, lo_p, out=u), h_p, out=u)
+        # p is in [lo, hi] here, so u = fl(p - lo) >= 0 and only the upper clip can act
         ij[...] = u  # truncates toward 0, as astype does
-        np.maximum(ij, ij_lo, out=ij)
         np.minimum(ij, ij_hi, out=ij)
         np.matmul(flat_weights, mij_cols, out=out.reshape(-1))
 

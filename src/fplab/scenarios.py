@@ -167,8 +167,8 @@ class Scenario:
         gamma from the table's row for rho_m and the largest member |A|."""
         amax = max(A.max_norm() for _, A in schedule)
         gamma = SCENARIOS[self.name].gamma(self.params, rho_m, amax)
-        certs, passed, _ = verify_uniform_lyapunov(self.certificate_samples(v.grid), v,
-                                                   schedule, rho_m, gamma)
+        certs, passed = verify_uniform_lyapunov(self.certificate_samples(v.grid), v,
+                                                schedule, rho_m, gamma)
         return gamma, certs, passed
 
 
@@ -323,10 +323,9 @@ _HOPF_THRESHOLDS = {
 }
 
 
-def _thresholds(overrides: dict | None, defaults: dict) -> dict:
+def _thresholds(overrides: dict, defaults: dict) -> dict:
     """``defaults`` with ``overrides``, a JSON object of numbers in (0, 1) over
     their keys, applied; else a config error naming the first bad field."""
-    overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
         raise ConfigError("analysis.thresholds", f"must be a JSON object, got {overrides!r}")
     _known("analysis.thresholds.", overrides, defaults)
@@ -421,7 +420,7 @@ def run_hopf_sweep(
     grid: Grid2D,
     dictionary: TestFunctionDictionary,
     thresholds: dict,
-    rho_mesh: int = RHO_MESH,
+    rho_mesh: int,
 ) -> ScenarioResult:
     """Solve the Hopf family and evaluate the vanishing-noise metrics.
 
@@ -467,7 +466,6 @@ def run_hopf_sweep(
     out.extra["uniform_lyapunov_pass"] = bool(uniform_ok)
     for eps, mu, rep in out.solved(solve_family(v, schedule, grid)):
         cert, a_member = by_eps[eps]
-        res = invariance_residual(mu, v, dictionary)
         blr = bl_distance(mu, reference, dictionary)
         # levels from rho_m + 0.25 up to 4; a member with no certificate or no such
         # level (b > 2.5 on the default box) fails closed
@@ -482,7 +480,7 @@ def run_hopf_sweep(
             mass_origin_ball=float(mu.weights[origin_ball].sum()),
             mass_center=float(mu.weights[center_ball].sum()),
             angular_w1=angular_w1_to_uniform(mu),
-            residual_max=res.max,
+            residual_max=invariance_residual(mu, v, dictionary).max(),
             bl_to_reference=blr.value,
             radial_w1_to_reference=blr.radial_w1,
             exterior_bound_ok=bool(margins) and min(margins) >= 0.0,

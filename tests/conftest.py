@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -124,3 +125,39 @@ def _dense_reference(grid, bumps):
 def dense_reference():
     """_dense_reference: (grid, bumps) -> the dense (h, dxh, dyh) of a dictionary."""
     return _dense_reference
+
+
+def _bump_d2(t):
+    """psi'' of bump_profile, which fplab does not compute: the Laplacian's
+    reference for the stationarity bound on invariance residuals."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0 - 1e-14
+    ti = t[inside]
+    s = -2.0 * ti / (1.0 - ti**2) ** 2
+    sp = -2.0 * (1.0 + 3.0 * ti**2) / (1.0 - ti**2) ** 3
+    out[inside] = bump_profile(ti) * (s**2 + sp)
+    return out
+
+
+@pytest.fixture(scope="session")
+def bump_d2():
+    """_bump_d2: t -> psi''(t)."""
+    return _bump_d2
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_sup_norms(wx, wy):
+    """sup |grad h| and sup |lap h| from the whole 2001^2 fine lattice at once."""
+    fine = np.linspace(-1.0, 1.0, 2001)
+    psi_f, d1_f, d2_f = bump_profile(fine), bump_d1(fine), _bump_d2(fine)
+    gx = np.abs(np.outer(d1_f, psi_f)) / wx
+    gy = np.abs(np.outer(psi_f, d1_f)) / wy
+    lf = np.outer(d2_f, psi_f) / wx**2 + np.outer(psi_f, d2_f) / wy**2
+    return float(np.sqrt(gx**2 + gy**2).max()), float(np.abs(lf).max())
+
+
+@pytest.fixture(scope="session")
+def reference_sup_norms():
+    """_reference_sup_norms: (wx, wy) -> (sup |grad h|, sup |lap h|) of a bump."""
+    return _reference_sup_norms

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fplab.analysis import (
+    RHO_MESH,
     anti_lyapunov_lower_bound,
     bl_distance,
     grid_dictionary,
@@ -196,7 +197,7 @@ def test_criterion_5_hopf_subcritical_as_stated():
     grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
     sched = build_schedule(grid, (0.2, 0.1, 0.05, 0.02), "modulated")
     res = run_hopf_sweep(-0.5, sched, grid, dictionary_for("hopf-offcycle-v1", grid),
-                         _HOPF_THRESHOLDS)
+                         _HOPF_THRESHOLDS, RHO_MESH)
     ctr = res.series("mass_center")
     increasing = all(b > a for a, b in zip(ctr, ctr[1:]))
     _line(5, increasing and ctr[-1] >= 0.95,
@@ -212,7 +213,7 @@ def test_criterion_5_demonstration_point_mass_limit():
     grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
     sched = build_schedule(grid, (0.02, 0.005, 0.003), "modulated")
     res = run_hopf_sweep(-0.5, sched, grid, dictionary_for("hopf-offcycle-v1", grid),
-                         _HOPF_THRESHOLDS)
+                         _HOPF_THRESHOLDS, RHO_MESH)
     ctr = res.series("mass_center")
     increasing = all(b > a for a, b in zip(ctr, ctr[1:]))
     ok = increasing and ctr[-1] >= 0.95
@@ -222,16 +223,17 @@ def test_criterion_5_demonstration_point_mass_limit():
     assert ctr[-1] >= 0.95
 
 
-def test_criterion_6_invariance_residuals(ou2d, hopf_sweep_run):
+def test_criterion_6_invariance_residuals(ou2d, hopf_sweep_run, reference_sup_norms):
     # OU: the stationarity identity bounds every dictionary residual
     d = grid_dictionary(ou2d["grid"], 3)
+    lap_inf = max(reference_sup_norms(wx, wy)[1] for _, _, wx, wy in d.bumps)
     ou_ok = True
     worst = 0.0
     for (eps, _), mu in zip(ou2d["family"], ou2d["measures"]):
-        res = invariance_residual(mu, ou2d["v"], d)
-        bound = (eps / 2.0) * d.lap_inf.max()
-        worst = max(worst, res.max / bound)
-        ou_ok &= res.max <= bound
+        res = invariance_residual(mu, ou2d["v"], d).max()
+        bound = (eps / 2.0) * lap_inf
+        worst = max(worst, res / bound)
+        ou_ok &= res <= bound
     # Hopf: residual decreasing, final <= 5% of initial (criterion-4 run)
     summary = hopf_sweep_run["summary"]
     resid = [row["residual_max"] for row in summary["metrics"]]
@@ -252,7 +254,7 @@ def test_criterion_7_exponential_bound(ou2d, hopf_sweep_run):
     xx, yy = grid.centers()
     u = xx**2 + yy**2
     rho_m, gamma = 1.0, 1.6
-    certs, uniform, _ = verify_uniform_lyapunov(u, ou2d["v"], ou2d["family"], rho_m, gamma)
+    certs, uniform = verify_uniform_lyapunov(u, ou2d["v"], ou2d["family"], rho_m, gamma)
     assert uniform
     rhos = np.linspace(1.5, 3.5, 5)
     worst_rel = 0.0

@@ -1,4 +1,3 @@
-import functools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +12,6 @@ from fplab.analysis import (
     anti_lyapunov_lower_bound,
     bl_distance,
     bump_d1,
-    bump_d2,
     bump_profile,
     grid_dictionary,
     invariance_residual,
@@ -35,7 +33,7 @@ from fplab.grid import Grid2D
 from fplab.scenarios import delta_at, dictionary_for, haar_on_circle, hopf_drift
 
 
-def test_bump_derivatives_match_finite_differences():
+def test_bump_derivatives_match_finite_differences(bump_d2):
     t = np.linspace(-0.95, 0.95, 101)
     h = 1e-6
     d1_fd = (bump_profile(t + h) - bump_profile(t - h)) / (2 * h)
@@ -60,43 +58,22 @@ def test_dictionary_rejects_boundary_touching(small_grid):
         make_dictionary(small_grid, [(0.0, 0.0, 2.1, 1.0)], "bad")
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_sup_norms(wx, wy):
-    """sup |grad h| and sup |lap h| from the whole 2001^2 fine lattice at once."""
-    fine = np.linspace(-1.0, 1.0, 2001)
-    psi_f, d1_f, d2_f = bump_profile(fine), bump_d1(fine), bump_d2(fine)
-    gx = np.abs(np.outer(d1_f, psi_f)) / wx
-    gy = np.abs(np.outer(psi_f, d1_f)) / wy
-    lf = np.outer(d2_f, psi_f) / wx**2 + np.outer(psi_f, d2_f) / wy**2
-    return float(np.sqrt(gx**2 + gy**2).max()), float(np.abs(lf).max())
-
-
 @pytest.mark.parametrize("n", [96, 256])
 @pytest.mark.parametrize("name", ["grid3x3-v1", "grid4x4-v1", "hopf-offcycle-v1"])
-def test_dictionary_sup_norms_equal_the_whole_lattice(n, name):
+def test_dictionary_sup_norms_equal_the_whole_lattice(n, name, reference_sup_norms):
     d = dictionary_for(name, Grid2D(-2.5, 2.5, -2.5, 2.5, n, n))
-    ref = [_reference_sup_norms(wx, wy) for _, _, wx, wy in d.bumps]
-    assert d.grad_inf.tolist() == [g for g, _ in ref]
-    assert d.lap_inf.tolist() == [lap for _, lap in ref]
+    assert d.grad_inf.tolist() == [reference_sup_norms(wx, wy)[0] for _, _, wx, wy in d.bumps]
 
 
-def test_dictionary_computes_the_laplacian_sup_norm_on_first_read():
-    d = dictionary_for("hopf-offcycle-v1", Grid2D(-2.5, 2.5, -2.5, 2.5, 64, 64))
-    assert "lap_inf" not in vars(d)
-    assert d.lap_inf is d.lap_inf
-    assert "lap_inf" in vars(d)
-
-
-def test_dictionary_sup_norms_of_an_anisotropic_bump():
+def test_dictionary_sup_norms_of_an_anisotropic_bump(reference_sup_norms):
     d = make_dictionary(Grid2D(-2.5, 2.5, -2.5, 2.5, 96, 96), [(0.3, -0.2, 0.7, 0.35)], "aniso")
-    g, lap = _reference_sup_norms(0.7, 0.35)
-    assert d.grad_inf.tolist() == [g] and d.lap_inf.tolist() == [lap]
+    assert d.grad_inf.tolist() == [reference_sup_norms(0.7, 0.35)[0]]
 
 
 @pytest.mark.parametrize("wx,wy", [(0.45, 0.45), (0.6, 0.6), (0.3, 0.7), (1.1, 0.9)])
-def test_pruned_sup_norms_equal_the_whole_lattice(wx, wy):
+def test_pruned_sup_norms_equal_the_whole_lattice(wx, wy, reference_sup_norms):
     d = make_dictionary(Grid2D(-2.5, 2.5, -2.5, 2.5, 96, 96), [(0.0, 0.0, wx, wy)], "pruned")
-    assert (d.grad_inf[0], d.lap_inf[0]) == _reference_sup_norms(wx, wy)
+    assert d.grad_inf[0] == reference_sup_norms(wx, wy)[0]
 
 
 _SQUARE = [(n, name) for n in (96, 256)
@@ -118,7 +95,7 @@ def test_profile_contractions_equal_the_dense_bumps(n, name, dense_reference):
     mu, nu = (DiscreteMeasure(grid, w / w.sum()) for w in rng.random((2, grid.nx, grid.ny)))
     v = sample_vector_field(hopf_drift(1.0), grid)
     dense_r = np.abs(((dxh * v.vx + dyh * v.vy) * mu.weights).sum(axis=(1, 2)))
-    np.testing.assert_allclose(invariance_residual(mu, v, d).per_function, dense_r, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(invariance_residual(mu, v, d), dense_r, rtol=1e-14, atol=0)
     dmu = mu.weights - nu.weights
     dense_probes = (h * dmu).sum(axis=(1, 2))
     np.testing.assert_allclose(d.integrals(dmu), dense_probes, rtol=1e-14, atol=0)
@@ -152,20 +129,14 @@ def test_dictionary_never_holds_the_whole_fine_lattice():
     grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 32, 32)
     tracemalloc.start()
     try:
-        make_dictionary(grid, [(0.0, 0.0, 0.3137, 0.2719)], "cold").lap_inf
+        make_dictionary(grid, [(0.0, 0.0, 0.3137, 0.2719)], "cold")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2001**2 * 8
 
 
-def _cold_dictionary(grid, bump):
-    d = make_dictionary(grid, [bump], "race")
-    d.lap_inf  # computed on first read, in the calling thread
-    return d
-
-
-def test_dictionary_sup_norms_under_concurrent_cold_calls():
+def test_dictionary_sup_norms_under_concurrent_cold_calls(reference_sup_norms):
     # more threads than cores share the sup-norm cache on a width no other test
     # uses, with a short switch interval; every thread gets the lattice values
     grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 48, 48)
@@ -173,13 +144,12 @@ def test_dictionary_sup_norms_under_concurrent_cold_calls():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(_cold_dictionary, grid, (0.0, 0.0, 0.5123, 0.4567))
+            futures = [pool.submit(make_dictionary, grid, [(0.0, 0.0, 0.5123, 0.4567)], "race")
                        for _ in range(8)]
             dicts = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    ref = _reference_sup_norms(0.5123, 0.4567)
-    assert [(d.grad_inf[0], d.lap_inf[0]) for d in dicts] == [ref] * 8
+    assert [d.grad_inf[0] for d in dicts] == [reference_sup_norms(0.5123, 0.4567)[0]] * 8
 
 
 def test_bl_point_masses():
@@ -229,7 +199,7 @@ def test_residual_at_equilibrium_point_mass():
     mu = delta_at(g, (0.0, 0.0))
     res = invariance_residual(mu, v, d)
     # |V| at the cell containing the origin is ~ h/2 in each coordinate
-    assert res.max <= d.grad_inf.max() * np.hypot(g.hx, g.hy)
+    assert res.max() <= d.grad_inf.max() * np.hypot(g.hx, g.hy)
 
 
 def test_haar_residual_refines_to_zero():
@@ -240,21 +210,20 @@ def test_haar_residual_refines_to_zero():
         v = sample_vector_field(hopf_drift(1.0), g)
         d = grid_dictionary(g, 3)
         haar = haar_on_circle(g, 1.0)
-        vals.append(invariance_residual(haar, v, d).max)
+        vals.append(invariance_residual(haar, v, d).max())
     assert vals[2] < vals[0]
     assert vals[2] < 0.02
 
 
-def test_ou_residual_identity_bound():
+def test_ou_residual_identity_bound(reference_sup_norms):
     # stationarity: |int V.grad h dmu| = (eps/2) |int lap h dmu| <= (eps/2)||lap h||
     g = Grid2D(-4, 4, -4, 4, 128, 128)
     eps = 0.1
     v = sample_vector_field(lambda x, y: (-x, -y), g)
     mu, _ = solve_stationary(assemble(v, isotropic_diffusion(g, eps / 2), g))
     d = grid_dictionary(g, 3)
-    res = invariance_residual(mu, v, d)
-    per_bound = (eps / 2) * d.lap_inf
-    assert np.all(res.per_function <= per_bound)
+    lap_inf = np.array([reference_sup_norms(wx, wy)[1] for _, _, wx, wy in d.bumps])
+    assert np.all(invariance_residual(mu, v, d) <= (eps / 2) * lap_inf)
 
 
 def test_ou_bound_closed_form_and_domination():
@@ -264,14 +233,14 @@ def test_ou_bound_closed_form_and_domination():
     u = xx**2 + yy**2
     rho_m, gamma = 1.0, 1.6
     fam = isotropic_schedule(g, (0.2, 0.1), shape=(0.5, 0.0, 0.5))
-    certs, uniform, _ = verify_uniform_lyapunov(u, v, fam, rho_m, gamma)
+    certs, uniform = verify_uniform_lyapunov(u, v, fam, rho_m, gamma)
     assert uniform
     for (eps, a), cert in zip(fam, certs):
         mu, _ = solve_stationary(assemble(v, a, g))
         for rho in (1.5, 2.5, 3.5):
             b = lyapunov_upper_bound(cert, a, rho)
             closed = (rho_m / rho) ** (gamma / (2 * eps))
-            assert b.form == "integral" and b.hypothesis_ok
+            assert b.hypothesis_ok
             assert b.value == pytest.approx(closed, rel=0.01)
             exterior = 1.0 - float(mu.weights[u < rho].sum())
             assert b.value >= exterior
@@ -284,7 +253,7 @@ def test_bound_concentration_as_eps_vanishes():
     xx, yy = g.centers()
     u = xx**2 + yy**2
     fam = isotropic_schedule(g, (0.2, 0.1, 0.05, 0.02), shape=(0.5, 0.0, 0.5))
-    certs, uniform, _ = verify_uniform_lyapunov(u, v, fam, 1.0, 1.2)
+    certs, uniform = verify_uniform_lyapunov(u, v, fam, 1.0, 1.2)
     vals = [lyapunov_upper_bound(c, a, 3.0).value for c, (_, a) in zip(certs, fam)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-12
@@ -304,9 +273,7 @@ def test_bound_constant_fallback_on_flat_level():
         worst_margin=1.0, slack=0.0,
     )
     a = isotropic_diffusion(g, 0.1)
-    b = lyapunov_upper_bound(cert, a, rho=1.5)
-    assert b.form == "constant"
-    assert not b.hypothesis_ok
+    assert not lyapunov_upper_bound(cert, a, rho=1.5).hypothesis_ok
 
 
 def test_anti_bound_trivial_cases(hopf_grid, hopf_field, radial_u):
@@ -366,7 +333,7 @@ def test_certificate_derivatives_computed_once_and_never_stale(monkeypatch):
     calls = []
     grad = dynamics.grad_central
     monkeypatch.setattr(dynamics, "grad_central", lambda *args: calls.append(1) or grad(*args))
-    certs, uniform, _ = verify_uniform_lyapunov(u, v, fam, 1.0, 1.2)
+    certs, uniform = verify_uniform_lyapunov(u, v, fam, 1.0, 1.2)
     assert uniform and len(calls) == 1  # once per U in the verify pass
     cert = certs[0]
     first = lyapunov_upper_bound(cert, a1, 2.5)

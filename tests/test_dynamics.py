@@ -147,9 +147,8 @@ def test_margins_grid_stable(hopf_field, hopf_grid, radial_u):
 def test_uniform_lyapunov_hopf(hopf_grid, hopf_field, radial_u):
     # L_A U = 4 eps + 2U(1-U) <= -(1.5 - 4 eps_max) on {U > 1.5}
     fam = isotropic_schedule(hopf_grid, (0.2, 0.1, 0.05))
-    certs, uniform, first = verify_uniform_lyapunov(radial_u, hopf_field, fam, 1.5, 0.7)
+    certs, uniform = verify_uniform_lyapunov(radial_u, hopf_field, fam, 1.5, 0.7)
     assert uniform
-    assert first == 0
     # closed form: worst margin at U slightly above rho_m, member eps:
     # -(4 eps + 2U(1-U)) - gamma ~ 1.5 - 4 eps - 0.7
     for (eps, _), cert in zip(fam, certs):
@@ -159,10 +158,9 @@ def test_uniform_lyapunov_hopf(hopf_grid, hopf_field, radial_u):
 
 def test_uniform_fails_for_large_member(hopf_grid, hopf_field, radial_u):
     fam = isotropic_schedule(hopf_grid, (0.5, 0.05))
-    certs, uniform, first = verify_uniform_lyapunov(radial_u, hopf_field, fam, 1.5, 1.0)
+    certs, uniform = verify_uniform_lyapunov(radial_u, hopf_field, fam, 1.5, 1.0)
     assert not uniform
     assert not certs[0].passed and certs[1].passed
-    assert first == 1  # passes from the second member on
 
 
 # a NaN margin is no pass, nor is a band {rho_m < U < max U + 1} with no cell
@@ -177,8 +175,8 @@ def test_certificate_fails_closed(hopf_grid, hopf_field, radial_u, verified_for,
         certs = [verify_lyapunov(radial_u, hopf_field, rho_m, gamma)]
     else:
         fam = isotropic_schedule(hopf_grid, (0.1, 0.05))
-        certs, uniform, first = verify_uniform_lyapunov(radial_u, hopf_field, fam, rho_m, gamma)
-        assert uniform is passed and (first == 0 if passed else first is None)
+        certs, uniform = verify_uniform_lyapunov(radial_u, hopf_field, fam, rho_m, gamma)
+        assert uniform is passed
     for cert in certs:
         assert cert.verified_for == verified_for
         assert cert.passed is passed

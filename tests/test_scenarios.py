@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fplab import scenarios
+from fplab.analysis import RHO_MESH
 from fplab.errors import ConfigError
 from fplab.fields import isotropic_schedule, sample_vector_field
 from fplab.fpe import assemble
@@ -133,9 +134,9 @@ def test_run_gibbs_symmetric_split():
 
 
 def _hopf_sweep(b, sched, g):
-    """run_hopf_sweep with the dictionary and thresholds a run config defaults to."""
+    """run_hopf_sweep with the dictionary, thresholds and rho_mesh a run config defaults to."""
     return run_hopf_sweep(b, sched, g, dictionary_for("hopf-offcycle-v1", g),
-                          scenarios._HOPF_THRESHOLDS)
+                          scenarios._HOPF_THRESHOLDS, RHO_MESH)
 
 
 def test_run_hopf_sweep_small():
@@ -252,8 +253,8 @@ def test_run_hopf_sweep_exterior_bound_fails_closed(monkeypatch):
     verify = scenarios.verify_uniform_lyapunov
 
     def last_fails(*args):
-        certs, _, first = verify(*args)
-        return certs[:-1] + [replace(certs[-1], passed=False)], False, first
+        certs, _ = verify(*args)
+        return certs[:-1] + [replace(certs[-1], passed=False)], False
 
     monkeypatch.setattr(scenarios, "verify_uniform_lyapunov", last_fails)
     res = _hopf_sweep(1.0, sched, g)
