@@ -32,7 +32,6 @@ class StencilOverflowError(FplabError):
 
     def __init__(self, face, z):
         self.face = face
-        self.z = z
         super().__init__(
             f"exponential-fitting overflow at face {face}: |vh/a| = {abs(z):.3g} > 700; "
             "refine the grid or raise the diffusion floor"
@@ -65,8 +64,6 @@ class RatioInfeasibleError(FplabError):
     def __init__(self, requested_ratio, min_band_width=None, available_width=None,
                  message=None):
         self.requested_ratio = requested_ratio
-        self.min_band_width = min_band_width
-        self.available_width = available_width
         if message is None:
             message = (
                 f"ratio {requested_ratio} needs a transition band >= {min_band_width:.4g} "

@@ -10,7 +10,9 @@ whose operands share a shape. So every per-step ufunc takes operands of one
 shape: the box corner, span, cell size and dt are copied out to the position
 array's shape once, and each chunk lays out its noise increments as
 (dwx, dwx, dwy) for every member, so that one product with the gathered
-factor rows (g00, g10, g11) gives all three noise terms.
+factor rows (g00, g10, g11) gives all three noise terms. The views of each
+step's rows in the chunk buffers are built once, before the first chunk, so a
+step makes only its ufunc calls.
 
 Each path's flat cell index (member, i, j) is computed once per step: the
 next step gathers the member's noise factor (computed once per cell) at it,
@@ -24,6 +26,22 @@ whole array. Per-path noise streams come from counter-based Philox
 generators keyed by (seed, path index), drawn a chunk at a time, and every
 member reuses them: a member's measure is bit-identical whether it is
 sampled alone or with others.
+
+Once per chunk, two diagnostics count the steps whose displacement
+r = hypot(dx, dy) exceeds two cells and those whose drift r = hypot(vx, vy)
+moves less than a cell, r dt < cell. ``np.hypot`` costs about 25 ns an
+element, six times all of ``_count_norms``, so that function compares
+q = x*x + y*y with t*t for the threshold t (two cells, or cell / dt).
+Where q and t*t are normal finite floats, q lies within 4e-16 (relative) of
+x^2 + y^2: two rounded squares and a rounded sum. ``np.hypot`` lies within an
+ulp of the root, and each predicate switches within an ulp of t, because a
+cell is a normal float (Grid2D's MIN_WIDTH). So when q and t*t are more than
+1e-9 of t*t apart, q and ``np.hypot`` fall on the same side of the threshold.
+``np.hypot`` decides every other element: those in that band, those whose q
+overflows, underflows or is NaN, and all of them when t*t does. So each count
+equals the ``np.hypot`` count exactly; on Hopf runs of ``fplab sample`` at
+dt 0.005 it decided none. The squares go to the chunk's noise buffer, which
+its last step has spent.
 """
 
 from __future__ import annotations
@@ -43,12 +61,19 @@ __all__ = ["SamplerConfig", "occupation_measure"]
 # steps per chunk of drawn normals and per-step records. The chunk's buffers
 # take 64 B per step, member and path, plus 32 B per step and path for the
 # normals: 2.6 MB for 2 members of 64 paths. Longer chunks only cost memory:
-# with 1024 steps, `fplab sample` of 2 members of 64 paths ran no faster and
-# peaked at 49.8 MB RSS, against 41.0 MB.
+# with 1024 steps, `fplab sample` of 2 members of 64 paths ran no faster
+# (faster in 3 of 6 alternating pairs) and peaked at 50.3 MB RSS, against
+# 41.2 MB.
 _CHUNK_STEPS = 256
 
-# the most steps a run may take: at about 40 us a step (2 members of 64 paths)
-# 10**8 steps run over an hour, so a dt that asks for more is a typo
+# a step whose |q - t^2| is at most this share of t^2 leaves its diagnostic to
+# np.hypot: the squares' own error is about 4e-16 of t^2 (module docstring)
+_HYPOT_BAND = 1e-9
+_TINY = np.finfo(float).tiny
+
+# the most steps a run may take: at 26 to 42 us a step (2 members of 64 paths
+# on a 2-vCPU host whose speed drifts) 10**8 steps run 45 minutes or more, so
+# a dt that asks for more is a typo
 _MAX_STEPS = 10**8
 
 
@@ -121,6 +146,30 @@ def _reflect(x, lo, hi):
     return lo + np.where(y > span, 2.0 * span - y, y)
 
 
+def _count_norms(x, y, t, pred, sq):
+    """``np.count_nonzero(pred(np.hypot(x, y)), axis=(0, 2))`` for (step,
+    member, path) arrays ``x`` and ``y`` and a monotone ``pred(r)`` that changes
+    value at r = t, up to rounding; ``pred(inf)`` gives the side of t on which
+    it holds. q = x*x + y*y decides every element where q and t*t are normal
+    finite floats more than ``_HYPOT_BAND`` apart (relative), and ``np.hypot``
+    the rest. ``sq`` is a scratch array of shape (2, *x.shape)."""
+    with np.errstate(over="ignore", under="ignore"):
+        np.square(x, out=sq[0])
+        q = np.add(sq[0], np.square(y, out=sq[1]), out=sq[0])
+        t2 = t * t
+        hit = q > t2 if pred(np.inf) else q < t2
+        if _TINY <= t2 < np.inf:
+            near = q >= t2 * (1.0 - _HYPOT_BAND)
+            near &= q <= t2 * (1.0 + _HYPOT_BAND)
+            if not _TINY <= q.min() <= q.max() < np.inf:  # a NaN fails this too
+                near |= ~((q >= _TINY) & (q < np.inf))
+        else:
+            near = np.ones_like(hit)
+        if near.any():
+            hit[near] = pred(np.hypot(x[near], y[near]))
+    return np.count_nonzero(hit, axis=(0, 2))
+
+
 def occupation_measure(
     v_fn,
     members: Sequence[DiffusionField],
@@ -176,28 +225,40 @@ def occupation_measure(
     flat_weights = np.array([grid.n_cells, grid.ny, 1], dtype=np.intp)
 
     def cell_index(out):
-        """Flat cell index of p, truncated and clipped as in Grid2D.cell_index."""
+        """Flat cell index of p, truncated and clipped as in Grid2D.cell_index,
+        written to the flat view ``out``."""
         np.divide(np.subtract(p, lo_p, out=u), h_p, out=u)
         # p is in [lo, hi] here, so u = fl(p - lo) >= 0 and only the upper clip can act
         ij[...] = u  # truncates toward 0, as astype does
         np.minimum(ij, ij_hi, out=ij)
-        np.matmul(flat_weights, mij_cols, out=out.reshape(-1))
+        np.matmul(flat_weights, mij_cols, out=out)
 
     rngs = [_path_rng(cfg.rng_seed, q) for q in range(npaths)]
     cell_diag = min(grid.hx, grid.hy)
+    jump_limit = 2.0 * cell_diag
     big_jumps, slow_drift = np.zeros((2, k), dtype=np.int64)
     counts = np.zeros(k * grid.n_cells, dtype=np.int64)
     # per chunk: each step's noise increments (dwx, dwx, dwy), drift,
     # displacement and flat cell after the move
     normals = np.empty((npaths, _CHUNK_STEPS, 2))
     dw = np.empty((_CHUNK_STEPS, 3, k, npaths))
+    # dw's memory as contiguous (step, member, path) blocks: its increments are
+    # spent once a chunk's steps are taken, and the diagnostics square into it
+    spent = dw.reshape(3, _CHUNK_STEPS, k, npaths)
     vxy = np.empty((_CHUNK_STEPS, 2, k, npaths))
     dxy = np.empty_like(vxy)
     cells = np.empty((_CHUNK_STEPS, k, npaths), dtype=np.intp)
     gs = np.empty((3, k, npaths))  # the step's noise factor, then noise term
-    # step s starts in cells[s - 1]: for s = 0 the last row, which holds the
+    gs_xy, gs_y = gs[:2], gs[2]
+    px, py = p
+    box_flat = box.reshape(-1)
+    # step s's views of the chunk buffers, built once: its drift (whole, x, y),
+    # displacement (whole, y), noise increments, start cell and end cell (flat).
+    # Step s starts in cells[s - 1]: for s = 0 the last row, which holds the
     # start positions, then the last step of the previous (whole) chunk
-    cell_index(cells[-1])
+    step_views = [(vxy[s], vxy[s, 0], vxy[s, 1], dxy[s], dxy[s, 1], dw[s], cells[s - 1],
+                   cells[s].reshape(-1)) for s in range(_CHUNK_STEPS)]
+    cell_index(cells[-1].reshape(-1))
 
     for start in range(0, n_steps, _CHUNK_STEPS):
         n = min(_CHUNK_STEPS, n_steps - start)
@@ -208,28 +269,30 @@ def occupation_measure(
         dw[:n, :2] = z[:, :1, None]
         dw[:n, 2] = z[:, 1, None]
         for s in range(n):
-            vxy[s, 0], vxy[s, 1] = v_fn(p[0], p[1])
+            v, vx, vy, d, dy, dw_s, cell_from, cell_to = step_views[s]
+            vx[...], vy[...] = v_fn(px, py)
             # "clip" as "raise" would buffer the output; every index is in range
-            g.take(cells[s - 1], axis=1, out=gs, mode="clip")
-            gs *= dw[s]
-            d = np.multiply(vxy[s], dt_p, out=dxy[s])
-            d += gs[:2]  # vx dt + g00 dwx, vy dt + g10 dwx
-            d[1] += gs[2]  # + g11 dwy
+            g.take(cell_from, axis=1, out=gs, mode="clip")
+            gs *= dw_s
+            np.multiply(v, dt_p, out=d)
+            d += gs_xy  # vx dt + g00 dwx, vy dt + g10 dwx
+            dy += gs_y  # + g11 dwy
             p += d
             np.subtract(p, lo_p, out=u)
             np.subtract(span_p, u, out=back)
             # fl(span - u) >= 0 exactly when u <= span; a NaN fails the test
-            if np.minimum.reduce(box, axis=None) >= 0.0:
+            if np.minimum.reduce(box_flat) >= 0.0:
                 np.add(lo_p, u, out=p)  # _reflect's value: its mod is exact here
             else:
                 if not np.isfinite(p).all():
                     raise NonFiniteFieldError(("path", start + s), float("nan"))
                 p[...] = _reflect(p, lo, hi)
-            cell_index(cells[s])
-        big_jumps += np.count_nonzero(np.hypot(dxy[:n, 0], dxy[:n, 1]) > 2.0 * cell_diag,
-                                      axis=(0, 2))
-        slow_drift += np.count_nonzero(np.hypot(vxy[:n, 0], vxy[:n, 1]) * dt < cell_diag,
-                                       axis=(0, 2))
+            cell_index(cell_to)
+        sq = spent[:2, :n]
+        big_jumps += _count_norms(dxy[:n, 0], dxy[:n, 1], jump_limit,
+                                  lambda r: r > jump_limit, sq)
+        slow_drift += _count_norms(vxy[:n, 0], vxy[:n, 1], cell_diag / dt,
+                                   lambda r: r * dt < cell_diag, sq)
         first = max(burn_steps - start, 0)
         if first < n:
             counts += np.bincount(cells[first:n].ravel(), minlength=counts.size)

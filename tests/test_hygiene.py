@@ -248,25 +248,37 @@ def _attribute_reads(tree: ast.Module) -> set[str]:
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
+def _init_attributes(fn: ast.FunctionDef) -> list[str]:
+    """Names of the attributes an ``__init__`` sets on its instance
+    (``self.name = ...``, with or without an annotation)."""
+    if fn.name != "__init__" or not fn.args.args:
+        return []
+    this = fn.args.args[0].arg
+    targets = [t for node in ast.walk(fn) if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    return [t.attr for t in targets if isinstance(t, ast.Attribute)
+            and isinstance(t.value, ast.Name) and t.value.id == this]
+
+
 def _unread_members(tree: ast.Module, reads: set[str]) -> list[str]:
     """``Class.name`` for each public member of the tree's classes (an annotated
-    field, a method or a property defined in the class body) whose name is not
-    in ``reads``. Members are matched by name only, so a member that shares its
-    name with another class's attribute read elsewhere (``value``, say)
-    escapes the check."""
+    field, a method or a property defined in the class body, or an attribute
+    its ``__init__`` sets) whose name is not in ``reads``. Members are matched
+    by name only, so a member that shares its name with another class's
+    attribute read elsewhere (``value``, say) escapes the check."""
     found = []
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                name = node.target.id
+                names = [node.target.id]
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name
+                names = [node.name, *_init_attributes(node)]
             else:
                 continue
-            if not name.startswith("_") and name not in reads:
-                found.append(f"{cls.name}.{name}")
+            found += [f"{cls.name}.{name}" for name in names
+                      if not name.startswith("_") and name not in reads]
     return found
 
 
@@ -281,6 +293,12 @@ UNREAD_MEMBERS = {
     "RepellingVerdict.template": "repelling-equilibrium verdict that ROADMAP item 5 reports",
     "RepellingVerdict.exponent": "repelling-equilibrium verdict that ROADMAP item 5 reports",
     "Scenario.default_grid": "ROADMAP item 7 (FOUND make_scenario) decides whether it stays",
+    # an exception's payload lets a caller branch on the failure without
+    # parsing its message, which carries the same value
+    "StencilOverflowError.face": "error payload: the face whose Peclet number overflowed",
+    "RatioInfeasibleError.requested_ratio": "error payload: the noise ratio that was refused",
+    "CertificateFailError.condition": "error payload: the certificate condition that failed",
+    "ConfigError.field": "error payload: the config entry to fix",
 }
 
 
@@ -313,12 +331,20 @@ def test_unread_member_is_detected():
         "class B:\n"
         "    written: float\n"
         "    def __len__(self): return 0\n"
-        "def f(a, b):\n"
+        "class E(Exception):\n"
+        "    def __init__(me, face, z):\n"
+        "        me.face = face\n"
+        "        me.z: float = z\n"
+        "        me._seen = other.late = None\n"
+        "        super().__init__(f'{face}: {z}')\n"
+        "    def reset(self):\n"
+        "        self.later = 0\n"
+        "def f(a, b, e):\n"
         "    b.written = a.kept\n"
-        "    return getattr(a, 'stored'), a.used(), a.cached\n"
+        "    return getattr(a, 'stored'), a.used(), a.cached, e.face, e.reset\n"
     )
     assert _unread_members(tree, _attribute_reads(tree)) == [
-        "A.stored", "A.planted", "A.shown", "B.written"]
+        "A.stored", "A.planted", "A.shown", "B.written", "E.z"]
 
 
 def _name_reads(tree: ast.Module, skip: str | None = None) -> set[str]:

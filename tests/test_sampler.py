@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fplab import sampler
 from fplab.analysis import bl_distance
@@ -16,6 +20,7 @@ from fplab.sampler import (
     _CHUNK_STEPS,
     SamplerConfig,
     _chol_2x2_batch,
+    _count_norms,
     _path_rng,
     _reflect,
     occupation_measure,
@@ -210,6 +215,10 @@ _SMALL = Grid2D(-0.6, 0.6, -0.4, 0.4, 12, 8)
 # 327 steps for chunks of 256); the id "2-25.3-15.0" keeps the (t_total, t_burn)
 # of an earlier layout of this case, so that the test keeps its name
 _T_MID_SEVENTH = 0.01 * (6 * _CHUNK_STEPS + 100)
+# paths start on the steep outer flank of the left well, where a step's drift
+# carries them more than a cell, and on cells of 0.02 a few noise kicks jump
+# more than two: both diagnostics count steps
+_STEEP = Grid2D(-3.0, 1.0, -2.0, 2.0, 200, 200)
 
 
 @pytest.mark.parametrize("n_members,t_total,g,scale", [
@@ -217,6 +226,7 @@ _T_MID_SEVENTH = 0.01 * (6 * _CHUNK_STEPS + 100)
     pytest.param(3, 20.0, _WIDE, 1.0, id="3-20.0-None"),
     pytest.param(2, _T_MID_SEVENTH, _WIDE, 1.0, id="2-25.3-15.0"),
     pytest.param(2, _T_MID_SEVENTH, _SMALL, 0.25, id="reflecting"),
+    pytest.param(2, _T_MID_SEVENTH, _STEEP, 0.05, id="diagnostics"),
 ])
 def test_kernel_matches_reference_loop(monkeypatch, n_members, t_total, g, scale):
     reflecting_steps = []
@@ -240,9 +250,78 @@ def test_kernel_matches_reference_loop(monkeypatch, n_members, t_total, g, scale
         mu_ref, diag_ref = _reference_occupation(double_well_drift, _lookup(g, tables, m), g, cfg)
         assert np.array_equal(mu.weights, mu_ref.weights)
         assert diag == diag_ref
+        if g is _STEEP:
+            assert 0.0 < diag["frac_jump_gt_2cells"] <= 0.05
+            assert 0.0 < diag["frac_drift_below_cell"] < 1.0
     if g is _SMALL:
         # the kernel calls _reflect only on steps where some path left the box
         assert len(reflecting_steps) > cfg.n_steps // 2
+
+
+def _norm_counts(x, y, t, pred):
+    """_count_norms and the np.hypot count it stands for, over the pairs (x, y)
+    laid out as (step, member, path) arrays of shape (len(x), 1, 1)."""
+    x, y = (np.asarray(v, dtype=float).reshape(-1, 1, 1) for v in (x, y))
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.count_nonzero(pred(np.hypot(x, y)), axis=(0, 2))
+    return _count_norms(x, y, t, pred, np.empty((2, *x.shape))), want
+
+
+def _thresholds(t, c, dt):
+    """Both diagnostics' predicates: r > t, and r * dt < c at t = c / dt."""
+    return ((t, lambda r: r > t), (c / dt, lambda r: r * dt < c))
+
+
+# thresholds t and c / dt that are normal, whose square overflows (as a cell
+# over dt = 1e-300 does), underflows to 0, lies just above the smallest normal
+# float or is subnormal, and c / dt that underflows to 0
+@pytest.mark.parametrize("t,c,dt", [(0.2, 0.1, 0.005), (1e200, 0.1, 1e-300),
+                                    (1e-200, 1.0, 1e-200), (1.5e-154, 1e-150, 1e300),
+                                    (3e-155, 7.5e-155, 5.0), (0.3, 1.0, 3.0)])
+def test_norm_counts_match_hypot_at_planted_values(t, c, dt):
+    for thr, pred in _thresholds(t, c, dt):
+        up, down = np.nextafter(thr, np.inf), np.nextafter(thr, -np.inf)
+        radii = [thr, up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf),
+                 0.0, 5e-324, 1e-310, 2.2e-308, 1e-160, 1e200, 1e300, np.finfo(float).max]
+        # each radius along an axis and split over both components, and points on
+        # the threshold circle, where q and hypot round to either side of it
+        angles = np.linspace(0.05, 1.5, 16)
+        x = [*radii, *[0.0] * len(radii), *[0.6 * r for r in radii], *thr * np.cos(angles)]
+        y = [*[0.0] * len(radii), *radii, *[0.8 * r for r in radii], *thr * np.sin(angles)]
+        got, want = _norm_counts(x, y, thr, pred)
+        assert np.array_equal(got, want), (thr, got, want)
+        assert 0 < want[0] < len(x)
+
+
+def test_norm_counts_fall_back_where_the_squares_cannot_decide():
+    # t^2 is subnormal: x^2 and y^2 each round down by about half a unit of
+    # 2^-1074, so q = 2023 units falls below fl(t^2) = 2024, yet hypot(x, y) > t
+    s = 2.0**-537  # s * s = 2^-1074
+    t = math.sqrt(2023.6) * s
+    x, y = math.sqrt(1011.49) * s, math.sqrt(1012.49) * s
+    got, want = _norm_counts([x], [y], t, lambda r: r > t)
+    assert np.array_equal(got, want) and want[0] == 1
+    # a NaN with an infinite partner: q is NaN, but hypot is inf
+    got, want = _norm_counts([np.nan, np.inf, 1.0], [np.inf, np.nan, np.nan], 0.2,
+                             lambda r: r > 0.2)
+    assert np.array_equal(got, want) and want[0] == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(min_value=5e-324, max_value=1.7e308),
+       c=st.floats(min_value=np.finfo(float).tiny, max_value=1.7e308),
+       dt=st.floats(min_value=5e-324, max_value=1.7e308),
+       far=st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                    max_size=6),
+       near=st.lists(st.tuples(st.floats(0.0, 2 * math.pi), st.integers(-8, 8)),
+                     min_size=1, max_size=6))
+def test_norm_counts_match_hypot_over_magnitudes(t, c, dt, far, near):
+    for thr, pred in _thresholds(t, c, dt):
+        # points within a few ulps of the threshold circle, and anywhere at all
+        pairs = far + [(thr * math.cos(a) * (1.0 + k * 2.0**-52), thr * math.sin(a))
+                       for a, k in near]
+        got, want = _norm_counts(*zip(*pairs), thr, pred)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
