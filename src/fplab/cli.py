@@ -32,7 +32,7 @@ from pathlib import Path
 from . import io as fio
 from .analysis import angular_w1_to_uniform, invariance_residual
 from .dynamics import approximate_attractor, verify_lyapunov
-from .errors import ConfigError, FplabError
+from .errors import ConfigError, FplabError, NonFiniteFieldError
 from .fpe import solve_family
 from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
@@ -217,8 +217,11 @@ def _cmd_verify(args) -> int:
         path = run_dir / f"measure_eps{eps!r}.json"
         try:
             mu = fio.measure_from_document(_load(path, "run"))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, NonFiniteFieldError) as exc:
             raise ConfigError("run", f"{path} is not a measure document: {exc!r}") from exc
+        if mu.grid != cfg.domain:
+            raise ConfigError("run", f"{path} holds a measure on {mu.grid}, "
+                                     f"not on the run's {cfg.domain}")
         res = invariance_residual(mu, v, cfg.dictionary).max().item()
         rows.append({"eps": eps, "residual_max": res,
                      "angular_w1": angular_w1_to_uniform(mu)})
@@ -236,7 +239,7 @@ def _cmd_design_noise(args) -> int:
     fio.save_document(
         {"format": fio.FORMATS["shaping"], "grid": grid.metadata(),
          "ratio": fam.ratio, "shaping": fam.shaping.ravel().tolist(),
-         "meta": {k: (list(v) if isinstance(v, tuple) else v) for k, v in fam.meta.items()}},
+         "meta": fam.meta},
         out / "shaping.json",
     )
     fio.save_document(fio.schedule_to_document(fam.schedule), out / "schedule.json")

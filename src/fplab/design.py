@@ -206,11 +206,8 @@ def design_family(iso: IsolationData, eps_list, ratio: float) -> DesignedFamily:
     bracketing level on that side.
     """
     if not (math.isfinite(ratio) and ratio > 1.0):
-        raise RatioInfeasibleError(
-            ratio,
-            message=f"shaping ratio {ratio} must be finite and > 1 "
-            "(the shaping lies in [1/ratio, 1])",
-        )
+        raise RatioInfeasibleError(ratio, f"shaping ratio {ratio} must be finite and > 1 "
+                                          "(the shaping lies in [1/ratio, 1])")
     grid, u0, rho = iso.grid, iso.u0, iso.rho_tilde
     attractor = iso.kind == "attractor"
     if attractor:
@@ -225,7 +222,8 @@ def design_family(iso: IsolationData, eps_list, ratio: float) -> DesignedFamily:
         needed = MIN_RAMP_CELLS * max(grid.hx, grid.hy) * gmax
         if ramp_hi - ramp_lo < needed:
             if needed > room:
-                raise RatioInfeasibleError(ratio, needed, room)
+                raise RatioInfeasibleError(ratio, f"ratio {ratio} needs a transition band >= "
+                                                  f"{needed:.4g} but only {room:.4g} is available")
             ramp_lo, ramp_hi = (rho, rho + needed) if attractor else (rho - needed, rho)
 
     step = _smoothstep((u0 - ramp_lo) / (ramp_hi - ramp_lo))
@@ -238,10 +236,8 @@ def design_family(iso: IsolationData, eps_list, ratio: float) -> DesignedFamily:
     grad_cap = float(sgrad[omega].max() * eps_max) if omega.any() else 0.0
     if grad_cap >= 1.0:
         raise RatioInfeasibleError(
-            ratio,
-            message=f"ratio {ratio} shapes too steeply for eps_max = {eps_max:.4g}: "
-            f"eps_max * max|grad s| on Omega = {grad_cap:.4g} must stay below 1",
-        )
+            ratio, f"ratio {ratio} shapes too steeply for eps_max = {eps_max:.4g}: "
+            f"eps_max * max|grad s| on Omega = {grad_cap:.4g} must stay below 1")
 
     return DesignedFamily(
         schedule=_scaled_schedule(grid, eps_list, (s, 0.0 * s, s), "reflecting"),

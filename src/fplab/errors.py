@@ -28,12 +28,12 @@ class GridMismatchError(FplabError):
 
 
 class StencilOverflowError(FplabError):
-    """Face Peclet number |v h / a| exceeds the exponential-fitting range."""
+    """Face Peclet number |v h / a| exceeds the exponential-fitting range |z| <= limit."""
 
-    def __init__(self, face, z):
+    def __init__(self, face, z, limit):
         self.face = face
         super().__init__(
-            f"exponential-fitting overflow at face {face}: |vh/a| = {abs(z):.3g} > 700; "
+            f"exponential-fitting overflow at face {face}: |vh/a| = {abs(z):.3g} > {limit:g}; "
             "refine the grid or raise the diffusion floor"
         )
 
@@ -58,17 +58,11 @@ class UnderresolvedError(FplabError):
 
 
 class RatioInfeasibleError(FplabError):
-    """The requested noise ratio is not admissible (pass `message`), or it
-    cannot be shaped within the available band (pass the two widths)."""
+    """The requested noise ratio is not admissible, or it cannot be shaped
+    within the available band; ``message`` says which."""
 
-    def __init__(self, requested_ratio, min_band_width=None, available_width=None,
-                 message=None):
+    def __init__(self, requested_ratio, message):
         self.requested_ratio = requested_ratio
-        if message is None:
-            message = (
-                f"ratio {requested_ratio} needs a transition band >= {min_band_width:.4g} "
-                f"but only {available_width:.4g} is available"
-            )
         super().__init__(message)
 
 

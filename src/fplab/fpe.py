@@ -134,7 +134,7 @@ def _check_overflow(z, what):
     amax = float(np.abs(z).max()) if z.size else 0.0
     if amax > Z_MAX:
         idx = tuple(map(int, np.unravel_index(np.abs(z).argmax(), z.shape)))
-        raise StencilOverflowError((what, idx), amax)
+        raise StencilOverflowError((what, idx), amax, Z_MAX)
 
 
 def _faces(vn, ann, st, h, a12=None, ht=None):

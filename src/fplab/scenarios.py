@@ -414,24 +414,21 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # runners
 
-def run_hopf_sweep(
-    b: float,
-    schedule: NullFamilySchedule,
-    grid: Grid2D,
-    dictionary: TestFunctionDictionary,
-    thresholds: dict,
-    rho_mesh: int,
-) -> ScenarioResult:
-    """Solve the Hopf family and evaluate the vanishing-noise metrics.
+def run_hopf_sweep(cfg: RunConfig) -> ScenarioResult:
+    """Solve the Hopf family of the run ``cfg`` and evaluate the vanishing-noise metrics.
 
     Metrics per eps: origin-ball and annulus masses, angular-marginal W1 to
     uniform, BL distance to the reference limit measure (Haar on the cycle
     for b > 0, point mass at the origin otherwise), invariance residual, and
-    the exponential exterior-mass bound check with U = x^2 + y^2.
-    ``thresholds`` holds every final-eps threshold of _HOPF_THRESHOLDS, as
-    RunConfig.from_dict resolves them.
+    the exponential exterior-mass bound check with U = x^2 + y^2. The run's
+    grid, scenario and dictionary are the ones RunConfig.from_dict built, and
+    its thresholds hold every final-eps threshold of _HOPF_THRESHOLDS. The
+    "hopf" recipe calls this function by its module-level name, so a wrapper
+    rebound to that name (tracing) sees every run, schedule build included.
     """
-    scen = make_scenario("hopf", grid, b=b)
+    grid, scen, dictionary, run = cfg.domain, cfg.solved, cfg.dictionary, cfg.resolved
+    b, thresholds, rho_mesh = run.params["b"], run.analysis["thresholds"], run.analysis["rho_mesh"]
+    schedule = build_schedule(grid, **run.schedule)
     v = scen.vector_field(grid)
     xx, yy = grid.centers()
     r = np.hypot(xx, yy)
@@ -526,13 +523,15 @@ def run_hopf_sweep(
     return out
 
 
-def run_gibbs(phi_fn, drift_fn, schedule: NullFamilySchedule, grid: Grid2D) -> ScenarioResult:
-    """Gradient-drift oracle runs: the drift ``drift_fn`` = -grad(Phi) with
-    A = eps I has the exact stationary density exp(-Phi/eps); reports per-eps
-    L1 errors."""
+def run_gibbs(cfg: RunConfig) -> ScenarioResult:
+    """Gradient-drift oracle run of the double well ``cfg`` solves: its drift
+    -grad(Phi) with A = eps I has the exact stationary density exp(-Phi/eps),
+    Phi = double_well_potential; reports per-eps L1 errors."""
+    grid = cfg.domain
+    schedule = build_schedule(grid, **cfg.resolved.schedule)
     xx, yy = grid.centers()
-    phi = phi_fn(xx, yy)
-    v = sample_vector_field(drift_fn, grid)
+    phi = double_well_potential(xx, yy)
+    v = cfg.solved.vector_field(grid)
 
     out = ScenarioResult(
         scenario="gibbs",
@@ -628,10 +627,7 @@ def run_designed_comparison(
     )
     out.extra["uniform_lyapunov_pass"] = bool(uniform_ok)
     out.extra["ratio_condition"] = designed.ratio_condition()
-    out.extra["shaping_meta"] = {
-        k: (list(map(float, val)) if isinstance(val, tuple) else float(val))
-        for k, val in designed.meta.items()
-    }
+    out.extra["shaping_meta"] = designed.meta
 
     for (eps, mu_d, rep_d), (_, mu_u, rep_u) in zip(res_designed, res_uniform):
         if mu_d is None or mu_u is None:
@@ -654,17 +650,6 @@ def run_designed_comparison(
 # ---------------------------------------------------------------------------
 # run recipes: what `fplab run` does for each scenario name of a run config
 
-def _run_hopf(cfg: RunConfig) -> ScenarioResult:
-    run, grid = cfg.resolved, cfg.domain
-    return run_hopf_sweep(run.params["b"], build_schedule(grid, **run.schedule), grid,
-                          cfg.dictionary, run.analysis["thresholds"], run.analysis["rho_mesh"])
-
-
-def _run_double_well(cfg: RunConfig) -> ScenarioResult:
-    return run_gibbs(double_well_potential, cfg.solved.drift_fn,
-                     build_schedule(cfg.domain, **cfg.resolved.schedule), cfg.domain)
-
-
 def _run_double_well_designed(cfg: RunConfig) -> ScenarioResult:
     return run_designed_comparison(cfg.solved, "attractor", cfg.resolved.params["ratio"],
                                    cfg.resolved.schedule["eps"], cfg.domain)
@@ -685,13 +670,17 @@ class _RunRecipe:
 _ANALYSIS = {"dictionary": _DEFAULT_DICTIONARY}  # on every run: `fplab verify` reads it
 _NAMED_SCHEDULE = {"eps": None, "shape": "modulated", "invariance_mode": "reflecting"}
 
-# from_dict and the runners look dictionary_for, build_schedule and run_hopf_sweep up
-# by module-level name at each call, so wrappers rebound to those names (tracing) see every call
+# The recipes bind their runners late: each lambda looks run_hopf_sweep or run_gibbs
+# up by module-level name at each run, as from_dict and the runners look dictionary_for
+# and build_schedule up, so a wrapper rebound to one of those names (tracing) sees
+# every call. A function object stored in a recipe would keep running the unwrapped one.
 _RUN_RECIPES = {
-    "hopf": _RunRecipe(_run_hopf, "hopf", SCENARIOS["hopf"].defaults, _NAMED_SCHEDULE,
-                      {**_ANALYSIS, "thresholds": _HOPF_THRESHOLDS, "rho_mesh": RHO_MESH}),
-    "double-well": _RunRecipe(_run_double_well, "double-well", SCENARIOS["double-well"].defaults,
-                             {**_NAMED_SCHEDULE, "shape": "iso"}, _ANALYSIS),
+    "hopf": _RunRecipe(lambda cfg: run_hopf_sweep(cfg), "hopf", SCENARIOS["hopf"].defaults,
+                       _NAMED_SCHEDULE,
+                       {**_ANALYSIS, "thresholds": _HOPF_THRESHOLDS, "rho_mesh": RHO_MESH}),
+    "double-well": _RunRecipe(lambda cfg: run_gibbs(cfg), "double-well",
+                              SCENARIOS["double-well"].defaults,
+                              {**_NAMED_SCHEDULE, "shape": "iso"}, _ANALYSIS),
     "double-well-designed": _RunRecipe(
         _run_double_well_designed, "double-well",
         {**SCENARIOS["double-well"].defaults, "ratio": 10.0}, {"eps": None}, _ANALYSIS),

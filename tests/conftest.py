@@ -52,6 +52,28 @@ def ou_strip():
     return _ou_strip
 
 
+def _run_config(out_dir="run", nx=64, eps=(0.3, 0.15), scenario=None, shape="modulated",
+                **analysis):
+    """A run config as its JSON object: the recipe of ``scenario`` (by default the
+    Hopf sweep at b = 1) on the [-2.5, 2.5]^2 box at nx^2, with the noise labels
+    ``eps`` of the schedule shape ``shape``, the default dictionary named and the
+    ``analysis`` keys given; each call builds new sections, free to edit."""
+    return {
+        "scenario": dict(scenario or {"name": "hopf", "b": 1.0}),
+        "grid": {"x_min": -2.5, "x_max": 2.5, "y_min": -2.5, "y_max": 2.5, "nx": nx, "ny": nx},
+        "schedule": {"eps": list(eps), "shape": shape},
+        "analysis": {"dictionary": "hopf-offcycle-v1", **analysis},
+        "output_dir": str(out_dir),
+        "seed": 0,
+    }
+
+
+@pytest.fixture(scope="session")
+def run_config():
+    """_run_config: (out_dir, nx, eps, scenario, shape, **analysis) -> a run config."""
+    return _run_config
+
+
 @pytest.fixture(scope="session")
 def fresh_python():
     """Run a script in a new interpreter that imports this fplab; its stdout."""

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from fplab.analysis import (
-    RHO_MESH,
     anti_lyapunov_lower_bound,
     bl_distance,
     grid_dictionary,
@@ -35,9 +34,7 @@ from fplab.fpe import assemble, solve_stationary
 from fplab.grid import Grid2D
 from fplab.sampler import SamplerConfig, occupation_measure
 from fplab.scenarios import (
-    _HOPF_THRESHOLDS,
-    build_schedule,
-    dictionary_for,
+    RunConfig,
     hopf_drift,
     make_scenario,
     run_designed_comparison,
@@ -60,16 +57,8 @@ def run_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def hopf_sweep_config(run_dir):
-    cfg = {
-        "scenario": {"name": "hopf", "b": 1.0},
-        "grid": {"x_min": -2.5, "x_max": 2.5, "y_min": -2.5, "y_max": 2.5,
-                 "nx": 256, "ny": 256},
-        "schedule": {"eps": [0.2, 0.1, 0.05, 0.02], "shape": "modulated"},
-        "analysis": {"dictionary": "hopf-offcycle-v1"},
-        "output_dir": str(run_dir / "hopf_b1"),
-        "seed": SEED,
-    }
+def hopf_sweep_config(run_dir, run_config):
+    cfg = {**run_config(run_dir / "hopf_b1", 256, (0.2, 0.1, 0.05, 0.02)), "seed": SEED}
     path = run_dir / "hopf_b1.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
@@ -193,11 +182,9 @@ def test_criterion_4_hopf_sweep(hopf_sweep_run):
     "giving mass ~0.5; the threshold needs eps ~ 0.003 (see the demonstration test)",
     strict=True,
 )
-def test_criterion_5_hopf_subcritical_as_stated():
-    grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
-    sched = build_schedule(grid, (0.2, 0.1, 0.05, 0.02), "modulated")
-    res = run_hopf_sweep(-0.5, sched, grid, dictionary_for("hopf-offcycle-v1", grid),
-                         _HOPF_THRESHOLDS, RHO_MESH)
+def test_criterion_5_hopf_subcritical_as_stated(run_config):
+    res = run_hopf_sweep(RunConfig.from_dict(run_config(
+        nx=256, eps=(0.2, 0.1, 0.05, 0.02), scenario={"name": "hopf", "b": -0.5})))
     ctr = res.series("mass_center")
     increasing = all(b > a for a, b in zip(ctr, ctr[1:]))
     _line(5, increasing and ctr[-1] >= 0.95,
@@ -207,13 +194,11 @@ def test_criterion_5_hopf_subcritical_as_stated():
     assert ctr[-1] >= 0.95
 
 
-def test_criterion_5_demonstration_point_mass_limit():
+def test_criterion_5_demonstration_point_mass_limit(run_config):
     # the concentration claim itself: extending the schedule to labels where
     # the Gaussian width fits inside r < 0.2 reaches the stated mass
-    grid = Grid2D(-2.5, 2.5, -2.5, 2.5, 256, 256)
-    sched = build_schedule(grid, (0.02, 0.005, 0.003), "modulated")
-    res = run_hopf_sweep(-0.5, sched, grid, dictionary_for("hopf-offcycle-v1", grid),
-                         _HOPF_THRESHOLDS, RHO_MESH)
+    res = run_hopf_sweep(RunConfig.from_dict(run_config(
+        nx=256, eps=(0.02, 0.005, 0.003), scenario={"name": "hopf", "b": -0.5})))
     ctr = res.series("mass_center")
     increasing = all(b > a for a, b in zip(ctr, ctr[1:]))
     ok = increasing and ctr[-1] >= 0.95

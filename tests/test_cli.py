@@ -16,21 +16,6 @@ from fplab.sampler import SamplerConfig, occupation_measure
 from fplab.scenarios import RunConfig, build_schedule, make_scenario
 
 
-def _hopf_config(out_dir, nx=64, eps=(0.3, 0.15), thresholds=None):
-    cfg = {
-        "scenario": {"name": "hopf", "b": 1.0},
-        "grid": {"x_min": -2.5, "x_max": 2.5, "y_min": -2.5, "y_max": 2.5,
-                 "nx": nx, "ny": nx},
-        "schedule": {"eps": list(eps), "shape": "modulated"},
-        "analysis": {"dictionary": "hopf-offcycle-v1"},
-        "output_dir": str(out_dir),
-        "seed": 0,
-    }
-    if thresholds:
-        cfg["analysis"]["thresholds"] = thresholds
-    return cfg
-
-
 def _standard_json(path):
     """The document at ``path``, read as standard JSON: NaN and Infinity are refused."""
     def refuse(token):
@@ -38,7 +23,7 @@ def _standard_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(run_config):
     with pytest.raises(ConfigError) as exc:
         RunConfig.from_dict({"scenario": {"name": "hopf"}, "grid": {}, "schedule": {"eps": [0.1, 0.2]},
                              "output_dir": "x"})
@@ -55,17 +40,17 @@ def test_config_validation_errors():
     # the first comparison of the run
     for value in ("high", "0.5", None):
         with pytest.raises(ConfigError) as exc:
-            RunConfig.from_dict(_hopf_config("x", thresholds={"annulus_final": value}))
+            RunConfig.from_dict(run_config("x", thresholds={"annulus_final": value}))
         assert exc.value.field == "analysis.thresholds.annulus_final"
     # the largest seed and the smallest level mesh are accepted
-    cfg = _hopf_config("x")
+    cfg = run_config("x")
     cfg["seed"] = 2**64 - 1
     cfg["analysis"]["rho_mesh"] = 2
     assert RunConfig.from_dict(cfg).seed == 2**64 - 1
 
 
-def test_cli_exit_2_on_bad_config(tmp_path, capsys):
-    cfg = _hopf_config(tmp_path / "out")
+def test_cli_exit_2_on_bad_config(tmp_path, capsys, run_config):
+    cfg = run_config(tmp_path / "out")
     cfg["schedule"]["eps"] = [0.1, 0.2]
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -74,11 +59,11 @@ def test_cli_exit_2_on_bad_config(tmp_path, capsys):
     assert "schedule.eps" in capsys.readouterr().err
 
 
-def test_cli_exit_2_when_grid_cannot_hold_dictionary(tmp_path, capsys):
+def test_cli_exit_2_when_grid_cannot_hold_dictionary(tmp_path, capsys, run_config):
     # box +-2.2 at 32^2: the corner bumps of hopf-offcycle-v1 reach the
     # boundary-adjacent cells
     out = tmp_path / "out"
-    cfg = _hopf_config(out, nx=32)
+    cfg = run_config(out, nx=32)
     cfg["grid"].update(x_min=-2.2, x_max=2.2, y_min=-2.2, y_max=2.2)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
@@ -117,15 +102,23 @@ def test_cli_run_refuses_a_dictionary_that_does_not_fit_under_every_recipe(tmp_p
     assert main(["verify", "--run", str(out)]) == 0
 
 
-def _uniform_run_dir(out):
+def _uniform_run_dir(run_config, out):
     """A run directory of a 48^2 Hopf config holding one uniform measure, at eps 0.2."""
-    fio.save_document(_hopf_config(out, nx=48), out / "config.json")
+    fio.save_document(run_config(out, nx=48), out / "config.json")
     fio.save_document({"eps": [0.2]}, out / "summary.json")
     mu = DiscreteMeasure(Grid2D(-2.5, 2.5, -2.5, 2.5, 48, 48), np.full((48, 48), 1.0 / 48**2))
     fio.save_document(fio.measure_to_document(mu), out / "measure_eps0.2.json")
 
 
-# (command, file, its text, field named on stderr)
+def nan_weight(doc):
+    return {**doc, "weights": [float("nan"), *doc["weights"][1:]]}
+
+
+def other_grid(doc):
+    return {**doc, "grid": {**doc["grid"], "x_min": -2.4}}
+
+
+# (command, file, its text or an edit of the well-formed document, field named on stderr)
 _MALFORMED = [
     ("run", "cfg.json", "5", "config"),
     ("run", "cfg.json", "[1, 2]", "config"),
@@ -134,17 +127,22 @@ _MALFORMED = [
     ("verify", "measure_eps0.2.json", "[1, 2]", "run"),
     ("verify", "measure_eps0.2.json", "{}", "run"),
     ("verify", "measure_eps0.2.json", '{"grid": [], "weights": []}', "run"),
+    ("verify", "measure_eps0.2.json", nan_weight, "run"),
+    ("verify", "measure_eps0.2.json", other_grid, "run"),
 ]
 
 
 @pytest.mark.parametrize("cmd,name,text,field", _MALFORMED,
-                         ids=[f"{cmd}-{name}-{text}" for cmd, name, text, _ in _MALFORMED])
-def test_cli_exit_2_on_malformed_document(tmp_path, capsys, cmd, name, text, field):
+                         ids=[f"{cmd}-{name}-{getattr(text, '__name__', text)}"
+                              for cmd, name, text, _ in _MALFORMED])
+def test_cli_exit_2_on_malformed_document(tmp_path, capsys, cmd, name, text, field, run_config):
     out = tmp_path / "run"
     if cmd == "verify":
-        _uniform_run_dir(out)
+        _uniform_run_dir(run_config, out)
         assert main(["verify", "--run", str(out)]) == 0  # the well-formed directory
         capsys.readouterr()
+        if callable(text):
+            text = json.dumps(text(json.loads((out / name).read_text())))
         (out / name).write_text(text)
         argv = ["verify", "--run", str(out)]
     else:
@@ -156,11 +154,11 @@ def test_cli_exit_2_on_malformed_document(tmp_path, capsys, cmd, name, text, fie
     assert "Traceback" not in err
 
 
-def test_cli_verify_refuses_a_1d_measure(tmp_path, capsys):
+def test_cli_verify_refuses_a_1d_measure(tmp_path, capsys, run_config):
     # every grid is 2D: a 1D grid header, which no fplab command writes, is
     # not a measure document
     out = tmp_path / "run"
-    _uniform_run_dir(out)
+    _uniform_run_dir(run_config, out)
     fio.save_document({"format": "fplab/measure@1", "weights": [1 / 32] * 32,
                        "grid": {"kind": "grid1d", "x_min": -4.0, "x_max": 4.0, "nx": 32}},
                       out / "measure_eps0.2.json")
@@ -170,10 +168,10 @@ def test_cli_verify_refuses_a_1d_measure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("shape", "bogus"), ("invariance_mode", "sideways")])
-def test_cli_verify_refuses_a_schedule_name_that_run_refuses(tmp_path, capsys, key, value):
+def test_cli_verify_refuses_a_schedule_name_that_run_refuses(tmp_path, capsys, key, value, run_config):
     out = tmp_path / "run"
-    _uniform_run_dir(out)
-    cfg = _hopf_config(out, nx=48)
+    _uniform_run_dir(run_config, out)
+    cfg = run_config(out, nx=48)
     cfg["schedule"][key] = value
     fio.save_document(cfg, out / "config.json")
     for argv in (["verify", "--run", str(out)], ["run", "--config", str(out / "config.json")]):
@@ -328,11 +326,11 @@ _BAD_VALUES = [
 
 @pytest.mark.parametrize("argv,field", _BAD_VALUES,
                          ids=[" ".join(map(str, argv)) for argv, _ in _BAD_VALUES])
-def test_cli_exit_2_on_bad_value_from_outside(tmp_path, capsys, argv, field):
+def test_cli_exit_2_on_bad_value_from_outside(tmp_path, capsys, argv, field, run_config):
     out = tmp_path / "out"
     cmd, *rest = argv
     if cmd == "run":
-        cfg = _hopf_config(out)
+        cfg = run_config(out)
         for section, values in rest.pop().items():
             if isinstance(values, dict) and "name" not in values:
                 cfg[section].update(values)
@@ -353,11 +351,11 @@ def test_cli_exit_2_on_bad_value_from_outside(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
-def test_cli_run_roundtrip_and_determinism(tmp_path):
+def test_cli_run_roundtrip_and_determinism(tmp_path, run_config):
     # small but real end-to-end run; trend thresholds loosened so that the
     # coarse schedule passes and the exit code is 0
     out1 = tmp_path / "run1"
-    cfg = _hopf_config(out1, thresholds={
+    cfg = run_config(out1, thresholds={
         "annulus_final": 0.3, "origin_final": 0.1, "angular_w1_final": 0.1,
         "residual_ratio_final": 0.9,
     })
@@ -414,9 +412,9 @@ def test_cli_run_spelled_out_defaults_write_the_same_files(tmp_path, name):
     assert runs["spelled"] == runs["omitted"]
 
 
-def test_cli_exit_1_on_impossible_threshold(tmp_path, capsys):
+def test_cli_exit_1_on_impossible_threshold(tmp_path, capsys, run_config):
     out = tmp_path / "out"
-    cfg = _hopf_config(out, thresholds={"annulus_final": 0.999})
+    cfg = run_config(out, thresholds={"annulus_final": 0.999})
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     rc = main(["run", "--config", str(p)])
@@ -503,12 +501,12 @@ def test_cli_solve_writes_the_members_it_solved(tmp_path, capsys):
         "measure_eps0.2.json", "solve_summary.json", "timing.json"]
 
 
-def test_cli_run_and_verify_a_partial_run(tmp_path, capsys):
+def test_cli_run_and_verify_a_partial_run(tmp_path, capsys, run_config):
     # the eps = 0.003 member overflows the stencil at 48^2: the run records its
     # error and exits 1, and verify reads the one member the run solved
     out = tmp_path / "run"
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(_hopf_config(out, nx=48, eps=(0.2, 0.003))))
+    p.write_text(json.dumps(run_config(out, nx=48, eps=(0.2, 0.003))))
     assert main(["run", "--config", str(p)]) == 1
     assert "ERROR eps=0.003: StencilOverflowError" in capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
@@ -535,12 +533,12 @@ def test_cli_solve_and_verify(tmp_path):
 
 
 @pytest.mark.parametrize("b", [1.0, 0.5])
-def test_cli_verify_uses_the_run_dictionary(tmp_path, b):
+def test_cli_verify_uses_the_run_dictionary(tmp_path, b, run_config):
     # a config without analysis.dictionary is verified against the dictionary
     # and drift it was run with, so verify reproduces the run's invariance
     # residuals
     out = tmp_path / "run"
-    cfg = _hopf_config(out, nx=48)
+    cfg = run_config(out, nx=48)
     cfg["scenario"]["b"] = b
     del cfg["analysis"]["dictionary"]
     p = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "fplab").glob("*.py"))
 CLI = ROOT / "src" / "fplab" / "cli.py"
+SCENARIOS = ROOT / "src" / "fplab" / "scenarios.py"
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -175,6 +176,47 @@ def test_run_rebuild_is_detected():
     )
     assert _run_rebuilds(tree) == ["dictionary_for (line 2)", "solved (line 4)",
                                    "dictionary_for (line 5)"]
+
+
+def _runner_rebuilds(tree: ast.Module) -> list[str]:
+    """Every call of ``make_scenario`` or ``dictionary_for`` (a name or an attribute)
+    in a runner, a function named ``run_*`` or ``_run_*``: the ways a runner can
+    build its run's scenario or dictionary again instead of reading its RunConfig's."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name.lstrip("_").startswith("run_"):
+            for node in ast.walk(fn):
+                name = isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None))
+                if name in ("make_scenario", "dictionary_for"):
+                    found.append((node.lineno, f"{name} in {fn.name}"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_runners_read_the_run_from_their_config():
+    # a runner takes the RunConfig that from_dict resolved and reads its scenario
+    # and dictionary, so no run solves another scenario than `fplab verify` reads
+    assert _runner_rebuilds(ast.parse(SCENARIOS.read_text())) == []
+
+
+def test_runner_rebuild_is_detected():
+    tree = ast.parse(
+        "def make_scenario(name, grid):\n"
+        "    return dictionary_for(name, grid)\n"
+        "def run_sweep(cfg):\n"
+        "    s = make_scenario('hopf', cfg.domain)\n"
+        "    return s, scenarios.dictionary_for('x', cfg.domain), cfg.dictionary\n"
+        "class RunConfig:\n"
+        "    def from_dict(raw):\n"
+        "        return make_scenario(raw), dictionary_for(raw)\n"
+        "    def run(self):\n"
+        "        return _run_recipe(self)\n"
+        "def _run_recipe(cfg):\n"
+        "    return [make_scenario(k) for k in cfg]\n"
+    )
+    assert _runner_rebuilds(tree) == ["make_scenario in run_sweep (line 4)",
+                                      "dictionary_for in run_sweep (line 5)",
+                                      "make_scenario in _run_recipe (line 12)"]
 
 
 def _document_reads(tree: ast.Module) -> list[str]:

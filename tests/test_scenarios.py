@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fplab import scenarios
-from fplab.analysis import RHO_MESH
 from fplab.errors import ConfigError
 from fplab.fields import isotropic_schedule, sample_vector_field
 from fplab.fpe import assemble
@@ -18,6 +17,7 @@ from fplab.scenarios import (
     double_well_potential,
     haar_on_circle,
     hopf_drift,
+    RunConfig,
     make_scenario,
     run_designed_comparison,
     run_gibbs,
@@ -123,26 +123,22 @@ def test_dictionary_registry(dense_reference):
         dictionary_for("nope", g)
 
 
-def test_run_gibbs_symmetric_split():
-    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
-    sched = build_schedule(g, (0.2, 0.1), "iso")
-    res = run_gibbs(double_well_potential, double_well_drift, sched, g)
+def _double_well(run_config, nx, eps):
+    """The resolved double-well run at nx^2 over ``eps``, under its isotropic schedule."""
+    return RunConfig.from_dict(run_config(nx=nx, eps=eps, scenario={"name": "double-well"},
+                                          shape="iso"))
+
+
+def test_run_gibbs_symmetric_split(run_config):
+    res = run_gibbs(_double_well(run_config, 100, (0.2, 0.1)))
     assert not res.errors
     for _, _, row in res.members:
         assert row["l1_error"] < 6e-3
         assert row["left_mass"] == pytest.approx(0.5, abs=0.01)
 
 
-def _hopf_sweep(b, sched, g):
-    """run_hopf_sweep with the dictionary, thresholds and rho_mesh a run config defaults to."""
-    return run_hopf_sweep(b, sched, g, dictionary_for("hopf-offcycle-v1", g),
-                          scenarios._HOPF_THRESHOLDS, RHO_MESH)
-
-
-def test_run_hopf_sweep_small():
-    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 128, 128)
-    sched = build_schedule(g, (0.2, 0.1, 0.05), "modulated")
-    res = _hopf_sweep(1.0, sched, g)
+def test_run_hopf_sweep_small(run_config):
+    res = run_hopf_sweep(RunConfig.from_dict(run_config(nx=128, eps=(0.2, 0.1, 0.05))))
     assert not res.errors
     assert res.extra["uniform_lyapunov_pass"]
     ann = res.series("mass_annulus")
@@ -201,10 +197,8 @@ def test_designed_comparison_rejects_unknown_target():
         run_designed_comparison(scen, "repeller", 10.0, (0.1,), g)
 
 
-def test_metrics_csv_shape(tmp_path):
-    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 100, 100)
-    sched = build_schedule(g, (0.2, 0.1), "iso")
-    res = run_gibbs(double_well_potential, double_well_drift, sched, g)
+def test_metrics_csv_shape(tmp_path, run_config):
+    res = run_gibbs(_double_well(run_config, 100, (0.2, 0.1)))
     save_csv([{"eps": eps, **row} for eps, _, row in res.members], tmp_path / "metrics.csv")
     lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
     assert lines[0].startswith("eps,")
@@ -217,13 +211,14 @@ def test_metrics_csv_shape(tmp_path):
 # measured on 200^2 at eps 0.1, 0.05 and 0.02: discretization 5.85e-4, 8.23e-4
 # and 1.26e-3, rounding 2.5e-14, 6.1e-14 and 5.7e-11, and the Gibbs L1 off the
 # discretization part by 6e-15 to 1.3e-14
-def test_gibbs_error_splits_into_discretization_and_rounding(exact_discrete_measure):
+def test_gibbs_error_splits_into_discretization_and_rounding(exact_discrete_measure, run_config):
     # the double well's operator has a closed-form stationary measure, so the
     # Gibbs L1 splits into discretization (closed form against the Gibbs
     # density) and rounding (solve against the closed form)
-    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 200, 200)
-    sched = build_schedule(g, (0.1, 0.05, 0.02), "iso")
-    res = run_gibbs(double_well_potential, double_well_drift, sched, g)
+    cfg = _double_well(run_config, 200, (0.1, 0.05, 0.02))
+    g = cfg.domain
+    sched = build_schedule(g, **cfg.resolved.schedule)
+    res = run_gibbs(cfg)
     assert not res.errors and len(res.members) == 3
     v = sample_vector_field(double_well_drift, g)
     phi = double_well_potential(*g.centers())
@@ -241,12 +236,14 @@ def test_gibbs_error_splits_into_discretization_and_rounding(exact_discrete_meas
         assert rounding <= 1e-6 * disc
 
 
-def test_run_hopf_sweep_exterior_bound_fails_closed(monkeypatch):
+def test_run_hopf_sweep_exterior_bound_fails_closed(monkeypatch, run_config):
     # b = 3 puts rho_m = 4.5 above the top level (4) the bound is checked at;
     # that member, like one whose certificate fails, has checked nothing
-    g = Grid2D(-2.5, 2.5, -2.5, 2.5, 64, 64)
-    sched = build_schedule(g, (0.2, 0.1), "iso")
-    res = _hopf_sweep(3.0, sched, g)
+    def sweep(b):
+        return run_hopf_sweep(RunConfig.from_dict(run_config(
+            eps=(0.2, 0.1), scenario={"name": "hopf", "b": b}, shape="iso")))
+
+    res = sweep(3.0)
     assert list(res.series("exterior_bound_ok")) == [0.0, 0.0]
     assert not {n: p for n, p, _, _ in res.assertions}["exterior_bound_all_ok"]
 
@@ -257,6 +254,6 @@ def test_run_hopf_sweep_exterior_bound_fails_closed(monkeypatch):
         return certs[:-1] + [replace(certs[-1], passed=False)], False
 
     monkeypatch.setattr(scenarios, "verify_uniform_lyapunov", last_fails)
-    res = _hopf_sweep(1.0, sched, g)
+    res = sweep(1.0)
     assert list(res.series("exterior_bound_ok")) == [1.0, 0.0]
     assert not {n: p for n, p, _, _ in res.assertions}["exterior_bound_all_ok"]
