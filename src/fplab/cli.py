@@ -8,11 +8,12 @@ through the checks of the config sections they stand for. Outputs go to a run
 directory holding the config echo and, from the result's member records,
 per-eps measure documents, metrics.csv and a summary document with
 per-assertion pass/fail; ``io`` makes every directory and writes every file.
-Exit codes: 0 all assertions pass, 1 an assertion
-failed or another package error stopped the command (e.g. an infeasible noise
-design), 2 configuration error: a missing, unknown or invalid config field or
-flag value (a non-finite number, a bool or a string where a number is due),
-or an unreadable config or run directory.
+``fplab verify`` calls the run's analysis on its measures and compares every value
+with the summary, exactly. Exit codes: 0 all assertions pass, 1 an assertion failed,
+verify found a mismatch or another package error stopped the command (e.g. an
+infeasible noise design), 2 configuration error: a missing, unknown or invalid
+config field or flag value (a non-finite number, a bool or a string where a number
+is due), or an unreadable config or run directory.
 
 A run config's ``seed`` (and ``fplab hopf --seed``) is range-checked and
 echoed into config.json, but no computation reads it: no run is random. Only
@@ -208,12 +209,16 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg = RunConfig.from_dict(_load(run_dir / "config.json", "config"))
-    solved = _load(run_dir / "summary.json", "summary").get("eps")  # a failed member has no measure
-    if not isinstance(solved, list):
-        raise ConfigError("summary", f"eps must be a JSON list, got {solved!r}")
+    summary = _load(run_dir / "summary.json", "summary")
+    solved, rows = summary.get("eps"), summary.get("metrics")  # a failed member has no measure
+    if not (all(isinstance(x, list) for x in (solved, rows, summary.get("assertions")))
+            and len(rows) == len(solved) and all(e in cfg.resolved.schedule["eps"] for e in solved)
+            and all(isinstance(row, dict) for row in rows)):
+        raise ConfigError("summary", "must list config eps, a metric row per eps and assertions")
     v = cfg.solved.vector_field(cfg.domain)
-    rows = []
-    for eps in solved:
+    _, out, metrics, verdicts, unchecked = cfg.resolved.analyze(cfg, v)
+    diagnostics = []
+    for eps, row in zip(solved, rows):
         path = run_dir / f"measure_eps{eps!r}.json"
         try:
             mu = fio.measure_from_document(_load(path, "run"))
@@ -223,12 +228,24 @@ def _cmd_verify(args) -> int:
             raise ConfigError("run", f"{path} holds a measure on {mu.grid}, "
                                      f"not on the run's {cfg.domain}")
         res = invariance_residual(mu, v, cfg.dictionary).max().item()
-        rows.append({"eps": eps, "residual_max": res,
-                     "angular_w1": angular_w1_to_uniform(mu)})
-    fio.save_csv(rows, run_dir / "verify.csv")
-    fio.save_document({"format": fio.FORMATS["verify"], "rows": rows}, run_dir / "verify.json")
-    print(f"verified {len(rows)} measures -> {run_dir / 'verify.json'}")
-    return 0
+        diagnostics.append({"eps": eps, "residual_max": res, "angular_w1": angular_w1_to_uniform(mu)})
+        out.add(eps, mu, **metrics(eps, mu),
+                **{k: _number("summary", row[k]) for k in unchecked if k in row})
+    verdicts(out)
+
+    def parts(doc):  # a result document's parts, by the path naming each, as JSON text
+        return {path: json.dumps(fio.finite(part)) for path, part in [
+            ("config", doc.get("config")), ("extra", doc.get("extra")),
+            *((f"metrics[{k}]", row) for k, row in enumerate(doc["metrics"])),
+            ("assertions", doc["assertions"])]}
+    stored, derived = parts(summary), parts(out.to_document())
+    mismatch = next((path for path in derived if derived[path] != stored[path]), None)
+    fio.save_csv(diagnostics, run_dir / "verify.csv")
+    fio.save_document({"format": fio.FORMATS["verify"], "rows": diagnostics, "mismatch": mismatch,
+                       "unchecked": list(unchecked)}, run_dir / "verify.json")
+    print(f"verified {len(diagnostics)} measures -> {run_dir / 'verify.json'}"
+          + (f"; MISMATCH: {mismatch} of summary.json differs" if mismatch else ""))
+    return 1 if mismatch else 0
 
 
 def _cmd_design_noise(args) -> int:
@@ -331,7 +348,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_domain_args(p, default_n=100)
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("verify", help="convergence diagnostics on a run directory")
+    p = sub.add_parser("verify", help="re-derive a run's summary from its measures; 1 on a mismatch")
     p.add_argument("--run", required=True)
     p.set_defaults(fn=_cmd_verify)
 

@@ -57,6 +57,8 @@ def measure_to_document(mu: DiscreteMeasure) -> dict:
 
 
 def measure_from_document(doc: dict) -> DiscreteMeasure:
+    if doc.get("format") != FORMATS["measure"]:
+        raise ValueError(f"format {doc.get('format')!r} is not {FORMATS['measure']!r}")
     grid = grid_from_metadata(doc["grid"])
     return DiscreteMeasure(grid, _unflat(doc["weights"], grid))
 
@@ -110,14 +112,14 @@ def attractor_to_document(approx: AttractorApprox) -> dict:
     }
 
 
-def _finite(obj):
+def finite(obj):
     """``obj`` with every non-finite float in it replaced by None."""
     if isinstance(obj, float):
         return obj if np.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
+        return {k: finite(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
+        return [finite(v) for v in obj]
     return obj
 
 
@@ -130,7 +132,7 @@ def save_document(doc: dict, path) -> None:
     try:
         text = json.dumps(doc, allow_nan=False)
     except ValueError:  # a non-finite float: walk the document only then
-        text = json.dumps(_finite(doc), allow_nan=False)
+        text = json.dumps(finite(doc), allow_nan=False)
     _write(path, text + "\n")
 
 

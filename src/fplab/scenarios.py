@@ -8,11 +8,12 @@ scenario it solves and its test-function dictionary. NaN, Infinity, a bool or a
 string where a number is due, or a dictionary that does not fit the grid, is a
 config error.
 
-Each runner returns a ScenarioResult embedding the full configuration
-(grid, schedule, seeds, shaping ratio, dictionary version), one member record
-(eps, measure, {metric: value}) per solved noise level, the error of each
-member that failed, and named assertion verdicts, so any row is re-derivable
-from the result document alone.
+Each recipe names an analysis of the resolved RunConfig and its drift field, the
+tuple (schedule, result, metrics, verdicts, unchecked): the schedule solved, a
+ScenarioResult holding the run's config and extra but no member, metrics(eps, mu),
+every {metric: value} of a member that its measure gives, verdicts(result), which
+records the named assertions from the metric rows, and the member metrics that no
+stored measure gives. A run and ``fplab verify`` call the same analysis.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "build_schedule",
     "hopf_drift",
     "run_hopf_sweep",
-    "run_gibbs",
     "run_designed_comparison",
     "SHAPES",
     "haar_on_circle",
@@ -379,15 +379,6 @@ class ScenarioResult:
         """Metric ``key`` of every member, in schedule order."""
         return np.asarray([row[key] for _, _, row in self.members])
 
-    def solved(self, results):
-        """The solved (eps, mu, report) items of solve_family ``results``; each
-        failed member is recorded in ``errors`` instead."""
-        for eps, mu, rep in results:
-            if mu is None:
-                self.errors.append((eps, repr(rep)))
-            else:
-                yield eps, mu, rep
-
     def record(self, name: str, passed: bool, value, threshold):
         self.assertions.append((name, bool(passed), float(value), float(threshold)))
 
@@ -412,24 +403,40 @@ class ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# analyses and runners
+
+def _recorded(cfg: RunConfig, analyze) -> ScenarioResult:
+    """The one-family run ``cfg``: each member of the schedule of ``analyze(cfg, v)``, solved
+    on its drift v, recorded with its metrics and solve report, or its error; then the verdicts."""
+    v = cfg.solved.vector_field(cfg.domain)
+    schedule, out, metrics, verdicts, _ = analyze(cfg, v)
+    for eps, mu, rep in solve_family(v, schedule, cfg.domain):
+        if mu is None:
+            out.errors.append((eps, repr(rep)))
+        else:
+            out.add(eps, mu, **metrics(eps, mu), solve_residual=rep.residual, min_weight=rep.min_weight)
+    verdicts(out)
+    return out
+
 
 def run_hopf_sweep(cfg: RunConfig) -> ScenarioResult:
-    """Solve the Hopf family of the run ``cfg`` and evaluate the vanishing-noise metrics.
+    """The Hopf sweep of the run ``cfg``. The "hopf" recipe calls it by its module-level
+    name, so a wrapper rebound to that name (tracing) sees every run, schedule included."""
+    return _recorded(cfg, _hopf_analysis)
+
+
+def _hopf_analysis(cfg: RunConfig, v: VectorField) -> tuple:
+    """The Hopf family of the run ``cfg`` and its vanishing-noise metrics.
 
     Metrics per eps: origin-ball and annulus masses, angular-marginal W1 to
     uniform, BL distance to the reference limit measure (Haar on the cycle
     for b > 0, point mass at the origin otherwise), invariance residual, and
     the exponential exterior-mass bound check with U = x^2 + y^2. The run's
     grid, scenario and dictionary are the ones RunConfig.from_dict built, and
-    its thresholds hold every final-eps threshold of _HOPF_THRESHOLDS. The
-    "hopf" recipe calls this function by its module-level name, so a wrapper
-    rebound to that name (tracing) sees every run, schedule build included.
-    """
+    its thresholds hold every final-eps threshold of _HOPF_THRESHOLDS."""
     grid, scen, dictionary, run = cfg.domain, cfg.solved, cfg.dictionary, cfg.resolved
     b, thresholds, rho_mesh = run.params["b"], run.analysis["thresholds"], run.analysis["rho_mesh"]
     schedule = build_schedule(grid, **run.schedule)
-    v = scen.vector_field(grid)
     xx, yy = grid.centers()
     r = np.hypot(xx, yy)
 
@@ -459,9 +466,10 @@ def run_hopf_sweep(cfg: RunConfig) -> ScenarioResult:
             "rho_m": rho_m,
             "gamma": gamma,
         },
+        extra={"uniform_lyapunov_pass": bool(uniform_ok)},
     )
-    out.extra["uniform_lyapunov_pass"] = bool(uniform_ok)
-    for eps, mu, rep in out.solved(solve_family(v, schedule, grid)):
+
+    def metrics(eps, mu):
         cert, a_member = by_eps[eps]
         blr = bl_distance(mu, reference, dictionary)
         # levels from rho_m + 0.25 up to 4; a member with no certificate or no such
@@ -471,8 +479,7 @@ def run_hopf_sweep(cfg: RunConfig) -> ScenarioResult:
         # bound on the mass outside {U < rho} minus that mass
         margins = [lyapunov_upper_bound(cert, a_member, float(rho), rho_mesh).value
                    - (1.0 - float(mu.weights[cert.u < rho].sum())) for rho in levels]
-        out.add(
-            eps, mu,
+        return dict(
             mass_annulus=float(mu.weights[annulus].sum()),
             mass_origin_ball=float(mu.weights[origin_ball].sum()),
             mass_center=float(mu.weights[center_ball].sum()),
@@ -482,73 +489,65 @@ def run_hopf_sweep(cfg: RunConfig) -> ScenarioResult:
             radial_w1_to_reference=blr.radial_w1,
             exterior_bound_ok=bool(margins) and min(margins) >= 0.0,
             exterior_bound_margin=min(margins, default=np.inf),
-            solve_residual=rep.residual,
-            min_weight=rep.min_weight,
         )
 
-    if len(out.members) >= 2:
-        if b > 0:
-            ann = out.series("mass_annulus")
-            org = out.series("mass_origin_ball")
-            aw1 = out.series("angular_w1")
-            resid = out.series("residual_max")
-            out.record("annulus_mass_increasing", np.all(np.diff(ann) > 0), ann[-1], ann[0])
-            out.record("annulus_mass_final", ann[-1] >= thresholds["annulus_final"], ann[-1],
-                       thresholds["annulus_final"])
-            out.record("origin_mass_decreasing", np.all(np.diff(org) < 0), org[-1], org[0])
-            out.record("origin_mass_final", org[-1] <= thresholds["origin_final"], org[-1],
-                       thresholds["origin_final"])
-            out.record("angular_w1_decreasing", np.all(np.diff(aw1) < 0), aw1[-1], aw1[0])
-            out.record("angular_w1_final", aw1[-1] <= thresholds["angular_w1_final"], aw1[-1],
-                       thresholds["angular_w1_final"])
+    def verdicts(out):
+        if len(out.members) >= 2:
+            if b > 0:
+                ann = out.series("mass_annulus")
+                org = out.series("mass_origin_ball")
+                aw1 = out.series("angular_w1")
+                resid = out.series("residual_max")
+                out.record("annulus_mass_increasing", np.all(np.diff(ann) > 0), ann[-1], ann[0])
+                out.record("annulus_mass_final", ann[-1] >= thresholds["annulus_final"], ann[-1],
+                           thresholds["annulus_final"])
+                out.record("origin_mass_decreasing", np.all(np.diff(org) < 0), org[-1], org[0])
+                out.record("origin_mass_final", org[-1] <= thresholds["origin_final"], org[-1],
+                           thresholds["origin_final"])
+                out.record("angular_w1_decreasing", np.all(np.diff(aw1) < 0), aw1[-1], aw1[0])
+                out.record("angular_w1_final", aw1[-1] <= thresholds["angular_w1_final"], aw1[-1],
+                           thresholds["angular_w1_final"])
+                out.record(
+                    "residual_ratio_final",
+                    resid[-1] <= thresholds["residual_ratio_final"] * resid[0],
+                    resid[-1] / max(resid[0], 1e-300),
+                    thresholds["residual_ratio_final"],
+                )
+                bl = out.series("bl_to_reference")
+                out.record("bl_to_haar_decreasing", np.all(np.diff(bl) < 0), bl[-1], bl[0])
+            else:
+                ctr = out.series("mass_center")
+                out.record("center_mass_increasing", np.all(np.diff(ctr) > 0), ctr[-1], ctr[0])
+                out.record("center_mass_final", ctr[-1] >= thresholds["center_final"], ctr[-1],
+                           thresholds["center_final"])
             out.record(
-                "residual_ratio_final",
-                resid[-1] <= thresholds["residual_ratio_final"] * resid[0],
-                resid[-1] / max(resid[0], 1e-300),
-                thresholds["residual_ratio_final"],
+                "exterior_bound_all_ok",
+                bool(np.all(out.series("exterior_bound_ok") > 0)),
+                float(out.series("exterior_bound_margin").min()),
+                0.0,
             )
-            bl = out.series("bl_to_reference")
-            out.record("bl_to_haar_decreasing", np.all(np.diff(bl) < 0), bl[-1], bl[0])
-        else:
-            ctr = out.series("mass_center")
-            out.record("center_mass_increasing", np.all(np.diff(ctr) > 0), ctr[-1], ctr[0])
-            out.record("center_mass_final", ctr[-1] >= thresholds["center_final"], ctr[-1],
-                       thresholds["center_final"])
-        out.record(
-            "exterior_bound_all_ok",
-            bool(np.all(out.series("exterior_bound_ok") > 0)),
-            float(out.series("exterior_bound_margin").min()),
-            0.0,
-        )
-    return out
+
+    return schedule, out, metrics, verdicts, _SOLVE_KEYS
 
 
-def run_gibbs(cfg: RunConfig) -> ScenarioResult:
-    """Gradient-drift oracle run of the double well ``cfg`` solves: its drift
+def _gibbs_analysis(cfg: RunConfig, v: VectorField) -> tuple:
+    """Gradient-drift oracle of the double well ``cfg`` solves: its drift
     -grad(Phi) with A = eps I has the exact stationary density exp(-Phi/eps),
     Phi = double_well_potential; reports per-eps L1 errors."""
     grid = cfg.domain
     schedule = build_schedule(grid, **cfg.resolved.schedule)
     xx, yy = grid.centers()
     phi = double_well_potential(xx, yy)
-    v = cfg.solved.vector_field(grid)
 
-    out = ScenarioResult(
-        scenario="gibbs",
-        config={"grid": grid.metadata(), "eps": list(schedule.eps),
-                "invariance_mode": schedule.invariance_mode},
-    )
-    for eps, mu, rep in out.solved(solve_family(v, schedule, grid)):
+    def metrics(eps, mu):
         ref = np.exp(-(phi - phi.min()) / eps)
         ref /= ref.sum()
-        out.add(
-            eps, mu,
-            l1_error=float(np.abs(mu.weights - ref).sum()),
-            solve_residual=rep.residual,
-            min_weight=rep.min_weight,
-            left_mass=float(mu.weights[xx < 0].sum()),
-        )
-    return out
+        return dict(l1_error=float(np.abs(mu.weights - ref).sum()),
+                    left_mass=float(mu.weights[xx < 0].sum()))
+
+    out = ScenarioResult("gibbs", {"grid": grid.metadata(), "eps": list(schedule.eps),
+                                   "invariance_mode": schedule.invariance_mode})
+    return schedule, out, metrics, lambda out: None, _SOLVE_KEYS
 
 
 @dataclass(frozen=True)
@@ -588,33 +587,21 @@ def _design(scenario: Scenario, target: str, v: VectorField, ratio: float, eps_l
     return recipe, iso, design_family(iso, eps_list, ratio)
 
 
-def run_designed_comparison(
-    scenario: Scenario,
-    target: str,
-    ratio: float,
-    eps_list,
-    grid: Grid2D,
-) -> ScenarioResult:
-    """Paired designed-vs-uniform solves for noise stabilization (target =
-    'attractor') or destabilization ('repeller') on a scenario admitting
-    isolating data. The isotropic schedule solved alongside is the
-    no-shaping control; `ratio` must be finite and > 1. The result's
-    measures are those of the designed family."""
-    v = scenario.vector_field(grid)
+def _designed_analysis(scenario: Scenario, target: str, ratio: float, eps_list,
+                       v: VectorField) -> tuple:
+    """The designed family of a scenario/target pair (_design). A member's
+    designed_mass is its mass on the recipe's region; the verdicts compare it with
+    the uniform_mass of the isotropic control, which no stored measure gives."""
     recipe, iso, designed = _design(scenario, target, v, ratio, eps_list)
-    region = recipe.region(*grid.centers())
+    region = recipe.region(*v.grid.centers())
 
     # every designed member must carry the global uniform certificate
     rho_m = 1.5
     gamma_glob, _, uniform_ok = scenario.uniform_certificates(v, designed.schedule, rho_m)
-
-    res_designed = solve_family(v, designed.schedule, grid)
-    res_uniform = solve_family(v, isotropic_schedule(grid, eps_list), grid)
-
     out = ScenarioResult(
         scenario=f"{scenario.name}-designed-{target}",
         config={
-            "grid": grid.metadata(),
+            "grid": v.grid.metadata(),
             "eps": list(eps_list),
             "ratio": ratio,
             "iso": {"rho_tilde": iso.rho_tilde, "rho_star_lo": iso.rho_star_lo,
@@ -624,35 +611,51 @@ def run_designed_comparison(
             "rho_m": rho_m,
             "gamma": gamma_glob,
         },
+        extra={"uniform_lyapunov_pass": bool(uniform_ok),
+               "ratio_condition": designed.ratio_condition(), "shaping_meta": designed.meta},
     )
-    out.extra["uniform_lyapunov_pass"] = bool(uniform_ok)
-    out.extra["ratio_condition"] = designed.ratio_condition()
-    out.extra["shaping_meta"] = designed.meta
 
+    def verdicts(out):
+        if out.members:
+            md, mu_ = out.series("designed_mass"), out.series("uniform_mass")
+            dominance = md > mu_ if target == "attractor" else md < mu_
+            if target == "attractor":
+                out.record("designed_final_mass", md[-1] >= 0.9, md[-1], 0.9)
+                out.record("uniform_symmetric_split", abs(mu_[-1] - 0.5) <= 0.02, mu_[-1], 0.5)
+            else:
+                out.record("designed_final_mass", md[-1] <= 0.01, md[-1], 0.01)
+            out.record("dominance_every_eps", dominance.all(), dominance.sum(), len(dominance))
+
+    return (designed.schedule, out, lambda eps, mu: {"designed_mass": mu.weights[region].sum()},
+            verdicts, ("uniform_mass",))
+
+
+def run_designed_comparison(scenario: Scenario, target: str, ratio: float, eps_list,
+                            grid: Grid2D) -> ScenarioResult:
+    """Paired designed-vs-uniform solves for noise stabilization (target =
+    'attractor') or destabilization ('repeller') on a scenario admitting
+    isolating data. The isotropic schedule solved alongside is the
+    no-shaping control; `ratio` must be finite and > 1. The result's
+    measures are those of the designed family."""
+    v = scenario.vector_field(grid)
+    schedule, out, metrics, verdicts, _ = _designed_analysis(scenario, target, ratio, eps_list, v)
+    res_designed = solve_family(v, schedule, grid)
+    res_uniform = solve_family(v, isotropic_schedule(grid, eps_list), grid)
     for (eps, mu_d, rep_d), (_, mu_u, rep_u) in zip(res_designed, res_uniform):
         if mu_d is None or mu_u is None:
             out.errors.append((eps, repr(rep_d if mu_d is None else rep_u)))
             continue
-        out.add(eps, mu_d, designed_mass=mu_d.weights[region].sum(),
-                uniform_mass=mu_u.weights[region].sum())
-    if out.members:
-        md, mu_ = out.series("designed_mass"), out.series("uniform_mass")
-        dominance = md > mu_ if target == "attractor" else md < mu_
-        if target == "attractor":
-            out.record("designed_final_mass", md[-1] >= 0.9, md[-1], 0.9)
-            out.record("uniform_symmetric_split", abs(mu_[-1] - 0.5) <= 0.02, mu_[-1], 0.5)
-        else:
-            out.record("designed_final_mass", md[-1] <= 0.01, md[-1], 0.01)
-        out.record("dominance_every_eps", dominance.all(), dominance.sum(), len(dominance))
+        out.add(eps, mu_d, **metrics(eps, mu_d), uniform_mass=metrics(eps, mu_u)["designed_mass"])
+    verdicts(out)
     return out
 
 
 # ---------------------------------------------------------------------------
 # run recipes: what `fplab run` does for each scenario name of a run config
 
-def _run_double_well_designed(cfg: RunConfig) -> ScenarioResult:
-    return run_designed_comparison(cfg.solved, "attractor", cfg.resolved.params["ratio"],
-                                   cfg.resolved.schedule["eps"], cfg.domain)
+def _attractor(cfg: RunConfig) -> tuple:
+    """The scenario, target, ratio and noise labels of a double-well-designed run."""
+    return cfg.solved, "attractor", cfg.resolved.params["ratio"], cfg.resolved.schedule["eps"]
 
 
 @dataclass(frozen=True)
@@ -661,6 +664,7 @@ class _RunRecipe:
     the keys each config section may hold; RunConfig.from_dict puts a config's values in."""
 
     run: object             # RunConfig -> ScenarioResult
+    analyze: object         # (RunConfig, drift field) -> analysis; `fplab verify` calls it too
     scenario: str           # the SCENARIOS row whose drift the run solves
     params: dict            # scenario keys besides "name": the row's parameters first
     schedule: dict          # its "eps" has no default: a run names its noise labels
@@ -669,20 +673,22 @@ class _RunRecipe:
 
 _ANALYSIS = {"dictionary": _DEFAULT_DICTIONARY}  # on every run: `fplab verify` reads it
 _NAMED_SCHEDULE = {"eps": None, "shape": "modulated", "invariance_mode": "reflecting"}
+_SOLVE_KEYS = ("solve_residual", "min_weight")  # member metrics of a solve report, not a measure
 
-# The recipes bind their runners late: each lambda looks run_hopf_sweep or run_gibbs
-# up by module-level name at each run, as from_dict and the runners look dictionary_for
-# and build_schedule up, so a wrapper rebound to one of those names (tracing) sees
-# every call. A function object stored in a recipe would keep running the unwrapped one.
+# The recipes bind their runners late: each lambda looks its runner up by module-level
+# name at each run, as from_dict and the runners look dictionary_for and build_schedule
+# up, so a wrapper rebound to one of those names (tracing) sees every call. A function
+# object stored in a recipe, as each analysis is, would keep running the unwrapped one.
 _RUN_RECIPES = {
-    "hopf": _RunRecipe(lambda cfg: run_hopf_sweep(cfg), "hopf", SCENARIOS["hopf"].defaults,
-                       _NAMED_SCHEDULE,
+    "hopf": _RunRecipe(lambda cfg: run_hopf_sweep(cfg), _hopf_analysis, "hopf",
+                       SCENARIOS["hopf"].defaults, _NAMED_SCHEDULE,
                        {**_ANALYSIS, "thresholds": _HOPF_THRESHOLDS, "rho_mesh": RHO_MESH}),
-    "double-well": _RunRecipe(lambda cfg: run_gibbs(cfg), "double-well",
-                              SCENARIOS["double-well"].defaults,
+    "double-well": _RunRecipe(lambda cfg: _recorded(cfg, _gibbs_analysis), _gibbs_analysis,
+                              "double-well", SCENARIOS["double-well"].defaults,
                               {**_NAMED_SCHEDULE, "shape": "iso"}, _ANALYSIS),
     "double-well-designed": _RunRecipe(
-        _run_double_well_designed, "double-well",
+        lambda cfg: run_designed_comparison(*_attractor(cfg), cfg.domain),
+        lambda cfg, v: _designed_analysis(*_attractor(cfg), v), "double-well",
         {**SCENARIOS["double-well"].defaults, "ratio": 10.0}, {"eps": None}, _ANALYSIS),
 }
 

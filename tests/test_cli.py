@@ -10,7 +10,6 @@ from fplab import cli
 from fplab import io as fio
 from fplab.cli import main
 from fplab.errors import ConfigError
-from fplab.fields import DiscreteMeasure
 from fplab.grid import Grid2D, grid_from_metadata
 from fplab.sampler import SamplerConfig, occupation_measure
 from fplab.scenarios import RunConfig, build_schedule, make_scenario
@@ -102,12 +101,10 @@ def test_cli_run_refuses_a_dictionary_that_does_not_fit_under_every_recipe(tmp_p
     assert main(["verify", "--run", str(out)]) == 0
 
 
-def _uniform_run_dir(run_config, out):
-    """A run directory of a 48^2 Hopf config holding one uniform measure, at eps 0.2."""
-    fio.save_document(run_config(out, nx=48), out / "config.json")
-    fio.save_document({"eps": [0.2]}, out / "summary.json")
-    mu = DiscreteMeasure(Grid2D(-2.5, 2.5, -2.5, 2.5, 48, 48), np.full((48, 48), 1.0 / 48**2))
-    fio.save_document(fio.measure_to_document(mu), out / "measure_eps0.2.json")
+def _small_run_dir(run_config, out):
+    """The run directory of a 48^2 Hopf config at one eps, 0.2, as ``fplab run`` writes it."""
+    fio.save_document(run_config(out, nx=48, eps=(0.2,)), out.with_suffix(".json"))
+    assert main(["run", "--config", str(out.with_suffix(".json"))]) == 0
 
 
 def nan_weight(doc):
@@ -118,17 +115,52 @@ def other_grid(doc):
     return {**doc, "grid": {**doc["grid"], "x_min": -2.4}}
 
 
+def retagged(doc):
+    return {**doc, "format": fio.FORMATS["diffusion_field"]}
+
+
+def no_metrics(doc):
+    return {k: v for k, v in doc.items() if k != "metrics"}
+
+
+def metrics_not_a_list(doc):
+    return {**doc, "metrics": doc["metrics"][0]}
+
+
+def metrics_per_other_eps(doc):
+    return {**doc, "metrics": doc["metrics"] * 2}
+
+
+def assertions_not_a_list(doc):
+    return {**doc, "assertions": {}}
+
+
+def eps_not_of_the_config(doc):
+    return {**doc, "eps": [0.25]}
+
+
+def unchecked_not_a_number(doc):
+    return {**doc, "metrics": [{**doc["metrics"][0], "solve_residual": None}]}
+
+
 # (command, file, its text or an edit of the well-formed document, field named on stderr)
 _MALFORMED = [
     ("run", "cfg.json", "5", "config"),
     ("run", "cfg.json", "[1, 2]", "config"),
     ("verify", "summary.json", "{}", "summary"),
     ("verify", "summary.json", '{"eps": 0.2}', "summary"),
+    ("verify", "summary.json", no_metrics, "summary"),
+    ("verify", "summary.json", metrics_not_a_list, "summary"),
+    ("verify", "summary.json", metrics_per_other_eps, "summary"),
+    ("verify", "summary.json", assertions_not_a_list, "summary"),
+    ("verify", "summary.json", unchecked_not_a_number, "summary"),
+    ("verify", "summary.json", eps_not_of_the_config, "summary"),
     ("verify", "measure_eps0.2.json", "[1, 2]", "run"),
     ("verify", "measure_eps0.2.json", "{}", "run"),
     ("verify", "measure_eps0.2.json", '{"grid": [], "weights": []}', "run"),
     ("verify", "measure_eps0.2.json", nan_weight, "run"),
     ("verify", "measure_eps0.2.json", other_grid, "run"),
+    ("verify", "measure_eps0.2.json", retagged, "run"),
 ]
 
 
@@ -138,7 +170,7 @@ _MALFORMED = [
 def test_cli_exit_2_on_malformed_document(tmp_path, capsys, cmd, name, text, field, run_config):
     out = tmp_path / "run"
     if cmd == "verify":
-        _uniform_run_dir(run_config, out)
+        _small_run_dir(run_config, out)
         assert main(["verify", "--run", str(out)]) == 0  # the well-formed directory
         capsys.readouterr()
         if callable(text):
@@ -158,7 +190,7 @@ def test_cli_verify_refuses_a_1d_measure(tmp_path, capsys, run_config):
     # every grid is 2D: a 1D grid header, which no fplab command writes, is
     # not a measure document
     out = tmp_path / "run"
-    _uniform_run_dir(run_config, out)
+    _small_run_dir(run_config, out)
     fio.save_document({"format": "fplab/measure@1", "weights": [1 / 32] * 32,
                        "grid": {"kind": "grid1d", "x_min": -4.0, "x_max": 4.0, "nx": 32}},
                       out / "measure_eps0.2.json")
@@ -170,7 +202,7 @@ def test_cli_verify_refuses_a_1d_measure(tmp_path, capsys, run_config):
 @pytest.mark.parametrize("key,value", [("shape", "bogus"), ("invariance_mode", "sideways")])
 def test_cli_verify_refuses_a_schedule_name_that_run_refuses(tmp_path, capsys, key, value, run_config):
     out = tmp_path / "run"
-    _uniform_run_dir(run_config, out)
+    _small_run_dir(run_config, out)
     cfg = run_config(out, nx=48)
     cfg["schedule"][key] = value
     fio.save_document(cfg, out / "config.json")
@@ -512,12 +544,93 @@ def test_cli_run_and_verify_a_partial_run(tmp_path, capsys, run_config):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["eps"] == [0.2]
     assert [e["eps"] for e in summary["errors"]] == [0.003]
-    assert main(["verify", "--run", str(out)]) == 0
+    assert _verified(out) == (0, None)
     assert [r["eps"] for r in json.loads((out / "verify.json").read_text())["rows"]] == [0.2]
     # a run directory without its summary is a config error
     (out / "summary.json").unlink()
     assert main(["verify", "--run", str(out)]) == 2
     assert "config field 'summary'" in capsys.readouterr().err
+
+
+def _verified(run_dir):
+    """The exit code of ``fplab verify`` on ``run_dir`` and the mismatch it names."""
+    rc = main(["verify", "--run", str(run_dir)])
+    return rc, json.loads((run_dir / "verify.json").read_text())["mismatch"]
+
+
+@pytest.mark.parametrize("name", sorted(_SPELLED_OUT))
+def test_cli_verify_rederives_the_run_of_each_recipe(tmp_path, name, run_config):
+    # verify calls the recipe's analysis on the stored measures and gets every
+    # config, extra, metric and assertion of the summary back; a member row holds
+    # exactly the metrics its measure gives and the ones verify.json lists as
+    # unchecked, so a metric added to a recipe is either re-derived or declared
+    out = tmp_path / "run"
+    n = _SPELLED_OUT[name][0]
+    p = tmp_path / "cfg.json"
+    raw = run_config(out, nx=n, eps=(0.1, 0.05), scenario={"name": name})
+    del raw["schedule"]["shape"]  # each recipe's own default
+    p.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(p)]) in (0, 1)
+    assert _verified(out) == (0, None)
+    cfg = RunConfig.from_dict(fio.load_document(out / "config.json"))
+    _, _, metrics, _, unchecked = cfg.resolved.analyze(cfg, cfg.solved.vector_field(cfg.domain))
+    assert json.loads((out / "verify.json").read_text())["unchecked"] == list(unchecked)
+    summary = fio.load_document(out / "summary.json")
+    for eps, row in zip(summary["eps"], summary["metrics"]):
+        mu = fio.measure_from_document(fio.load_document(out / f"measure_eps{eps!r}.json"))
+        assert sorted(row) == sorted([*metrics(eps, mu), *unchecked])
+
+
+def test_cli_verify_rederives_each_b_of_a_hopf_sweep(tmp_path):
+    out = tmp_path / "out"
+    assert main(["hopf", "--b=-0.5,1.0", "--grid-n", "48", "--eps", "0.3,0.15",
+                 "--out", str(out)]) in (0, 1)
+    assert [d.name for d in sorted(out.iterdir())] == ["b-0.5", "b1.0"]
+    for run_dir in sorted(out.iterdir()):
+        assert _verified(run_dir) == (0, None)
+
+
+def moved_weight(run_dir):
+    """1e-9 of mass moved from the heaviest cell of the eps = 0.15 measure to its first cell."""
+    path = run_dir / "measure_eps0.15.json"
+    doc = fio.load_document(path)
+    w = doc["weights"]
+    k = int(np.argmax(w))
+    w[k], w[0] = w[k] - 1e-9, w[0] + 1e-9
+    fio.save_document(doc, path)
+
+
+def edited_metric(run_dir):
+    path = run_dir / "summary.json"
+    doc = fio.load_document(path)
+    doc["metrics"][0]["mass_annulus"] += 1e-12
+    fio.save_document(doc, path)
+
+
+def flipped_verdict(run_dir):
+    path = run_dir / "summary.json"
+    doc = fio.load_document(path)
+    doc["assertions"][0]["passed"] = not doc["assertions"][0]["passed"]
+    fio.save_document(doc, path)
+
+
+@pytest.mark.parametrize("tamper,mismatch", [(moved_weight, "metrics[1]"),
+                                             (edited_metric, "metrics[0]"),
+                                             (flipped_verdict, "assertions")],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_cli_verify_names_the_first_mismatch(tmp_path, capsys, run_config, tamper, mismatch):
+    out = tmp_path / "run"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(run_config(out, nx=48)))
+    assert main(["run", "--config", str(p)]) in (0, 1)
+    assert _verified(out) == (0, None)
+    rows = (out / "verify.csv").read_bytes()
+    capsys.readouterr()
+    tamper(out)
+    assert _verified(out) == (1, mismatch)
+    assert f"MISMATCH: {mismatch} of summary.json differs" in capsys.readouterr().out
+    if tamper is not moved_weight:  # the diagnostics read the measures alone
+        assert (out / "verify.csv").read_bytes() == rows
 
 
 def test_cli_solve_and_verify(tmp_path):

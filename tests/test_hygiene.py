@@ -180,22 +180,32 @@ def test_run_rebuild_is_detected():
 
 def _runner_rebuilds(tree: ast.Module) -> list[str]:
     """Every call of ``make_scenario`` or ``dictionary_for`` (a name or an attribute)
-    in a runner, a function named ``run_*`` or ``_run_*``: the ways a runner can
-    build its run's scenario or dictionary again instead of reading its RunConfig's."""
+    in a runner, a function named ``run_*`` or ``_run_*``, in the _RUN_RECIPES table
+    or in a function it names, as each recipe names its analysis: the ways a run or
+    ``fplab verify`` can build its run's scenario or dictionary again instead of
+    reading its RunConfig's."""
+    tables = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "_RUN_RECIPES" for t in node.targets)]
+    builders = ("make_scenario", "dictionary_for")
+    named = {n.id for table in tables for n in ast.walk(table.value)
+             if isinstance(n, ast.Name) and n.id not in builders}
+    scopes = [(table, "_RUN_RECIPES") for table in tables]
+    scopes += [(fn, fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and (fn.name.lstrip("_").startswith("run_") or fn.name in named)]
     found = []
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef) and fn.name.lstrip("_").startswith("run_"):
-            for node in ast.walk(fn):
-                name = isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None))
-                if name in ("make_scenario", "dictionary_for"):
-                    found.append((node.lineno, f"{name} in {fn.name}"))
+    for scope, where in scopes:
+        for node in ast.walk(scope):
+            name = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None))
+            if name in builders:
+                found.append((node.lineno, f"{name} in {where}"))
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
 def test_runners_read_the_run_from_their_config():
-    # a runner takes the RunConfig that from_dict resolved and reads its scenario
-    # and dictionary, so no run solves another scenario than `fplab verify` reads
+    # a runner and each analysis a recipe names take the RunConfig that from_dict
+    # resolved and read its scenario and dictionary, so no run solves or analyzes
+    # another scenario than `fplab verify` reads
     assert _runner_rebuilds(ast.parse(SCENARIOS.read_text())) == []
 
 
@@ -213,10 +223,20 @@ def test_runner_rebuild_is_detected():
         "        return _run_recipe(self)\n"
         "def _run_recipe(cfg):\n"
         "    return [make_scenario(k) for k in cfg]\n"
+        "def _sweep_analysis(cfg, v):\n"
+        "    def metrics(eps, mu):\n"
+        "        return dictionary_for('x', cfg.domain)\n"
+        "    return metrics\n"
+        "def _unnamed_analysis(cfg, v):\n"
+        "    return make_scenario('hopf')\n"
+        "_RUN_RECIPES = {'a': _RunRecipe(lambda cfg: run_sweep(cfg), _sweep_analysis),\n"
+        "                'b': _RunRecipe(_run_recipe, lambda cfg, v: make_scenario('x'))}\n"
     )
     assert _runner_rebuilds(tree) == ["make_scenario in run_sweep (line 4)",
                                       "dictionary_for in run_sweep (line 5)",
-                                      "make_scenario in _run_recipe (line 12)"]
+                                      "make_scenario in _run_recipe (line 12)",
+                                      "dictionary_for in _sweep_analysis (line 15)",
+                                      "make_scenario in _RUN_RECIPES (line 20)"]
 
 
 def _document_reads(tree: ast.Module) -> list[str]:

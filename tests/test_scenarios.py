@@ -20,7 +20,6 @@ from fplab.scenarios import (
     RunConfig,
     make_scenario,
     run_designed_comparison,
-    run_gibbs,
     run_hopf_sweep,
 )
 
@@ -130,7 +129,7 @@ def _double_well(run_config, nx, eps):
 
 
 def test_run_gibbs_symmetric_split(run_config):
-    res = run_gibbs(_double_well(run_config, 100, (0.2, 0.1)))
+    res = _double_well(run_config, 100, (0.2, 0.1)).run()
     assert not res.errors
     for _, _, row in res.members:
         assert row["l1_error"] < 6e-3
@@ -198,7 +197,7 @@ def test_designed_comparison_rejects_unknown_target():
 
 
 def test_metrics_csv_shape(tmp_path, run_config):
-    res = run_gibbs(_double_well(run_config, 100, (0.2, 0.1)))
+    res = _double_well(run_config, 100, (0.2, 0.1)).run()
     save_csv([{"eps": eps, **row} for eps, _, row in res.members], tmp_path / "metrics.csv")
     lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
     assert lines[0].startswith("eps,")
@@ -218,7 +217,7 @@ def test_gibbs_error_splits_into_discretization_and_rounding(exact_discrete_meas
     cfg = _double_well(run_config, 200, (0.1, 0.05, 0.02))
     g = cfg.domain
     sched = build_schedule(g, **cfg.resolved.schedule)
-    res = run_gibbs(cfg)
+    res = cfg.run()
     assert not res.errors and len(res.members) == 3
     v = sample_vector_field(double_well_drift, g)
     phi = double_well_potential(*g.centers())
