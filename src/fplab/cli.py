@@ -15,9 +15,13 @@ infeasible noise design), 2 configuration error: a missing, unknown or invalid
 config field or flag value (a non-finite number, a bool or a string where a number
 is due), or an unreadable config or run directory.
 
-A run config's ``seed`` (and ``fplab hopf --seed``) is range-checked and
-echoed into config.json, but no computation reads it: no run is random. Only
-``fplab sample --seed`` seeds anything, the sampler's path streams.
+``fplab hopf`` runs its b values on min(#b, CPUs the process may run on) threads.
+The count follows the affinity mask, so ``taskset`` limits it. Each concurrent b
+holds its own LU: about 70 MB more peak memory per b at the default 256² grid.
+
+A run config's ``seed`` is range-checked and echoed into config.json (``fplab
+hopf`` echoes 0), but no computation reads it: no run is random. Only ``fplab
+sample --seed`` seeds anything, the sampler's path streams.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .scenarios import (
     make_scenario,
 )
 
-DEFAULT_WORKERS_ENV = "FPLAB_WORKERS"
 _DESIGNED = _RUN_RECIPES["double-well-designed"].params  # design-noise's --ratio
 
 
@@ -89,13 +92,9 @@ def _load(path: Path, field: str) -> dict:
     return doc
 
 
-def _workers() -> int:
-    """The pool size FPLAB_WORKERS: a JSON integer >= 1, 1 when unset."""
-    raw = os.environ.get(DEFAULT_WORKERS_ENV, "1")
-    try:
-        return _config_int(DEFAULT_WORKERS_ENV, json.loads(raw), 1)
-    except json.JSONDecodeError:
-        raise ConfigError(DEFAULT_WORKERS_ENV, f"must be a positive integer, got {raw!r}") from None
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
@@ -127,7 +126,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_hopf(args) -> int:
-    workers = _workers()
     eps = _flag_numbers("schedule.eps", args.eps)  # checked by RunConfig
     box = SCENARIOS["hopf"].box
     bs = _flag_numbers("scenario.b", args.b)
@@ -140,9 +138,8 @@ def _cmd_hopf(args) -> int:
         "schedule": {"eps": eps, "shape": args.shape},
         "analysis": {"dictionary": _RUN_RECIPES["hopf"].analysis["dictionary"]},
         "output_dir": str(Path(args.out) / f"b{b!r}"),
-        "seed": args.seed,
     }) for b in bs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(jobs), _cpus())) as pool:
         results = list(pool.map(RunConfig.run, jobs))
     for result, cfg in zip(results, jobs):
         _write_run_dir(Path(cfg.output_dir), cfg, result)
@@ -322,13 +319,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="override output_dir")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("hopf", help="stochastic Hopf bifurcation sweep")
+    p = sub.add_parser("hopf", help="stochastic Hopf bifurcation sweep", description=(
+        "Solve the Hopf family at each b on min(#b, usable CPUs) threads; taskset limits them. "
+        "Each concurrent b holds its own LU, about 70 MB at the default 256² grid."))
     p.add_argument("--b", default=repr(SCENARIOS["hopf"].defaults["b"]), help="b values, comma separated")
     p.add_argument("--eps", default="0.2,0.1,0.05,0.02")
     p.add_argument("--grid-n", type=int, default=256)
     p.add_argument("--shape", default=_RUN_RECIPES["hopf"].schedule["shape"], choices=list(SHAPES))
-    p.add_argument("--seed", type=int, default=0,
-                   help="range-checked and echoed into config.json; no run reads it, as none is random")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_hopf)
 
@@ -380,6 +377,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":  # Path("") would write into the current directory
+            raise ConfigError("output_dir", "must be a non-empty path, got ''")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

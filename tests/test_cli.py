@@ -461,15 +461,34 @@ def test_cli_hopf_thread_pool_matches_one_worker(tmp_path, monkeypatch):
     # which config.json echoes.
     out = tmp_path / "out"
     trees = {}
-    for workers in ("2", "1"):
-        monkeypatch.setenv(cli.DEFAULT_WORKERS_ENV, workers)
+    for workers in (2, 1):
+        monkeypatch.setattr(cli, "_cpus", lambda: workers)
         assert main(["hopf", "--b=-0.5,1.0", "--grid-n", "48", "--eps", "0.3,0.15",
                      "--out", str(out)]) in (0, 1)
         trees[workers] = {p.relative_to(out): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()}
         shutil.rmtree(out)
-    assert len(trees["2"]) == 2 * 5  # per b: config, 2 measures, metrics.csv, summary
-    assert trees["2"] == trees["1"]
+    assert len(trees[2]) == 2 * 5  # per b: config, 2 measures, metrics.csv, summary
+    assert trees[2] == trees[1]
+    assert json.loads(trees[1][Path("b1.0", "config.json")])["seed"] == 0
+
+
+@pytest.mark.parametrize("cpus,bs,workers", [(1, "0.5,1.0", 1), (2, "-0.5,0.5,1.0,1.5", 2),
+                                             (8, "0.5,1.0", 2)])
+def test_cli_hopf_pool_is_sized_by_the_usable_cpus(tmp_path, monkeypatch, cpus, bs, workers):
+    # one thread per b, but no more than the CPUs the process may run on
+    sizes = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    assert main(["hopf", f"--b={bs}", "--grid-n", "48", "--eps", "0.3",
+                 "--out", str(tmp_path / "out")]) in (0, 1)
+    assert sizes == [workers]
 
 
 def test_cli_hopf_b_with_no_bound_level_fails_and_writes(tmp_path, capsys):
@@ -489,16 +508,34 @@ def test_cli_hopf_b_with_no_bound_level_fails_and_writes(tmp_path, capsys):
     assert (out / "b1.0" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("workers", ["abc", "0", "-3"])
-def test_cli_hopf_exit_2_on_bad_workers(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setenv(cli.DEFAULT_WORKERS_ENV, workers)
+def test_cli_hopf_has_no_seed_flag(tmp_path, capsys):
+    # no run is random, so there is no seed to set; argparse refuses the flag
     out = tmp_path / "out"
-    rc = main(["hopf", "--grid-n", "16", "--eps", "0.3", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(["hopf", "--seed", "0", "--grid-n", "48", "--eps", "0.3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config"], ["hopf", "--grid-n", "48", "--eps", "0.3"],
+    ["solve", "--eps", "0.2", "--grid-n", "48"], ["sample", "--grid-n", "16", "--eps", "0.1"],
+    ["design-noise", "--target", "attractor"], ["find-attractor"], ["verify-lyapunov"],
+], ids=lambda argv: argv[0])
+def test_cli_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, run_config, argv):
+    # an empty --out would write into the current directory, as an empty
+    # output_dir would; fplab run refuses it rather than fall back to the config's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(run_config(tmp_path / "cfg_out")))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    rc = main([*argv, *([str(cfg)] if argv[0] == "run" else []), "--out", ""])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"config field '{cli.DEFAULT_WORKERS_ENV}'" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    assert "config field 'output_dir'" in err and "Traceback" not in err
+    assert list(cwd.iterdir()) == [] and not (tmp_path / "cfg_out").exists()
 
 
 def test_cli_solve_default_b_is_the_scenario_default(tmp_path):

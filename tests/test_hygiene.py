@@ -273,6 +273,38 @@ def test_document_read_is_detected():
     assert _document_reads(tree) == ["load_document (line 4)", "load_document (line 5)"]
 
 
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """Every mention of ``environ`` or ``getenv`` (an attribute, a name or an
+    imported name): the ways a module can read the process environment."""
+    names = ("environ", "getenv")
+    found = [(n.lineno, n.attr) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr in names]
+    found += [(n.lineno, n.id) for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in names]
+    found += [(node.lineno, a.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for a in node.names if a.name in names]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_environment_reads(path):
+    # a run is a function of its flags and config; an environment variable
+    # would be an option that no config.json echoes
+    assert _environment_reads(ast.parse(path.read_text())) == []
+
+
+def test_environment_read_is_detected():
+    tree = ast.parse(
+        "import os\n"
+        "from os import getenv as g, environ\n"
+        "def f():\n"
+        "    return os.environ.get('X', '1'), os.getenv('Y'), environ['Z'], g('W')\n"
+        "def h(env=os.environ): return os.path.join('environ', 'getenv')\n"
+    )
+    assert _environment_reads(tree) == ["environ (line 2)", "getenv (line 2)",
+                                        "environ (line 4)", "environ (line 4)",
+                                        "getenv (line 4)", "environ (line 5)"]
+
+
 def _stale_exports(tree: ast.Module) -> list[str]:
     """Names in ``__all__`` that nothing at the module's top level binds."""
     bound = set()
