@@ -5,9 +5,10 @@ verify-lyapunov. This module parses flags, calls the library and prints. Runs
 are driven by one JSON config document, checked whole before any work by
 scenarios.RunConfig against the run recipe of its scenario; flag values go
 through the checks of the config sections they stand for. Outputs go to a run
-directory holding the config echo and, from the result's member records,
-per-eps measure documents, metrics.csv and a summary document with
-per-assertion pass/fail; ``io`` makes every directory and writes every file.
+directory holding the config echo and, from the result's member records, a
+measure document per eps and family (``measure_eps<eps>.json``, and the designed
+recipe's isotropic ``control_eps<eps>.json``), metrics.csv and a summary document
+with per-assertion pass/fail; ``io`` makes every directory and writes every file.
 ``fplab verify`` calls the run's analysis on its measures and compares every value
 with the summary, exactly. Exit codes: 0 all assertions pass, 1 an assertion failed,
 verify found a mismatch or another package error stopped the command (e.g. an
@@ -43,6 +44,7 @@ from .sampler import SamplerConfig, occupation_measure
 from .scenarios import (
     _ISOLATION_RECIPES,
     _RUN_RECIPES,
+    _SOLVE_KEYS,
     SCENARIOS,
     SHAPES,
     RunConfig,
@@ -99,8 +101,9 @@ def _cpus() -> int:
 
 def _write_run_dir(out_dir: Path, cfg: RunConfig, result: ScenarioResult):
     fio.save_document(cfg.to_dict(), out_dir / "config.json")
-    for eps, mu, _ in result.members:
-        fio.save_document(fio.measure_to_document(mu), out_dir / f"measure_eps{eps!r}.json")
+    for eps, measures, _ in result.members:
+        for prefix, mu in measures.items():
+            fio.save_document(fio.measure_to_document(mu), out_dir / f"{prefix}_eps{eps!r}.json")
     fio.save_csv([{"eps": eps, **row} for eps, _, row in result.members], out_dir / "metrics.csv")
     fio.save_document(result.to_document(), out_dir / "summary.json")
 
@@ -213,22 +216,25 @@ def _cmd_verify(args) -> int:
             and all(isinstance(row, dict) for row in rows)):
         raise ConfigError("summary", "must list config eps, a metric row per eps and assertions")
     v = cfg.solved.vector_field(cfg.domain)
-    _, out, metrics, verdicts, unchecked = cfg.resolved.analyze(cfg, v)
-    diagnostics = []
+    families, out, metrics, verdicts = cfg.resolved.analyze(cfg, v)
     for eps, row in zip(solved, rows):
-        path = run_dir / f"measure_eps{eps!r}.json"
-        try:
-            mu = fio.measure_from_document(_load(path, "run"))
-        except (KeyError, TypeError, ValueError, AttributeError, NonFiniteFieldError) as exc:
-            raise ConfigError("run", f"{path} is not a measure document: {exc!r}") from exc
-        if mu.grid != cfg.domain:
-            raise ConfigError("run", f"{path} holds a measure on {mu.grid}, "
-                                     f"not on the run's {cfg.domain}")
-        res = invariance_residual(mu, v, cfg.dictionary).max().item()
-        diagnostics.append({"eps": eps, "residual_max": res, "angular_w1": angular_w1_to_uniform(mu)})
-        out.add(eps, mu, **metrics(eps, mu),
-                **{k: _number("summary", row[k]) for k in unchecked if k in row})
+        measures = {}
+        for prefix in families:
+            path = run_dir / f"{prefix}_eps{eps!r}.json"
+            try:
+                mu = measures[prefix] = fio.measure_from_document(_load(path, "run"))
+            except (KeyError, TypeError, ValueError, AttributeError, NonFiniteFieldError) as exc:
+                raise ConfigError("run", f"{path} is not a measure document: {exc!r}") from exc
+            if mu.grid != cfg.domain:
+                raise ConfigError("run", f"{path} holds a measure on {mu.grid}, not on the run's grid")
+        out.add(eps, measures, **metrics(eps, *measures.values()),
+                **{k: _number("summary", row[k]) for k in _SOLVE_KEYS if k in row})
     verdicts(out)
+    # the diagnostics of each member's first measure; the Hopf analysis gives them in its row
+    diagnostics = [{"eps": eps, "residual_max": row["residual_max"] if "residual_max" in row
+                    else invariance_residual(mus["measure"], v, cfg.dictionary).max().item(),
+                    "angular_w1": row["angular_w1"] if "angular_w1" in row
+                    else angular_w1_to_uniform(mus["measure"])} for eps, mus, row in out.members]
 
     def parts(doc):  # a result document's parts, by the path naming each, as JSON text
         return {path: json.dumps(fio.finite(part)) for path, part in [
@@ -239,7 +245,7 @@ def _cmd_verify(args) -> int:
     mismatch = next((path for path in derived if derived[path] != stored[path]), None)
     fio.save_csv(diagnostics, run_dir / "verify.csv")
     fio.save_document({"format": fio.FORMATS["verify"], "rows": diagnostics, "mismatch": mismatch,
-                       "unchecked": list(unchecked)}, run_dir / "verify.json")
+                       "unchecked": list(_SOLVE_KEYS)}, run_dir / "verify.json")
     print(f"verified {len(diagnostics)} measures -> {run_dir / 'verify.json'}"
           + (f"; MISMATCH: {mismatch} of summary.json differs" if mismatch else ""))
     return 1 if mismatch else 0

@@ -8,12 +8,12 @@ scenario it solves and its test-function dictionary. NaN, Infinity, a bool or a
 string where a number is due, or a dictionary that does not fit the grid, is a
 config error.
 
-Each recipe names an analysis of the resolved RunConfig and its drift field, the
-tuple (schedule, result, metrics, verdicts, unchecked): the schedule solved, a
-ScenarioResult holding the run's config and extra but no member, metrics(eps, mu),
-every {metric: value} of a member that its measure gives, verdicts(result), which
-records the named assertions from the metric rows, and the member metrics that no
-stored measure gives. A run and ``fplab verify`` call the same analysis.
+Each recipe names an analysis of the resolved RunConfig and its drift field, the tuple
+(families, result, metrics, verdicts): {document prefix: schedule}, "measure" first; a
+ScenarioResult with the run's config and extra but no member; metrics(eps, *mus), the
+{metric: value} of a member that its measures, one per family, give; and verdicts(result),
+which records the named assertions. _recorded, the one run loop, adds the first family's
+_SOLVE_KEYS to each row; ``fplab verify`` calls the same analysis on the stored measures.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .fields import (
     NullFamilySchedule,
     VectorField,
     _scaled_schedule,
-    isotropic_schedule,
     normalized_measure,
     sample_vector_field,
 )
@@ -362,18 +361,18 @@ def dictionary_for(name: str, grid: Grid2D) -> TestFunctionDictionary:
 
 @dataclass
 class ScenarioResult:
-    """A family run: one record (eps, measure, {metric: value}) per solved member, in
-    schedule order; to_document keeps each eps and metric row, not the measures."""
+    """A run: one record (eps, {prefix: measure of each family}, {metric: value}) per solved
+    member, in schedule order; to_document keeps each eps and metric row, not the measures."""
 
     scenario: str
     config: dict
-    members: list = field(default_factory=list)     # (eps, DiscreteMeasure, {metric: value})
+    members: list = field(default_factory=list)     # (eps, {prefix: DiscreteMeasure}, {metric: value})
     assertions: list = field(default_factory=list)  # (name, passed, value, threshold)
     errors: list = field(default_factory=list)      # (eps, repr(exception))
     extra: dict = field(default_factory=dict)
 
-    def add(self, eps: float, mu: DiscreteMeasure, **metrics):
-        self.members.append((float(eps), mu, {k: float(v) for k, v in metrics.items()}))
+    def add(self, eps: float, measures: dict, **metrics):
+        self.members.append((float(eps), measures, {k: float(v) for k, v in metrics.items()}))
 
     def series(self, key: str) -> np.ndarray:
         """Metric ``key`` of every member, in schedule order."""
@@ -405,16 +404,18 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # analyses and runners
 
-def _recorded(cfg: RunConfig, analyze) -> ScenarioResult:
-    """The one-family run ``cfg``: each member of the schedule of ``analyze(cfg, v)``, solved
-    on its drift v, recorded with its metrics and solve report, or its error; then the verdicts."""
-    v = cfg.solved.vector_field(cfg.domain)
-    schedule, out, metrics, verdicts, _ = analyze(cfg, v)
-    for eps, mu, rep in solve_family(v, schedule, cfg.domain):
-        if mu is None:
-            out.errors.append((eps, repr(rep)))
+def _recorded(v: VectorField, analyze, *args) -> ScenarioResult:
+    """The run of ``analyze(*args, v)`` on the drift v: each member, solved in every family,
+    recorded with its metrics and first solve report, or its first error; then the verdicts."""
+    families, out, metrics, verdicts = analyze(*args, v)
+    for solves in zip(*(solve_family(v, schedule, v.grid) for schedule in families.values())):
+        (eps, _, rep), mus = solves[0], [mu for _, mu, _ in solves]
+        failed = [r for _, mu, r in solves if mu is None]
+        if failed:
+            out.errors.append((eps, repr(failed[0])))
         else:
-            out.add(eps, mu, **metrics(eps, mu), solve_residual=rep.residual, min_weight=rep.min_weight)
+            out.add(eps, dict(zip(families, mus)), **metrics(eps, *mus),
+                    solve_residual=rep.residual, min_weight=rep.min_weight)
     verdicts(out)
     return out
 
@@ -422,7 +423,7 @@ def _recorded(cfg: RunConfig, analyze) -> ScenarioResult:
 def run_hopf_sweep(cfg: RunConfig) -> ScenarioResult:
     """The Hopf sweep of the run ``cfg``. The "hopf" recipe calls it by its module-level
     name, so a wrapper rebound to that name (tracing) sees every run, schedule included."""
-    return _recorded(cfg, _hopf_analysis)
+    return _recorded(cfg.solved.vector_field(cfg.domain), _hopf_analysis, cfg)
 
 
 def _hopf_analysis(cfg: RunConfig, v: VectorField) -> tuple:
@@ -527,7 +528,7 @@ def _hopf_analysis(cfg: RunConfig, v: VectorField) -> tuple:
                 0.0,
             )
 
-    return schedule, out, metrics, verdicts, _SOLVE_KEYS
+    return {"measure": schedule}, out, metrics, verdicts
 
 
 def _gibbs_analysis(cfg: RunConfig, v: VectorField) -> tuple:
@@ -547,7 +548,7 @@ def _gibbs_analysis(cfg: RunConfig, v: VectorField) -> tuple:
 
     out = ScenarioResult("gibbs", {"grid": grid.metadata(), "eps": list(schedule.eps),
                                    "invariance_mode": schedule.invariance_mode})
-    return schedule, out, metrics, lambda out: None, _SOLVE_KEYS
+    return {"measure": schedule}, out, metrics, lambda out: None
 
 
 @dataclass(frozen=True)
@@ -589,9 +590,9 @@ def _design(scenario: Scenario, target: str, v: VectorField, ratio: float, eps_l
 
 def _designed_analysis(scenario: Scenario, target: str, ratio: float, eps_list,
                        v: VectorField) -> tuple:
-    """The designed family of a scenario/target pair (_design). A member's
-    designed_mass is its mass on the recipe's region; the verdicts compare it with
-    the uniform_mass of the isotropic control, which no stored measure gives."""
+    """The designed family of a scenario/target pair (_design) and its isotropic "control".
+    A member's designed_mass and uniform_mass are the masses of its designed and control
+    measures on the recipe's region; the verdicts compare them."""
     recipe, iso, designed = _design(scenario, target, v, ratio, eps_list)
     region = recipe.region(*v.grid.centers())
 
@@ -626,28 +627,20 @@ def _designed_analysis(scenario: Scenario, target: str, ratio: float, eps_list,
                 out.record("designed_final_mass", md[-1] <= 0.01, md[-1], 0.01)
             out.record("dominance_every_eps", dominance.all(), dominance.sum(), len(dominance))
 
-    return (designed.schedule, out, lambda eps, mu: {"designed_mass": mu.weights[region].sum()},
-            verdicts, ("uniform_mass",))
+    def metrics(eps, mu, control):
+        return {"designed_mass": mu.weights[region].sum(), "uniform_mass": control.weights[region].sum()}
+
+    families = {"measure": designed.schedule, "control": build_schedule(v.grid, eps_list, "iso")}
+    return families, out, metrics, verdicts
 
 
 def run_designed_comparison(scenario: Scenario, target: str, ratio: float, eps_list,
                             grid: Grid2D) -> ScenarioResult:
     """Paired designed-vs-uniform solves for noise stabilization (target =
     'attractor') or destabilization ('repeller') on a scenario admitting
-    isolating data. The isotropic schedule solved alongside is the
-    no-shaping control; `ratio` must be finite and > 1. The result's
-    measures are those of the designed family."""
-    v = scenario.vector_field(grid)
-    schedule, out, metrics, verdicts, _ = _designed_analysis(scenario, target, ratio, eps_list, v)
-    res_designed = solve_family(v, schedule, grid)
-    res_uniform = solve_family(v, isotropic_schedule(grid, eps_list), grid)
-    for (eps, mu_d, rep_d), (_, mu_u, rep_u) in zip(res_designed, res_uniform):
-        if mu_d is None or mu_u is None:
-            out.errors.append((eps, repr(rep_d if mu_d is None else rep_u)))
-            continue
-        out.add(eps, mu_d, **metrics(eps, mu_d), uniform_mass=metrics(eps, mu_u)["designed_mass"])
-    verdicts(out)
-    return out
+    isolating data, by the one run loop. The isotropic "control" solved beside
+    each designed "measure" is the no-shaping control; `ratio` must be finite and > 1."""
+    return _recorded(scenario.vector_field(grid), _designed_analysis, scenario, target, ratio, eps_list)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +676,8 @@ _RUN_RECIPES = {
     "hopf": _RunRecipe(lambda cfg: run_hopf_sweep(cfg), _hopf_analysis, "hopf",
                        SCENARIOS["hopf"].defaults, _NAMED_SCHEDULE,
                        {**_ANALYSIS, "thresholds": _HOPF_THRESHOLDS, "rho_mesh": RHO_MESH}),
-    "double-well": _RunRecipe(lambda cfg: _recorded(cfg, _gibbs_analysis), _gibbs_analysis,
+    "double-well": _RunRecipe(lambda cfg: _recorded(cfg.solved.vector_field(cfg.domain),
+                                                    _gibbs_analysis, cfg), _gibbs_analysis,
                               "double-well", SCENARIOS["double-well"].defaults,
                               {**_NAMED_SCHEDULE, "shape": "iso"}, _ANALYSIS),
     "double-well-designed": _RunRecipe(

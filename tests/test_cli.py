@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fplab import cli
+from fplab import cli, scenarios
 from fplab import io as fio
 from fplab.cli import main
 from fplab.errors import ConfigError
 from fplab.grid import Grid2D, grid_from_metadata
 from fplab.sampler import SamplerConfig, occupation_measure
-from fplab.scenarios import RunConfig, build_schedule, make_scenario
+from fplab.scenarios import _SOLVE_KEYS, RunConfig, build_schedule, make_scenario
 
 
 def _standard_json(path):
@@ -107,6 +107,15 @@ def _small_run_dir(run_config, out):
     assert main(["run", "--config", str(out.with_suffix(".json"))]) == 0
 
 
+def _designed_run_dir(run_config, out):
+    """The run directory of a 100^2 double-well-designed config at eps 0.1 and 0.05, as
+    ``fplab run`` writes it: a measure and a control document per eps."""
+    cfg = run_config(out, nx=100, eps=(0.1, 0.05), scenario={"name": "double-well-designed"})
+    del cfg["schedule"]["shape"]  # the recipe reads none
+    fio.save_document(cfg, out.with_suffix(".json"))
+    assert main(["run", "--config", str(out.with_suffix(".json"))]) == 0
+
+
 def nan_weight(doc):
     return {**doc, "weights": [float("nan"), *doc["weights"][1:]]}
 
@@ -143,7 +152,8 @@ def unchecked_not_a_number(doc):
     return {**doc, "metrics": [{**doc["metrics"][0], "solve_residual": None}]}
 
 
-# (command, file, its text or an edit of the well-formed document, field named on stderr)
+# (command, file, its text, an edit of the well-formed document or None for no file,
+# field named on stderr); a control document is a designed run's
 _MALFORMED = [
     ("run", "cfg.json", "5", "config"),
     ("run", "cfg.json", "[1, 2]", "config"),
@@ -161,6 +171,9 @@ _MALFORMED = [
     ("verify", "measure_eps0.2.json", nan_weight, "run"),
     ("verify", "measure_eps0.2.json", other_grid, "run"),
     ("verify", "measure_eps0.2.json", retagged, "run"),
+    ("verify", "control_eps0.05.json", None, "run"),
+    ("verify", "control_eps0.05.json", "[1, 2]", "run"),
+    ("verify", "control_eps0.05.json", other_grid, "run"),
 ]
 
 
@@ -170,12 +183,15 @@ _MALFORMED = [
 def test_cli_exit_2_on_malformed_document(tmp_path, capsys, cmd, name, text, field, run_config):
     out = tmp_path / "run"
     if cmd == "verify":
-        _small_run_dir(run_config, out)
+        (_designed_run_dir if name.startswith("control") else _small_run_dir)(run_config, out)
         assert main(["verify", "--run", str(out)]) == 0  # the well-formed directory
         capsys.readouterr()
         if callable(text):
             text = json.dumps(text(json.loads((out / name).read_text())))
-        (out / name).write_text(text)
+        if text is None:
+            (out / name).unlink()
+        else:
+            (out / name).write_text(text)
         argv = ["verify", "--run", str(out)]
     else:
         (tmp_path / name).write_text(text)
@@ -439,7 +455,9 @@ def test_cli_run_spelled_out_defaults_write_the_same_files(tmp_path, name):
         rc = main(["run", "--config", str(p)])
         runs[how] = rc, {f.name: f.read_bytes() for f in sorted(out.iterdir())
                          if f.name != "config.json"}
-    assert sorted(runs["spelled"][1]) == ["measure_eps0.05.json", "measure_eps0.1.json",
+    # the designed run also writes the measures of its isotropic control
+    controls = ["control_eps0.05.json", "control_eps0.1.json"] if name == "double-well-designed" else []
+    assert sorted(runs["spelled"][1]) == [*controls, "measure_eps0.05.json", "measure_eps0.1.json",
                                           "metrics.csv", "summary.json"]
     assert runs["spelled"] == runs["omitted"]
 
@@ -597,10 +615,10 @@ def _verified(run_dir):
 
 @pytest.mark.parametrize("name", sorted(_SPELLED_OUT))
 def test_cli_verify_rederives_the_run_of_each_recipe(tmp_path, name, run_config):
-    # verify calls the recipe's analysis on the stored measures and gets every
-    # config, extra, metric and assertion of the summary back; a member row holds
-    # exactly the metrics its measure gives and the ones verify.json lists as
-    # unchecked, so a metric added to a recipe is either re-derived or declared
+    # verify calls the recipe's analysis on the stored measures of each family and
+    # gets every config, extra, metric and assertion of the summary back; a member
+    # row holds exactly the metrics its measures give and the solve keys, which
+    # verify.json lists as unchecked, so a metric added to a recipe is re-derived
     out = tmp_path / "run"
     n = _SPELLED_OUT[name][0]
     p = tmp_path / "cfg.json"
@@ -610,12 +628,14 @@ def test_cli_verify_rederives_the_run_of_each_recipe(tmp_path, name, run_config)
     assert main(["run", "--config", str(p)]) in (0, 1)
     assert _verified(out) == (0, None)
     cfg = RunConfig.from_dict(fio.load_document(out / "config.json"))
-    _, _, metrics, _, unchecked = cfg.resolved.analyze(cfg, cfg.solved.vector_field(cfg.domain))
-    assert json.loads((out / "verify.json").read_text())["unchecked"] == list(unchecked)
+    families, _, metrics, _ = cfg.resolved.analyze(cfg, cfg.solved.vector_field(cfg.domain))
+    assert list(families)[0] == "measure"
+    assert json.loads((out / "verify.json").read_text())["unchecked"] == list(_SOLVE_KEYS)
     summary = fio.load_document(out / "summary.json")
     for eps, row in zip(summary["eps"], summary["metrics"]):
-        mu = fio.measure_from_document(fio.load_document(out / f"measure_eps{eps!r}.json"))
-        assert sorted(row) == sorted([*metrics(eps, mu), *unchecked])
+        mus = [fio.measure_from_document(fio.load_document(out / f"{prefix}_eps{eps!r}.json"))
+               for prefix in families]
+        assert list(row) == [*metrics(eps, *mus), *_SOLVE_KEYS]
 
 
 def test_cli_verify_rederives_each_b_of_a_hopf_sweep(tmp_path):
@@ -627,21 +647,41 @@ def test_cli_verify_rederives_each_b_of_a_hopf_sweep(tmp_path):
         assert _verified(run_dir) == (0, None)
 
 
-def moved_weight(run_dir):
-    """1e-9 of mass moved from the heaviest cell of the eps = 0.15 measure to its first cell."""
-    path = run_dir / "measure_eps0.15.json"
+def _moved(path, to):
+    """1e-9 of mass moved in the measure document at ``path`` from its heaviest cell k
+    to the cell to(k, number of cells)."""
     doc = fio.load_document(path)
     w = doc["weights"]
     k = int(np.argmax(w))
-    w[k], w[0] = w[k] - 1e-9, w[0] + 1e-9
+    j = to(k, len(w))
+    w[k], w[j] = w[k] - 1e-9, w[j] + 1e-9
+    fio.save_document(doc, path)
+
+
+def moved_weight(run_dir):
+    """1e-9 of mass moved from the heaviest cell of the eps = 0.15 measure to its first cell."""
+    _moved(run_dir / "measure_eps0.15.json", lambda k, n: 0)
+
+
+def moved_control_weight(run_dir):
+    """1e-9 of mass moved in a designed run's eps = 0.05 control measure, from its heaviest
+    cell to the cell half the grid away in x, across the basin boundary x = 0."""
+    _moved(run_dir / "control_eps0.05.json", lambda k, n: (k + n // 2) % n)
+
+
+def _edited(run_dir, key):
+    path = run_dir / "summary.json"
+    doc = fio.load_document(path)
+    doc["metrics"][0][key] += 1e-12
     fio.save_document(doc, path)
 
 
 def edited_metric(run_dir):
-    path = run_dir / "summary.json"
-    doc = fio.load_document(path)
-    doc["metrics"][0]["mass_annulus"] += 1e-12
-    fio.save_document(doc, path)
+    _edited(run_dir, "mass_annulus")
+
+
+def edited_uniform_mass(run_dir):
+    _edited(run_dir, "uniform_mass")  # a designed run's, which its control measures give
 
 
 def flipped_verdict(run_dir):
@@ -653,21 +693,55 @@ def flipped_verdict(run_dir):
 
 @pytest.mark.parametrize("tamper,mismatch", [(moved_weight, "metrics[1]"),
                                              (edited_metric, "metrics[0]"),
-                                             (flipped_verdict, "assertions")],
+                                             (flipped_verdict, "assertions"),
+                                             (moved_control_weight, "metrics[1]"),
+                                             (edited_uniform_mass, "metrics[0]")],
                          ids=lambda x: getattr(x, "__name__", x))
 def test_cli_verify_names_the_first_mismatch(tmp_path, capsys, run_config, tamper, mismatch):
     out = tmp_path / "run"
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(run_config(out, nx=48)))
-    assert main(["run", "--config", str(p)]) in (0, 1)
+    if tamper in (moved_control_weight, edited_uniform_mass):
+        _designed_run_dir(run_config, out)
+    else:
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(run_config(out, nx=48)))
+        assert main(["run", "--config", str(p)]) in (0, 1)
     assert _verified(out) == (0, None)
     rows = (out / "verify.csv").read_bytes()
     capsys.readouterr()
     tamper(out)
     assert _verified(out) == (1, mismatch)
     assert f"MISMATCH: {mismatch} of summary.json differs" in capsys.readouterr().out
-    if tamper is not moved_weight:  # the diagnostics read the measures alone
+    if tamper is not moved_weight:  # the diagnostics read the first family's measures alone
         assert (out / "verify.csv").read_bytes() == rows
+
+
+def test_cli_verify_computes_each_hopf_diagnostic_once(tmp_path, monkeypatch, run_config):
+    # verify.csv takes residual_max and angular_w1 from the re-derived Hopf row,
+    # so each stored measure costs one invariance residual and one angular W1
+    out = tmp_path / "run"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(run_config(out, nx=48)))
+    assert main(["run", "--config", str(p)]) in (0, 1)
+    calls = []
+    for module in (cli, scenarios):
+        for name in ("invariance_residual", "angular_w1_to_uniform"):
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+    assert _verified(out) == (0, None)
+    assert sorted(calls) == ["angular_w1_to_uniform"] * 2 + ["invariance_residual"] * 2
+
+
+def test_cli_designed_control_is_the_isotropic_solve(tmp_path, run_config):
+    # the control documents of a designed run are byte for byte the measures that
+    # `fplab solve --shape iso` writes for the double well on the same grid and eps
+    _designed_run_dir(run_config, tmp_path / "run")
+    assert main(["solve", "--scenario", "double-well", "--shape", "iso", "--eps", "0.1,0.05",
+                 "--grid-n", "100", "--out", str(tmp_path / "solve")]) == 0
+    for eps in ("0.1", "0.05"):
+        assert ((tmp_path / "run" / f"control_eps{eps}.json").read_bytes()
+                == (tmp_path / "solve" / f"measure_eps{eps}.json").read_bytes())
 
 
 def test_cli_solve_and_verify(tmp_path):
@@ -701,8 +775,8 @@ def test_cli_verify_uses_the_run_dictionary(tmp_path, b, run_config):
 
 
 def test_cli_verify_designed_run(tmp_path):
-    # a designed run writes one measure per eps, of its designed family, and
-    # verify reads them against the double-well drift the run solved
+    # a designed run writes a measure per eps of its designed family and one of its
+    # isotropic control, and verify reads both against the double-well drift the run solved
     out = tmp_path / "run"
     cfg = {
         "scenario": {"name": "double-well-designed", "ratio": 10.0},
@@ -719,9 +793,10 @@ def test_cli_verify_designed_run(tmp_path):
     assert [r["eps"] for r in verify_rows] == [0.1, 0.05, 0.02]
     summary = json.loads((out / "summary.json").read_text())
     for eps, row in zip(summary["eps"], summary["metrics"]):
-        mu = fio.measure_from_document(fio.load_document(out / f"measure_eps{eps!r}.json"))
-        xx, _ = mu.grid.centers()
-        assert float(mu.weights[xx < 0.0].sum()) == row["designed_mass"]
+        for prefix, key in (("measure", "designed_mass"), ("control", "uniform_mass")):
+            mu = fio.measure_from_document(fio.load_document(out / f"{prefix}_eps{eps!r}.json"))
+            xx, _ = mu.grid.centers()
+            assert float(mu.weights[xx < 0.0].sum()) == row[key]
 
 
 def test_cli_sample_runs(tmp_path):

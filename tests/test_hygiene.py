@@ -239,6 +239,31 @@ def test_runner_rebuild_is_detected():
                                       "make_scenario in _RUN_RECIPES (line 20)"]
 
 
+def _solve_family_calls(tree: ast.Module) -> list[str]:
+    """Every call of ``solve_family`` (a name or an attribute): the places a
+    module solves a family and so records it, where a second run loop would be."""
+    return [f"solve_family (line {n.lineno})" for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "solve_family"]
+
+
+def test_scenarios_has_one_solve_loop():
+    # every run, its designed control included, is solved and recorded by one
+    # loop, so each family's members get the same metrics, solve keys and errors
+    assert len(_solve_family_calls(ast.parse(SCENARIOS.read_text()))) == 1
+
+
+def test_solve_family_call_is_detected():
+    tree = ast.parse(
+        "from .fpe import solve_family\n"
+        "def _recorded(v, families):\n"
+        "    return [solve_family(v, s, v.grid) for s in families]\n"
+        "def run_pair(v, a, b):\n"
+        "    return fpe.solve_family(v, a, v.grid), solve_family, solve_family(v, b, v.grid)\n"
+    )
+    assert _solve_family_calls(tree) == ["solve_family (line 3)", "solve_family (line 5)",
+                                         "solve_family (line 5)"]
+
+
 def _document_reads(tree: ast.Module) -> list[str]:
     """Calls of a ``load_document`` function or method outside ``_load``, the one
     function that reads a document and refuses one that is not a JSON object."""

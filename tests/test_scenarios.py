@@ -221,12 +221,12 @@ def test_gibbs_error_splits_into_discretization_and_rounding(exact_discrete_meas
     assert not res.errors and len(res.members) == 3
     v = sample_vector_field(double_well_drift, g)
     phi = double_well_potential(*g.centers())
-    for (eps, a), (_, mu, row), measured in zip(sched, res.members, (5.85e-4, 8.23e-4, 1.26e-3)):
+    for (eps, a), (_, measures, row), measured in zip(sched, res.members, (5.85e-4, 8.23e-4, 1.26e-3)):
         exact = exact_discrete_measure(assemble(v, a, g))
         gibbs = np.exp(-(phi - phi.min()) / eps)
         gibbs /= gibbs.sum()
         disc = np.abs(exact - gibbs).sum()
-        rounding = np.abs(mu.weights - exact).sum()
+        rounding = np.abs(measures["measure"].weights - exact).sum()
         # the triangle inequality, up to the rounding of three sums of cell terms
         # (pairwise summation: well under 64 ulp of each sum)
         sums = 64 * np.finfo(float).eps * (row["l1_error"] + disc + rounding)
