@@ -1,24 +1,24 @@
 """Command-line entry point: configuration, orchestration, persistence.
 
 Subcommands: solve, sample, verify, design-noise, hopf, run, find-attractor,
-verify-lyapunov. This module parses flags, calls the library and prints. Runs
-are driven by one JSON config document, checked whole before any work by
-scenarios.RunConfig against the run recipe of its scenario; flag values go
-through the checks of the config sections they stand for. Outputs go to a run
-directory holding the config echo and, from the result's member records, a
-measure document per eps and family (``measure_eps<eps>.json``, and the designed
-recipe's isotropic ``control_eps<eps>.json``), metrics.csv and a summary document
-with per-assertion pass/fail; ``io`` makes every directory and writes every file.
-``fplab verify`` calls the run's analysis on its measures and compares every value
-with the summary, exactly. Exit codes: 0 all assertions pass, 1 an assertion failed,
-verify found a mismatch or another package error stopped the command (e.g. an
-infeasible noise design), 2 configuration error: a missing, unknown or invalid
-config field or flag value (a non-finite number, a bool or a string where a number
-is due), or an unreadable config or run directory.
+verify-lyapunov. This module parses flags, calls the library and prints. Runs are
+driven by one JSON config document, checked whole before any work by
+scenarios.RunConfig against the run recipe of its scenario; flag values go through
+the checks of the config sections they stand for. Outputs go to a run directory
+holding the config echo and, from the result's member records, a measure document
+per eps and family (``measure_eps<eps>.json``, and the designed recipe's isotropic
+``control_eps<eps>.json``), metrics.csv and a summary document with per-assertion
+pass/fail; ``io`` makes every directory and writes every file. ``fplab verify``
+re-derives the summary and metrics.csv from the run's measures with its analysis and
+compares every part, exactly. It copies only what needs a solve, each row's solve
+keys and each failed member's error, and writes only verify.json. Exit codes: 0 all
+assertions pass, 1 an assertion failed, verify found a mismatch or another package
+error stopped the command (e.g. an infeasible noise design), 2 configuration error:
+a missing, unknown or invalid config field or flag value (a non-finite number, a
+bool or a string where a number is due), or an unreadable config or run directory.
 
-``fplab hopf`` runs its b values on min(#b, CPUs the process may run on) threads.
-The count follows the affinity mask, so ``taskset`` limits it. Each concurrent b
-holds its own LU: about 70 MB more peak memory per b at the default 256² grid.
+``fplab hopf`` runs its b values on min(#b, CPUs in the affinity mask) threads, so
+``taskset`` limits them; each concurrent b holds its own LU, about 70 MB at 256².
 
 A run config's ``seed`` is range-checked and echoed into config.json (``fplab
 hopf`` echoes 0), but no computation reads it: no run is random. Only ``fplab
@@ -36,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import io as fio
-from .analysis import angular_w1_to_uniform, invariance_residual
 from .dynamics import approximate_attractor, verify_lyapunov
 from .errors import ConfigError, FplabError, NonFiniteFieldError
 from .fpe import solve_family
@@ -209,14 +208,19 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg = RunConfig.from_dict(_load(run_dir / "config.json", "config"))
-    summary = _load(run_dir / "summary.json", "summary")
-    solved, rows = summary.get("eps"), summary.get("metrics")  # a failed member has no measure
-    if not (all(isinstance(x, list) for x in (solved, rows, summary.get("assertions")))
-            and len(rows) == len(solved) and all(e in cfg.resolved.schedule["eps"] for e in solved)
-            and all(isinstance(row, dict) for row in rows)):
-        raise ConfigError("summary", "must list config eps, a metric row per eps and assertions")
-    v = cfg.solved.vector_field(cfg.domain)
-    families, out, metrics, verdicts = cfg.resolved.analyze(cfg, v)
+    summary, sched = _load(run_dir / "summary.json", "summary"), cfg.resolved.schedule["eps"]
+    solved, rows, errors = map(summary.get, ("eps", "metrics", "errors"))  # errors: failed members
+    if not (all(isinstance(x, list) for x in (solved, rows, errors, summary.get("assertions")))
+            and len(rows) == len(solved) and all(isinstance(d, dict) for d in rows + errors)
+            and solved == [e for e in sched if e in solved] and all("error" in d for d in errors)
+            and [d.get("eps") for d in errors] == [e for e in sched if e not in solved]):
+        raise ConfigError("summary", "must split the config eps, in order, into eps with a metric "
+                          "row each and errors with eps and error, and list assertions")
+    try:
+        table = (run_dir / "metrics.csv").read_text()
+    except (OSError, ValueError) as exc:
+        raise ConfigError("run", f"cannot read metrics.csv: {exc}") from exc
+    families, out, metrics, verdicts = cfg.resolved.analyze(cfg, cfg.solved.vector_field(cfg.domain))
     for eps, row in zip(solved, rows):
         measures = {}
         for prefix in families:
@@ -229,25 +233,19 @@ def _cmd_verify(args) -> int:
                 raise ConfigError("run", f"{path} holds a measure on {mu.grid}, not on the run's grid")
         out.add(eps, measures, **metrics(eps, *measures.values()),
                 **{k: _number("summary", row[k]) for k in _SOLVE_KEYS if k in row})
+    out.errors.extend((d["eps"], d["error"]) for d in errors)
     verdicts(out)
-    # the diagnostics of each member's first measure; the Hopf analysis gives them in its row
-    diagnostics = [{"eps": eps, "residual_max": row["residual_max"] if "residual_max" in row
-                    else invariance_residual(mus["measure"], v, cfg.dictionary).max().item(),
-                    "angular_w1": row["angular_w1"] if "angular_w1" in row
-                    else angular_w1_to_uniform(mus["measure"])} for eps, mus, row in out.members]
-
-    def parts(doc):  # a result document's parts, by the path naming each, as JSON text
-        return {path: json.dumps(fio.finite(part)) for path, part in [
-            ("config", doc.get("config")), ("extra", doc.get("extra")),
-            *((f"metrics[{k}]", row) for k, row in enumerate(doc["metrics"])),
-            ("assertions", doc["assertions"])]}
-    stored, derived = parts(summary), parts(out.to_document())
-    mismatch = next((path for path in derived if derived[path] != stored[path]), None)
-    fio.save_csv(diagnostics, run_dir / "verify.csv")
-    fio.save_document({"format": fio.FORMATS["verify"], "rows": diagnostics, "mismatch": mismatch,
+    # the stored and the re-derived summary by part, in order and each metric row apart, as JSON text
+    stored, derived = ({path: json.dumps(fio.finite(part)) for key, value in doc.items() for path, part in
+                        ([(f"metrics[{k}]", row) for k, row in enumerate(value)] if key == "metrics"
+                         else [(key, value)])} for doc in (summary, out.to_document()))
+    table_ok = table == fio.csv_text([{"eps": eps, **row} for eps, _, row in out.members])
+    mismatch = next((path for path in {**derived, **stored} if derived.get(path) != stored.get(path)),
+                    None if table_ok else "metrics.csv")
+    fio.save_document({"format": fio.FORMATS["verify"], "mismatch": mismatch,
                        "unchecked": list(_SOLVE_KEYS)}, run_dir / "verify.json")
-    print(f"verified {len(diagnostics)} measures -> {run_dir / 'verify.json'}"
-          + (f"; MISMATCH: {mismatch} of summary.json differs" if mismatch else ""))
+    print(f"verified {len(out.members)} members -> {run_dir / 'verify.json'}"
+          + (f"; MISMATCH: {mismatch} differs" if mismatch else ""))
     return 1 if mismatch else 0
 
 
@@ -351,7 +349,8 @@ def _parser() -> argparse.ArgumentParser:
     _add_domain_args(p, default_n=100)
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("verify", help="re-derive a run's summary from its measures; 1 on a mismatch")
+    p = sub.add_parser("verify", help="re-derive a run's summary and metrics.csv from its measures, "
+                       "copying solve keys and errors; writes verify.json, 1 on a mismatch")
     p.add_argument("--run", required=True)
     p.set_defaults(fn=_cmd_verify)
 

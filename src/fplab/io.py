@@ -6,12 +6,11 @@ Every document carries a ``format`` tag, and field documents a ``grid`` header
 and flat row-major value arrays. Floats are serialized with ``repr`` (via the
 json module), which round-trips bit-identically; a non-finite float (an empty
 minimum, an unbounded margin) is written as ``null``, so every document is
-standard JSON. FORMATS holds every format tag
-the package writes: the measure, diffusion, schedule, certificate and attractor
-documents are built here, the run summaries and timings by ``cli`` and
-``scenarios``. The field names are part of the public interface. save_csv
-writes a table of one row per noise level (a run's ``metrics.csv``, the
-``verify.csv`` of ``fplab verify``) with the same ``repr`` floats.
+standard JSON. FORMATS holds every format tag the package writes: the measure,
+diffusion, schedule, certificate and attractor documents are built here, the run
+summaries and timings by ``cli`` and ``scenarios``. The field names are part of
+the public interface. csv_text renders a table of one row per noise level (a
+run's ``metrics.csv``) with the same ``repr`` floats, and save_csv writes it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ FORMATS = {
     "solve_summary": "fplab/solve-summary@2",
     "timing": "fplab/timing@1",
     "sample_summary": "fplab/sample-summary@1",
-    "verify": "fplab/verify@1",
+    "verify": "fplab/verify@2",
     "shaping": "fplab/shaping@1",
 }
 
@@ -136,12 +135,14 @@ def save_document(doc: dict, path) -> None:
     _write(path, text + "\n")
 
 
-def save_csv(rows: list, path) -> None:
-    """Rows of {column: float}, one per noise level and eps first, as CSV with the
-    first row's keys as header; a table with no rows keeps its eps column."""
+def csv_text(rows: list) -> str:
+    """Rows of {column: float}, eps first, as CSV under the first row's keys (eps alone for none)."""
     keys = list(rows[0]) if rows else ["eps"]
-    lines = [",".join(keys)] + [",".join(repr(row[k]) for k in keys) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join([",".join(keys)] + [",".join(repr(row[k]) for k in keys) for row in rows]) + "\n"
+
+
+def save_csv(rows: list, path) -> None:
+    _write(path, csv_text(rows))
 
 
 def load_document(path) -> dict:

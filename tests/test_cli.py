@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fplab import cli, scenarios
+from fplab import analysis, cli, scenarios
 from fplab import io as fio
 from fplab.cli import main
 from fplab.errors import ConfigError
@@ -107,6 +107,14 @@ def _small_run_dir(run_config, out):
     assert main(["run", "--config", str(out.with_suffix(".json"))]) == 0
 
 
+def _double_well_run_dir(run_config, out):
+    """The run directory of a 48^2 double-well config at eps 0.2 and 0.1, as ``fplab run``
+    writes it: a run that records no assertion."""
+    fio.save_document(run_config(out, nx=48, eps=(0.2, 0.1), scenario={"name": "double-well"},
+                                 shape="iso"), out.with_suffix(".json"))
+    assert main(["run", "--config", str(out.with_suffix(".json"))]) == 0
+
+
 def _designed_run_dir(run_config, out):
     """The run directory of a 100^2 double-well-designed config at eps 0.1 and 0.05, as
     ``fplab run`` writes it: a measure and a control document per eps."""
@@ -152,8 +160,48 @@ def unchecked_not_a_number(doc):
     return {**doc, "metrics": [{**doc["metrics"][0], "solve_residual": None}]}
 
 
+# edits of a double-well summary at eps 0.2 and 0.1, whose eps and errors no longer
+# split the config eps; the run records no assertion that would differ
+def repeated_eps(doc):
+    return {**doc, "eps": [0.2, 0.2], "metrics": [doc["metrics"][0]] * 2}
+
+
+def eps_out_of_order(doc):
+    return {**doc, "eps": doc["eps"][::-1], "metrics": doc["metrics"][::-1]}
+
+
+def solved_member_dropped(doc):
+    return {**doc, "eps": [0.2], "metrics": doc["metrics"][:1]}
+
+
+def error_for_a_solved_eps(doc):
+    return {**doc, "errors": [{"eps": 0.1, "error": "StencilOverflowError()"}]}
+
+
+def repeated_eps_and_invented_error(doc):
+    return {**repeated_eps(doc), **error_for_a_solved_eps(doc)}
+
+
+def error_without_a_message(doc):
+    return {**solved_member_dropped(doc), "errors": [{"eps": 0.1}]}
+
+
+def no_errors(doc):
+    return {k: v for k, v in doc.items() if k != "errors"}
+
+
+def errors_not_a_list(doc):
+    return {**doc, "errors": {}}
+
+
+_ON_DOUBLE_WELL = (repeated_eps, eps_out_of_order, solved_member_dropped, error_for_a_solved_eps,
+                   repeated_eps_and_invented_error, error_without_a_message, no_errors,
+                   errors_not_a_list)
+
+
 # (command, file, its text, an edit of the well-formed document or None for no file,
-# field named on stderr); a control document is a designed run's
+# field named on stderr); a control document is a designed run's, and the edits of
+# _ON_DOUBLE_WELL a double-well run's
 _MALFORMED = [
     ("run", "cfg.json", "5", "config"),
     ("run", "cfg.json", "[1, 2]", "config"),
@@ -165,6 +213,8 @@ _MALFORMED = [
     ("verify", "summary.json", assertions_not_a_list, "summary"),
     ("verify", "summary.json", unchecked_not_a_number, "summary"),
     ("verify", "summary.json", eps_not_of_the_config, "summary"),
+    *(("verify", "summary.json", edit, "summary") for edit in _ON_DOUBLE_WELL),
+    ("verify", "metrics.csv", None, "run"),
     ("verify", "measure_eps0.2.json", "[1, 2]", "run"),
     ("verify", "measure_eps0.2.json", "{}", "run"),
     ("verify", "measure_eps0.2.json", '{"grid": [], "weights": []}', "run"),
@@ -183,7 +233,8 @@ _MALFORMED = [
 def test_cli_exit_2_on_malformed_document(tmp_path, capsys, cmd, name, text, field, run_config):
     out = tmp_path / "run"
     if cmd == "verify":
-        (_designed_run_dir if name.startswith("control") else _small_run_dir)(run_config, out)
+        (_designed_run_dir if name.startswith("control") else _double_well_run_dir
+         if text in _ON_DOUBLE_WELL else _small_run_dir)(run_config, out)
         assert main(["verify", "--run", str(out)]) == 0  # the well-formed directory
         capsys.readouterr()
         if callable(text):
@@ -599,8 +650,7 @@ def test_cli_run_and_verify_a_partial_run(tmp_path, capsys, run_config):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["eps"] == [0.2]
     assert [e["eps"] for e in summary["errors"]] == [0.003]
-    assert _verified(out) == (0, None)
-    assert [r["eps"] for r in json.loads((out / "verify.json").read_text())["rows"]] == [0.2]
+    assert _verified(out) == (0, None)  # the solved member's row, and the failed one's error
     # a run directory without its summary is a config error
     (out / "summary.json").unlink()
     assert main(["verify", "--run", str(out)]) == 2
@@ -608,17 +658,22 @@ def test_cli_run_and_verify_a_partial_run(tmp_path, capsys, run_config):
 
 
 def _verified(run_dir):
-    """The exit code of ``fplab verify`` on ``run_dir`` and the mismatch it names."""
+    """The exit code of ``fplab verify`` on ``run_dir`` and the mismatch it names; verify
+    writes verify.json alone."""
     rc = main(["verify", "--run", str(run_dir)])
-    return rc, json.loads((run_dir / "verify.json").read_text())["mismatch"]
+    doc = json.loads((run_dir / "verify.json").read_text())
+    assert doc == {"format": fio.FORMATS["verify"], "mismatch": doc["mismatch"],
+                   "unchecked": list(_SOLVE_KEYS)}
+    assert not (run_dir / "verify.csv").exists()
+    return rc, doc["mismatch"]
 
 
 @pytest.mark.parametrize("name", sorted(_SPELLED_OUT))
 def test_cli_verify_rederives_the_run_of_each_recipe(tmp_path, name, run_config):
     # verify calls the recipe's analysis on the stored measures of each family and
-    # gets every config, extra, metric and assertion of the summary back; a member
-    # row holds exactly the metrics its measures give and the solve keys, which
-    # verify.json lists as unchecked, so a metric added to a recipe is re-derived
+    # gets every part of the summary back; a member row holds exactly the metrics its
+    # measures give and the solve keys, which verify.json lists as unchecked, so a
+    # metric added to a recipe is re-derived
     out = tmp_path / "run"
     n = _SPELLED_OUT[name][0]
     p = tmp_path / "cfg.json"
@@ -630,7 +685,6 @@ def test_cli_verify_rederives_the_run_of_each_recipe(tmp_path, name, run_config)
     cfg = RunConfig.from_dict(fio.load_document(out / "config.json"))
     families, _, metrics, _ = cfg.resolved.analyze(cfg, cfg.solved.vector_field(cfg.domain))
     assert list(families)[0] == "measure"
-    assert json.loads((out / "verify.json").read_text())["unchecked"] == list(_SOLVE_KEYS)
     summary = fio.load_document(out / "summary.json")
     for eps, row in zip(summary["eps"], summary["metrics"]):
         mus = [fio.measure_from_document(fio.load_document(out / f"{prefix}_eps{eps!r}.json"))
@@ -691,11 +745,40 @@ def flipped_verdict(run_dir):
     fio.save_document(doc, path)
 
 
+def _summary_edited(run_dir, **parts):
+    path = run_dir / "summary.json"
+    fio.save_document({**fio.load_document(path), **parts}, path)
+
+
+def edited_scenario(run_dir):
+    _summary_edited(run_dir, scenario="double-well")
+
+
+def edited_format(run_dir):
+    _summary_edited(run_dir, format="fplab/scenario-result@2")
+
+
+def added_key(run_dir):
+    _summary_edited(run_dir, note="checked by hand")
+
+
+def edited_table_eps(run_dir):
+    """The first eps of metrics.csv, 0.3, edited to 0.2."""
+    path = run_dir / "metrics.csv"
+    header, first, *rest = path.read_text().split("\n")
+    assert first.startswith("0.3,")
+    path.write_text("\n".join([header, "0.2" + first[3:], *rest]))
+
+
 @pytest.mark.parametrize("tamper,mismatch", [(moved_weight, "metrics[1]"),
                                              (edited_metric, "metrics[0]"),
                                              (flipped_verdict, "assertions"),
                                              (moved_control_weight, "metrics[1]"),
-                                             (edited_uniform_mass, "metrics[0]")],
+                                             (edited_uniform_mass, "metrics[0]"),
+                                             (edited_scenario, "scenario"),
+                                             (edited_format, "format"),
+                                             (added_key, "note"),
+                                             (edited_table_eps, "metrics.csv")],
                          ids=lambda x: getattr(x, "__name__", x))
 def test_cli_verify_names_the_first_mismatch(tmp_path, capsys, run_config, tamper, mismatch):
     out = tmp_path / "run"
@@ -706,31 +789,34 @@ def test_cli_verify_names_the_first_mismatch(tmp_path, capsys, run_config, tampe
         p.write_text(json.dumps(run_config(out, nx=48)))
         assert main(["run", "--config", str(p)]) in (0, 1)
     assert _verified(out) == (0, None)
-    rows = (out / "verify.csv").read_bytes()
     capsys.readouterr()
     tamper(out)
     assert _verified(out) == (1, mismatch)
-    assert f"MISMATCH: {mismatch} of summary.json differs" in capsys.readouterr().out
-    if tamper is not moved_weight:  # the diagnostics read the first family's measures alone
-        assert (out / "verify.csv").read_bytes() == rows
+    assert f"MISMATCH: {mismatch} differs" in capsys.readouterr().out
 
 
-def test_cli_verify_computes_each_hopf_diagnostic_once(tmp_path, monkeypatch, run_config):
-    # verify.csv takes residual_max and angular_w1 from the re-derived Hopf row,
-    # so each stored measure costs one invariance residual and one angular W1
+@pytest.mark.parametrize("name", sorted(_SPELLED_OUT))
+def test_cli_verify_computes_only_the_metrics_of_the_recipe(tmp_path, monkeypatch, run_config, name):
+    # verify computes no metric of its own: an invariance residual and an angular W1
+    # are computed once per measure by the Hopf analysis, and never for a double well
     out = tmp_path / "run"
+    raw = run_config(out, nx=_SPELLED_OUT[name][0], eps=(0.1, 0.05), scenario={"name": name})
+    del raw["schedule"]["shape"]  # each recipe's own default
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(run_config(out, nx=48)))
+    p.write_text(json.dumps(raw))
     assert main(["run", "--config", str(p)]) in (0, 1)
     calls = []
-    for module in (cli, scenarios):
-        for name in ("invariance_residual", "angular_w1_to_uniform"):
-            def counted(*args, fn=getattr(module, name), name=name):
-                calls.append(name)
-                return fn(*args)
-            monkeypatch.setattr(module, name, counted)
+    for module in (analysis, cli, scenarios):
+        for fn_name in ("invariance_residual", "angular_w1_to_uniform"):
+            if hasattr(module, fn_name):
+                def counted(*args, fn=getattr(module, fn_name), fn_name=fn_name):
+                    calls.append(fn_name)
+                    return fn(*args)
+                monkeypatch.setattr(module, fn_name, counted)
     assert _verified(out) == (0, None)
-    assert sorted(calls) == ["angular_w1_to_uniform"] * 2 + ["invariance_residual"] * 2
+    assert fio.load_document(out / "summary.json")["eps"] == [0.1, 0.05]
+    n = 2 if name == "hopf" else 0  # one of each per stored Hopf measure
+    assert sorted(calls) == ["angular_w1_to_uniform"] * n + ["invariance_residual"] * n
 
 
 def test_cli_designed_control_is_the_isotropic_solve(tmp_path, run_config):
@@ -768,10 +854,7 @@ def test_cli_verify_uses_the_run_dictionary(tmp_path, b, run_config):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     main(["run", "--config", str(p)])
-    assert main(["verify", "--run", str(out)]) == 0
-    run_rows = json.loads((out / "summary.json").read_text())["metrics"]
-    verify_rows = json.loads((out / "verify.json").read_text())["rows"]
-    assert [r["residual_max"] for r in verify_rows] == [r["residual_max"] for r in run_rows]
+    assert _verified(out) == (0, None)  # every metric row, its residual_max included
 
 
 def test_cli_verify_designed_run(tmp_path):
@@ -788,10 +871,9 @@ def test_cli_verify_designed_run(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(p)]) == 0
-    assert main(["verify", "--run", str(out)]) == 0
-    verify_rows = json.loads((out / "verify.json").read_text())["rows"]
-    assert [r["eps"] for r in verify_rows] == [0.1, 0.05, 0.02]
+    assert _verified(out) == (0, None)
     summary = json.loads((out / "summary.json").read_text())
+    assert summary["eps"] == [0.1, 0.05, 0.02]
     for eps, row in zip(summary["eps"], summary["metrics"]):
         for prefix, key in (("measure", "designed_mass"), ("control", "uniform_mass")):
             mu = fio.measure_from_document(fio.load_document(out / f"{prefix}_eps{eps!r}.json"))

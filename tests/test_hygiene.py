@@ -264,6 +264,39 @@ def test_solve_family_call_is_detected():
                                          "solve_family (line 5)"]
 
 
+def _analysis_imports(tree: ast.Module) -> list[str]:
+    """Every import of the ``analysis`` module or of a name from it: the metrics a
+    module could compute besides the ones the run's analysis gives."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == "analysis":
+            found += [f"{a.name} (line {n.lineno})" for a in n.names]
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            found += [f"{a.name} (line {n.lineno})" for a in n.names
+                      if a.name.split(".")[-1] == "analysis"]
+    return found
+
+
+def test_cli_imports_nothing_from_analysis():
+    # `fplab verify` compares the summary with what the run's analysis re-derives,
+    # so it computes no metric of its own
+    assert _analysis_imports(ast.parse(CLI.read_text())) == []
+
+
+def test_analysis_import_is_detected():
+    tree = ast.parse(
+        "from .analysis import angular_w1_to_uniform, invariance_residual\n"
+        "from . import io as fio, analysis\n"
+        "from .scenarios import _SOLVE_KEYS\n"
+        "def _cmd_verify(args):\n"
+        "    import fplab.analysis\n"
+        "    from fplab.analysis import bl_distance as bl\n"
+    )
+    assert _analysis_imports(tree) == [
+        "angular_w1_to_uniform (line 1)", "invariance_residual (line 1)", "analysis (line 2)",
+        "fplab.analysis (line 5)", "bl_distance (line 6)"]
+
+
 def _document_reads(tree: ast.Module) -> list[str]:
     """Calls of a ``load_document`` function or method outside ``_load``, the one
     function that reads a document and refuses one that is not a JSON object."""
